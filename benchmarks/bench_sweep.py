@@ -1,9 +1,9 @@
-"""Time the sweep engines on identical skeletons and check they agree.
+"""Time the sweep engine and its point-by-point oracle; check they agree.
 
-Runs the same ample-cone sweep through the pure engine, the point-by-point
-oracle it reduces (tests/sweep_oracle.py) and, when built, the compiled
-engine, and prints one row per (variety, resolution) with each time and
-its ratio to the pure engine's.
+Runs the same ample-cone sweep through the engine (torifan._sweep_pure) and
+the point-by-point oracle it reduces (tests/sweep_oracle.py), and prints
+one row per (variety, resolution) with both times and the oracle's time as
+a multiple of the engine's.
 
     python3 benchmarks/bench_sweep.py --resolutions 3 5 8 --repeat 3
 """
@@ -49,14 +49,8 @@ def main(argv=None):
     else:
         chosen = catalog.surface_catalog() + [entries["P3"]]
 
-    core = sweep._compiled_module()
-    if core is None:
-        print("compiled engine not built; timing the pure engine and oracle")
-
     header = f"{'variety':<10} {'res':>4} {'pure (s)':>10}"
     header += f" {'pointwise (s)':>14} {'ratio':>8}"
-    if core is not None:
-        header += f" {'cython (s)':>11} {'ratio':>8}"
     print(header)
     for variety in chosen:
         skel = sweep.build_skeleton(variety)
@@ -74,19 +68,6 @@ def main(argv=None):
                 )
             line = f"{variety.name:<10} {resolution:>4} {t_pure:>10.4f}"
             line += f" {t_pt:>14.4f} {t_pt / t_pure:>7.1f}x"
-            if core is not None:
-                if not sweep._compiled_bounds_ok(skel, resolution):
-                    print(line + f" {'n/a':>11}")
-                    continue
-                t_cy, raw_cy = best_of(
-                    core.run_sweep, skel, resolution, args.repeat
-                )
-                if raw != raw_cy:
-                    raise SystemExit(
-                        f"engines disagree on {variety.name} "
-                        f"at resolution {resolution}"
-                    )
-                line += f" {t_cy:>11.4f} {t_cy / t_pure:>7.2f}x"
             print(line)
 
 

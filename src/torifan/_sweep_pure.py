@@ -1,10 +1,10 @@
-"""Reference sweep engine: exact integer arithmetic, any dimension.
+"""The sweep engine: exact integer arithmetic, any dimension.
 
 Works on the precomputed skeleton from torifan.sweep.  All quantities stay
 integers: for integer coefficient vectors c the vertex maps, wall values,
 volume sum and barycenter numerator are integer-valued, and both theorem
 checks reduce to integer comparisons.  Python bignums make overflow a
-non-issue; the compiled engine trades that generality for speed.
+non-issue.
 
 The result is the one a point-by-point walk gives -- visit every gcd-1
 vector of {1..res}^r in lexicographic order (last coordinate fastest),

@@ -126,9 +126,7 @@ def _cmd_sweep(args):
 
     variety = jsonio.load_fan(args.fan)
     cap = args.samples_cap if args.include_samples else 0
-    result = sweep_ample_cone(
-        variety, args.resolution, collect_cap=cap, engine=args.engine
-    )
+    result = sweep_ample_cone(variety, args.resolution, collect_cap=cap)
     if args.format == "csv":
         rows = [
             (
@@ -217,7 +215,7 @@ def _cmd_okounkov(args):
 
 def _cmd_verify(args):
     catalog = load_catalog(args.catalog)
-    report = harness.verify_theorem(catalog, args.resolution, engine=args.engine)
+    report = harness.verify_theorem(catalog, args.resolution)
     if args.format == "json":
         text = jsonio.dumps(report.json_dict())
     else:
@@ -229,7 +227,7 @@ def _cmd_verify(args):
 def _cmd_gap(args):
     catalog = load_catalog(args.catalog)
     report = harness.gap_report(
-        catalog, args.resolution, dimension=args.dimension, engine=args.engine
+        catalog, args.resolution, dimension=args.dimension
     )
     if args.format == "json":
         text = jsonio.dumps(report.json_dict())
@@ -277,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sweep", help="score sweep over the ample cone")
     p.add_argument("fan")
     p.add_argument("--resolution", type=int, required=True)
-    p.add_argument("--engine", choices=("auto", "pure", "cython"), default=None)
     p.add_argument("--include-samples", action="store_true")
     p.add_argument("--samples-cap", type=int, default=512)
     _add_common(p, "json")
@@ -314,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--catalog", help="directory of fan JSON files")
     p.add_argument("--resolution", type=int, required=True)
-    p.add_argument("--engine", choices=("auto", "pure", "cython"), default=None)
     _add_common(p, "csv")
     p.set_defaults(handler=_cmd_verify)
 
@@ -324,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", help="directory of fan JSON files")
     p.add_argument("--resolution", type=int, required=True)
     p.add_argument("--dimension", type=int, default=None)
-    p.add_argument("--engine", choices=("auto", "pure", "cython"), default=None)
     _add_common(p, "csv")
     p.set_defaults(handler=_cmd_gap)
 

@@ -88,17 +88,17 @@ class VerifyReport:
         }
 
 
-def verify_theorem(catalog, resolution: int, engine=None) -> VerifyReport:
+def verify_theorem(catalog, resolution: int) -> VerifyReport:
     """Sweep every entry; the bound must be met exactly on P^n alone.
 
-    The per-sample inequalities are enforced inside the sweep engines; a
+    The per-sample inequalities are enforced inside the sweep engine; a
     violation surfaces as VerificationError with the offending coefficient
     vector.
     """
     results = []
     projective = []
     for variety in catalog:
-        res = sweep_ample_cone(variety, resolution, collect_cap=0, engine=engine)
+        res = sweep_ample_cone(variety, resolution, collect_cap=0)
         is_pn = fans_isomorphic(variety, projective_space(variety.dim))
         if is_pn and res.gap != 0:
             raise VerificationError(
@@ -161,7 +161,7 @@ class GapReport:
         }
 
 
-def gap_report(catalog, resolution: int, dimension=None, engine=None) -> GapReport:
+def gap_report(catalog, resolution: int, dimension=None) -> GapReport:
     """Empirical volume-gap margin: smallest gap among non-P^n entries."""
     entries = [
         v for v in catalog if dimension is None or v.dim == dimension
@@ -169,7 +169,7 @@ def gap_report(catalog, resolution: int, dimension=None, engine=None) -> GapRepo
     detail = []
     best = {}
     for variety in entries:
-        res = sweep_ample_cone(variety, resolution, collect_cap=0, engine=engine)
+        res = sweep_ample_cone(variety, resolution, collect_cap=0)
         is_pn = fans_isomorphic(variety, projective_space(variety.dim))
         detail.append(
             (variety.name, variety.dim, res.max_score, res.gap, is_pn)

@@ -214,14 +214,14 @@ def slice_profile(body: OkounkovBody) -> SliceProfile:
     return SliceProfile(dim=n, breakpoints=tuple(levels), pieces=tuple(pieces))
 
 
-def bm_concavity_check(profile: SliceProfile, samples_per_piece: int = 200) -> bool:
+def bm_concavity_check(profile: SliceProfile) -> bool:
     """Whether A(r)^(1/(n-1)) is concave on the support.
 
-    Exact sign analysis of h = (2-n) A'^2 + (n-1) A A''(the sign of the
-    transform's second derivative where A > 0) at piece endpoints and at
-    ``samples_per_piece`` rational points per piece, plus continuity,
-    positivity and junction-slope checks.  n = 1 bodies have constant slice
-    profile and pass trivially.
+    Exact sign analysis of h = (2-n) A'^2 + (n-1) A A'' (the sign of the
+    transform's second derivative where A > 0): a Sturm-sequence decision
+    that h <= 0 on each whole piece, plus continuity, positivity and
+    junction-slope checks.  n = 1 bodies have constant slice profile and
+    pass trivially.
     """
     if profile.dim == 1:
         return True
@@ -271,11 +271,8 @@ def bm_concavity_check(profile: SliceProfile, samples_per_piece: int = 200) -> b
             ratpoly.scale(ratpoly.multiply(dp, dp), 2 - n),
             ratpoly.scale(ratpoly.multiply(p, ddp), n - 1),
         )
-        steps = samples_per_piece + 1
-        for j in range(steps + 1):
-            x = lo + (hi - lo) * Fraction(j, steps)
-            if ratpoly.evaluate(h, x) > 0:
-                return False
+        if not ratpoly.nonnegative_on(ratpoly.scale(h, -1), lo, hi):
+            return False
     # junction slopes: the density may only flatten going right
     return all(_slope_drop_ok(pieces, points, i) for i in range(len(pieces) - 1))
 

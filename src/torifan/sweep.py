@@ -13,29 +13,23 @@ once into a skeleton of integer tables:
     lowest-index pivots), so the same tuples triangulate P_D for every
     ample D.
 
-Two interchangeable engines consume the skeleton and return equal results.
-The compiled one (torifan._sweepcore, built from Cython) handles surfaces
-and threefolds and scores every grid point in turn.  The pure Python one
-handles any dimension and scores far fewer: the score and both checks are
-functions of the divisor class up to scale, and the ample samples along
-each grid line form one interval, so it walks lines and evaluates each
-class once (torifan._sweep_pure proves these reductions).
-TORIFAN_SWEEP_ENGINE=pure|cython|auto overrides the default choice.  The
-compiled engine is only used when precomputed magnitude bounds show its
-128-bit intermediates cannot overflow; otherwise the pure engine runs.
+One engine consumes the skeleton: torifan._sweep_pure, exact integer
+arithmetic in any dimension.  It scores far fewer points than the grid
+holds: the score and both checks are functions of the divisor class up to
+scale, and the ample samples along each grid line form one interval, so
+it walks lines and evaluates each class once (torifan._sweep_pure proves
+these reductions and tests/sweep_oracle.py keeps the point-by-point walk
+as the reference).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from torifan import _sweep_pure, invariants
 from torifan.errors import EmptyGrid, ValidationError, VerificationError
 from torifan.toric import ToricVariety, _int_matrix_inverse
-
-ENGINE_ENV = "TORIFAN_SWEEP_ENGINE"
 
 
 def _pulling_triangulation(variety: ToricVariety):
@@ -47,31 +41,36 @@ def _pulling_triangulation(variety: ToricVariety):
     one triangulation valid for all ample D.
     """
     cones = [frozenset(c) for c in variety.max_cones]
-    n = variety.dim
-    memo = {}
+    return tuple(_pull(frozenset(), cones, variety.dim, {}))
 
-    def pull(face):
-        if face in memo:
-            return memo[face]
-        holders = [j for j, cn in enumerate(cones) if face <= cn]
-        if len(face) == n:
-            out = [(holders[0],)]
-        else:
-            pivot = holders[0]
-            spanned = set()
-            for j in holders:
-                spanned.update(cones[j])
-            out = []
-            for rho in sorted(spanned - face):
-                if rho in cones[pivot]:
-                    continue  # the pivot vertex lies on that facet
-                out.extend(
-                    (pivot,) + s for s in pull(face | frozenset((rho,)))
-                )
-        memo[face] = out
-        return out
 
-    return tuple(pull(frozenset()))
+def _pull(face, cones, n, memo):
+    """Pulling triangulation of the face of P_D that the ray set ``face``
+    spans, memoised in ``memo``.
+
+    A module-level function rather than a closure, so that no reference
+    cycle (closure -> cell -> closure) outlives the call.
+    """
+    if face in memo:
+        return memo[face]
+    holders = [j for j, cn in enumerate(cones) if face <= cn]
+    if len(face) == n:
+        out = [(holders[0],)]
+    else:
+        pivot = holders[0]
+        spanned = set()
+        for j in holders:
+            spanned.update(cones[j])
+        out = []
+        for rho in sorted(spanned - face):
+            if rho in cones[pivot]:
+                continue  # the pivot vertex lies on that facet
+            out.extend(
+                (pivot,) + s
+                for s in _pull(face | frozenset((rho,)), cones, n, memo)
+            )
+    memo[face] = out
+    return out
 
 
 def build_skeleton(variety: ToricVariety) -> dict:
@@ -104,81 +103,12 @@ def build_skeleton(variety: ToricVariety) -> dict:
     }
 
 
-def _compiled_module():
-    try:
-        from torifan import _sweepcore
-    except ImportError:
-        return None
-    return _sweepcore
+def select_engine(skel, resolution):
+    """Name of the engine that sweeps ``skel`` at ``resolution``.
 
-
-def _compiled_bounds_ok(skel, resolution):
-    """All 128-bit intermediates of the compiled engine stay below 2^126."""
-    n = skel["dim"]
-    r = len(skel["rays"])
-    res = resolution
-    mc = max(
-        sum(abs(x) for x in row) * res
-        for mat in skel["cone_matrices"]
-        for row in mat
-    )
-    umax = max(abs(x) for ray in skel["rays"] for x in ray)
-    smax = max(
-        sum(abs(w) for w in row) * res for row in skel["walls"]
-    )
-    kmax = max(abs(k) for k in skel["wall_k"]) or 1
-    # volume is monotone in every coefficient, so the all-res corner bounds it
-    vol_bound = _volume_of_sample(skel, (res,) * r)
-    t_bound = (n + 1) * vol_bound * (mc * n * umax + res)
-    beta_num = max(kmax, (n + 1) * vol_bound)
-    beta_den = max(smax, t_bound, 1)
-    limit = 1 << 126
-    products = [
-        6 * (2 * mc) ** 3,
-        kmax * max(t_bound, smax),
-        (n + 1) * vol_bound * smax,
-        vol_bound ** (n + 1),
-        t_bound**n,
-        beta_num**n * vol_bound,
-        (n + 1) ** n * beta_den**n,
-    ]
-    return all(p < limit for p in products)
-
-
-def _volume_of_sample(skel, coeffs):
-    n = skel["dim"]
-    verts = []
-    for idx, mat in zip(skel["cone_indices"], skel["cone_matrices"]):
-        cs = [coeffs[i] for i in idx]
-        verts.append(
-            tuple(sum(row[j] * cs[j] for j in range(n)) for row in mat)
-        )
-    total = 0
-    for simplex in skel["simplices"]:
-        base = verts[simplex[0]]
-        rows = [[verts[s][i] - base[i] for i in range(n)] for s in simplex[1:]]
-        total += _sweep_pure._abs_det(rows)
-    return total
-
-
-def select_engine(skel, resolution, engine=None):
-    choice = engine or os.environ.get(ENGINE_ENV, "auto")
-    if choice not in ("auto", "cython", "pure"):
-        raise ValidationError(f"unknown sweep engine {choice!r}")
-    if choice == "pure":
-        return "pure"
-    core = _compiled_module()
-    usable = (
-        core is not None
-        and skel["dim"] in (2, 3)
-        and _compiled_bounds_ok(skel, resolution)
-    )
-    if usable:
-        return "cython"
-    if choice == "cython":
-        raise ValidationError(
-            "compiled sweep engine unavailable or unsafe for this input"
-        )
+    Only the pure engine exists, so the answer is always ``"pure"``; the
+    name is recorded as ``SweepResult.engine`` and in every sweep report.
+    """
     return "pure"
 
 
@@ -203,17 +133,13 @@ def sweep_ample_cone(
     variety: ToricVariety,
     resolution: int,
     collect_cap: int = 512,
-    engine: str | None = None,
 ) -> SweepResult:
     """Exact score sweep; raises EmptyGrid when no sample is ample."""
     if resolution < 1:
         raise ValidationError("resolution must be at least 1")
     skel = build_skeleton(variety)
-    chosen = select_engine(skel, resolution, engine)
-    if chosen == "cython":
-        raw = _compiled_module().run_sweep(skel, resolution, collect_cap)
-    else:
-        raw = _sweep_pure.run_sweep(skel, resolution, collect_cap)
+    chosen = select_engine(skel, resolution)
+    raw = _sweep_pure.run_sweep(skel, resolution, collect_cap)
     if raw.ample == 0:
         raise EmptyGrid(
             f"no ample sample in {{1..{resolution}}}^{variety.n_rays}"

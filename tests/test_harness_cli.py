@@ -215,9 +215,7 @@ def test_cli_invariants_rejects_non_ample(tmp_path, capsys):
 
 def test_cli_sweep_json_and_samples(tmp_path, capsys):
     fan = write_fan(tmp_path, catalog.projective_space(2))
-    rc = cli.main(
-        ["sweep", fan, "--resolution", "2", "--engine", "pure"]
-    )
+    rc = cli.main(["sweep", fan, "--resolution", "2"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["candidates"] == 7
@@ -232,8 +230,6 @@ def test_cli_sweep_json_and_samples(tmp_path, capsys):
             fan,
             "--resolution",
             "2",
-            "--engine",
-            "pure",
             "--include-samples",
             "--samples-cap",
             "3",
@@ -254,8 +250,6 @@ def test_cli_sweep_csv_shape(tmp_path, capsys):
             fan,
             "--resolution",
             "2",
-            "--engine",
-            "pure",
             "--format",
             "csv",
         ]
@@ -343,8 +337,6 @@ def test_cli_verify_theorem_deterministic(tmp_path, capsys):
         str(cat),
         "--resolution",
         "3",
-        "--engine",
-        "pure",
     ]
     assert cli.main(argv) == 0
     first = capsys.readouterr().out
@@ -410,7 +402,7 @@ def test_cli_reports_end_with_single_newline(tmp_path, capsys):
         ["validate", fan],
         ["invariants", fan],
         ["invariants", fan, "--format", "csv"],
-        ["sweep", fan, "--resolution", "1", "--engine", "pure"],
+        ["sweep", fan, "--resolution", "1"],
     ):
         assert cli.main(argv) == 0
         out = capsys.readouterr().out

@@ -277,6 +277,20 @@ def test_bm_concavity_synthetic_profiles():
     )
 
 
+def test_bm_concavity_rejects_a_bump_between_sample_points():
+    # dimension 2: A^(1/(n-1)) = A, and A'' = -(r - a)(r - b) is positive
+    # only on (a, b), which has length 1/402 and lies strictly between the
+    # grid points 100/201 and 101/201, so A'' <= 0 at every j/201
+    a, b = F(401, 804), F(403, 804)
+    piece = (F(1), F(0), -a * b / 2, (a + b) / 6, F(-1, 12))
+    second = ratpoly.derivative(ratpoly.derivative(piece))
+    assert ratpoly.equal(second, (-a * b, a + b, F(-1)))
+    assert all(ratpoly.evaluate(second, F(j, 201)) <= 0 for j in range(202))
+    assert ratpoly.evaluate(second, (a + b) / 2) > 0
+    profile = okounkov.SliceProfile(2, (F(0), F(1)), (piece,))
+    assert not okounkov.bm_concavity_check(profile)
+
+
 def test_cone_structure_of_model_cone():
     body = model_cone(2)
     assert okounkov.cone_structure_check(body, 1)
