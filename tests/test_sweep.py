@@ -144,9 +144,11 @@ def test_skeleton_build_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_select_engine_is_pure():
+def test_engine_selection():
     p2 = catalog.projective_space(2)
     assert sweep.select_engine(sweep.build_skeleton(p2), 8) == "pure"
+    p1 = catalog.projective_space(1)
+    assert sweep.select_engine(sweep.build_skeleton(p1), 4) == "pure"
     assert sweep.sweep_ample_cone(p2, 2).engine == "pure"
 
 
