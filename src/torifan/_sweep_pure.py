@@ -79,6 +79,7 @@ from math import gcd
 from operator import mul, sub
 
 from torifan.errors import VerificationError
+from torifan.ratgeom import int_det
 
 
 @dataclass
@@ -90,32 +91,6 @@ class RawSweep:
     argmax: tuple | None
     collected: list  # ample coefficient vectors, capped
     collect_complete: bool
-
-
-def _abs_det(rows):
-    """Fraction-free Bareiss determinant of a square integer matrix."""
-    n = len(rows)
-    if n == 1:
-        return abs(rows[0][0])
-    if n == 2:
-        return abs(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
-    m = [list(r) for r in rows]
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    break
-            else:
-                return 0
-            # swap flips the sign; absolute value makes it irrelevant
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return abs(m[n - 1][n - 1])
 
 
 def _evaluate(skel, c):
@@ -136,8 +111,8 @@ def _evaluate(skel, c):
     bary_num = [0] * n
     for simplex in skel["simplices"]:
         base = verts[simplex[0]]
-        d = _abs_det(
-            [list(map(sub, verts[s], base)) for s in simplex[1:]]
+        d = abs(
+            int_det([list(map(sub, verts[s], base)) for s in simplex[1:]])
         )
         vol += d
         corners = zip(*(verts[s] for s in simplex))

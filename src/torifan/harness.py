@@ -275,6 +275,8 @@ def blowup_command(
     samples: int = 100,
 ) -> BlowupReport:
     """Fujita profile at a fixed point plus the vanishing-order chain."""
+    if samples < 1:
+        raise ValidationError("samples must be at least 1")
     require_ample(divisor)
     profile, bl = fujita_profile(variety, cone_index, divisor)
     margin_ok = profile.inequality_certificate()
@@ -361,6 +363,8 @@ def okounkov_command(
     samples: int = 32,
 ) -> OkounkovReport:
     """Drive the body end to end: vertices, identities, slices, concavity."""
+    if samples < 1:
+        raise ValidationError("samples must be at least 1")
     if flag is None:
         flag = default_flag(variety, 0)
     body = okounkov_body(divisor, flag)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import combinations
 from math import factorial, gcd, lcm
+from operator import mul, sub
 
 from torifan.errors import DegeneratePolytope, UnboundedPolytope
 
@@ -45,9 +45,8 @@ class HalfSpace:
 class Polytope:
     """Immutable H-representation with write-once caches.
 
-    Vertex enumeration and triangulation results are cached on the instance;
-    the cached assignments are idempotent, so concurrent recomputation is
-    harmless.
+    Vertices, volume and barycenter are cached on the instance; the cached
+    assignments are idempotent, so concurrent recomputation is harmless.
     """
 
     def __init__(self, ambient_dim, halfspaces):
@@ -89,7 +88,7 @@ class Polytope:
 
 
 def det(rows) -> Fraction:
-    """Determinant by fraction-free style Gaussian elimination."""
+    """Determinant of a rational matrix by Gaussian elimination."""
     n = len(rows)
     m = [[_frac(x) for x in row] for row in rows]
     sign = 1
@@ -109,6 +108,33 @@ def det(rows) -> Fraction:
                 for c in range(col, n):
                     m[r][c] -= f * m[col][c]
     return sign * result
+
+
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 def solve_square(rows, rhs):
@@ -310,124 +336,83 @@ def polytopes_equal(p: Polytope, q: Polytope) -> bool:
 
 # ---------------------------------------------------------------------------
 # triangulation, volume, barycenter
+#
+# One pulling triangulation serves fan_triangulation and the sweep skeleton
+# (torifan.sweep.build_skeleton), and it reads only vertex-facet incidence.
+# A face is its vertex set; the facets of a face F are the inclusion-maximal
+# sets F & G, over the facets G of the polytope, that are neither empty nor
+# F (each face of F is an intersection of facets of the polytope).  Pulling
+# F from its least vertex v cones v over the triangulations of the facets of
+# F that miss v; since every face is pulled from its own least vertex, the
+# pieces agree on shared faces (De Loera, Rambau and Santos,
+# *Triangulations*, on pulling triangulations).
 
 
-def _ccw_order(points):
-    """Vertices of a polygon in counterclockwise order around their mean."""
-    k = len(points)
-    cx = sum(p[0] for p in points) / k
-    cy = sum(p[1] for p in points) / k
+def pulling_triangulation(labels, facets):
+    """Pulling triangulation of a polytope from its vertex-facet incidence.
 
-    def half(p):
-        dx, dy = p[0] - cx, p[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def compare(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return hp - hq
-        cross = (p[0] - cx) * (q[1] - cy) - (q[0] - cx) * (p[1] - cy)
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(points, key=cmp_to_key(compare))
-
-
-def _facet_substitution(rows, facet_row, n):
-    """Substitute the equality of ``facet_row`` and drop one coordinate.
-
-    Returns ``(sub_rows, lift)`` where ``sub_rows`` describe the facet in
-    R^(n-1) and ``lift`` maps facet points back to R^n.
+    ``labels`` are mutually comparable vertex labels and ``facets`` holds
+    one set of labels per facet; lower faces and repeats among them change
+    nothing, as they are never inclusion-maximal.  Returns the simplices as
+    label tuples, each led by its least label.
     """
-    a, b = facet_row
-    k = next(i for i, c in enumerate(a) if c != 0)
-    keep = [i for i in range(n) if i != k]
-    ak = Fraction(a[k])
-
-    def lift(y):
-        xk = (-b - sum(a[j] * y[i] for i, j in enumerate(keep))) / ak
-        full = list(y[:])
-        full.insert(k, xk)
-        return tuple(full)
-
-    sub_rows = []
-    for c, d in rows:
-        if (c, d) == (a, b):
-            continue
-        factor = Fraction(c[k], a[k])
-        new_c = tuple(Fraction(c[j]) - factor * a[j] for j in keep)
-        new_d = Fraction(d) - factor * b
-        if not any(new_c):
-            continue  # parallel to the facet plane; redundant or the facet itself
-        sub_rows.append((new_c, new_d))
-    return sub_rows, lift
+    return _pull(frozenset(labels), [frozenset(f) for f in facets], {})
 
 
-def _rows_to_polytope(rows, dim):
-    hs = [HalfSpace(tuple(_frac(c) for c in a), _frac(b)) for a, b in rows]
-    return Polytope(dim, hs)
+def _pull(face, facets, memo):
+    """Pulling triangulation of ``face``, memoised in ``memo``.
 
-
-def facet_rows(poly: Polytope):
-    """Deduplicated integer rows that support facets of a full-dim polytope."""
-    verts = enumerate_vertices(poly)
-    n = poly.ambient_dim
-    seen = set()
-    facets = []
-    for a, b in poly.integer_rows():
-        if (a, b) in seen:
-            continue
-        seen.add((a, b))
-        tight = [v for v in verts if sum(c * x for c, x in zip(a, v)) + b == 0]
-        if affine_rank(tight) == n - 1:
-            facets.append((a, b))
-    return facets
-
-
-def facet_halfspaces(poly: Polytope):
-    """The facet-supporting constraints as HalfSpace values."""
-    return tuple(
-        HalfSpace(tuple(_frac(c) for c in a), _frac(b))
-        for a, b in facet_rows(poly)
-    )
+    A module-level function rather than a closure, so that no reference
+    cycle (closure -> cell -> closure) outlives the call.
+    """
+    out = memo.get(face)
+    if out is not None:
+        return out
+    pivot = min(face)
+    if len(face) == 1:
+        out = [(pivot,)]
+    else:
+        subfaces = []
+        for g in facets:
+            sub = face & g
+            if sub and sub != face and sub not in subfaces:
+                subfaces.append(sub)
+        out = []
+        for sub in subfaces:
+            if pivot in sub or any(sub < other for other in subfaces):
+                continue  # a facet through the pivot, or not a facet at all
+            out.extend((pivot,) + s for s in _pull(sub, facets, memo))
+    memo[face] = out
+    return out
 
 
 def fan_triangulation(poly: Polytope, base=None):
-    """Triangulate a full-dimensional polytope by coning from one vertex.
+    """Triangulate a full-dimensional polytope by pulling, first from ``base``.
 
-    Returns a list of simplices, each a tuple of ambient_dim + 1 vertices.
-    The result is empty when the polytope is not full-dimensional.
+    ``base`` defaults to the lexicographically least vertex; every other
+    face is pulled from its least vertex in that order, with ``base``
+    counted first.  Returns a list of simplices, each a tuple of
+    ambient_dim + 1 vertices.  The result is empty when the polytope is not
+    full-dimensional.
     """
     verts = enumerate_vertices(poly)
-    n = poly.ambient_dim
-    if affine_rank(verts) < n:
+    if affine_rank(verts) < poly.ambient_dim:
         return []
-    if base is None:
-        base = verts[0]
-    else:
+    order = list(verts)
+    if base is not None:
         base = tuple(_frac(x) for x in base)
         if base not in verts:
             raise ValueError("base point is not a vertex")
-    if n == 1:
-        return [(verts[0], verts[-1])]
-    if n == 2:
-        cycle = _ccw_order(verts)
-        i = cycle.index(base)
-        cycle = cycle[i:] + cycle[:i]
-        return [(base, cycle[j], cycle[j + 1]) for j in range(1, len(cycle) - 1)]
-    simplices = []
-    for facet in facet_rows(poly):
-        a, b = facet
-        if sum(c * x for c, x in zip(a, base)) + b == 0:
-            continue  # base lies on this facet; it contributes no cone
-        sub_rows, lift = _facet_substitution(list(poly.integer_rows()), facet, n)
-        sub_poly = _rows_to_polytope(sub_rows, n - 1)
-        for simplex in fan_triangulation(sub_poly):
-            simplices.append((base,) + tuple(lift(v) for v in simplex))
-    return simplices
+        order.remove(base)
+        order.insert(0, base)
+    tight = [
+        [i for i, v in enumerate(order) if sum(map(mul, a, v)) + b == 0]
+        for a, b in poly.integer_rows()
+    ]
+    return [
+        tuple(order[i] for i in s)
+        for s in pulling_triangulation(range(len(order)), tight)
+    ]
 
 
 def simplex_volume(simplex) -> Fraction:
@@ -437,32 +422,47 @@ def simplex_volume(simplex) -> Fraction:
     return abs(det(rows)) / factorial(n)
 
 
+def _measure(poly: Polytope):
+    """Fill the volume and barycenter caches from one triangulation.
+
+    The vertices are scaled by the lcm of their denominators, so every
+    simplex determinant and coordinate sum is an integer.  The barycenter
+    stays None when the volume is zero.
+    """
+    n = poly.ambient_dim
+    simplices = fan_triangulation(poly)
+    verts = {v for s in simplices for v in s}
+    scale = lcm(*(x.denominator for v in verts for x in v))
+    scaled = {
+        v: [x.numerator * (scale // x.denominator) for x in v] for v in verts
+    }
+    total = 0
+    acc = [0] * n
+    for s in simplices:
+        pts = [scaled[v] for v in s]
+        d = abs(int_det([list(map(sub, p, pts[0])) for p in pts[1:]]))
+        total += d
+        acc = [a + d * sum(col) for a, col in zip(acc, zip(*pts))]
+    poly._volume = Fraction(total, factorial(n) * scale**n)
+    if total:
+        poly._barycenter = tuple(
+            Fraction(a, (n + 1) * scale * total) for a in acc
+        )
+
+
 def volume(poly: Polytope) -> Fraction:
     """Lebesgue measure; zero for empty or lower-dimensional sets."""
     if poly._volume is None:
-        poly._volume = sum(
-            (simplex_volume(s) for s in fan_triangulation(poly)), Fraction(0)
-        )
+        _measure(poly)
     return poly._volume
 
 
 def barycenter(poly: Polytope):
     """Volume-weighted centroid; requires positive volume."""
+    if poly._volume is None:
+        _measure(poly)
     if poly._barycenter is None:
-        simplices = fan_triangulation(poly)
-        total = Fraction(0)
-        acc = [Fraction(0)] * poly.ambient_dim
-        for s in simplices:
-            v = simplex_volume(s)
-            if v == 0:
-                continue
-            total += v
-            k = len(s)
-            for i in range(poly.ambient_dim):
-                acc[i] += v * sum(p[i] for p in s) / k
-        if total == 0:
-            raise DegeneratePolytope("barycenter of a zero-volume polytope")
-        poly._barycenter = tuple(c / total for c in acc)
+        raise DegeneratePolytope("barycenter of a zero-volume polytope")
     return poly._barycenter
 
 

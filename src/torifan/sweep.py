@@ -9,9 +9,11 @@ once into a skeleton of integer tables:
   - vertex maps: the cone vertex m_sigma as an integer matrix times the
     cone's coefficients,
   - a pulling triangulation of the section polytope, stored as tuples of
-    cone indices.  Built from the face lattice alone (facet recursion with
-    lowest-index pivots), so the same tuples triangulate P_D for every
-    ample D.
+    cone indices.  For every ample D, P_D has a vertex m_sigma per maximal
+    cone and a facet per ray, whose vertices are the cones containing that
+    ray.  ratgeom.pulling_triangulation, the one triangulation routine of
+    torifan, reads only this incidence (pulling each face from its lowest
+    cone index), so the same tuples triangulate P_D for every ample D.
 
 One engine consumes the skeleton: torifan._sweep_pure, exact integer
 arithmetic in any dimension.  It scores far fewer points than the grid
@@ -27,50 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from torifan import _sweep_pure, invariants
+from torifan import _sweep_pure, invariants, ratgeom
 from torifan.errors import EmptyGrid, ValidationError, VerificationError
 from torifan.toric import ToricVariety, _int_matrix_inverse
-
-
-def _pulling_triangulation(variety: ToricVariety):
-    """Triangulate the dual polytope combinatorially, as cone-index tuples.
-
-    Faces of P_D correspond to cones of the fan (a face spanned by rays S
-    has the vertices m_sigma with S inside sigma).  Pulling from the
-    lowest-index vertex cone depends only on this lattice, so the output is
-    one triangulation valid for all ample D.
-    """
-    cones = [frozenset(c) for c in variety.max_cones]
-    return tuple(_pull(frozenset(), cones, variety.dim, {}))
-
-
-def _pull(face, cones, n, memo):
-    """Pulling triangulation of the face of P_D that the ray set ``face``
-    spans, memoised in ``memo``.
-
-    A module-level function rather than a closure, so that no reference
-    cycle (closure -> cell -> closure) outlives the call.
-    """
-    if face in memo:
-        return memo[face]
-    holders = [j for j, cn in enumerate(cones) if face <= cn]
-    if len(face) == n:
-        out = [(holders[0],)]
-    else:
-        pivot = holders[0]
-        spanned = set()
-        for j in holders:
-            spanned.update(cones[j])
-        out = []
-        for rho in sorted(spanned - face):
-            if rho in cones[pivot]:
-                continue  # the pivot vertex lies on that facet
-            out.extend(
-                (pivot,) + s
-                for s in _pull(face | frozenset((rho,)), cones, n, memo)
-            )
-    memo[face] = out
-    return out
 
 
 def build_skeleton(variety: ToricVariety) -> dict:
@@ -87,8 +48,12 @@ def build_skeleton(variety: ToricVariety) -> dict:
             row[i] += b
         wall_rows.append(tuple(row))
         wall_k.append(sum(row))
+    cones = variety.max_cones
+    facets = [
+        [j for j, cone in enumerate(cones) if rho in cone] for rho in range(r)
+    ]
     cone_matrices = []
-    for cone in variety.max_cones:
+    for cone in cones:
         rows = [variety.rays[i] for i in cone]
         inv = _int_matrix_inverse(rows)
         cone_matrices.append(tuple(tuple(-x for x in row) for row in inv))
@@ -97,9 +62,11 @@ def build_skeleton(variety: ToricVariety) -> dict:
         "rays": variety.rays,
         "walls": tuple(wall_rows),
         "wall_k": tuple(wall_k),
-        "cone_indices": variety.max_cones,
+        "cone_indices": cones,
         "cone_matrices": tuple(cone_matrices),
-        "simplices": _pulling_triangulation(variety),
+        "simplices": tuple(
+            ratgeom.pulling_triangulation(range(len(cones)), facets)
+        ),
     }
 
 
@@ -137,6 +104,8 @@ def sweep_ample_cone(
     """Exact score sweep; raises EmptyGrid when no sample is ample."""
     if resolution < 1:
         raise ValidationError("resolution must be at least 1")
+    if collect_cap < 0:
+        raise ValidationError("collect_cap must be at least 0")
     skel = build_skeleton(variety)
     chosen = select_engine(skel, resolution)
     raw = _sweep_pure.run_sweep(skel, resolution, collect_cap)

@@ -27,16 +27,10 @@ from torifan.errors import (
 from torifan.ratgeom import HalfSpace, Polytope
 
 
-def _int_det(rows):
-    d = ratgeom.det(rows)
-    assert d.denominator == 1
-    return int(d)
-
-
 def _int_matrix_inverse(rows):
     """Inverse of an integer matrix with determinant +-1."""
     n = len(rows)
-    d = _int_det(rows)
+    d = ratgeom.int_det(rows)
     assert abs(d) == 1
     inv = []
     for i in range(n):
@@ -47,7 +41,7 @@ def _int_matrix_inverse(rows):
                 for r in range(n)
                 if r != j
             ]
-            cof = _int_det(minor) if minor else 1
+            cof = ratgeom.int_det(minor) if minor else 1
             row.append(((-1) ** (i + j)) * cof * d)
         inv.append(row)
     return inv
@@ -234,7 +228,7 @@ def _check_cones(variety):
             raise ValidationError(f"cone {ci} is listed twice")
         seen.add(key)
         used.update(cone)
-        d = _int_det([rays[i] for i in cone])
+        d = ratgeom.int_det([rays[i] for i in cone])
         if d == 0:
             raise NotSimplicial(f"cone {ci} has linearly dependent rays")
         if abs(d) != 1:

@@ -274,6 +274,28 @@ def test_cli_sweep_empty_grid_is_an_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["blowup", "FAN", "--cone", "0", "--samples", "0"],
+        ["okounkov", "FAN", "--samples", "0"],
+        [
+            "sweep",
+            "FAN",
+            "--resolution",
+            "2",
+            "--include-samples",
+            "--samples-cap",
+            "-3",
+        ],
+    ],
+)
+def test_cli_sample_counts_are_input_errors(tmp_path, capsys, argv):
+    fan = write_fan(tmp_path, catalog.projective_space(2))
+    assert cli.main([fan if a == "FAN" else a for a in argv]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_blowup_csv(tmp_path, capsys):
     fan = write_fan(tmp_path, catalog.projective_space(2))
     div = write_divisor(tmp_path, ["0", "0", "1"])

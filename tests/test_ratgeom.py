@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from fractions import Fraction as F
 
 import pytest
@@ -92,6 +93,21 @@ def test_contains_boundary_and_interior():
     assert not ratgeom.contains(sq, (F(2), F(0)))
 
 
+def cross_polytope(n):
+    """{x : |x_1| + ... + |x_n| <= 1}: simplicial, not simple for n >= 3."""
+    return Polytope(
+        n, [HalfSpace(signs, F(1)) for signs in product((1, -1), repeat=n)]
+    )
+
+
+def square_pyramid():
+    """Apex (0, 0, 1) over the square [-1, 1]^2: four facets at the apex."""
+    sides = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+    halfspaces = [HalfSpace((F(0), F(0), F(1)), F(0))]
+    halfspaces += [HalfSpace((F(a), F(b), F(-1)), F(1)) for a, b in sides]
+    return Polytope(3, halfspaces)
+
+
 def test_volume_triangulation_base_independent():
     # hexagon: all six vertices matter
     hexgon = Polytope(
@@ -105,13 +121,33 @@ def test_volume_triangulation_base_independent():
             HalfSpace((F(-1), F(-1)), F(1)),
         ),
     )
-    verts = ratgeom.enumerate_vertices(hexgon)
-    assert len(verts) == 6
-    vols = set()
-    for base in verts:
-        tri = ratgeom.fan_triangulation(hexgon, base=base)
-        vols.add(sum(ratgeom.simplex_volume(s) for s in tri))
-    assert vols == {ratgeom.volume(hexgon)}
+    assert len(ratgeom.enumerate_vertices(hexgon)) == 6
+    # non-simple polytopes: a face's facets are not all of its tight sets
+    cases = [
+        (hexgon, F(3), (F(0), F(0))),
+        (cross_polytope(3), F(4, 3), (F(0),) * 3),
+        (cross_polytope(4), F(2, 3), (F(0),) * 4),
+        (square_pyramid(), F(4, 3), (F(0), F(0), F(1, 4))),
+    ]
+    rng = random.Random(20261018)
+    for n in (3, 3, 4, 4):
+        p = random_polytope(rng, n)
+        while not ratgeom.is_full_dimensional(p):
+            p = random_polytope(rng, n)
+        cases.append((p, None, None))
+    for poly, vol, center in cases:
+        n = poly.ambient_dim
+        vols = set()
+        for base in ratgeom.enumerate_vertices(poly):
+            tri = ratgeom.fan_triangulation(poly, base=base)
+            for s in tri:
+                assert len(s) == n + 1 and s[0] == base
+                assert ratgeom.simplex_volume(s) > 0
+            vols.add(sum(ratgeom.simplex_volume(s) for s in tri))
+        assert vols == {ratgeom.volume(poly)}
+        if vol is not None:
+            assert ratgeom.volume(poly) == vol
+            assert ratgeom.barycenter(poly) == center
 
 
 def test_volume_of_shifted_cube():
@@ -175,22 +211,6 @@ def test_polytopes_equal_detects_difference():
         ),
     )
     assert not ratgeom.polytopes_equal(sq, tri)
-
-
-def test_vertex_enumeration_stable_under_rebuild():
-    # H-rep from facets of the V-rep gives the same vertices back
-    p = Polytope(
-        2,
-        (
-            HalfSpace((F(2), F(1)), F(3)),
-            HalfSpace((F(-1), F(2)), F(4)),
-            HalfSpace((F(-1), F(-3)), F(5)),
-            HalfSpace((F(1), F(-1)), F(2)),
-        ),
-    )
-    verts = ratgeom.enumerate_vertices(p)
-    rebuilt = Polytope(2, ratgeom.facet_halfspaces(p))
-    assert ratgeom.enumerate_vertices(rebuilt) == verts
 
 
 def random_polytope(rng, n):
@@ -274,5 +294,13 @@ def test_fan_triangulation_covers_4d_cube():
 def test_exact_solve_and_det():
     rows = ((F(2), F(1)), (F(1), F(3)))
     assert ratgeom.det(rows) == 5
+    # the integer determinant keeps the sign of every row swap
+    assert ratgeom.int_det(((0, 1, 0), (1, 0, 0), (0, 0, 1))) == -1
+    rng = random.Random(7)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(20):
+            entries = (0, 0, 1, -1, 2, -3)
+            m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+            assert ratgeom.int_det(m) == ratgeom.det(m)
     x = ratgeom.solve_square(rows, (F(4), F(7)))
     assert x == (F(1), F(2))

@@ -139,6 +139,7 @@ def test_skeleton_build_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         sweep.build_skeleton(v)
+        assert ratgeom.volume(v.divisor([1] * 6).section_polytope()) == 3
         assert gc.collect() == 0
     finally:
         gc.enable()
