@@ -6,8 +6,9 @@ Everything reduces to rational convex geometry on the section polytope:
 * the expected vanishing order along a ray divisor is a barycenter pairing,
 * the stability threshold delta is the reciprocal of the largest expected
   vanishing order over the rays,
-* blow-up volume profiles are piecewise polynomials recovered exactly by
-  interpolation between the critical values of a linear functional.
+* a volume profile x -> vol(D - x*E) is n! vol(Delta intersect {nu_1 >= x})
+  for the Okounkov body Delta flagged from E (Lazarsfeld-Mustata), read off
+  Delta's exact piecewise polynomial slice areas.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from torifan import ratgeom, ratpoly
-from torifan.errors import DegeneratePolytope, NotBig, VerificationError
+from torifan import okounkov, ratgeom, ratpoly
+from torifan.errors import VerificationError
 from torifan.toric import (
-    Blowup,
     TDivisor,
     ToricVariety,
     blowup_at_fixed_point,
@@ -223,69 +223,54 @@ class VolumeProfile:
         return True
 
 
-def _halfspace_drop_profile(polytope, normal, level, dim) -> VolumeProfile:
-    """Exact profile of x -> n! vol(P intersect {<m, normal> >= x - level}).
-
-    The volume of a polytope cut by a moving halfspace is polynomial in x of
-    degree <= n between consecutive critical values of the linear functional,
-    so interpolation at n+1 rational nodes per interval recovers each piece
-    exactly.
-    """
-    verts = ratgeom.enumerate_vertices(polytope)
-    if ratgeom.affine_rank(verts) < dim:
-        raise NotBig("profile needs a full-dimensional section polytope")
-    total = factorial(dim) * ratgeom.volume(polytope)
-    values = sorted({sum(c * u for c, u in zip(v, normal)) for v in verts})
-    end = level + values[-1]
-    cuts = sorted({Fraction(0), end} | {level + v for v in values if 0 < level + v < end})
-
-    def vol_at(x):
-        cut = ratgeom.Polytope(
-            polytope.ambient_dim,
-            polytope.halfspaces
-            + (ratgeom.HalfSpace(tuple(Fraction(c) for c in normal), level - x),),
-        )
-        return factorial(dim) * ratgeom.volume(cut)
-
-    pieces = []
-    for i in range(len(cuts) - 1):
-        lo, hi = cuts[i], cuts[i + 1]
-        nodes = [lo + (hi - lo) * Fraction(j, dim) for j in range(dim + 1)]
-        pieces.append(ratpoly.interpolate([(x, vol_at(x)) for x in nodes]))
-    profile = VolumeProfile(
-        dim=dim, total=total, breakpoints=tuple(cuts), pieces=tuple(pieces)
-    )
-    assert profile.value(0) == total
-    assert profile.continuity_check()
-    return profile
-
-
 def fujita_profile(variety: ToricVariety, cone_index: int, divisor: TDivisor):
     """Volume profile of the pullback minus x times the exceptional divisor.
 
-    Returns ``(profile, blowup)``.  The divisor must be nef and big.
+    vol(pi^*D - xE) = n! vol(Delta intersect {nu_1 >= x}) for the Okounkov
+    body Delta of pi^*D flagged from E: the vanishing-order profile of the
+    pullback along E.  Returns ``(profile, blowup)``.  D must be nef and big.
     """
     require_nef(divisor)
     require_big(divisor)
     bl = blowup_at_fixed_point(variety, cone_index)
-    cone = variety.max_cones[cone_index]
-    a_e = sum(divisor.coeffs[i] for i in cone)
-    profile = _halfspace_drop_profile(
-        divisor.section_polytope(), bl.e_ray, a_e, variety.dim
-    )
-    return profile, bl
+    return vanishing_order_profile(pullback(divisor, bl), bl.e_index), bl
 
 
 def vanishing_order_profile(divisor: TDivisor, ray_index: int) -> VolumeProfile:
-    """Profile of x -> vol(D - x * D_ray) on the variety itself."""
+    """Profile of x -> vol(D - x * D_ray) on the variety itself.
+
+    vol(D - x D_ray) = n! vol(Delta intersect {nu_1 >= x}) for the Okounkov
+    body Delta flagged from D_ray.  With A its slice profile and b_i the
+    breakpoints, that is n! int_x^end A = vol - n! int_(b_0)^x A, once
+    n! int A = vol is checked.  Delta lies in nu_1 >= 0; on [0, b_0], which
+    is more than a point only if D_ray is in the base locus of D (a big
+    non-nef class), the profile is the constant vol.
+    """
     require_big(divisor)
     variety = divisor.variety
-    return _halfspace_drop_profile(
-        divisor.section_polytope(),
-        variety.rays[ray_index],
-        divisor.coeffs[ray_index],
-        variety.dim,
+    if not 0 <= ray_index < variety.n_rays:
+        raise ValueError(f"no ray with index {ray_index}")
+    c = next(i for i, cone in enumerate(variety.max_cones) if ray_index in cone)
+    rest = tuple(i for i in variety.max_cones[c] if i != ray_index)
+    flag = okounkov.FlagSpec(variety, c, (ray_index,) + rest)
+    slices = okounkov.slice_profile(okounkov.okounkov_body(divisor, flag))
+    n_fact, vol = factorial(variety.dim), divisor.vol()
+    points, pieces = list(slices.breakpoints), []
+    head = Fraction(0)  # n! int A from b_0 to b_i
+    for i, p in enumerate(slices.pieces):
+        anti = ratpoly.scale(ratpoly.antiderivative(p), n_fact)
+        head -= ratpoly.evaluate(anti, points[i])
+        pieces.append(ratpoly.subtract((vol - head,), anti))
+        head += ratpoly.evaluate(anti, points[i + 1])
+    assert head == vol
+    if points[0] > 0:
+        points.insert(0, Fraction(0))
+        pieces.insert(0, (vol,))
+    profile = VolumeProfile(
+        dim=variety.dim, total=vol, breakpoints=tuple(points), pieces=tuple(pieces)
     )
+    assert profile.continuity_check()
+    return profile
 
 
 def seshadri_at_point(variety: ToricVariety, cone_index: int, divisor: TDivisor):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from torifan import ratgeom, ratpoly
 from torifan.errors import ThresholdExceeded, ValidationError

@@ -1,9 +1,9 @@
 """Exact univariate polynomials over Q.
 
-A polynomial is a tuple of Fractions, lowest degree first.  Used for the
-piecewise-polynomial volume and slice-area profiles: interpolation recovers
-each piece exactly from point evaluations, and Sturm sequences certify sign
-conditions on intervals without floating point.
+A polynomial is a tuple of Fractions, lowest degree first.  Interpolation
+recovers each slice-area piece exactly from point evaluations,
+antiderivatives integrate slice areas into volume profiles, and Sturm
+sequences certify sign conditions on intervals without floating point.
 """
 
 from __future__ import annotations
@@ -70,9 +70,14 @@ def derivative(p):
     return tuple(_frac(c) * i for i, c in enumerate(p) if i >= 1)
 
 
+def antiderivative(p):
+    """The antiderivative of p that vanishes at 0."""
+    return trim(ZERO + tuple(_frac(c) / (i + 1) for i, c in enumerate(p)))
+
+
 def integrate(p, a, b) -> Fraction:
     """Definite integral over [a, b]."""
-    anti = (Fraction(0),) + tuple(_frac(c) / (i + 1) for i, c in enumerate(p))
+    anti = antiderivative(p)
     return evaluate(anti, b) - evaluate(anti, a)
 
 

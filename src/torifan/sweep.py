@@ -33,6 +33,10 @@ from torifan import _sweep_pure, invariants, ratgeom
 from torifan.errors import EmptyGrid, ValidationError, VerificationError
 from torifan.toric import ToricVariety, _int_matrix_inverse
 
+# The interval walk costs up to one set test per point of {1..res}^(#rays),
+# so larger grids are refused up front (Bl3P2: res 25 passes, 26 does not).
+MAX_GRID_POINTS = 2**28
+
 
 def build_skeleton(variety: ToricVariety) -> dict:
     """Integer tables driving the per-sample arithmetic."""
@@ -104,6 +108,8 @@ def sweep_ample_cone(
     """Exact score sweep; raises EmptyGrid when no sample is ample."""
     if resolution < 1:
         raise ValidationError("resolution must be at least 1")
+    if resolution**variety.n_rays > MAX_GRID_POINTS:
+        raise ValidationError(f"resolution {resolution}: over 2^28 grid points")
     if collect_cap < 0:
         raise ValidationError("collect_cap must be at least 0")
     skel = build_skeleton(variety)

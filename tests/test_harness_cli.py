@@ -277,6 +277,19 @@ def test_cli_sweep_empty_grid_is_an_input_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["sweep", "FAN", "--resolution", "1000"],
+        ["verify-theorem", "--resolution", "1000"],
+    ],
+)
+def test_cli_too_large_resolution_is_an_input_error(tmp_path, capsys, argv):
+    fan = write_fan(tmp_path, catalog.del_pezzo_6(), "bl3p2.json")
+    assert cli.main([fan if a == "FAN" else a for a in argv]) == 2
+    assert "over 2^28 grid points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["blowup", "FAN", "--cone", "0", "--samples", "0"],
         ["okounkov", "FAN", "--samples", "0"],
         [

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
 from torifan import catalog, invariants, ratgeom, ratpoly
-from torifan.errors import NotAmple, NotBig, VerificationError
+from torifan.errors import NotAmple, NotBig, ValidationError, VerificationError
+from torifan.toric import TDivisor
 
 
 def test_projective_space_hyperplane_is_extremal():
@@ -135,6 +137,74 @@ def test_fujita_certificates_across_catalog_surfaces():
             assert profile.inequality_certificate()
             assert profile.monotone_certificate()
             assert profile.continuity_check()
+
+
+def cut_volume(divisor, normal, level, x):
+    """Reference definition: n! vol(P_D intersect {<m, normal> >= x - level})."""
+    poly = divisor.section_polytope()
+    cut = ratgeom.HalfSpace(tuple(F(c) for c in normal), level - x)
+    cut_poly = ratgeom.Polytope(poly.ambient_dim, poly.halfspaces + (cut,))
+    return factorial(poly.ambient_dim) * ratgeom.volume(cut_poly)
+
+
+def assert_matches_cut_volumes(profile, divisor, normal, level):
+    points = profile.breakpoints
+    assert points[0] == 0
+    mids = {(a + b) / 2 for a, b in zip(points, points[1:])}
+    for x in sorted(set(points) | mids):
+        assert profile.value(x) == cut_volume(divisor, normal, level, x), x
+
+
+def seeded_class(rng, v, lo, wanted):
+    """First seeded class with coefficients in [lo, 5] that passes wanted."""
+    while True:
+        d = v.divisor([rng.randint(lo, 5) for _ in range(v.n_rays)])
+        if wanted(d):
+            return d
+
+
+def test_profiles_match_the_cut_polytope_definition():
+    rng = random.Random(20240611)
+    classes = []
+    for v in catalog.bundled_catalog():
+        if 2 <= v.dim <= 4:
+            classes += [
+                seeded_class(rng, v, 0, TDivisor.is_ample) for _ in range(2)
+            ]
+        if v.name in ("F1", "Bl2P2", "Bl3P2"):  # big non-nef classes exist
+            classes += [
+                seeded_class(rng, v, -2, lambda d: d.is_big() and not d.is_nef())
+                for _ in range(3)
+            ]
+    for d in classes:
+        v = d.variety
+        for i, ray in enumerate(v.rays):
+            profile = invariants.vanishing_order_profile(d, i)
+            assert_matches_cut_volumes(profile, d, ray, d.coeffs[i])
+        if d.is_nef():
+            for c, cone in enumerate(v.max_cones):
+                profile, bl = invariants.fujita_profile(v, c, d)
+                a_e = sum(d.coeffs[i] for i in cone)
+                assert_matches_cut_volumes(profile, d, bl.e_ray, a_e)
+    # big, not nef: no slice is cut away until nu_1 reaches 5
+    f1 = catalog.hirzebruch_one().divisor([0, 5, 0, 3])
+    profile = invariants.vanishing_order_profile(f1, 1)
+    assert profile.breakpoints == (0, 5, 8)
+    assert profile.pieces[0] == (9,)
+    assert_matches_cut_volumes(profile, f1, (0, 1), 5)
+
+
+def test_vanishing_order_profile_rejects_a_missing_ray():
+    mk = catalog.hirzebruch_one().anticanonical()
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match="no ray with index"):
+            invariants.vanishing_order_profile(mk, bad)
+
+
+def test_fujita_profile_rejects_a_divisor_of_another_variety():
+    f1_antik = catalog.hirzebruch_one().anticanonical()
+    with pytest.raises(ValidationError):
+        invariants.fujita_profile(catalog.projective_space(2), 0, f1_antik)
 
 
 def test_chain_on_p2_anticanonical_is_tight():

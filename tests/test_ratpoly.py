@@ -30,6 +30,9 @@ def test_derivative_and_integral():
     assert ratpoly.derivative(p) == poly(0, 6)
     assert ratpoly.integrate(p, 0, 2) == 8
     assert ratpoly.integrate(poly(), 0, 5) == 0
+    assert ratpoly.antiderivative(p) == poly(0, 0, 0, 1)
+    assert ratpoly.antiderivative(poly(1, 1)) == poly(0, 1, F(1, 2))
+    assert ratpoly.antiderivative(poly()) == ratpoly.ZERO
 
 
 def test_interpolate_recovers_polynomial():

@@ -95,6 +95,13 @@ def test_resolution_must_be_positive():
         sweep.sweep_ample_cone(catalog.projective_space(2), 0)
 
 
+def test_resolution_past_the_grid_limit_is_refused():
+    with pytest.raises(ValidationError):
+        sweep.sweep_ample_cone(catalog.projective_space(1), 2**14 + 1)
+    with pytest.raises(ValidationError):
+        sweep.sweep_ample_cone(catalog.del_pezzo_6(), 26)  # 26^6 > 2^28
+
+
 def test_collect_cap_truncates_reports():
     res = sweep.sweep_ample_cone(catalog.projective_space(2), 8, collect_cap=10)
     assert len(res.sample_reports) == 10
