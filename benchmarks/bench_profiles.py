@@ -1,0 +1,71 @@
+"""Time okounkov.slice_profile and its per-node oracle; check they agree.
+
+Builds the Okounkov body of -K at every flag cone of the chosen fans, runs
+``okounkov.slice_profile`` and the per-node construction it reduces
+(tests/slice_oracle.py) on it, and prints one row per (variety, cone) with
+both times and the oracle's time as a multiple of slice_profile's.
+
+    python3 benchmarks/bench_profiles.py --repeat 3
+"""
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+from torifan import catalog, okounkov
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from slice_oracle import nodewise_slice_profile  # noqa: E402
+
+
+def best_of(run, body, repeat):
+    times = []
+    profile = None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        profile = run(body)
+        times.append(time.perf_counter() - t0)
+    return min(times), profile
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument(
+        "--varieties",
+        nargs="+",
+        default=None,
+        help="catalog names; defaults to every fan of dimension 2 to 4",
+    )
+    args = parser.parse_args(argv)
+
+    entries = {v.name: v for v in catalog.bundled_catalog()}
+    if args.varieties:
+        chosen = [entries[name] for name in args.varieties]
+    else:
+        chosen = [v for v in entries.values() if 2 <= v.dim <= 4]
+
+    header = f"{'variety':<10} {'cone':>4} {'slice_profile (s)':>18}"
+    header += f" {'per-node (s)':>13} {'ratio':>8}"
+    print(header)
+    for variety in chosen:
+        divisor = variety.anticanonical()
+        for cone_index in range(len(variety.max_cones)):
+            body = okounkov.okounkov_body(
+                divisor, okounkov.default_flag(variety, cone_index)
+            )
+            t_new, profile = best_of(okounkov.slice_profile, body, args.repeat)
+            t_old, oracle = best_of(nodewise_slice_profile, body, args.repeat)
+            if profile != oracle:
+                raise SystemExit(
+                    f"slice_profile and the oracle disagree on {variety.name} "
+                    f"at cone {cone_index}"
+                )
+            line = f"{variety.name:<10} {cone_index:>4} {t_new:>18.4f}"
+            line += f" {t_old:>13.4f} {t_old / t_new:>7.1f}x"
+            print(line)
+
+
+if __name__ == "__main__":
+    main()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from torifan import harness, invariants, jsonio
 from torifan.catalog import load_catalog
@@ -200,7 +199,7 @@ def _cmd_okounkov(args):
     variety = jsonio.load_fan(args.fan)
     divisor = _divisor_from_args(variety, args)
     flag = _parse_flag(variety, args.flag) if args.flag else None
-    translations = [Fraction(t) for t in args.check_translation]
+    translations = [jsonio.parse_rational(t) for t in args.check_translation]
     report = harness.okounkov_command(
         variety, divisor, flag=flag, translations=translations,
         samples=args.samples,

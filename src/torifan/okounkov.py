@@ -4,13 +4,54 @@ For a flag of invariant subvarieties picked inside one maximal cone, the
 valuation vector of a section is an affine unimodular image of its lattice
 point: pair with the ordered rays of the cone and shift by the divisor
 coefficients.  The body is that image of the section polytope, so it lives in
-the nonnegative orthant and has the same volume.
+the nonnegative orthant and has the same volume.  An affine bijection maps
+vertices to vertices, so the body's vertices are the images of the section
+polytope's, which ``require_big`` has already enumerated.
+
+Slice profiles (Lawrence, *Polytope volume computation*, 1991, on the
+chambers of a parametric polytope).  Let Delta be a full-dimensional
+polytope in Q^n and Q_r = Delta ∩ {nu_1 = r}.  Write ``lo < hi`` for two
+consecutive values of nu_1 on the vertices of Delta.
+
+- Edges.  Every face of Delta is the set of its points tight on some of
+  its halfspaces, and the least face holding two vertices v, w is the set
+  tight on every halfspace tight at both.  So v and w span an edge iff no
+  third vertex is tight on all of those halfspaces.
+- Slice vertices.  For lo < r < hi no vertex lies on {nu_1 = r}, so every
+  vertex of Q_r is the crossing of that hyperplane with an edge of Delta,
+  and the edges that cross it are those with one end at level <= lo and
+  the other at >= hi.  The same edges cross for every r in (lo, hi), each
+  in a relative interior point, and distinct edges cross at distinct
+  points.
+- Slice facets.  The facets of Q_r are the sets G ∩ {nu_1 = r} for the
+  facets G of Delta.  A face holding a relative interior point of an edge
+  holds the whole edge, so the crossing of edge e lies in G iff e lies in
+  G: the vertex-facet incidence of Q_r is the same for every r in
+  (lo, hi).  A halfspace that is no facet of Delta gives a lower face of
+  Q_r, which the triangulation below ignores.
+- Volume.  ``ratgeom.pulling_triangulation`` reads only that incidence, so
+  one triangulation of labels (crossing edges) triangulates Q_r for every
+  r in (lo, hi).  A crossing moves linearly in r, so the determinant
+  spanned by a simplex's n crossings in nu_2..nu_n is a polynomial in r of
+  degree at most n - 1.  It is nonzero on (lo, hi), since the simplex is
+  nondegenerate there, so by the intermediate value theorem its sign is
+  the sign at the midpoint, and on the closed piece [lo, hi] it takes that
+  sign or vanishes.  So sum |det| / (n-1)! equals a polynomial of degree
+  <= n - 1 on all of [lo, hi]; by continuity of slice volumes it is the
+  slice area there, endpoints included, and n nodes interpolate it.
+
+A body of affine rank below n (possible through
+:meth:`OkounkovBody.from_polytope`) has zero slice area everywhere; the
+argument above needs full dimension, so that case is answered first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import factorial, lcm
+from operator import mul
 
 from torifan import ratgeom, ratpoly
 from torifan.errors import ThresholdExceeded, ValidationError
@@ -86,6 +127,7 @@ def okounkov_body(divisor: TDivisor, flag: FlagSpec) -> OkounkovBody:
     n = variety.dim
     rows = [variety.rays[i] for i in flag.ray_order]
     shift = [Fraction(divisor.coeffs[i]) for i in flag.ray_order]
+    section_vertices = ratgeom.enumerate_vertices(divisor.section_polytope())
     inv = _int_matrix_inverse(rows)  # inverse of the matrix with those rows
     halfspaces = []
     for ray, a in zip(variety.rays, divisor.coeffs):
@@ -97,7 +139,15 @@ def okounkov_body(divisor: TDivisor, flag: FlagSpec) -> OkounkovBody:
             Fraction(c) * s for c, s in zip(normal, shift)
         )
         halfspaces.append(HalfSpace(tuple(Fraction(c) for c in normal), offset))
-    return OkounkovBody(divisor, flag, Polytope(n, halfspaces))
+    polytope = Polytope(n, halfspaces)
+    # nu = (<m, u> + a over the flag's rays) maps vertices onto vertices
+    polytope._vertices = tuple(
+        sorted(
+            tuple(sum(map(mul, m, row)) + a for row, a in zip(rows, shift))
+            for m in section_vertices
+        )
+    )
+    return OkounkovBody(divisor, flag, polytope)
 
 
 def pseff_threshold(divisor: TDivisor, flag: FlagSpec) -> Fraction:
@@ -111,7 +161,11 @@ def pseff_threshold(divisor: TDivisor, flag: FlagSpec) -> Fraction:
 
 
 def translation_identity_check(divisor: TDivisor, flag: FlagSpec, t) -> bool:
-    """Truncating the body at nu_1 >= t equals the body of D - t*D_top + t e_1."""
+    """Truncating the body at nu_1 >= t equals the body of D - t*D_top + t e_1.
+
+    The two sides' vertices come from independent enumerations: the
+    truncated polytope's own, and the section polytope of D - t*D_top.
+    """
     t = Fraction(t)
     tau = pseff_threshold(divisor, flag)
     if not 0 <= t < tau:
@@ -188,7 +242,14 @@ class SliceProfile:
 
 
 def slice_profile(body: OkounkovBody) -> SliceProfile:
-    """Exact slice areas: degree <= n-1 between vertex levels, interpolated."""
+    """Exact slice areas: degree <= n-1 between vertex levels, interpolated.
+
+    Reads the body's edges off its vertex-facet incidence and triangulates
+    each piece's slice once, from the edges crossing it; the module
+    docstring proves that this triangulation and the sign of every simplex
+    hold on the whole closed piece.  Each of the n interpolation nodes then
+    costs one integer determinant per simplex and no vertex enumeration.
+    """
     n = body.dim
     verts = body.vertices()
     levels = sorted({v[0] for v in verts})
@@ -198,18 +259,61 @@ def slice_profile(body: OkounkovBody) -> SliceProfile:
             breakpoints=(levels[0], levels[-1]),
             pieces=((Fraction(1),),),
         )
-
-    def area_at(r):
-        return ratgeom.volume(ratgeom.slice_polytope(body.polytope, 0, r))
-
     if len(levels) == 1:
         # degenerate body inside one hyperplane; zero slice area
         return SliceProfile(dim=n, breakpoints=(levels[0], levels[0]), pieces=())
+    if ratgeom.affine_rank(verts) < n:
+        # a flat body has no (n-1)-dimensional slice
+        pieces = (ratpoly.ZERO,) * (len(levels) - 1)
+        return SliceProfile(dim=n, breakpoints=tuple(levels), pieces=pieces)
+    rows = body.polytope.integer_rows()
+    masks = [
+        sum(1 << k for k, (a, b) in enumerate(rows) if sum(map(mul, a, v)) + b == 0)
+        for v in verts
+    ]
+    # the edges between two levels, as (low level, high level, mask of the
+    # halfspaces holding the edge, a, b): the edge crosses level r at a + r*b
+    # in nu_2..nu_n.  verts is sorted, so verts[i] is the lower end.
+    edges = []
+    for i, j in combinations(range(len(verts)), 2):
+        v, w = verts[i], verts[j]
+        common = masks[i] & masks[j]
+        if v[0] == w[0] or any(
+            m & common == common for k, m in enumerate(masks) if k not in (i, j)
+        ):
+            continue
+        b = [(y - x) / (w[0] - v[0]) for x, y in zip(v[1:], w[1:])]
+        a = [x - v[0] * c for x, c in zip(v[1:], b)]
+        edges.append((v[0], w[0], common, a, b))
+    # one scale makes every a and b integral
+    scale = lcm(*(c.denominator for *_, a, b in edges for c in a + b))
+    edges = [
+        (low, high, mask, [int(c * scale) for c in a], [int(c * scale) for c in b])
+        for low, high, mask, a, b in edges
+    ]
     pieces = []
-    for i in range(len(levels) - 1):
-        lo, hi = levels[i], levels[i + 1]
-        nodes = [lo + (hi - lo) * Fraction(j, n - 1) for j in range(n)]
-        pieces.append(ratpoly.interpolate([(r, area_at(r)) for r in nodes]))
+    for lo, hi in zip(levels, levels[1:]):
+        crossing = [e for e, edge in enumerate(edges) if edge[0] <= lo <= hi <= edge[1]]
+        facets = [
+            [e for e in crossing if edges[e][2] >> k & 1] for k in range(len(rows))
+        ]
+        simplices = ratgeom.pulling_triangulation(crossing, facets)
+        samples = []
+        for j in range(n):
+            r = lo + (hi - lo) * Fraction(j, n - 1)
+            p, q = r.numerator, r.denominator
+            # the crossings scaled by q * scale, so integral
+            point = {
+                e: [q * x + p * y for x, y in zip(*edges[e][3:])] for e in crossing
+            }
+            total = 0
+            for s in simplices:
+                base = point[s[0]]
+                rows_s = [[x - y for x, y in zip(point[e], base)] for e in s[1:]]
+                total += abs(ratgeom.int_det(rows_s))
+            area = Fraction(total, factorial(n - 1) * (q * scale) ** (n - 1))
+            samples.append((r, area))
+        pieces.append(ratpoly.interpolate(samples))
     return SliceProfile(dim=n, breakpoints=tuple(levels), pieces=tuple(pieces))
 
 

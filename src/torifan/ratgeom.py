@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm
-from operator import mul, sub
+from operator import add, mul, sub
 
 from torifan.errors import DegeneratePolytope, UnboundedPolytope
 
@@ -337,8 +337,9 @@ def polytopes_equal(p: Polytope, q: Polytope) -> bool:
 # ---------------------------------------------------------------------------
 # triangulation, volume, barycenter
 #
-# One pulling triangulation serves fan_triangulation and the sweep skeleton
-# (torifan.sweep.build_skeleton), and it reads only vertex-facet incidence.
+# One pulling triangulation serves fan_triangulation, the sweep skeleton
+# (torifan.sweep.build_skeleton) and the slice profiles of
+# torifan.okounkov.slice_profile, and it reads only vertex-facet incidence.
 # A face is its vertex set; the facets of a face F are the inclusion-maximal
 # sets F & G, over the facets G of the polytope, that are neither empty nor
 # F (each face of F is an intersection of facets of the polytope).  Pulling
@@ -470,33 +471,6 @@ def barycenter(poly: Polytope):
 # polytope constructors
 
 
-def slice_polytope(poly: Polytope, axis: int, value) -> Polytope:
-    """Intersect with {x_axis = value} and drop that coordinate."""
-    n = poly.ambient_dim
-    if n < 2:
-        raise ValueError("slicing needs ambient dimension at least 2")
-    if not 0 <= axis < n:
-        raise ValueError("axis out of range")
-    value = _frac(value)
-    keep = [i for i in range(n) if i != axis]
-    hs = []
-    infeasible = False
-    for h in poly.halfspaces:
-        new_normal = tuple(h.normal[i] for i in keep)
-        new_offset = h.offset + h.normal[axis] * value
-        if not any(new_normal):
-            if new_offset < 0:
-                infeasible = True
-            continue
-        hs.append(HalfSpace(new_normal, new_offset))
-    if infeasible or not hs:
-        # constant constraint violated (or no constraints left): empty slice
-        e1 = (Fraction(1),) + (Fraction(0),) * (n - 2)
-        neg = tuple(-c for c in e1)
-        hs = [HalfSpace(e1, Fraction(-1)), HalfSpace(neg, Fraction(0))]
-    return Polytope(n - 1, hs)
-
-
 def truncate(poly: Polytope, axis: int, lo=None, hi=None) -> Polytope:
     """Intersect with the slab {lo <= x_axis <= hi}; None leaves a side open."""
     n = poly.ambient_dim
@@ -515,7 +489,7 @@ def truncate(poly: Polytope, axis: int, lo=None, hi=None) -> Polytope:
 
 
 def translate(poly: Polytope, vector) -> Polytope:
-    """Shift the polytope by a rational vector."""
+    """Shift the polytope by a rational vector, with its vertex cache if filled."""
     if len(vector) != poly.ambient_dim:
         raise ValueError("vector dimension mismatch")
     v = tuple(_frac(x) for x in vector)
@@ -523,4 +497,8 @@ def translate(poly: Polytope, vector) -> Polytope:
         HalfSpace(h.normal, h.offset - sum(a * x for a, x in zip(h.normal, v)))
         for h in poly.halfspaces
     ]
-    return Polytope(poly.ambient_dim, hs)
+    moved = Polytope(poly.ambient_dim, hs)
+    if poly._vertices is not None:
+        # translation keeps lexicographic order
+        moved._vertices = tuple(tuple(map(add, p, v)) for p in poly._vertices)
+    return moved

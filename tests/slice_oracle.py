@@ -1,0 +1,69 @@
+"""Per-node slice profile: the construction okounkov.slice_profile reduces.
+
+Builds the slice ``{nu_1 = r}`` of the body as a fresh ``ratgeom.Polytope``
+at each of n interpolation nodes per piece, enumerates its vertices from
+scratch and measures it with ``ratgeom.volume``.  It shares with
+``okounkov.slice_profile`` only the vertex levels, the nodes and
+``ratpoly.interpolate``, so agreement checks the edge, crossing and
+one-triangulation-per-piece reductions.
+"""
+
+from fractions import Fraction
+
+from torifan import ratgeom, ratpoly
+from torifan.okounkov import SliceProfile
+from torifan.ratgeom import HalfSpace, Polytope
+
+
+def slice_polytope(poly: Polytope, axis: int, value) -> Polytope:
+    """Intersect with {x_axis = value} and drop that coordinate."""
+    n = poly.ambient_dim
+    if n < 2:
+        raise ValueError("slicing needs ambient dimension at least 2")
+    if not 0 <= axis < n:
+        raise ValueError("axis out of range")
+    value = Fraction(value)
+    keep = [i for i in range(n) if i != axis]
+    hs = []
+    infeasible = False
+    for h in poly.halfspaces:
+        new_normal = tuple(h.normal[i] for i in keep)
+        new_offset = h.offset + h.normal[axis] * value
+        if not any(new_normal):
+            if new_offset < 0:
+                infeasible = True
+            continue
+        hs.append(HalfSpace(new_normal, new_offset))
+    if infeasible or not hs:
+        # constant constraint violated (or no constraints left): empty slice
+        e1 = (Fraction(1),) + (Fraction(0),) * (n - 2)
+        neg = tuple(-c for c in e1)
+        hs = [HalfSpace(e1, Fraction(-1)), HalfSpace(neg, Fraction(0))]
+    return Polytope(n - 1, hs)
+
+
+def nodewise_slice_profile(body) -> SliceProfile:
+    """Slice areas measured on a fresh slice polytope at every node."""
+    n = body.dim
+    # a fresh copy, so that no vertex cache filled elsewhere is read
+    verts = ratgeom.enumerate_vertices(Polytope(n, body.polytope.halfspaces))
+    levels = sorted({v[0] for v in verts})
+    if n == 1:
+        return SliceProfile(
+            dim=1,
+            breakpoints=(levels[0], levels[-1]),
+            pieces=((Fraction(1),),),
+        )
+
+    def area_at(r):
+        return ratgeom.volume(slice_polytope(body.polytope, 0, r))
+
+    if len(levels) == 1:
+        # degenerate body inside one hyperplane; zero slice area
+        return SliceProfile(dim=n, breakpoints=(levels[0], levels[0]), pieces=())
+    pieces = []
+    for i in range(len(levels) - 1):
+        lo, hi = levels[i], levels[i + 1]
+        nodes = [lo + (hi - lo) * Fraction(j, n - 1) for j in range(n)]
+        pieces.append(ratpoly.interpolate([(r, area_at(r)) for r in nodes]))
+    return SliceProfile(dim=n, breakpoints=tuple(levels), pieces=tuple(pieces))

@@ -351,6 +351,7 @@ def test_cli_okounkov_flag_errors(tmp_path, capsys):
     assert cli.main(["okounkov", fan, "--flag", "0:1,1"]) == 2
     assert cli.main(["okounkov", fan, "--flag", "0:a,b"]) == 2
     assert cli.main(["okounkov", fan, "--check-translation", "x"]) == 2
+    assert cli.main(["okounkov", fan, "--check-translation", "1/0"]) == 2
     capsys.readouterr()
 
 

@@ -210,6 +210,21 @@ def test_slice_profile_of_square_is_constant():
     assert profile.value(2) == 0
 
 
+def test_slice_profile_of_flat_body_is_zero():
+    # the triangle x, y >= 0, x + y <= 2 in the plane z = 0 of R^3
+    hs = [
+        HalfSpace((F(1), F(0), F(0)), F(0)),
+        HalfSpace((F(0), F(1), F(0)), F(0)),
+        HalfSpace((F(-1), F(-1), F(0)), F(2)),
+        HalfSpace((F(0), F(0), F(1)), F(0)),
+        HalfSpace((F(0), F(0), F(-1)), F(0)),
+    ]
+    body = okounkov.OkounkovBody.from_polytope(Polytope(3, hs))
+    profile = okounkov.slice_profile(body)
+    assert profile.breakpoints == (0, 2)
+    assert profile.pieces == (ratpoly.ZERO,)
+
+
 def test_slice_profile_in_dimension_one():
     p1 = catalog.projective_space(1)
     body = okounkov.okounkov_body(

