@@ -1,10 +1,16 @@
 """The sweep engine: exact integer arithmetic, any dimension.
 
-Works on the precomputed skeleton from torifan.sweep.  All quantities stay
-integers: for integer coefficient vectors c the vertex maps, wall values,
-volume sum and barycenter numerator are integer-valued, and both theorem
-checks reduce to integer comparisons.  Python bignums make overflow a
-non-issue.
+``build_skeleton`` precomputes a variety's integer tables once per variety
+object; the cache holds the variety weakly, so it keeps none alive.
+``_evaluate`` reads every invariant of one ample class off them, and it is
+the one evaluator of ample classes: ``run_sweep`` scores grid samples with
+it, and torifan.invariants.score scores any ample Q-divisor with it by the
+unscaling rule under 2.  All quantities stay integers: for integer
+coefficient vectors c the vertex maps, wall values, volume sum and
+barycenter numerator are integer-valued, and both theorem checks reduce to
+integer comparisons.  Python bignums make overflow a non-issue.  The
+sweep's argmax is re-checked in torifan.sweep by the independent ratgeom
+composition, never by this evaluator.
 
 The result is the one a point-by-point walk gives -- visit every gcd-1
 vector of {1..res}^r in lexicographic order (last coordinate fastest),
@@ -29,6 +35,15 @@ far less work, by four reductions.
    against t_max^n, lhs against rhs) then has both sides multiplied by the
    same power of lam, and the score beta^n * vol is unchanged as a
    Fraction.
+
+   Unscaling.  The same homogeneity holds for rational lam > 0, so a
+   Q-divisor D whose coefficients have lcm of denominators lam is scored
+   through the integer vector c = lam D, ample with D:
+   vol(D) = vol(c) / lam^n, eps(D) = lam eps(c) (K.C is fixed and every
+   wall value is divided by lam) and delta(D) = lam delta(c), with
+   delta(c) = (n+1) vol / t_max.  Every t_rho carries the same positive
+   factor, so the witness (least index of the largest t_rho) is unchanged,
+   and so is the extremal flag.
 
    The class map c -> L c, which adds div(chi^m) with m the vertex of cone
    0 so that the result vanishes on cone 0's rays, has as kernel exactly
@@ -73,13 +88,19 @@ class is extremal.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul, sub
+from operator import mul
+from types import MappingProxyType
 
 from torifan.errors import VerificationError
-from torifan.ratgeom import int_det
+from torifan.ratgeom import pulling_triangulation, simplex_sums
+from torifan.toric import _int_matrix_inverse
+
+# variety -> skeleton; weak keys, so a cached skeleton keeps no variety alive
+_skeletons = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -93,60 +114,93 @@ class RawSweep:
     collect_complete: bool
 
 
-def _evaluate(skel, c):
-    """Exact score of the ample sample c and whether it meets the bound.
+def build_skeleton(variety) -> MappingProxyType:
+    """Integer tables driving the per-sample arithmetic, once per variety.
 
-    Raises VerificationError when the volume is not positive, when
-    delta^n * vol exceeds the simplex bound, or when the score exceeds
-    (n+1)^n.
+    The skeleton is cached per variety object and shared by every caller,
+    so it is returned as a read-only mapping.
+    """
+    skel = _skeletons.get(variety)
+    if skel is not None:
+        return skel
+    r = variety.n_rays
+    wall_rows = []
+    for wall in variety.walls:
+        row = [0] * r
+        row[wall.opp_a] += 1
+        row[wall.opp_b] += 1
+        for i, b in zip(wall.rays, wall.relation):
+            row[i] += b
+        wall_rows.append(tuple(row))
+    cones = variety.max_cones
+    facets = [
+        [j for j, cone in enumerate(cones) if rho in cone] for rho in range(r)
+    ]
+    cone_matrices = []
+    for cone in cones:
+        inv = _int_matrix_inverse([variety.rays[i] for i in cone])
+        cone_matrices.append(tuple(tuple(-x for x in row) for row in inv))
+    skel = _skeletons[variety] = MappingProxyType({
+        "dim": variety.dim,
+        "rays": variety.rays,
+        "walls": tuple(wall_rows),
+        "wall_k": tuple(map(sum, wall_rows)),
+        "cone_indices": cones,
+        "cone_matrices": tuple(cone_matrices),
+        "simplices": tuple(pulling_triangulation(range(len(cones)), facets)),
+    })
+    return skel
+
+
+def _evaluate(skel, c):
+    """Exact invariants of the ample integer sample c, as plain integers.
+
+    Returns ``(vol, eps, delta, witness, extremal)``: vol = D^n, the pairs
+    eps = (K.C, D.C) at the first wall minimising the ratio and
+    delta = ((n+1) vol, t_max), the witness (least ray index attaining
+    t_max) and whether beta^n * vol meets (n+1)^n exactly.  Raises
+    VerificationError when the volume is not positive, when delta^n * vol
+    exceeds the simplex bound, or when the score exceeds (n+1)^n.
     """
     n = skel["dim"]
-    bound = (n + 1) ** n
-    svals = [sum(map(mul, row, c)) for row in skel["walls"]]
     verts = []
     for idx, mat in zip(skel["cone_indices"], skel["cone_matrices"]):
         coeffs = [c[i] for i in idx]
         verts.append([sum(map(mul, row, coeffs)) for row in mat])
-    vol = 0
-    bary_num = [0] * n
-    for simplex in skel["simplices"]:
-        base = verts[simplex[0]]
-        d = abs(
-            int_det([list(map(sub, verts[s], base)) for s in simplex[1:]])
-        )
-        vol += d
-        corners = zip(*(verts[s] for s in simplex))
-        bary_num = [b + d * sum(col) for b, col in zip(bary_num, corners)]
+    vol, bary_num = simplex_sums(verts, skel["simplices"], n)
     if vol <= 0:
         raise VerificationError(
             "ample sample with nonpositive volume", sample=c
         )
 
     # t_rho = (n+1) * vol * S(D_rho); the delta bound is vol^(n+1) <= t_max^n
-    t_max = max(
+    t = [
         sum(map(mul, bary_num, u)) + (n + 1) * vol * x
         for u, x in zip(skel["rays"], c)
-    )
+    ]
+    t_max = max(t)
     if vol ** (n + 1) > t_max**n:
         raise VerificationError(
             "delta^n * vol exceeds the simplex bound", sample=c
         )
 
-    eps_n, eps_d = None, None
-    for k, s in zip(skel["wall_k"], svals):
-        if eps_n is None or k * eps_d < eps_n * s:
-            eps_n, eps_d = k, s
-    del_n, del_d = (n + 1) * vol, t_max
-    if eps_n * del_d <= del_n * eps_d:
-        beta_n, beta_d = eps_n, eps_d
-    else:
-        beta_n, beta_d = del_n, del_d
-
+    eps = None
+    for k, row in zip(skel["wall_k"], skel["walls"]):
+        s = sum(map(mul, row, c))
+        if eps is None or k * eps[1] < eps[0] * s:
+            eps = (k, s)
+    delta = ((n + 1) * vol, t_max)
+    beta_n, beta_d = _beta(eps, delta)
     lhs = beta_n**n * vol
-    rhs = bound * beta_d**n
+    rhs = (n + 1) ** n * beta_d**n
     if lhs > rhs:
         raise VerificationError("score exceeds the (n+1)^n bound", sample=c)
-    return Fraction(lhs, beta_d**n), lhs == rhs
+    return vol, eps, delta, t.index(t_max), lhs == rhs
+
+
+def _beta(eps, delta):
+    """beta = min(eps, delta) as an integer pair, eps on a tie."""
+    return eps if eps[0] * delta[1] <= delta[0] * eps[1] else delta
 
 
 def _class_rows(skel):
@@ -189,6 +243,7 @@ def run_sweep(skel, resolution, collect_cap):
     of {1..resolution}^r; the module docstring proves the reductions.
     """
     res = resolution
+    n = skel["dim"]
     walls = skel["walls"]
     r = len(skel["rays"])
     last = r - 1
@@ -259,9 +314,12 @@ def run_sweep(skel, resolution, collect_cap):
                 hit = classes.get(cls)
                 if hit is None:
                     sample = prefix + (x,)
-                    hit = classes[cls] = _evaluate(skel, sample)
-                    if best is None or hit[0] > best:
-                        best, argmax = hit[0], sample
+                    vol, eps, delta, _, meets = _evaluate(skel, sample)
+                    beta_n, beta_d = _beta(eps, delta)
+                    value = Fraction(beta_n**n * vol, beta_d**n)
+                    hit = classes[cls] = (value, meets)
+                    if best is None or value > best:
+                        best, argmax = value, sample
                 if hit[1]:
                     extremal_keys.add(key)
         if extremal_keys:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
-from torifan import okounkov, ratgeom, ratpoly
+from torifan import _sweep_pure, okounkov, ratgeom, ratpoly
 from torifan.errors import VerificationError
 from torifan.toric import (
     TDivisor,
@@ -31,21 +31,25 @@ from torifan.toric import (
 )
 
 
+def _least_wall_ratio(variety: ToricVariety, num, den) -> Fraction:
+    """Least (A.C)/(B.C) over the wall curves C with B.C > 0.
+
+    A and B are the divisors with coefficients ``num`` and ``den``.
+    """
+    values = (
+        (variety.wall_value(w, num), variety.wall_value(w, den))
+        for w in variety.walls
+    )
+    return min(a / b for a, b in values if b > 0)
+
+
 def seshadri_constant(divisor: TDivisor) -> Fraction:
     """sup{mu : -K - mu*D nef}: least wall ratio (-K.C)/(D.C)."""
     require_ample(divisor)
     variety = divisor.variety
-    antik = variety.anticanonical()
-    best = None
-    for wall in variety.walls:
-        d_val = variety.wall_value(wall, divisor.coeffs)
-        if d_val <= 0:
-            continue  # cannot happen for ample divisors
-        ratio = variety.wall_value(wall, antik.coeffs) / d_val
-        if best is None or ratio < best:
-            best = ratio
-    assert best is not None
-    return best
+    return _least_wall_ratio(
+        variety, variety.anticanonical().coeffs, divisor.coeffs
+    )
 
 
 def expected_vanishing_order(divisor: TDivisor, ray_index: int) -> Fraction:
@@ -112,16 +116,24 @@ class InvariantReport:
 
 
 def score(divisor: TDivisor) -> InvariantReport:
-    """beta^n * vol together with everything that went into it."""
+    """beta^n * vol together with everything that went into it.
+
+    Runs the sweep's integer evaluator on lam * D, lam the lcm of the
+    coefficient denominators, and unscales by the rule proven in
+    torifan._sweep_pure: vol / lam^n, eps * lam, delta * lam.
+    """
     require_ample(divisor)
     variety = divisor.variety
     n = variety.dim
-    vol = divisor.vol()
-    eps = seshadri_constant(divisor)
-    delta, witness = delta_toric(divisor)
+    lam = lcm(*(c.denominator for c in divisor.coeffs))
+    vol, eps, delta, witness, extremal = _sweep_pure._evaluate(
+        _sweep_pure.build_skeleton(variety),
+        [c.numerator * (lam // c.denominator) for c in divisor.coeffs],
+    )
+    eps = Fraction(*eps) * lam
+    delta = Fraction(*delta) * lam
     beta = min(eps, delta)
-    value = beta**n * vol
-    bound = Fraction(n + 1) ** n
+    vol = Fraction(vol, lam**n)
     return InvariantReport(
         variety=variety.name,
         dim=n,
@@ -131,9 +143,9 @@ def score(divisor: TDivisor) -> InvariantReport:
         delta=delta,
         delta_witness_ray=witness,
         beta=beta,
-        score=value,
-        bound=bound,
-        is_extremal=value == bound,
+        score=beta**n * vol,
+        bound=Fraction(n + 1) ** n,
+        is_extremal=extremal,
     )
 
 
@@ -281,17 +293,8 @@ def seshadri_at_point(variety: ToricVariety, cone_index: int, divisor: TDivisor)
     require_ample(divisor)
     bl = blowup_at_fixed_point(variety, cone_index)
     pulled = pullback(divisor, bl)
-    exc = exceptional(bl)
-    best = None
-    for wall in bl.result.walls:
-        e_val = bl.result.wall_value(wall, exc.coeffs)
-        if e_val <= 0:
-            continue
-        ratio = bl.result.wall_value(wall, pulled.coeffs) / e_val
-        if best is None or ratio < best:
-            best = ratio
-    assert best is not None
-    return best, bl
+    ratio = _least_wall_ratio(bl.result, pulled.coeffs, exceptional(bl).coeffs)
+    return ratio, bl
 
 
 # ---------------------------------------------------------------------------

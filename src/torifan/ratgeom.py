@@ -338,7 +338,7 @@ def polytopes_equal(p: Polytope, q: Polytope) -> bool:
 # triangulation, volume, barycenter
 #
 # One pulling triangulation serves fan_triangulation, the sweep skeleton
-# (torifan.sweep.build_skeleton) and the slice profiles of
+# (torifan._sweep_pure.build_skeleton) and the slice profiles of
 # torifan.okounkov.slice_profile, and it reads only vertex-facet incidence.
 # A face is its vertex set; the facets of a face F are the inclusion-maximal
 # sets F & G, over the facets G of the polytope, that are neither empty nor
@@ -423,6 +423,24 @@ def simplex_volume(simplex) -> Fraction:
     return abs(det(rows)) / factorial(n)
 
 
+def simplex_sums(points, simplices, n):
+    """Sum of |det| over the simplices and the |det|-weighted vertex sums.
+
+    ``points`` maps each simplex label to an integer point of Z^n.  With
+    d_s the |det| of simplex s, returns sum_s d_s (n! times the volume) and
+    the vector sum_s d_s * (sum of the vertices of s) ((n+1) * n! times the
+    first moment), both exact integers.
+    """
+    total = 0
+    acc = [0] * n
+    for s in simplices:
+        pts = [points[v] for v in s]
+        d = abs(int_det([list(map(sub, p, pts[0])) for p in pts[1:]]))
+        total += d
+        acc = [a + d * sum(col) for a, col in zip(acc, zip(*pts))]
+    return total, acc
+
+
 def _measure(poly: Polytope):
     """Fill the volume and barycenter caches from one triangulation.
 
@@ -437,13 +455,7 @@ def _measure(poly: Polytope):
     scaled = {
         v: [x.numerator * (scale // x.denominator) for x in v] for v in verts
     }
-    total = 0
-    acc = [0] * n
-    for s in simplices:
-        pts = [scaled[v] for v in s]
-        d = abs(int_det([list(map(sub, p, pts[0])) for p in pts[1:]]))
-        total += d
-        acc = [a + d * sum(col) for a, col in zip(acc, zip(*pts))]
+    total, acc = simplex_sums(scaled, simplices, n)
     poly._volume = Fraction(total, factorial(n) * scale**n)
     if total:
         poly._barycenter = tuple(

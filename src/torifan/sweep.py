@@ -3,7 +3,9 @@
 The sweep evaluates beta^n * Vol on integer coefficient vectors in
 {1..resolution}^(#rays), deduplicated projectively (gcd 1) since the score
 is scale invariant.  Per variety everything shape-dependent is precomputed
-once into a skeleton of integer tables:
+once into a skeleton of integer tables, built and cached per variety object
+by torifan._sweep_pure.build_skeleton (also reachable as
+torifan.sweep.build_skeleton):
 
   - wall rows: D.C_w as an integer functional of the coefficients,
   - vertex maps: the cone vertex m_sigma as an integer matrix times the
@@ -22,6 +24,12 @@ scale, and the ample samples along each grid line form one interval, so
 it walks lines and evaluates each class once (torifan._sweep_pure proves
 these reductions and tests/sweep_oracle.py keeps the point-by-point walk
 as the reference).
+
+The engine's evaluator also scores the collected sample reports, through
+invariants.score.  The argmax is therefore re-checked by the independent
+ratgeom composition (Seshadri constant, stability threshold from the
+barycenter, volume from a triangulation of the section polytope), so that
+the evaluator is never compared with itself.
 """
 
 from __future__ import annotations
@@ -29,49 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from torifan import _sweep_pure, invariants, ratgeom
+from torifan import _sweep_pure, invariants
+from torifan._sweep_pure import build_skeleton
 from torifan.errors import EmptyGrid, ValidationError, VerificationError
-from torifan.toric import ToricVariety, _int_matrix_inverse
+from torifan.toric import ToricVariety
 
 # The interval walk costs up to one set test per point of {1..res}^(#rays),
 # so larger grids are refused up front (Bl3P2: res 25 passes, 26 does not).
 MAX_GRID_POINTS = 2**28
-
-
-def build_skeleton(variety: ToricVariety) -> dict:
-    """Integer tables driving the per-sample arithmetic."""
-    n = variety.dim
-    r = variety.n_rays
-    wall_rows = []
-    wall_k = []
-    for wall in variety.walls:
-        row = [0] * r
-        row[wall.opp_a] += 1
-        row[wall.opp_b] += 1
-        for i, b in zip(wall.rays, wall.relation):
-            row[i] += b
-        wall_rows.append(tuple(row))
-        wall_k.append(sum(row))
-    cones = variety.max_cones
-    facets = [
-        [j for j, cone in enumerate(cones) if rho in cone] for rho in range(r)
-    ]
-    cone_matrices = []
-    for cone in cones:
-        rows = [variety.rays[i] for i in cone]
-        inv = _int_matrix_inverse(rows)
-        cone_matrices.append(tuple(tuple(-x for x in row) for row in inv))
-    return {
-        "dim": n,
-        "rays": variety.rays,
-        "walls": tuple(wall_rows),
-        "wall_k": tuple(wall_k),
-        "cone_indices": cones,
-        "cone_matrices": tuple(cone_matrices),
-        "simplices": tuple(
-            ratgeom.pulling_triangulation(range(len(cones)), facets)
-        ),
-    }
 
 
 def select_engine(skel, resolution):
@@ -119,20 +92,22 @@ def sweep_ample_cone(
         raise EmptyGrid(
             f"no ample sample in {{1..{resolution}}}^{variety.n_rays}"
         )
-    check = invariants.score(variety.divisor(raw.argmax))
-    if check.score != raw.best:
+    # ratgeom composition: invariants.score would run the evaluator again
+    top = variety.divisor(raw.argmax)
+    n = variety.dim
+    if invariants.greatest_ricci_lower_bound(top) ** n * top.vol() != raw.best:
         raise VerificationError(
             "sweep engine disagrees with the direct invariant computation",
             variety=variety.name,
             sample=raw.argmax,
         )
-    bound = (variety.dim + 1) ** variety.dim
+    bound = (n + 1) ** n
     reports = tuple(
         invariants.score(variety.divisor(c)) for c in raw.collected
     )
     return SweepResult(
         variety_name=variety.name,
-        dim=variety.dim,
+        dim=n,
         resolution=resolution,
         engine=chosen,
         candidates=raw.candidates,

@@ -6,6 +6,7 @@ exact evaluator, so agreement with ``_sweep_pure.run_sweep`` checks the
 walk's reductions (intervals, class memo, counting) and nothing else.
 """
 
+from fractions import Fraction
 from math import gcd
 
 from torifan._sweep_pure import RawSweep, _evaluate
@@ -47,7 +48,8 @@ def pointwise_sweep(skel, resolution, collect_cap):
             collected.append(c)
         else:
             collect_complete = False
-        score, meets_bound = _evaluate(skel, c)
+        vol, eps, delta, _, meets_bound = _evaluate(skel, c)
+        score = min(Fraction(*eps), Fraction(*delta)) ** skel["dim"] * vol
         if meets_bound:
             extremal += 1
         if best is None or score > best:

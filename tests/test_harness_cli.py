@@ -292,6 +292,8 @@ def test_cli_too_large_resolution_is_an_input_error(tmp_path, capsys, argv):
     [
         ["blowup", "FAN", "--cone", "0", "--samples", "0"],
         ["okounkov", "FAN", "--samples", "0"],
+        ["blowup", "FAN", "--cone", "0", "--samples", "100001"],
+        ["okounkov", "FAN", "--samples", "100001"],
         [
             "sweep",
             "FAN",

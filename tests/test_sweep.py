@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from torifan import catalog, ratgeom, sweep, toric
-from torifan.errors import EmptyGrid, ValidationError
+from torifan import _sweep_pure, catalog, ratgeom, sweep, toric
+from torifan.errors import EmptyGrid, ValidationError, VerificationError
 
 
 def hirzebruch_two():
@@ -158,6 +158,19 @@ def test_engine_selection():
     p1 = catalog.projective_space(1)
     assert sweep.select_engine(sweep.build_skeleton(p1), 4) == "pure"
     assert sweep.sweep_ample_cone(p2, 2).engine == "pure"
+
+
+def test_argmax_recheck_is_independent_of_the_evaluator(monkeypatch):
+    """A wrong evaluator must not pass the re-check by checking itself."""
+    real = _sweep_pure._evaluate
+
+    def off_by_one(skel, c):
+        out = real(skel, c)
+        return (out[0] + 1,) + out[1:]  # the volume, hence the score
+
+    monkeypatch.setattr(_sweep_pure, "_evaluate", off_by_one)
+    with pytest.raises(VerificationError, match="sweep engine disagrees"):
+        sweep.sweep_ample_cone(catalog.hirzebruch_one(), 2, collect_cap=0)
 
 
 def test_refinement_is_monotone_on_bl3p2():
