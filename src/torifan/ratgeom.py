@@ -4,6 +4,33 @@ A polytope is an intersection of rational halfspaces
 ``{m : <m, normal> >= -offset}`` in Q^n.  Everything here runs on
 :class:`fractions.Fraction` and Python integers; no floating point enters any
 predicate or measure.
+
+The vertex layer runs on integers only (Bareiss, *Sylvester's identity and
+multistep integer-preserving Gaussian elimination*, 1968).  It reads the
+halfspaces as primitive integer rows ``<a, x> + b >= 0``
+(``Polytope.integer_rows``), which hold exactly where the rational ones do,
+since each row is the rational one times a positive scale.  Each integer
+test below equals the Fraction test it replaces:
+
+- Vertices.  A nonsingular n-subset of rows, ``A x = -b``, has by Cramer's
+  rule the one solution ``x = num / d`` with ``d = det A`` and ``num_j`` the
+  determinant of A with column j replaced by ``-b``; negating both makes
+  ``d > 0``.  Then ``<a, x> + b = (<a, num> + b*d) / d``, so x is feasible
+  iff ``<a, num> + b*d >= 0`` for every row.  Two subsets give the same
+  point iff their ``(num, d)`` agree after division by ``gcd(d, *num)``,
+  which is the reduced form of the point with a common denominator.
+- Recession rays.  n-1 rows of rank n-1 have a one-dimensional nullspace,
+  spanned by their generalized cross product ``c_j = (-1)^j det(rows
+  without column j)`` (expand the determinant of the rows plus any row r
+  along r: it is ``<r, c>``, zero when r is one of the rows, and nonzero
+  for some r, so c != 0).  The null line meets the cone ``{A x >= 0}`` in
+  a ray iff ``A c >= 0`` or ``A c <= 0``, tested with integer dot products.
+- Lineality.  A has rank n iff some n of its rows are independent, that is
+  iff some n-subset has ``d != 0``; the vertex scan sees this for free.
+- Rank, incidence and membership.  Scaling points by the lcm ``scale > 0``
+  of their denominators makes them integral and changes neither the rank of
+  their differences nor the sign of ``<a, v> + b``, which becomes
+  ``(<a, scale*v> + b*scale) / scale``.
 """
 
 from __future__ import annotations
@@ -137,45 +164,38 @@ def int_det(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def solve_square(rows, rhs):
-    """Solve an n x n rational system exactly; None when singular."""
-    n = len(rows)
-    m = [[_frac(x) for x in row] + [_frac(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        p = m[col][col]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col] / p
-                for c in range(col, n + 1):
-                    m[r][c] -= f * m[col][c]
-    return tuple(m[i][n] / m[i][i] for i in range(n))
+def _pivot_columns(rows):
+    """Pivot columns of an integer matrix, by fraction-free elimination.
 
-
-def matrix_rank(rows) -> int:
-    m = [[_frac(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
+    Column c is a pivot iff it is independent of the columns before it.
+    Each division by the previous pivot is exact (Bareiss), as every entry
+    left below the pivots is a minor of the input.
+    """
+    m = [list(r) for r in rows]
+    pivots = []
+    prev = 1
+    for col in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        p = next((i for i in range(k, len(m)) if m[i][col]), None)
+        if p is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        p = m[rank][col]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col] / p
-                for c in range(col, ncols):
-                    m[r][c] -= f * m[rank][c]
-        rank += 1
-        if rank == len(m):
+        m[k], m[p] = m[p], m[k]
+        top = m[k]
+        pivot = top[col]
+        for row in m[k + 1 :]:
+            f = row[col]
+            for j in range(col + 1, len(row)):
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+        prev = pivot
+        pivots.append(col)
+        if len(pivots) == len(m):
             break
-    return rank
+    return pivots
+
+
+def int_rank(rows) -> int:
+    """Rank of an integer matrix."""
+    return len(_pivot_columns(rows))
 
 
 def nullspace(rows, ncols):
@@ -208,13 +228,23 @@ def nullspace(rows, ncols):
     return basis
 
 
+def _scaled(points):
+    """The points times the lcm ``scale`` of their denominators, as integers."""
+    scale = lcm(*(x.denominator for p in points for x in p))
+    return scale, [[x.numerator * (scale // x.denominator) for x in p] for p in points]
+
+
+def _affine_rank(int_points):
+    base = int_points[0]
+    return int_rank([list(map(sub, p, base)) for p in int_points[1:]])
+
+
 def affine_rank(points) -> int:
     """Dimension of the affine span of a point set."""
     pts = list(points)
     if len(pts) <= 1:
         return 0
-    base = pts[0]
-    return matrix_rank([[x - b for x, b in zip(p, base)] for p in pts[1:]])
+    return _affine_rank(_scaled(pts)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +252,47 @@ def affine_rank(points) -> int:
 
 
 def _candidate_vertices(rows, n):
-    """Feasible intersections of n facet hyperplanes, deduplicated."""
-    found = set()
+    """Feasible intersections of n facet hyperplanes, deduplicated.
+
+    Returns None when no n-subset of the rows is nonsingular, that is when
+    the rows have rank below n.
+    """
+    seen = set()
+    found = []
+    nonsingular = False
     for subset in combinations(rows, n):
-        point = solve_square([r[0] for r in subset], [-r[1] for r in subset])
-        if point is None:
+        a = [r[0] for r in subset]
+        d = int_det(a)
+        if not d:
             continue
-        if all(sum(a * x for a, x in zip(row[0], point)) + row[1] >= 0 for row in rows):
-            found.add(point)
-    return found
+        nonsingular = True
+        rhs = [-r[1] for r in subset]
+        num = [
+            int_det([row[:j] + (c,) + row[j + 1 :] for row, c in zip(a, rhs)])
+            for j in range(n)
+        ]
+        if d < 0:
+            d = -d
+            num = [-x for x in num]
+        g = gcd(d, *num)
+        key = (tuple(x // g for x in num), d // g)
+        if key in seen:
+            continue
+        seen.add(key)
+        if all(sum(map(mul, ai, num)) + bi * d >= 0 for ai, bi in rows):
+            found.append(key)
+    if not nonsingular:
+        return None
+    return [tuple(Fraction(x, d) for x in num) for num, d in found]
+
+
+def _cross(rows, n):
+    """Generalized cross product of n-1 integer rows: c_j = (-1)^j det(minor j)."""
+    c = []
+    for j in range(n):
+        minor = int_det([r[:j] + r[j + 1 :] for r in rows]) if n > 1 else 1
+        c.append(-minor if j % 2 else minor)
+    return c
 
 
 def _recession_ray(rows, n):
@@ -242,15 +304,14 @@ def _recession_ray(rows, n):
     """
     a_rows = [r[0] for r in rows]
     for subset in combinations(a_rows, n - 1):
-        basis = nullspace(subset, n)
-        if len(basis) != 1:
+        c = _cross(subset, n)
+        if not any(c):
             continue
-        d = basis[0]
-        if all(sum(a * x for a, x in zip(row, d)) >= 0 for row in a_rows):
-            return d
-        neg = tuple(-x for x in d)
-        if all(sum(a * x for a, x in zip(row, neg)) >= 0 for row in a_rows):
-            return neg
+        dots = [sum(map(mul, row, c)) for row in a_rows]
+        if all(x >= 0 for x in dots):
+            return tuple(map(Fraction, c))
+        if all(x <= 0 for x in dots):
+            return tuple(Fraction(-x) for x in c)
     return None
 
 
@@ -261,27 +322,11 @@ def _feasible(rows, n) -> bool:
     range of A, so feasibility can be decided on the pivot columns alone,
     where the recession cone is pointed and candidate scanning is complete.
     """
-    a_rows = [r[0] for r in rows]
-    m = [[_frac(x) for x in row] for row in a_rows]
-    pivot_cols = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        p = m[rank][col]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col] / p
-                for c in range(n):
-                    m[r][c] -= f * m[rank][c]
-        pivot_cols.append(col)
-        rank += 1
-    if rank == 0:
+    pivot_cols = _pivot_columns([r[0] for r in rows])
+    if not pivot_cols:
         return all(r[1] >= 0 for r in rows)
     reduced = [(tuple(row[0][c] for c in pivot_cols), row[1]) for row in rows]
-    return bool(_candidate_vertices(reduced, rank))
+    return bool(_candidate_vertices(reduced, len(pivot_cols)))
 
 
 def enumerate_vertices(poly: Polytope):
@@ -298,12 +343,12 @@ def enumerate_vertices(poly: Polytope):
 def _enumerate(poly):
     n = poly.ambient_dim
     rows = poly.integer_rows()
-    lines = nullspace([r[0] for r in rows], n)
-    if lines:
-        if _feasible(rows, n):
-            raise UnboundedPolytope(lines[0])
-        return ()
     candidates = _candidate_vertices(rows, n)
+    if candidates is None:
+        # rank below n: the feasible set, if any, holds a line
+        if _feasible(rows, n):
+            raise UnboundedPolytope(nullspace([r[0] for r in rows], n)[0])
+        return ()
     if not candidates:
         # pointed recession cone: a nonempty set would have a vertex
         return ()
@@ -325,13 +370,20 @@ def is_full_dimensional(poly: Polytope) -> bool:
     return affine_rank(enumerate_vertices(poly)) == poly.ambient_dim
 
 
+def _vertices_inside(p: Polytope, q: Polytope) -> bool:
+    scale, points = _scaled(enumerate_vertices(p))
+    return all(
+        sum(map(mul, a, v)) + b * scale >= 0
+        for a, b in q.integer_rows()
+        for v in points
+    )
+
+
 def polytopes_equal(p: Polytope, q: Polytope) -> bool:
     """Set equality via mutual vertex containment."""
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return all(contains(q, v) for v in enumerate_vertices(p)) and all(
-        contains(p, v) for v in enumerate_vertices(q)
-    )
+    return _vertices_inside(p, q) and _vertices_inside(q, p)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +449,7 @@ def fan_triangulation(poly: Polytope, base=None):
     full-dimensional.
     """
     verts = enumerate_vertices(poly)
-    if affine_rank(verts) < poly.ambient_dim:
+    if len(verts) <= poly.ambient_dim:
         return []
     order = list(verts)
     if base is not None:
@@ -406,8 +458,11 @@ def fan_triangulation(poly: Polytope, base=None):
             raise ValueError("base point is not a vertex")
         order.remove(base)
         order.insert(0, base)
+    scale, points = _scaled(order)
+    if _affine_rank(points) < poly.ambient_dim:
+        return []
     tight = [
-        [i for i, v in enumerate(order) if sum(map(mul, a, v)) + b == 0]
+        [i for i, v in enumerate(points) if sum(map(mul, a, v)) + b * scale == 0]
         for a, b in poly.integer_rows()
     ]
     return [
@@ -450,12 +505,9 @@ def _measure(poly: Polytope):
     """
     n = poly.ambient_dim
     simplices = fan_triangulation(poly)
-    verts = {v for s in simplices for v in s}
-    scale = lcm(*(x.denominator for v in verts for x in v))
-    scaled = {
-        v: [x.numerator * (scale // x.denominator) for x in v] for v in verts
-    }
-    total, acc = simplex_sums(scaled, simplices, n)
+    verts = list({v for s in simplices for v in s})
+    scale, points = _scaled(verts)
+    total, acc = simplex_sums(dict(zip(verts, points)), simplices, n)
     poly._volume = Fraction(total, factorial(n) * scale**n)
     if total:
         poly._barycenter = tuple(

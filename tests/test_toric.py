@@ -85,6 +85,15 @@ def test_wall_relations_on_p1xp1():
     assert x.anticanonical().wall_values() == [2, 2, 2, 2]
 
 
+def test_wall_relations_need_a_unimodular_cone():
+    # built without validation: the first wall's relation would be
+    # u_3 + u_2 - (u_0 + u_1) / 2 = 0, which has no integer form
+    rays = [(1, 0, 0), (1, 2, 0), (0, 0, 1), (1, 1, -1)]
+    x = toric.ToricVariety(3, rays, [(0, 1, 2), (0, 1, 3)])
+    with pytest.raises(NotSmooth):
+        x.walls
+
+
 def test_cone_vertex():
     x = p2()
     cone = x.max_cones.index((0, 1))

@@ -1,0 +1,166 @@
+"""ratgeom's integer vertex enumeration against the Fraction one it reduces.
+
+``tests/vertex_oracle.py`` solves every row subset with Fraction Gaussian
+elimination and proves boundedness with Fraction nullspaces; ratgeom uses
+Cramer's rule, integer sign tests and generalized cross products.  Vertex
+tuples must be equal, and both must call the same sets unbounded, along
+positively proportional directions.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from test_invariants import seeded_class
+from test_ratgeom import box, random_polytope, simplex
+from test_score_oracle import seeded_classes
+from vertex_oracle import fraction_vertices, matrix_rank
+
+from torifan import catalog, ratgeom
+from torifan.errors import UnboundedPolytope
+from torifan.ratgeom import HalfSpace, Polytope
+
+
+def fresh(poly):
+    """A copy with empty caches, so that neither side reads the other's."""
+    return Polytope(poly.ambient_dim, poly.halfspaces)
+
+
+def outcome(enumerate_, poly):
+    try:
+        return enumerate_(fresh(poly))
+    except UnboundedPolytope as exc:
+        return exc
+
+
+def positive_multiple(u, v):
+    """Whether u = k * v for some k > 0."""
+    i = next(i for i, x in enumerate(v) if x)
+    k = F(u[i]) / v[i]
+    return k > 0 and all(F(x) == k * y for x, y in zip(u, v))
+
+
+def assert_matches_oracle(poly):
+    got = outcome(ratgeom.enumerate_vertices, poly)
+    want = outcome(fraction_vertices, poly)
+    if isinstance(want, UnboundedPolytope):
+        assert isinstance(got, UnboundedPolytope)
+        assert positive_multiple(got.direction, want.direction)
+    else:
+        assert got == want
+    return want
+
+
+def test_section_polytopes_match_the_oracle_on_every_catalog_fan():
+    rng = random.Random(20261019)
+    kinds = {"big non-nef": 0, "not big": 0}
+    for v in catalog.bundled_catalog():
+        classes = seeded_classes(rng, v)
+        if v.name in ("F1", "Bl2P2", "Bl3P2"):  # big non-nef classes exist
+            classes += [
+                seeded_class(rng, v, -2, lambda d: d.is_big() and not d.is_nef())
+                for _ in range(3)
+            ]
+            kinds["big non-nef"] += 3
+        # empty and flat section polytopes
+        classes += [seeded_class(rng, v, -3, lambda d: not d.is_big())]
+        kinds["not big"] += 1
+        for d in classes:
+            verts = assert_matches_oracle(d.section_polytope())
+            if len(verts) > 1:
+                diffs = [[x - y for x, y in zip(p, verts[0])] for p in verts[1:]]
+                assert ratgeom.affine_rank(verts) == matrix_rank(diffs)
+    assert kinds == {"big non-nef": 9, "not big": 11}
+
+
+def test_random_polytopes_truncations_and_translates_match_the_oracle():
+    rng = random.Random(20261020)
+    for n, count in ((2, 12), (3, 12), (4, 6)):
+        for _ in range(count):
+            p = random_polytope(rng, n)
+            assert_matches_oracle(p)
+            axis = rng.randrange(n)
+            cut = F(rng.randint(-6, 6), rng.randint(1, 4))
+            assert_matches_oracle(ratgeom.truncate(p, axis, lo=cut))
+            assert_matches_oracle(ratgeom.truncate(p, axis, hi=cut))
+            shift = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+            assert_matches_oracle(ratgeom.translate(p, shift))
+            # dropping halfspaces leaves bounded, unbounded or lined sets
+            kept = [h for h in p.halfspaces if rng.random() < 0.6]
+            assert_matches_oracle(Polytope(n, kept))
+
+
+def test_empty_sets_match_the_oracle():
+    for n in (1, 2, 3):
+        cube = box(*[(0, 1)] * n)
+        assert assert_matches_oracle(ratgeom.truncate(cube, n - 1, lo=2)) == ()
+        assert assert_matches_oracle(ratgeom.truncate(simplex(n), 0, hi=-1)) == ()
+    # empty with a line: 0 <= x <= -1 in the plane
+    e1 = (F(1), F(0))
+    slab = Polytope(2, (HalfSpace(e1, F(0)), HalfSpace((F(-1), F(0)), F(-1))))
+    assert assert_matches_oracle(slab) == ()
+
+
+@pytest.mark.parametrize(
+    "n, halfspaces",
+    [
+        (1, [((1,), 0)]),  # half-line
+        (2, [((1, 0), 0), ((0, 1), 0)]),  # quadrant
+        (2, [((0, 1), 0)]),  # half-plane
+        (2, [((1, 0), 0), ((-1, 0), 1)]),  # slab with a line
+        (2, []),  # the plane
+        (3, [((1, 0, 0), 0), ((-1, 0, 0), 1), ((0, 1, 0), 0)]),  # lined slab
+        (3, [((1, 1, 0), -1), ((0, 1, 0), 0), ((0, 0, 1), 0), ((1, 0, -1), 2)]),
+        (3, [((2, -1, 0), 1), ((-1, 2, 0), 1), ((0, 0, 1), 3), ((1, 1, -1), 0)]),
+    ],
+)
+def test_unbounded_sets_raise_like_the_oracle(n, halfspaces):
+    poly = Polytope(n, [HalfSpace(tuple(map(F, a)), F(b)) for a, b in halfspaces])
+    assert isinstance(assert_matches_oracle(poly), UnboundedPolytope)
+
+
+def test_int_rank_matches_matrix_rank():
+    rng = random.Random(20261021)
+    deficient = 0
+    for _ in range(100):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.5:
+            # a product through an inner dimension below min(rows, cols)
+            inner = rng.randint(0, max(0, min(rows, cols) - 1))
+            left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+            right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)]
+            m = [
+                [sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                if inner
+                else [0] * cols
+                for row in left
+            ]
+        else:
+            m = [[rng.choice((0, 0, 1, -1, 2, -5, 7)) for _ in range(cols)]
+                 for _ in range(rows)]
+        rank = matrix_rank(m)
+        deficient += rank < min(rows, cols)
+        assert ratgeom.int_rank(m) == rank
+    assert deficient >= 30
+
+
+def test_bounded_enumeration_does_no_fraction_linear_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bounded enumeration reached Fraction elimination")
+
+    # the Fraction solver and rank left ratgeom; the nullspace stays for
+    # sets of rank below n only
+    assert not hasattr(ratgeom, "solve_square")
+    assert not hasattr(ratgeom, "matrix_rank")
+    for name in ("nullspace", "det"):
+        monkeypatch.setattr(ratgeom, name, refuse)
+    rng = random.Random(20261022)
+    polys = [fresh(v.anticanonical().section_polytope())
+             for v in catalog.bundled_catalog()]
+    polys += [random_polytope(rng, n) for n in (2, 3, 4)]
+    for p in polys:
+        verts = ratgeom.enumerate_vertices(p)
+        assert len(verts) > p.ambient_dim
+        assert ratgeom.is_full_dimensional(p)
+        assert ratgeom.volume(p) > 0
+        assert ratgeom.polytopes_equal(p, fresh(p))
