@@ -5,7 +5,12 @@ Builds the Okounkov body of -K at every flag cone of the chosen fans, runs
 (tests/slice_oracle.py) on it, and prints one row per (variety, cone) with
 both times and the oracle's time as a multiple of slice_profile's.
 
+With ``--reports`` it times the report layer instead: one
+``harness.blowup_command`` (100 samples) and one ``harness.okounkov_command``
+(32 samples) on -K at cone 0 of each chosen fan, one row per variety.
+
     python3 benchmarks/bench_profiles.py --repeat 3
+    python3 benchmarks/bench_profiles.py --repeat 5 --reports
 """
 
 import argparse
@@ -13,20 +18,63 @@ import sys
 import time
 from pathlib import Path
 
-from torifan import catalog, okounkov
+from torifan import catalog, harness, okounkov
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from slice_oracle import nodewise_slice_profile  # noqa: E402
 
 
-def best_of(run, body, repeat):
+def best_of(run, repeat):
+    """Least time of ``repeat`` calls of run() and the last result."""
     times = []
-    profile = None
+    result = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        profile = run(body)
+        result = run()
         times.append(time.perf_counter() - t0)
-    return min(times), profile
+    return min(times), result
+
+
+def bench_slices(chosen, repeat):
+    header = f"{'variety':<10} {'cone':>4} {'slice_profile (s)':>18}"
+    header += f" {'per-node (s)':>13} {'ratio':>8}"
+    print(header)
+    for variety in chosen:
+        divisor = variety.anticanonical()
+        for cone_index in range(len(variety.max_cones)):
+            body = okounkov.okounkov_body(
+                divisor, okounkov.default_flag(variety, cone_index)
+            )
+            t_new, profile = best_of(lambda: okounkov.slice_profile(body), repeat)
+            t_old, oracle = best_of(lambda: nodewise_slice_profile(body), repeat)
+            if profile != oracle:
+                raise SystemExit(
+                    f"slice_profile and the oracle disagree on {variety.name} "
+                    f"at cone {cone_index}"
+                )
+            line = f"{variety.name:<10} {cone_index:>4} {t_new:>18.4f}"
+            line += f" {t_old:>13.4f} {t_old / t_new:>7.1f}x"
+            print(line)
+
+
+def bench_reports(chosen, repeat):
+    header = f"{'variety':<10} {'blowup (s)':>11} {'rows':>5}"
+    header += f" {'okounkov (s)':>13} {'rows':>5}"
+    print(header)
+    total = 0.0
+    for variety in chosen:
+        divisor = variety.anticanonical()
+        t_blowup, blowup = best_of(
+            lambda: harness.blowup_command(variety, 0, divisor), repeat
+        )
+        t_body, body = best_of(
+            lambda: harness.okounkov_command(variety, divisor), repeat
+        )
+        total += t_blowup + t_body
+        line = f"{variety.name:<10} {t_blowup:>11.4f} {len(blowup.rows):>5}"
+        line += f" {t_body:>13.4f} {len(body.slice_rows):>5}"
+        print(line)
+    print(f"{'total':<10} {total:>11.4f}")
 
 
 def main(argv=None):
@@ -38,6 +86,11 @@ def main(argv=None):
         default=None,
         help="catalog names; defaults to every fan of dimension 2 to 4",
     )
+    parser.add_argument(
+        "--reports",
+        action="store_true",
+        help="time blowup and okounkov reports on -K at cone 0 instead",
+    )
     args = parser.parse_args(argv)
 
     entries = {v.name: v for v in catalog.bundled_catalog()}
@@ -45,26 +98,7 @@ def main(argv=None):
         chosen = [entries[name] for name in args.varieties]
     else:
         chosen = [v for v in entries.values() if 2 <= v.dim <= 4]
-
-    header = f"{'variety':<10} {'cone':>4} {'slice_profile (s)':>18}"
-    header += f" {'per-node (s)':>13} {'ratio':>8}"
-    print(header)
-    for variety in chosen:
-        divisor = variety.anticanonical()
-        for cone_index in range(len(variety.max_cones)):
-            body = okounkov.okounkov_body(
-                divisor, okounkov.default_flag(variety, cone_index)
-            )
-            t_new, profile = best_of(okounkov.slice_profile, body, args.repeat)
-            t_old, oracle = best_of(nodewise_slice_profile, body, args.repeat)
-            if profile != oracle:
-                raise SystemExit(
-                    f"slice_profile and the oracle disagree on {variety.name} "
-                    f"at cone {cone_index}"
-                )
-            line = f"{variety.name:<10} {cone_index:>4} {t_new:>18.4f}"
-            line += f" {t_old:>13.4f} {t_old / t_new:>7.1f}x"
-            print(line)
+    (bench_reports if args.reports else bench_slices)(chosen, args.repeat)
 
 
 if __name__ == "__main__":

@@ -247,11 +247,10 @@ def _add_divisor_options(sub):
     )
 
 
-def _add_common(sub, default_format):
+def _add_common(sub, default_format=None):
     sub.add_argument("--out", help="write output to this path instead of stdout")
-    sub.add_argument(
-        "--format", choices=("csv", "json"), default=default_format
-    )
+    if default_format:
+        sub.add_argument("--format", choices=("csv", "json"), default=default_format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="validate a fan file")
     p.add_argument("fan")
-    _add_common(p, "json")
+    _add_common(p)
     p.set_defaults(handler=_cmd_validate)
 
     p = subs.add_parser("invariants", help="exact invariants of one class")

@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import factorial
 
 from torifan import invariants, jsonio
-from torifan.catalog import projective_space
 from torifan.errors import ValidationError, VerificationError
 from torifan.invariants import chain_report, fujita_profile
 from torifan.okounkov import (
@@ -26,7 +25,7 @@ from torifan.okounkov import (
     translation_identity_check,
 )
 from torifan.sweep import sweep_ample_cone
-from torifan.toric import TDivisor, ToricVariety, fans_isomorphic, require_ample
+from torifan.toric import TDivisor, ToricVariety, is_projective_space, require_ample
 
 _fmt = jsonio.format_rational
 _dec = jsonio.decimal_string
@@ -99,7 +98,7 @@ def verify_theorem(catalog, resolution: int) -> VerifyReport:
     projective = []
     for variety in catalog:
         res = sweep_ample_cone(variety, resolution, collect_cap=0)
-        is_pn = fans_isomorphic(variety, projective_space(variety.dim))
+        is_pn = is_projective_space(variety)
         if is_pn and res.gap != 0:
             raise VerificationError(
                 "projective space must attain the bound exactly",
@@ -170,7 +169,7 @@ def gap_report(catalog, resolution: int, dimension=None) -> GapReport:
     best = {}
     for variety in entries:
         res = sweep_ample_cone(variety, resolution, collect_cap=0)
-        is_pn = fans_isomorphic(variety, projective_space(variety.dim))
+        is_pn = is_projective_space(variety)
         detail.append(
             (variety.name, variety.dim, res.max_score, res.gap, is_pn)
         )
@@ -258,19 +257,10 @@ class BlowupReport:
         }
 
 
-# _sample_points builds samples + 1 Fraction rows (6.4 s and 69 MB at 10^5
-# on P2), so larger counts are refused before any work.
+# Each report table has a row per Piecewise.sample_points point, at least
+# samples + 1 (3.1 s and 64 MB for blowup at 10^5 on P2), so larger counts
+# are refused before any work.
 MAX_SAMPLES = 10**5
-
-
-def _sample_points(lo, hi, breakpoints, samples):
-    points = set(breakpoints)
-    points.add(lo)
-    points.add(hi)
-    span = hi - lo
-    for j in range(samples + 1):
-        points.add(lo + span * Fraction(j, samples))
-    return sorted(points)
 
 
 def blowup_command(
@@ -293,11 +283,8 @@ def blowup_command(
         )
     beta = invariants.greatest_ricci_lower_bound(divisor)
     chain = chain_report(profile, beta)
-    xs = _sample_points(
-        Fraction(0), profile.domain_end, profile.breakpoints, samples
-    )
     rows = []
-    for x in xs:
+    for x in profile.sample_points(samples):
         value = profile.value(x)
         lower = profile.total - x**profile.dim
         rows.append((x, value, lower, value - lower))
@@ -392,11 +379,7 @@ def okounkov_command(
             )
         checks.append((Fraction(t), ok))
     profile = slice_profile(body)
-    lo, hi = profile.support
-    slice_rows = tuple(
-        (r, profile.value(r))
-        for r in _sample_points(lo, hi, profile.breakpoints, samples)
-    )
+    slice_rows = tuple((r, profile.value(r)) for r in profile.sample_points(samples))
     return OkounkovReport(
         variety_name=variety.name,
         cone_index=flag.cone_index,

@@ -154,7 +154,7 @@ def score(divisor: TDivisor) -> InvariantReport:
 
 
 @dataclass(frozen=True)
-class VolumeProfile:
+class VolumeProfile(ratpoly.Piecewise):
     """x -> vol(pullback - x*E) as an exact piecewise polynomial on [0, end].
 
     ``breakpoints`` has one more entry than ``pieces``; piece i is valid on
@@ -175,18 +175,7 @@ class VolumeProfile:
         x = Fraction(x)
         if x < 0:
             raise ValueError("profiles live on x >= 0")
-        if x >= self.domain_end:
-            return Fraction(0)
-        for i in range(len(self.pieces)):
-            if x <= self.breakpoints[i + 1]:
-                return ratpoly.evaluate(self.pieces[i], x)
-        raise AssertionError("unreachable")
-
-    def integral(self) -> Fraction:
-        return sum(
-            ratpoly.integrate(p, self.breakpoints[i], self.breakpoints[i + 1])
-            for i, p in enumerate(self.pieces)
-        )
+        return self.piece_value(x) if x < self.domain_end else Fraction(0)
 
     def lower_bound_poly(self):
         """vol - x^n, the Fujita comparison curve."""
@@ -207,32 +196,14 @@ class VolumeProfile:
     def inequality_certificate(self) -> bool:
         """Symbolic proof that value >= vol - x^n holds on every piece."""
         bound = self.lower_bound_poly()
-        for i, p in enumerate(self.pieces):
-            diff = ratpoly.subtract(p, bound)
-            if not ratpoly.nonnegative_on(
-                diff, self.breakpoints[i], self.breakpoints[i + 1]
-            ):
-                return False
-        return True
+        return self.all_nonnegative(lambda p: ratpoly.subtract(p, bound))
 
     def monotone_certificate(self) -> bool:
         """Symbolic proof that the profile never increases."""
-        for i, p in enumerate(self.pieces):
-            neg_slope = tuple(-c for c in ratpoly.derivative(p))
-            if not ratpoly.nonnegative_on(
-                neg_slope, self.breakpoints[i], self.breakpoints[i + 1]
-            ):
-                return False
-        return True
+        return self.all_nonnegative(lambda p: ratpoly.scale(ratpoly.derivative(p), -1))
 
     def continuity_check(self) -> bool:
-        for i in range(len(self.pieces) - 1):
-            x = self.breakpoints[i + 1]
-            if ratpoly.evaluate(self.pieces[i], x) != ratpoly.evaluate(
-                self.pieces[i + 1], x
-            ):
-                return False
-        return True
+        return self.is_continuous()
 
 
 def fujita_profile(variety: ToricVariety, cone_index: int, divisor: TDivisor):

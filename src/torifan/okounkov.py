@@ -197,7 +197,7 @@ def nef_by_origin(divisor: TDivisor) -> bool:
 
 
 @dataclass(frozen=True)
-class SliceProfile:
+class SliceProfile(ratpoly.Piecewise):
     """r -> (n-1)-volume of the nu_1 = r slice, piecewise polynomial.
 
     Piece i is the polynomial on [breakpoints[i], breakpoints[i+1]].
@@ -212,33 +212,11 @@ class SliceProfile:
         return (self.breakpoints[0], self.breakpoints[-1])
 
     def value(self, r) -> Fraction:
-        r = Fraction(r)
-        if not self.pieces or r < self.breakpoints[0] or r > self.breakpoints[-1]:
-            return Fraction(0)
-        for i in range(len(self.pieces)):
-            if r <= self.breakpoints[i + 1]:
-                return ratpoly.evaluate(self.pieces[i], r)
-        raise AssertionError("unreachable")
-
-    def integral(self) -> Fraction:
-        return sum(
-            (
-                ratpoly.integrate(p, self.breakpoints[i], self.breakpoints[i + 1])
-                for i, p in enumerate(self.pieces)
-            ),
-            Fraction(0),
-        )
+        return self.piece_value(r)
 
     def integral_to(self, x) -> Fraction:
         """Integral of the profile from the support start up to x."""
-        x = Fraction(x)
-        total = Fraction(0)
-        for i, p in enumerate(self.pieces):
-            lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
-            if x <= lo:
-                break
-            total += ratpoly.integrate(p, lo, min(hi, x))
-        return total
+        return self.integral(x)
 
 
 def slice_profile(body: OkounkovBody) -> SliceProfile:
@@ -329,62 +307,45 @@ def bm_concavity_check(profile: SliceProfile) -> bool:
     if profile.dim == 1:
         return True
     n = profile.dim
-    pieces = list(profile.pieces)
-    points = list(profile.breakpoints)
-    # trim zero pieces at both ends: they only shrink the support
-    while pieces and ratpoly.is_zero(pieces[0]):
-        pieces.pop(0)
-        points.pop(0)
-    while pieces and ratpoly.is_zero(pieces[-1]):
-        pieces.pop()
-        points.pop()
-    if not pieces:
+    # zero pieces at both ends only shrink the support
+    nonzero = [i for i, p in enumerate(profile.pieces) if not ratpoly.is_zero(p)]
+    if not nonzero:
         return True
-    # interior zero pieces would split the support: not concave
-    if any(ratpoly.is_zero(p) for p in pieces):
-        return False
-    for i, p in enumerate(pieces):
-        if not ratpoly.nonnegative_on(p, points[i], points[i + 1]):
-            return False  # a signed area is no slice profile
-    # continuity and positivity across interior breakpoints
-    for i in range(len(pieces) - 1):
-        x = points[i + 1]
-        left = ratpoly.evaluate(pieces[i], x)
-        right = ratpoly.evaluate(pieces[i + 1], x)
-        if left != right:
-            return False
-        if left == 0:
-            return False  # interior zero between positive stretches
-    # interior roots of a piece dent the support
-    for i, p in enumerate(pieces):
-        lo, hi = points[i], points[i + 1]
-        if lo == hi or ratpoly.is_zero(p):
-            continue
-        q = ratpoly._strip_root(
-            ratpoly._strip_root(ratpoly.squarefree(p), lo), hi
-        )
-        if ratpoly.count_roots(q, lo, hi) > 0:
-            return False
-    # per-piece sign of the transformed second derivative
-    for i, p in enumerate(pieces):
-        lo, hi = points[i], points[i + 1]
+    first, last = nonzero[0], nonzero[-1]
+    if len(nonzero) != last - first + 1:
+        return False  # interior zero pieces would split the support
+    profile = SliceProfile(
+        n, profile.breakpoints[first : last + 2], profile.pieces[first : last + 1]
+    )
+    pieces, points = profile.pieces, profile.breakpoints
+
+    def minus_h(p):
         dp = ratpoly.derivative(p)
-        ddp = ratpoly.derivative(dp)
-        h = ratpoly.add(
-            ratpoly.scale(ratpoly.multiply(dp, dp), 2 - n),
-            ratpoly.scale(ratpoly.multiply(p, ddp), n - 1),
+        return ratpoly.add(
+            ratpoly.scale(ratpoly.multiply(dp, dp), n - 2),
+            ratpoly.scale(ratpoly.multiply(p, ratpoly.derivative(dp)), 1 - n),
         )
-        if not ratpoly.nonnegative_on(ratpoly.scale(h, -1), lo, hi):
-            return False
-    # junction slopes: the density may only flatten going right
-    return all(_slope_drop_ok(pieces, points, i) for i in range(len(pieces) - 1))
 
+    def slope(p, x):
+        return ratpoly.evaluate(ratpoly.derivative(p), x)
 
-def _slope_drop_ok(pieces, points, i):
-    x = points[i + 1]
-    left = ratpoly.evaluate(ratpoly.derivative(pieces[i]), x)
-    right = ratpoly.evaluate(ratpoly.derivative(pieces[i + 1]), x)
-    return left >= right
+    return (
+        # a signed area is no slice profile
+        profile.all_nonnegative()
+        and profile.is_continuous()
+        # a zero at a junction or inside a piece dents the support
+        and all(profile.piece_value(x) for x in points[1:-1])
+        and not any(
+            ratpoly.has_root_inside(p, a, b)
+            for a, b, p in zip(points, points[1:], pieces)
+        )
+        and profile.all_nonnegative(minus_h)
+        # junction slopes: the density may only flatten going right
+        and all(
+            slope(p, x) >= slope(q, x)
+            for x, p, q in zip(points[1:-1], pieces, pieces[1:])
+        )
+    )
 
 
 def cone_structure_check(body: OkounkovBody, a) -> bool:

@@ -1,14 +1,18 @@
-"""Exact univariate polynomials over Q.
+"""Exact univariate polynomials over Q, and piecewise polynomials of them.
 
 A polynomial is a tuple of Fractions, lowest degree first.  Interpolation
 recovers each slice-area piece exactly from point evaluations,
 antiderivatives integrate slice areas into volume profiles, and Sturm
 sequences certify sign conditions on intervals without floating point.
+:class:`Piecewise` evaluates, integrates, certifies and samples both of
+those profiles.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import pairwise
 
 ZERO = (Fraction(0),)
 
@@ -244,5 +248,75 @@ def nonnegative_on(p, a, b) -> bool:
         return True
     if _sign_just_right(p, a) < 0 or _sign_just_left(p, b) < 0:
         return False
-    q = _strip_root(_strip_root(squarefree(p), a), b)
-    return _nonneg_rec(p, q, a, b)
+    return _nonneg_rec(p, _interior_part(p, a, b), a, b)
+
+
+def _interior_part(p, a, b):
+    """Squarefree, with p's roots in (a, b) and none at a or b."""
+    return _strip_root(_strip_root(squarefree(p), a), b)
+
+
+def has_root_inside(p, a, b) -> bool:
+    """Exact decision of whether p has a root strictly between a and b."""
+    a, b = _frac(a), _frac(b)
+    p = trim(p)
+    if a >= b:
+        return False
+    if is_zero(p):
+        return True
+    return count_roots(_interior_part(p, a, b), a, b) > 0
+
+
+# ---------------------------------------------------------------------------
+# piecewise polynomials
+
+
+class Piecewise:
+    """Methods over ``self.breakpoints`` and ``self.pieces``.
+
+    Piece i is the polynomial on [breakpoints[i], breakpoints[i+1]], so
+    there is one more breakpoint than pieces; an interior breakpoint reads
+    the piece on its left.  Subclasses supply both attributes.
+    """
+
+    def piece_value(self, x) -> Fraction:
+        """The covering piece at x; 0 off the support or without pieces."""
+        x = _frac(x)
+        points = self.breakpoints
+        if not self.pieces or x < points[0] or x > points[-1]:
+            return Fraction(0)
+        return evaluate(self.pieces[max(bisect_left(points, x) - 1, 0)], x)
+
+    def integral(self, hi=None) -> Fraction:
+        """Integral from the first breakpoint up to hi (default: the end)."""
+        hi = self.breakpoints[-1] if hi is None else _frac(hi)
+        total = Fraction(0)
+        for (a, b), p in zip(pairwise(self.breakpoints), self.pieces):
+            if hi <= a:
+                break
+            total += integrate(p, a, min(b, hi))
+        return total
+
+    def all_nonnegative(self, transform=None) -> bool:
+        """Exact decision that every piece, transformed, is >= 0 on its span."""
+        return all(
+            nonnegative_on(p if transform is None else transform(p), a, b)
+            for (a, b), p in zip(pairwise(self.breakpoints), self.pieces)
+        )
+
+    def is_continuous(self) -> bool:
+        """Do neighbouring pieces agree at every interior breakpoint."""
+        return all(
+            evaluate(p, x) == evaluate(q, x)
+            for x, p, q in zip(self.breakpoints[1:], self.pieces, self.pieces[1:])
+        )
+
+    def sample_points(self, count):
+        """The breakpoints and count + 1 evenly spaced points, sorted, once each."""
+        lo, span = self.breakpoints[0], self.breakpoints[-1] - self.breakpoints[0]
+        even = (lo + span * Fraction(j, count) for j in range(count + 1))
+        points = []
+        for x in sorted([*self.breakpoints, *even]):  # merges two sorted runs
+            if not points or x != points[-1]:
+                points.append(x)
+        return points

@@ -262,7 +262,7 @@ def _build_walls(variety):
         (opp_b,) = set(variety.max_cones[cb]) - set(sub)
         # express u_opp_b in the basis (wall rays, u_opp_a) by Cramer's rule,
         # exact in integers as cone_a is unimodular; the u_opp_a coordinate
-        # must be -1 or the two cones overlap
+        # is +-det(cone_b), which must be -1 or the two cones overlap
         basis = [variety.rays[i] for i in sub] + [variety.rays[opp_a]]
         d = _require_unimodular(basis, ca)
         target = variety.rays[opp_b]
@@ -270,6 +270,8 @@ def _build_walls(variety):
             d * ratgeom.int_det(basis[:j] + [target] + basis[j + 1 :])
             for j in range(n)
         ]
+        if abs(coords[-1]) != 1:
+            _require_unimodular(basis[:-1] + [target], cb)
         if coords[-1] != -1:
             raise NotComplete(
                 f"cones {ca} and {cb} are not on opposite sides of wall {sub}"
@@ -396,6 +398,27 @@ def fans_isomorphic(x: ToricVariety, y: ToricVariety) -> bool:
             if mapped_cones == {frozenset(c) for c in y.max_cones}:
                 return True
     return False
+
+
+def is_projective_space(variety: ToricVariety) -> bool:
+    """Whether the fan is that of P^n: for a smooth complete fan, n + 1 rays.
+
+    P^n has n + 1 rays, and a unimodular map keeps the count.  Conversely
+    let the fan be smooth and complete (``walls`` certifies both) with rays
+    u_0..u_n.  They span R^n and the fan covers -(u_0 + ... + u_n), so
+    their relations form a line holding one relation sum a_i u_i = 0 with
+    every a_i > 0.  Let D_i be the determinant of the rays other than u_i.
+    Substituting u_k = -(1/a_k) sum_(j != k) a_j u_j into D_i leaves one
+    term, so |D_i| / a_i = |D_k| / a_k, which is nonzero.  Adding multiples
+    of the relation, a point sum_(j != i) l_j u_j with every l_j > 0 has one
+    nonnegative representation with a zero coefficient, the one at i; so it
+    lies in no cone but cone(u_j : j != i), which completeness makes a
+    maximal cone.  Smoothness gives |D_i| = 1 for every i, so all a_i are
+    equal, u_0 = -(u_1 + ... + u_n), and the unimodular map taking u_1..u_n
+    to e_1..e_n carries the fan onto that of P^n.
+    """
+    variety.walls  # certifies a complete smooth fan
+    return variety.n_rays == variety.dim + 1
 
 
 def require_ample(divisor: TDivisor):

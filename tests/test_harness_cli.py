@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from torifan import catalog, cli, harness, jsonio
+from torifan import catalog, cli, harness, jsonio, toric
 from torifan.errors import NotAmple, ValidationError, VerificationError
 
 
@@ -48,12 +48,22 @@ def test_verify_theorem_over_the_bundled_catalog():
 
 def test_verify_theorem_guards_both_directions(monkeypatch):
     quadric = catalog.p1_power(2)
-    monkeypatch.setattr(harness, "fans_isomorphic", lambda *a: True)
+    monkeypatch.setattr(harness, "is_projective_space", lambda *a: True)
     with pytest.raises(VerificationError, match="must attain"):
         harness.verify_theorem([quadric], 2)
-    monkeypatch.setattr(harness, "fans_isomorphic", lambda *a: False)
+    monkeypatch.setattr(harness, "is_projective_space", lambda *a: False)
     with pytest.raises(VerificationError, match="only projective space"):
         harness.verify_theorem([catalog.projective_space(2)], 2)
+
+
+def test_verify_theorem_decides_projective_space_without_isomorphism(monkeypatch):
+    def boom(*args):
+        raise AssertionError("fans_isomorphic must not run")
+
+    monkeypatch.setattr(toric, "fans_isomorphic", boom)
+    report = harness.verify_theorem(catalog.load_catalog(), 1)
+    flagged = {r.variety_name for r, pn in zip(report.results, report.projective) if pn}
+    assert flagged == {"P1", "P2", "P3", "P4", "P5", "P6"}
 
 
 def test_gap_report_rows_and_note():
@@ -177,6 +187,14 @@ def test_cli_validate_rejects_singular_fan(tmp_path, capsys):
 def test_cli_validate_missing_file(capsys):
     assert cli.main(["validate", "/no/such/fan.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_validate_has_no_format_option(tmp_path, capsys):
+    path = write_fan(tmp_path, catalog.hirzebruch_one())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", path, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_cli_invariants_json(tmp_path, capsys):

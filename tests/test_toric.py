@@ -92,6 +92,10 @@ def test_wall_relations_need_a_unimodular_cone():
     x = toric.ToricVariety(3, rays, [(0, 1, 2), (0, 1, 3)])
     with pytest.raises(NotSmooth):
         x.walls
+    # P(1,1,2): complete, cone 0 of wall (0,) unimodular, cone 2 not
+    x = toric.ToricVariety(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(NotSmooth, match="cone 2"):
+        x.walls
 
 
 def test_cone_vertex():
@@ -266,3 +270,63 @@ def test_functionals_are_class_functions():
             assert invariants.expected_vanishing_order(shifted, i) == (
                 invariants.expected_vanishing_order(d, i)
             )
+
+
+def _relabelled(variety, rng):
+    """The fan under a random unimodular map, rays and cones shuffled."""
+    n = variety.dim
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            g[i] = [-c for c in g[i]]
+        else:
+            k = rng.choice((-2, -1, 1, 2))
+            g[i] = [a + k * b for a, b in zip(g[i], g[j])]
+    order = list(range(variety.n_rays))
+    rng.shuffle(order)
+    new_index = {old: new for new, old in enumerate(order)}
+    rays = [
+        tuple(sum(r * c for r, c in zip(row, variety.rays[old])) for row in g)
+        for old in order
+    ]
+    cones = [tuple(new_index[i] for i in cone) for cone in variety.max_cones]
+    rng.shuffle(cones)
+    return toric.validate_fan(n, rays, cones, variety.name)
+
+
+def test_projective_space_by_ray_count_matches_isomorphism():
+    def agree(x):
+        pn = toric.is_projective_space(x)
+        assert pn == toric.fans_isomorphic(x, catalog.projective_space(x.dim))
+        return pn
+
+    flagged = {v.name for v in catalog.bundled_catalog() if agree(v)}
+    assert flagged == {"P1", "P2", "P3", "P4", "P5", "P6"}
+    rng = random.Random(20261018)
+    for n in range(1, 5):
+        for _ in range(3):
+            assert agree(_relabelled(catalog.projective_space(n), rng))
+    for start, depth in (
+        (catalog.projective_space(2), 3),
+        (catalog.hirzebruch_one(), 2),
+        (catalog.projective_space(3), 2),
+        (catalog.p1_power(3), 1),
+        (catalog.projective_space(4), 1),
+    ):
+        x = start
+        for _ in range(depth):
+            x = toric.blowup_at_fixed_point(x, rng.randrange(len(x.max_cones))).result
+            assert not agree(x)
+            assert not agree(_relabelled(x, rng))
+
+
+def test_projective_space_by_ray_count_needs_a_smooth_complete_fan():
+    # three rays in the plane, but P(1,1,2) is singular
+    x = toric.ToricVariety(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(NotSmooth):
+        toric.is_projective_space(x)
+    # three rays, two cones: not complete
+    x = toric.ToricVariety(2, P2_RAYS, [(1, 2), (0, 1)])
+    with pytest.raises(NotComplete):
+        toric.is_projective_space(x)
