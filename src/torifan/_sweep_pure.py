@@ -1,7 +1,9 @@
 """The sweep engine: exact integer arithmetic, any dimension.
 
-``build_skeleton`` precomputes a variety's integer tables once per variety
-object; the cache holds the variety weakly, so it keeps none alive.
+``build_skeleton`` gathers a variety's integer tables once per variety
+object; the cache holds the variety weakly, so it keeps none alive.  The
+wall rows are the variety's ``wall_rows`` and the vertex maps its negated
+``cone_inverses``; the skeleton adds the triangulation.
 ``_evaluate`` reads every invariant of one ample class off them, and it is
 the one evaluator of ample classes: ``run_sweep`` scores grid samples with
 it, and torifan.invariants.score scores any ample Q-divisor with it by the
@@ -97,7 +99,6 @@ from types import MappingProxyType
 
 from torifan.errors import VerificationError
 from torifan.ratgeom import pulling_triangulation, simplex_sums
-from torifan.toric import _int_matrix_inverse
 
 # variety -> skeleton; weak keys, so a cached skeleton keeps no variety alive
 _skeletons = weakref.WeakKeyDictionary()
@@ -123,30 +124,22 @@ def build_skeleton(variety) -> MappingProxyType:
     skel = _skeletons.get(variety)
     if skel is not None:
         return skel
-    r = variety.n_rays
-    wall_rows = []
-    for wall in variety.walls:
-        row = [0] * r
-        row[wall.opp_a] += 1
-        row[wall.opp_b] += 1
-        for i, b in zip(wall.rays, wall.relation):
-            row[i] += b
-        wall_rows.append(tuple(row))
     cones = variety.max_cones
     facets = [
-        [j for j, cone in enumerate(cones) if rho in cone] for rho in range(r)
+        [j for j, cone in enumerate(cones) if rho in cone]
+        for rho in range(variety.n_rays)
     ]
-    cone_matrices = []
-    for cone in cones:
-        inv = _int_matrix_inverse([variety.rays[i] for i in cone])
-        cone_matrices.append(tuple(tuple(-x for x in row) for row in inv))
     skel = _skeletons[variety] = MappingProxyType({
         "dim": variety.dim,
         "rays": variety.rays,
-        "walls": tuple(wall_rows),
-        "wall_k": tuple(map(sum, wall_rows)),
+        "walls": variety.wall_rows,
+        "wall_k": tuple(map(sum, variety.wall_rows)),
         "cone_indices": cones,
-        "cone_matrices": tuple(cone_matrices),
+        # the vertex m_sigma = -R_sigma^-1 (c on sigma's rays)
+        "cone_matrices": tuple(
+            tuple(tuple(-x for x in row) for row in inv)
+            for inv in variety.cone_inverses
+        ),
         "simplices": tuple(pulling_triangulation(range(len(cones)), facets)),
     })
     return skel

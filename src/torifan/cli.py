@@ -26,6 +26,15 @@ def _write(text: str, out):
         sys.stdout.write(text)
 
 
+def _emit(report, args):
+    """Write ``report`` as ``args.format`` asks; exit code 0."""
+    if args.format == "json":
+        _write(jsonio.dumps(report.json_dict()), args.out)
+    else:
+        _write(report.csv_text(), args.out)
+    return 0
+
+
 def _divisor_from_args(variety, args):
     if getattr(args, "divisor", None):
         return jsonio.load_divisor(args.divisor, variety)
@@ -126,6 +135,7 @@ def _cmd_sweep(args):
 
     variety = jsonio.load_fan(args.fan)
     cap = args.samples_cap if args.include_samples else 0
+    harness.require_count("samples cap", cap, 0)
     result = sweep_ample_cone(variety, args.resolution, collect_cap=cap)
     if args.format == "csv":
         rows = [
@@ -188,12 +198,7 @@ def _cmd_blowup(args):
     report = harness.blowup_command(
         variety, args.cone, divisor, samples=args.samples
     )
-    if args.format == "json":
-        text = jsonio.dumps(report.json_dict())
-    else:
-        text = report.csv_text()
-    _write(text, args.out)
-    return 0
+    return _emit(report, args)
 
 
 def _cmd_okounkov(args):
@@ -205,23 +210,13 @@ def _cmd_okounkov(args):
         variety, divisor, flag=flag, translations=translations,
         samples=args.samples,
     )
-    if args.format == "csv":
-        text = report.csv_text()
-    else:
-        text = jsonio.dumps(report.json_dict())
-    _write(text, args.out)
-    return 0
+    return _emit(report, args)
 
 
 def _cmd_verify(args):
     catalog = load_catalog(args.catalog)
     report = harness.verify_theorem(catalog, args.resolution)
-    if args.format == "json":
-        text = jsonio.dumps(report.json_dict())
-    else:
-        text = report.csv_text()
-    _write(text, args.out)
-    return 0
+    return _emit(report, args)
 
 
 def _cmd_gap(args):
@@ -229,12 +224,7 @@ def _cmd_gap(args):
     report = harness.gap_report(
         catalog, args.resolution, dimension=args.dimension
     )
-    if args.format == "json":
-        text = jsonio.dumps(report.json_dict())
-    else:
-        text = report.csv_text()
-    _write(text, args.out)
-    return 0
+    return _emit(report, args)
 
 
 def _add_divisor_options(sub):

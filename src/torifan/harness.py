@@ -92,8 +92,10 @@ def verify_theorem(catalog, resolution: int) -> VerifyReport:
 
     The per-sample inequalities are enforced inside the sweep engine; a
     violation surfaces as VerificationError with the offending coefficient
-    vector.
+    vector.  An empty catalog is refused: it would pass vacuously.
     """
+    if not catalog:
+        raise ValidationError("verify-theorem needs at least one fan")
     results = []
     projective = []
     for variety in catalog:
@@ -258,9 +260,15 @@ class BlowupReport:
 
 
 # Each report table has a row per Piecewise.sample_points point, at least
-# samples + 1 (3.1 s and 64 MB for blowup at 10^5 on P2), so larger counts
-# are refused before any work.
+# samples + 1 (3.1 s and 64 MB for blowup at 10^5 on P2), and a sweep scores
+# each collected sample, so larger counts are refused before any work.
 MAX_SAMPLES = 10**5
+
+
+def require_count(name, value, least):
+    """Refuse a sample count outside least..MAX_SAMPLES."""
+    if not least <= value <= MAX_SAMPLES:
+        raise ValidationError(f"{name} must be between {least} and {MAX_SAMPLES}")
 
 
 def blowup_command(
@@ -270,8 +278,7 @@ def blowup_command(
     samples: int = 100,
 ) -> BlowupReport:
     """Fujita profile at a fixed point plus the vanishing-order chain."""
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValidationError(f"samples must be between 1 and {MAX_SAMPLES}")
+    require_count("samples", samples, 1)
     require_ample(divisor)
     profile, bl = fujita_profile(variety, cone_index, divisor)
     margin_ok = profile.inequality_certificate()
@@ -355,8 +362,7 @@ def okounkov_command(
     samples: int = 32,
 ) -> OkounkovReport:
     """Drive the body end to end: vertices, identities, slices, concavity."""
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValidationError(f"samples must be between 1 and {MAX_SAMPLES}")
+    require_count("samples", samples, 1)
     if flag is None:
         flag = default_flag(variety, 0)
     body = okounkov_body(divisor, flag)

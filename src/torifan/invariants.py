@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from torifan import _sweep_pure, okounkov, ratgeom, ratpoly
 from torifan.errors import VerificationError
@@ -28,19 +28,19 @@ from torifan.toric import (
     require_ample,
     require_big,
     require_nef,
+    scale_to_integers,
 )
 
 
 def _least_wall_ratio(variety: ToricVariety, num, den) -> Fraction:
     """Least (A.C)/(B.C) over the wall curves C with B.C > 0.
 
-    A and B are the divisors with coefficients ``num`` and ``den``.
+    A and B are the divisors with coefficients ``num`` and ``den``; the
+    ratio is read off the wall rows on both classes scaled to integers.
     """
-    values = (
-        (variety.wall_value(w, num), variety.wall_value(w, den))
-        for w in variety.walls
-    )
-    return min(a / b for a, b in values if b > 0)
+    lam_a, a = variety.scaled_wall_values(num)
+    lam_b, b = variety.scaled_wall_values(den)
+    return min(Fraction(x, y) for x, y in zip(a, b) if y > 0) * lam_b / lam_a
 
 
 def seshadri_constant(divisor: TDivisor) -> Fraction:
@@ -125,10 +125,9 @@ def score(divisor: TDivisor) -> InvariantReport:
     require_ample(divisor)
     variety = divisor.variety
     n = variety.dim
-    lam = lcm(*(c.denominator for c in divisor.coeffs))
+    lam, c = scale_to_integers(divisor.coeffs)
     vol, eps, delta, witness, extremal = _sweep_pure._evaluate(
-        _sweep_pure.build_skeleton(variety),
-        [c.numerator * (lam // c.denominator) for c in divisor.coeffs],
+        _sweep_pure.build_skeleton(variety), c
     )
     eps = Fraction(*eps) * lam
     delta = Fraction(*delta) * lam

@@ -56,7 +56,7 @@ from operator import mul
 from torifan import ratgeom, ratpoly
 from torifan.errors import ThresholdExceeded, ValidationError
 from torifan.ratgeom import HalfSpace, Polytope
-from torifan.toric import TDivisor, ToricVariety, _int_matrix_inverse, require_big
+from torifan.toric import TDivisor, ToricVariety, require_big
 
 
 @dataclass(frozen=True)
@@ -128,16 +128,16 @@ def okounkov_body(divisor: TDivisor, flag: FlagSpec) -> OkounkovBody:
     rows = [variety.rays[i] for i in flag.ray_order]
     shift = [Fraction(divisor.coeffs[i]) for i in flag.ray_order]
     section_vertices = ratgeom.enumerate_vertices(divisor.section_polytope())
-    inv = _int_matrix_inverse(rows)  # inverse of the matrix with those rows
+    # M, the matrix with those rows, is the cone's ray matrix with its rows
+    # permuted, so M^-1 is the cone's inverse with its columns permuted
+    cone = variety.max_cones[flag.cone_index]
+    cone_cols = tuple(zip(*variety.cone_inverses[flag.cone_index]))
+    inv_cols = [cone_cols[cone.index(i)] for i in flag.ray_order]
     halfspaces = []
     for ray, a in zip(variety.rays, divisor.coeffs):
         # <u, m> >= -a becomes <M^-T u, nu> >= -a + <M^-T u, shift>
-        normal = tuple(
-            sum(inv[j][i] * ray[j] for j in range(n)) for i in range(n)
-        )
-        offset = Fraction(a) - sum(
-            Fraction(c) * s for c, s in zip(normal, shift)
-        )
+        normal = tuple(sum(map(mul, col, ray)) for col in inv_cols)
+        offset = a - sum(map(mul, normal, shift))
         halfspaces.append(HalfSpace(tuple(Fraction(c) for c in normal), offset))
     polytope = Polytope(n, halfspaces)
     # nu = (<m, u> + a over the flag's rays) maps vertices onto vertices

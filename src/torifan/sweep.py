@@ -7,9 +7,10 @@ once into a skeleton of integer tables, built and cached per variety object
 by torifan._sweep_pure.build_skeleton (also reachable as
 torifan.sweep.build_skeleton):
 
-  - wall rows: D.C_w as an integer functional of the coefficients,
+  - wall rows: D.C_w as an integer functional of the coefficients, the
+    variety's own ``ToricVariety.wall_rows`` (which also decide nef/ample),
   - vertex maps: the cone vertex m_sigma as an integer matrix times the
-    cone's coefficients,
+    cone's coefficients, the negated ``ToricVariety.cone_inverses``,
   - a pulling triangulation of the section polytope, stored as tuples of
     cone indices.  For every ample D, P_D has a vertex m_sigma per maximal
     cone and a facet per ray, whose vertices are the cones containing that

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from operator import mul
 
 from torifan import ratgeom
@@ -28,24 +28,10 @@ from torifan.errors import (
 from torifan.ratgeom import HalfSpace, Polytope
 
 
-def _int_matrix_inverse(rows):
-    """Inverse of an integer matrix with determinant +-1."""
-    n = len(rows)
-    d = ratgeom.int_det(rows)
-    assert abs(d) == 1
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = ratgeom.int_det(minor) if minor else 1
-            row.append(((-1) ** (i + j)) * cof * d)
-        inv.append(row)
-    return inv
+def scale_to_integers(coeffs):
+    """``(lam, lam * coeffs)`` with lam the lcm of the Fractions' denominators."""
+    lam = lcm(*(c.denominator for c in coeffs))
+    return lam, [c.numerator * (lam // c.denominator) for c in coeffs]
 
 
 @dataclass(frozen=True)
@@ -94,22 +80,34 @@ class ToricVariety:
     def walls(self):
         return _build_walls(self)
 
-    def cone_rays(self, cone_index):
-        return tuple(self.rays[i] for i in self.max_cones[cone_index])
+    @cached_property
+    def cone_inverses(self):
+        """Per maximal cone, the integer inverse of its ray matrix."""
+        return tuple(
+            _unimodular_inverse([self.rays[i] for i in cone], ci)
+            for ci, cone in enumerate(self.max_cones)
+        )
+
+    @cached_property
+    def wall_rows(self):
+        """Per wall, the integer row w with D.C = sum_rho w_rho a_rho."""
+        rows = []
+        for w in self.walls:
+            row = [0] * self.n_rays
+            for i, b in zip((w.opp_a, w.opp_b) + w.rays, (1, 1) + w.relation):
+                row[i] = b
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def scaled_wall_values(self, coeffs):
+        """``(lam, [lam * D.C per wall])``, lam as in scale_to_integers."""
+        lam, c = scale_to_integers(coeffs)
+        return lam, [sum(map(mul, row, c)) for row in self.wall_rows]
 
     def cone_vertex(self, cone_index, coeffs):
         """The point m with <m, u_rho> = -a_rho for every ray of the cone."""
-        rows = self.cone_rays(cone_index)
-        _require_unimodular(rows, cone_index)
-        inv = _int_matrix_inverse(rows)
         rhs = [-Fraction(coeffs[i]) for i in self.max_cones[cone_index]]
-        return tuple(sum(map(mul, r, rhs)) for r in inv)
-
-    def wall_value(self, wall: Wall, coeffs) -> Fraction:
-        acc = Fraction(coeffs[wall.opp_a]) + Fraction(coeffs[wall.opp_b])
-        for b, i in zip(wall.relation, wall.rays):
-            acc += b * Fraction(coeffs[i])
-        return acc
+        return tuple(sum(map(mul, r, rhs)) for r in self.cone_inverses[cone_index])
 
     def fixed_points(self):
         """Indices of maximal cones, one torus-fixed point each."""
@@ -179,13 +177,14 @@ class TDivisor:
         return self._polytope
 
     def wall_values(self):
-        return [self.variety.wall_value(w, self.coeffs) for w in self.variety.walls]
+        lam, values = self.variety.scaled_wall_values(self.coeffs)
+        return [Fraction(v, lam) for v in values]
 
     def is_nef(self) -> bool:
-        return all(v >= 0 for v in self.wall_values())
+        return all(v >= 0 for v in self.variety.scaled_wall_values(self.coeffs)[1])
 
     def is_ample(self) -> bool:
-        return all(v > 0 for v in self.wall_values())
+        return all(v > 0 for v in self.variety.scaled_wall_values(self.coeffs)[1])
 
     def is_big(self) -> bool:
         return ratgeom.is_full_dimensional(self.section_polytope())
@@ -229,23 +228,56 @@ def _check_cones(variety):
             raise ValidationError(f"cone {ci} is listed twice")
         seen.add(key)
         used.update(cone)
-        _require_unimodular([rays[i] for i in cone], ci)
+    variety.cone_inverses  # certifies every cone unimodular
     if used != set(range(len(rays))):
         raise ValidationError("some rays belong to no maximal cone")
 
 
-def _require_unimodular(rows, ci):
-    """The determinant of cone ``ci``'s rays, which must be +-1."""
-    d = ratgeom.int_det(rows)
-    if d == 0:
-        raise NotSimplicial(f"cone {ci} has linearly dependent rays")
-    if abs(d) != 1:
-        raise NotSmooth(f"cone {ci} with rays {list(rows)} has |det| = {abs(d)}")
-    return d
+def _unimodular_inverse(rows, ci):
+    """Integer inverse of cone ``ci``'s ray matrix R, certified unimodular.
+
+    Fraction-free Gauss-Jordan elimination of A = [R | I] (Bareiss, 1968):
+    step k swaps a row with A_ik != 0 into row k, keeps it, and replaces
+    every other row A_i by (p A_i - A_ik A_k) / prev, where p = A_kk and
+    prev is the previous step's p (1 before step 0).
+
+    Every division is exact.  Let E be what ordinary Gauss-Jordan
+    elimination reaches after step k and d_k the leading (k+1)-minor of the
+    row-swapped A.  Inductively A = d_k E: the ordinary step
+    E'_ij = E_ij - E_ik E_kj / E_kk with d_k = d_(k-1) E_kk turns d_k E'
+    into the update above and keeps row k.  And d_k E_ij is a minor of the
+    row-swapped A, by Cramer's rule for i <= k and by the Schur complement
+    for i > k, so it is an integer.
+
+    With no pivot in column k, the row operations so far (an invertible M)
+    leave M R with k + 1 leading columns of rank k, so R is singular:
+    NotSimplicial.  Otherwise A ends as [d I | d R^-1], d = +-det R; then
+    |d| != 1 is NotSmooth, and for d = +-1 the inverse is d times the
+    right block.
+    """
+    n = len(rows)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            raise NotSimplicial(f"cone {ci} has linearly dependent rays")
+        a[k], a[pivot] = a[pivot], a[k]
+        top = a[k]
+        p = top[k]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    if abs(prev) != 1:
+        raise NotSmooth(f"cone {ci} with rays {list(rows)} has |det| = {abs(prev)}")
+    return tuple(tuple(prev * x for x in row[n:]) for row in a)
 
 
 def _build_walls(variety):
     n = variety.dim
+    inverses = variety.cone_inverses
     incidence = {}
     for ci, cone in enumerate(variety.max_cones):
         for sub in combinations(sorted(cone), n - 1):
@@ -260,23 +292,19 @@ def _build_walls(variety):
         ca, cb = owners
         (opp_a,) = set(variety.max_cones[ca]) - set(sub)
         (opp_b,) = set(variety.max_cones[cb]) - set(sub)
-        # express u_opp_b in the basis (wall rays, u_opp_a) by Cramer's rule,
-        # exact in integers as cone_a is unimodular; the u_opp_a coordinate
-        # is +-det(cone_b), which must be -1 or the two cones overlap
-        basis = [variety.rays[i] for i in sub] + [variety.rays[opp_a]]
-        d = _require_unimodular(basis, ca)
+        # u_opp_b in the basis of cone_a's rays, read off cone_a's inverse;
+        # by Cramer's rule its u_opp_a coordinate is +-det(cone_b) / det(cone_a),
+        # so +-1, and it must be -1 or the two cones overlap
         target = variety.rays[opp_b]
-        coords = [
-            d * ratgeom.int_det(basis[:j] + [target] + basis[j + 1 :])
-            for j in range(n)
-        ]
-        if abs(coords[-1]) != 1:
-            _require_unimodular(basis[:-1] + [target], cb)
-        if coords[-1] != -1:
+        coords = {
+            i: sum(u * row[k] for u, row in zip(target, inverses[ca]))
+            for k, i in enumerate(variety.max_cones[ca])
+        }
+        if coords[opp_a] != -1:
             raise NotComplete(
                 f"cones {ca} and {cb} are not on opposite sides of wall {sub}"
             )
-        relation = tuple(-c for c in coords[:-1])
+        relation = tuple(-coords[i] for i in sub)
         walls.append(Wall(sub, ca, cb, opp_a, opp_b, relation))
     # connectivity of the adjacency graph completes the certificate
     if variety.max_cones:
@@ -368,34 +396,22 @@ def fans_isomorphic(x: ToricVariety, y: ToricVariety) -> bool:
         return False
     if len(x.max_cones) != len(y.max_cones):
         return False
-    n = x.dim
-    base = [x.rays[i] for i in x.max_cones[0]]
-    base_inv = _int_matrix_inverse(base)
-    x_ray_set = set(x.rays)
-    x_cone_set = {frozenset(c) for c in x.max_cones}
+    # each ray v of x in the basis of x's cone 0: v = sum_k c_k u_k, c = v B^-1
+    inv_cols = tuple(zip(*x.cone_inverses[0]))
+    coords = [[sum(map(mul, ray, col)) for col in inv_cols] for ray in x.rays]
+    y_index = {ray: k for k, ray in enumerate(y.rays)}
+    y_cones = {frozenset(c) for c in y.max_cones}
     for cone in y.max_cones:
         for perm in permutations(cone):
-            target = [y.rays[i] for i in perm]
-            # g maps base[k] to target[k]: g = T^t . (B^t)^-1 acting on rows
-            g = [
-                [
-                    sum(target[k][i] * base_inv[j][k] for k in range(n))
-                    for j in range(n)
-                ]
-                for i in range(n)
+            # the linear map taking u_k to the ray perm[k] of y
+            cols = tuple(zip(*(y.rays[i] for i in perm)))
+            image = [
+                y_index.get(tuple(sum(map(mul, c, col)) for col in cols))
+                for c in coords
             ]
-
-            def apply(v):
-                return tuple(sum(g[i][j] * v[j] for j in range(n)) for i in range(n))
-
-            image = {ray: apply(ray) for ray in x_ray_set}
-            if set(image.values()) != set(y.rays):
+            if None in image:
                 continue
-            index_of = {ray: k for k, ray in enumerate(y.rays)}
-            mapped_cones = {
-                frozenset(index_of[image[x.rays[i]]] for i in c) for c in x_cone_set
-            }
-            if mapped_cones == {frozenset(c) for c in y.max_cones}:
+            if {frozenset(image[i] for i in xc) for xc in x.max_cones} == y_cones:
                 return True
     return False
 

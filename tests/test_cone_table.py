@@ -1,0 +1,188 @@
+"""The cone-inverse table of a variety and the wall rows read off it.
+
+Every entry of ``ToricVariety.cone_inverses`` must invert its cone's ray
+matrix, every wall must satisfy its relation, and a cone that is not
+unimodular must be refused by name.  The integer wall rows must decide
+wall values, nef, ample and both Seshadri constants exactly as the Fraction
+formula a_opp_a + a_opp_b + sum b_i a_i over the ``Wall`` fields does;
+that formula is kept here as the reference.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from test_score_oracle import principal_shift
+from test_toric import _relabelled
+
+from torifan import catalog, invariants, toric
+from torifan.errors import NotSimplicial, NotSmooth
+
+TOWER_STARTS = (
+    (catalog.projective_space(2), 3),
+    (catalog.hirzebruch_one(), 2),
+    (catalog.projective_space(3), 2),
+    (catalog.p1_power(3), 1),
+    (catalog.projective_space(4), 1),
+)
+
+
+def towers(rng):
+    """Seeded blow-up towers: per level, (ample 3 pi^*D - E, nef pi^*D)."""
+    out = []
+    for start, depth in TOWER_STARTS:
+        x, d = start, start.anticanonical()
+        for _ in range(depth):
+            bl = toric.blowup_at_fixed_point(x, rng.randrange(len(x.max_cones)))
+            pulled = toric.pullback(d, bl)
+            x, d = bl.result, 3 * pulled - toric.exceptional(bl)
+            out.append((d, pulled))
+    return out
+
+
+def all_fans(rng):
+    """The catalog, the towers and a unimodular relabelling of each."""
+    fans = catalog.bundled_catalog() + [d.variety for d, _ in towers(rng)]
+    return fans + [_relabelled(v, rng) for v in fans]
+
+
+def test_cone_inverses_invert_every_ray_matrix():
+    rng = random.Random(20261101)
+    cones = 0
+    for v in all_fans(rng):
+        n = v.dim
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert len(v.cone_inverses) == len(v.max_cones)
+        for cone, inv in zip(v.max_cones, v.cone_inverses):
+            assert all(type(x) is int for row in inv for x in row)
+            rows = [v.rays[i] for i in cone]
+            product = [
+                [sum(r[k] * inv[k][j] for k in range(n)) for j in range(n)]
+                for r in rows
+            ]
+            assert product == identity, (v.name, cone)
+            cones += 1
+    assert cones > 200
+
+
+def test_every_wall_satisfies_its_relation():
+    rng = random.Random(20261102)
+    for v in all_fans(rng):
+        for w in v.walls:
+            terms = [v.rays[w.opp_a], v.rays[w.opp_b]] + [
+                tuple(b * c for c in v.rays[i]) for b, i in zip(w.relation, w.rays)
+            ]
+            assert [sum(col) for col in zip(*terms)] == [0] * v.dim, (v.name, w)
+
+
+BAD_CONES = [
+    # P(1,1,2): cone 2 has |det| = 2
+    (
+        (2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)]),
+        NotSmooth,
+        r"^cone 2 with rays .* has \|det\| = 2$",
+    ),
+    # cone 0 of a 3-fold has |det| = 2
+    (
+        (
+            3,
+            [(1, 0, 0), (1, 2, 0), (0, 0, 1), (1, 1, -1)],
+            [(0, 1, 2), (0, 1, 3)],
+        ),
+        NotSmooth,
+        r"^cone 0 with rays .* has \|det\| = 2$",
+    ),
+    # P1xP1's rays plus the cone (0, 2) on two opposite rays
+    (
+        (
+            2,
+            [(1, 0), (0, 1), (-1, 0), (0, -1)],
+            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
+        ),
+        NotSimplicial,
+        "^cone 4 has linearly dependent rays$",
+    ),
+    # u_2 = u_0 + u_1: elimination runs out of pivots at the last column
+    (
+        (
+            3,
+            [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)],
+            [(0, 1, 3), (0, 1, 2)],
+        ),
+        NotSimplicial,
+        "^cone 1 has linearly dependent rays$",
+    ),
+]
+
+
+@pytest.mark.parametrize("fan, error, message", BAD_CONES)
+def test_a_cone_that_is_not_unimodular_is_named(fan, error, message):
+    with pytest.raises(error, match=message):
+        toric.validate_fan(*fan)
+    with pytest.raises(error, match=message):
+        toric.ToricVariety(*fan).walls
+
+
+def reference_value(wall, coeffs):
+    """D.C from the Wall fields: a_opp_a + a_opp_b + sum b_i a_i."""
+    acc = F(coeffs[wall.opp_a]) + F(coeffs[wall.opp_b])
+    for b, i in zip(wall.relation, wall.rays):
+        acc += b * F(coeffs[i])
+    return acc
+
+
+def reference_ratio(variety, num, den):
+    """Least (A.C)/(B.C) over the walls with B.C > 0, in Fractions."""
+    pairs = [
+        (reference_value(w, num), reference_value(w, den)) for w in variety.walls
+    ]
+    return min(a / b for a, b in pairs if b > 0)
+
+
+def classes(rng):
+    """Ample classes (shifted by rational characters, scaled, with zeros),
+    nef pullbacks and seeded Q-divisors on every catalog fan and tower."""
+    entries = [(v.anticanonical(), None) for v in catalog.bundled_catalog()]
+    entries += towers(rng)
+    coeffs = (-3, -1, 0, 0, 1, 2, F(1, 2), F(-2, 3), F(5, 3), F(7, 4))
+    out = []
+    for ample, nef in entries:
+        v = ample.variety
+        m = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(v.dim)]
+        zeroed = principal_shift(ample, v.cone_vertex(0, ample.coeffs))
+        out += [ample, principal_shift(ample, m), F(rng.randint(1, 7), 3) * zeroed]
+        out += [nef] if nef is not None else []
+        out += [v.divisor([rng.choice(coeffs) for _ in v.rays]) for _ in range(4)]
+    return out
+
+
+def test_wall_rows_match_the_fraction_formula():
+    rng = random.Random(20261103)
+    seen = {"ample": 0, "nef only": 0, "not nef": 0}
+    ample_kinds = {"fraction": 0, "negative": 0, "zero": 0}
+    for d in classes(rng):
+        v = d.variety
+        expected = [reference_value(w, d.coeffs) for w in v.walls]
+        assert d.wall_values() == expected
+        assert all(type(x) is F for x in d.wall_values())
+        assert d.is_nef() == all(x >= 0 for x in expected)
+        assert d.is_ample() == all(x > 0 for x in expected)
+        if not d.is_ample():
+            seen["nef only" if d.is_nef() else "not nef"] += 1
+            continue
+        seen["ample"] += 1
+        ample_kinds["fraction"] += any(c.denominator > 1 for c in d.coeffs)
+        ample_kinds["negative"] += any(c < 0 for c in d.coeffs)
+        ample_kinds["zero"] += any(c == 0 for c in d.coeffs)
+        eps = invariants.seshadri_constant(d)
+        assert eps == reference_ratio(v, v.anticanonical().coeffs, d.coeffs)
+        if v.dim == 1:
+            continue  # a star subdivision of a ray would repeat it
+        cone = rng.randrange(len(v.max_cones))
+        at_point, bl = invariants.seshadri_at_point(v, cone, d)
+        pulled = toric.pullback(d, bl)
+        e = toric.exceptional(bl)
+        assert type(at_point) is F
+        assert at_point == reference_ratio(bl.result, pulled.coeffs, e.coeffs)
+    assert all(seen.values()), seen
+    assert all(ample_kinds.values()), ample_kinds

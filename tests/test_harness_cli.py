@@ -321,6 +321,15 @@ def test_cli_too_large_resolution_is_an_input_error(tmp_path, capsys, argv):
             "--samples-cap",
             "-3",
         ],
+        [
+            "sweep",
+            "FAN",
+            "--resolution",
+            "2",
+            "--include-samples",
+            "--samples-cap",
+            "100001",
+        ],
     ],
 )
 def test_cli_sample_counts_are_input_errors(tmp_path, capsys, argv):
@@ -420,6 +429,19 @@ def test_cli_verify_theorem_deterministic(tmp_path, capsys):
     assert lines[0] == "variety,n,max_score,max_score_decimal,gap"
     assert lines[1].startswith("F1,2,")
     assert lines[2] == "P2,2,9/1,9,0/1"
+
+
+def test_cli_verify_theorem_refuses_an_empty_catalog(tmp_path, capsys):
+    cat = tmp_path / "empty"
+    cat.mkdir()
+    (cat / "notes.txt").write_text("no fan files here")
+    rc = cli.main(["verify-theorem", "--catalog", str(cat), "--resolution", "2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: verify-theorem needs at least one fan" in captured.err
+    with pytest.raises(ValidationError, match="at least one fan"):
+        harness.verify_theorem([], 2)
 
 
 def test_cli_gap_report(tmp_path, capsys):

@@ -286,9 +286,9 @@ def test_segment_envelope_of_wall_and_ray_branches():
     d0 = x.anticanonical()
     d1 = x.divisor([3, 1, 1, 2])
     assert d1.is_ample()
-    k_vals = [x.wall_value(w, x.anticanonical().coeffs) for w in x.walls]
-    p0 = [x.wall_value(w, d0.coeffs) for w in x.walls]
-    p1 = [x.wall_value(w, d1.coeffs) for w in x.walls]
+    k_vals = x.anticanonical().wall_values()
+    p0 = d0.wall_values()
+    p1 = d1.wall_values()
     for j in range(101):
         t = F(j, 100)
         d = x.divisor(
