@@ -7,7 +7,10 @@ both times and the oracle's time as a multiple of slice_profile's.
 
 With ``--reports`` it times the report layer instead: one
 ``harness.blowup_command`` (100 samples) and one ``harness.okounkov_command``
-(32 samples) on -K at cone 0 of each chosen fan, one row per variety.
+(32 samples) on -K at cone 0 of each chosen fan, one row per variety.  The
+last column times the Sturm certificates of the same two profiles:
+``inequality_certificate`` and ``monotone_certificate`` of the volume
+profile and ``okounkov.bm_concavity_check`` of the slice profile.
 
     python3 benchmarks/bench_profiles.py --repeat 3
     python3 benchmarks/bench_profiles.py --repeat 5 --reports
@@ -18,7 +21,7 @@ import sys
 import time
 from pathlib import Path
 
-from torifan import catalog, harness, okounkov
+from torifan import catalog, harness, invariants, okounkov
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from slice_oracle import nodewise_slice_profile  # noqa: E402
@@ -57,11 +60,19 @@ def bench_slices(chosen, repeat):
             print(line)
 
 
+def certify(volume, slices):
+    return (
+        volume.inequality_certificate(),
+        volume.monotone_certificate(),
+        okounkov.bm_concavity_check(slices),
+    )
+
+
 def bench_reports(chosen, repeat):
     header = f"{'variety':<10} {'blowup (s)':>11} {'rows':>5}"
-    header += f" {'okounkov (s)':>13} {'rows':>5}"
+    header += f" {'okounkov (s)':>13} {'rows':>5} {'certificates (s)':>17}"
     print(header)
-    total = 0.0
+    total = certificates = 0.0
     for variety in chosen:
         divisor = variety.anticanonical()
         t_blowup, blowup = best_of(
@@ -70,11 +81,18 @@ def bench_reports(chosen, repeat):
         t_body, body = best_of(
             lambda: harness.okounkov_command(variety, divisor), repeat
         )
+        volume, _ = invariants.fujita_profile(variety, 0, divisor)
+        flag = okounkov.default_flag(variety, 0)
+        slices = okounkov.slice_profile(okounkov.okounkov_body(divisor, flag))
+        t_cert, verdicts = best_of(lambda: certify(volume, slices), repeat)
+        if not all(verdicts):
+            raise SystemExit(f"a certificate failed on {variety.name}")
         total += t_blowup + t_body
+        certificates += t_cert
         line = f"{variety.name:<10} {t_blowup:>11.4f} {len(blowup.rows):>5}"
-        line += f" {t_body:>13.4f} {len(body.slice_rows):>5}"
+        line += f" {t_body:>13.4f} {len(body.slice_rows):>5} {t_cert:>17.4f}"
         print(line)
-    print(f"{'total':<10} {total:>11.4f}")
+    print(f"{'total':<10} {total:>11.4f}{'':>26} {certificates:>17.4f}")
 
 
 def main(argv=None):

@@ -290,11 +290,17 @@ def blowup_command(
         )
     beta = invariants.greatest_ricci_lower_bound(divisor)
     chain = chain_report(profile, beta)
+    # at x = N/D, vol - x^n = (T_num D^n - T_den N^n) / (T_den D^n), vol = T_num/T_den
+    den, nums = profile.grid(samples)
+    n, total = profile.dim, profile.total
+    den_n = den**n
+    low_den = total.denominator * den_n
     rows = []
-    for x in profile.sample_points(samples):
-        value = profile.value(x)
-        lower = profile.total - x**profile.dim
-        rows.append((x, value, lower, value - lower))
+    for x, (v_num, v_den) in zip(nums, profile.values_at(nums, den)):
+        low = total.numerator * den_n - total.denominator * x**n
+        margin = Fraction(v_num * low_den - low * v_den, v_den * low_den)
+        value = Fraction(v_num, v_den)
+        rows.append((Fraction(x, den), value, Fraction(low, low_den), margin))
     return BlowupReport(
         variety_name=variety.name,
         cone_index=cone_index,
@@ -385,7 +391,9 @@ def okounkov_command(
             )
         checks.append((Fraction(t), ok))
     profile = slice_profile(body)
-    slice_rows = tuple((r, profile.value(r)) for r in profile.sample_points(samples))
+    den, nums = profile.grid(samples)
+    values = profile.values_at(nums, den)
+    slice_rows = tuple((Fraction(r, den), Fraction(*v)) for r, v in zip(nums, values))
     return OkounkovReport(
         variety_name=variety.name,
         cone_index=flag.cone_index,

@@ -158,7 +158,9 @@ class VolumeProfile(ratpoly.Piecewise):
 
     ``breakpoints`` has one more entry than ``pieces``; piece i is valid on
     [breakpoints[i], breakpoints[i+1]].  Coefficients are Fractions, lowest
-    degree first.
+    degree first.  The last piece vanishes at the end, since
+    ``vanishing_order_profile`` checks that n! int A = vol, and
+    ``piece_value`` reads 0 past it.
     """
 
     dim: int
@@ -171,10 +173,9 @@ class VolumeProfile(ratpoly.Piecewise):
         return self.breakpoints[-1]
 
     def value(self, x) -> Fraction:
-        x = Fraction(x)
         if x < 0:
             raise ValueError("profiles live on x >= 0")
-        return self.piece_value(x) if x < self.domain_end else Fraction(0)
+        return self.piece_value(x)
 
     def lower_bound_poly(self):
         """vol - x^n, the Fujita comparison curve."""

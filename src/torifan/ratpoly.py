@@ -5,14 +5,32 @@ recovers each slice-area piece exactly from point evaluations,
 antiderivatives integrate slice areas into volume profiles, and Sturm
 sequences certify sign conditions on intervals without floating point.
 :class:`Piecewise` evaluates, integrates, certifies and samples both of
-those profiles.
+those profiles.  Values and signs are computed on integers: ``primitive``
+writes p = c * P with c > 0 rational and P coprime integers.
+
+1. ``_horner`` runs acc <- acc * N + P_k D^(d-k), k = d, ..., 0, for P of
+   degree d and x = N/D, D > 0.  After step k, acc = sum_(j >= k) P_j
+   N^(j-k) D^(d-j) by induction, so it ends at D^d P(x), signed as p(x).
+2. Sturm's theorem counts p's distinct roots in (a, b] as V(a) - V(b),
+   V(x) the sign changes (zeros dropped) of s_0(x), s_1(x), ..., where
+   s_0 = p, s_1 = p', s_(i+1) = -rem(s_(i-1), s_i).  Any S_i = k_i s_i
+   with all k_i > 0 have the same V.  ``_sturm_sequence`` builds such S_i
+   over Z: S_0 = P, then P' and each remainder over its positive content.
+   With l = |lc(S_i)|, ``_prem`` sets r <- l r - sign(lc(S_i)) lc(r)
+   t^m S_i from r = S_(i-1) until deg r < deg S_i.  No step divides, and
+   r = l^e S_(i-1) - Q S_i = l^e k_(i-1) rem(s_(i-1), s_i), as rem is
+   linear in the dividend and blind to scaling the divisor.  So -r over
+   its content is a positive multiple of s_(i+1).  Begun at (P, Q), the
+   sequence ends at a positive multiple of gcd(P, Q).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import pairwise
+from functools import cached_property
+from itertools import pairwise, zip_longest
+from math import gcd, lcm
 
 ZERO = (Fraction(0),)
 
@@ -32,22 +50,38 @@ def is_zero(p) -> bool:
     return all(c == 0 for c in p)
 
 
-def evaluate(p, x) -> Fraction:
-    x = _frac(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
+def primitive(p):
+    """(c, P) with p = c * P, c > 0 a Fraction and P trimmed coprime ints."""
+    den = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p] or [0]
+    while len(ints) > 1 and ints[-1] == 0:
+        ints.pop()
+    g = gcd(*ints) or 1
+    return Fraction(g, den), tuple(v // g for v in ints)
+
+
+def _horner(P, n, d) -> int:
+    """d^deg(P) * P(n/d) for integer P, n and d (module docstring, 1)."""
+    acc, power = 0, 1
+    for c in reversed(P):
+        acc = acc * n + c * power
+        power *= d
     return acc
 
 
+def _sign(P, x) -> int:
+    v = _horner(P, x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
+
+
+def evaluate(p, x) -> Fraction:
+    (c, P), x = primitive(p), _frac(x)
+    v = c.numerator * _horner(P, x.numerator, x.denominator)
+    return Fraction(v, c.denominator * x.denominator ** (len(P) - 1))
+
+
 def add(p, q):
-    n = max(len(p), len(q))
-    return trim(
-        tuple(
-            (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-            for i in range(n)
-        )
-    )
+    return trim(tuple(a + b for a, b in zip_longest(p, q, fillvalue=0)))
 
 
 def subtract(p, q):
@@ -57,21 +91,17 @@ def subtract(p, q):
 def multiply(p, q):
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += _frac(a) * b
+        for j, b in enumerate(q):
+            out[i + j] += _frac(a) * b
     return trim(tuple(out))
 
 
 def scale(p, c):
-    c = _frac(c)
     return trim(tuple(_frac(a) * c for a in p))
 
 
 def derivative(p):
-    if len(p) <= 1:
-        return ZERO
-    return tuple(_frac(c) * i for i, c in enumerate(p) if i >= 1)
+    return tuple(c * i for i, c in enumerate(p) if i) or ZERO
 
 
 def antiderivative(p):
@@ -88,21 +118,15 @@ def integrate(p, a, b) -> Fraction:
 def interpolate(points):
     """The unique polynomial of degree < len(points) through the points."""
     xs = [_frac(x) for x, _ in points]
-    ys = [_frac(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
+    coeffs = [_frac(y) for _, y in points]  # to Newton's divided differences
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
     result = ZERO
-    for i, yi in enumerate(ys):
-        if yi == 0:
-            continue
-        basis = (Fraction(1),)
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = multiply(basis, (-xj, Fraction(1)))
-            denom *= xs[i] - xj
-        result = add(result, scale(basis, yi / denom))
+    for c, x in zip(reversed(coeffs), reversed(xs)):
+        result = add(multiply(result, (-x, 1)), (c,))
     return result
 
 
@@ -111,127 +135,101 @@ def equal(p, q) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sign certificates via Sturm sequences
+# sign certificates via integer Sturm sequences
 
 
-def _divmod_poly(p, q):
-    p = list(trim(p))
-    q = trim(q)
-    if is_zero(q):
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(1, len(p) - len(q) + 1)
-    while len(p) >= len(q) and not (len(p) == 1 and p[0] == 0):
-        shift = len(p) - len(q)
-        factor = p[-1] / q[-1]
-        quot[shift] = factor
-        for i, c in enumerate(q):
-            p[shift + i] -= factor * c
-        while len(p) > 1 and p[-1] == 0:
-            p.pop()
-    return trim(tuple(quot)), trim(tuple(p))
+def _prem(P, Q):
+    """A positive multiple of rem(P, Q) over Z (module docstring, 2)."""
+    r, l, s = list(P), abs(Q[-1]), 1 if Q[-1] > 0 else -1
+    while len(r) >= len(Q) and any(r):
+        f, shift = s * r[-1], len(r) - len(Q)
+        r = [l * a for a in r]
+        for i, b in enumerate(Q):
+            r[shift + i] -= f * b
+        while len(r) > 1 and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _sturm_sequence(P, Q):
+    """P, then Q and each negated remainder over its content, while nonzero."""
+    seq, r = [P], Q
+    while any(r):
+        g = gcd(*r)
+        seq.append(tuple(a // g for a in r))
+        r = [-a for a in _prem(seq[-2], seq[-1])]
+    return seq
+
+
+def _divide(P, G):
+    """P / G for G primitive and dividing P: over Z by Gauss's lemma."""
+    r, quot = list(P), [0] * (len(P) - len(G) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        f = quot[shift] = r[shift + len(G) - 1] // G[-1]
+        for i, b in enumerate(G):
+            r[shift + i] -= f * b
+    assert not any(r)
+    return tuple(quot)
 
 
 def gcd_poly(p, q):
-    p, q = trim(p), trim(q)
-    while not is_zero(q):
-        _, r = _divmod_poly(p, q)
-        p, q = q, r
-    if is_zero(p):
-        return ZERO
-    return scale(p, 1 / p[-1])  # monic
+    """The monic gcd of p and q; ZERO when both are zero."""
+    g = _sturm_sequence(primitive(p)[1], primitive(q)[1])[-1]
+    return scale(g, Fraction(1, g[-1])) if any(g) else ZERO
 
 
 def squarefree(p):
-    p = trim(p)
-    if len(p) <= 2:
-        return p
-    g = gcd_poly(p, derivative(p))
-    if len(g) == 1:
-        return p
-    q, r = _divmod_poly(p, g)
-    assert is_zero(r)
-    return q
-
-
-def _sturm_sequence(p):
-    seq = [trim(p), derivative(p)]
-    while not is_zero(seq[-1]):
-        _, r = _divmod_poly(seq[-2], seq[-1])
-        seq.append(tuple(-c for c in r))
-    return seq[:-1]
+    """The primitive integer polynomial with p's roots, each once."""
+    P = primitive(p)[1]
+    g = _sturm_sequence(P, derivative(P))[-1]
+    return P if len(g) == 1 else _divide(P, g)
 
 
 def _sign_changes(seq, x):
-    signs = []
-    for p in seq:
-        v = evaluate(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    signs = [s for s in (_sign(P, x) for P in seq) if s]
+    return sum(a != b for a, b in pairwise(signs))
 
 
 def count_roots(p, a, b) -> int:
     """Number of distinct real roots in (a, b]; requires p(a) != 0."""
-    p = trim(p)
-    if is_zero(p):
+    P = primitive(p)[1]
+    if not any(P):
         raise ValueError("root counting needs a nonzero polynomial")
-    seq = _sturm_sequence(p)
-    return _sign_changes(seq, a) - _sign_changes(seq, b)
+    seq = _sturm_sequence(P, derivative(P))
+    return _sign_changes(seq, _frac(a)) - _sign_changes(seq, _frac(b))
 
 
-def _strip_root(p, x):
+def _strip_root(P, x):
     """Divide out (t - x) as often as possible."""
-    while evaluate(p, x) == 0 and len(p) > 1:
-        quot, rem = _divmod_poly(p, (-_frac(x), Fraction(1)))
-        assert is_zero(rem)
-        p = quot
-    return p
+    while len(P) > 1 and _sign(P, x) == 0:
+        P = _divide(P, (-x.numerator, x.denominator))
+    return P
 
 
-def _sign_just_right(p, x):
-    """Sign of p on (x, x + eps): sign of the first nonzero derivative."""
-    q = p
-    while not is_zero(q):
-        v = evaluate(q, x)
-        if v:
-            return 1 if v > 0 else -1
-        q = derivative(q)
-    return 0
-
-
-def _sign_just_left(p, x):
-    """Sign of p on (x - eps, x)."""
-    q = p
+def _side_sign(P, x, side):
+    """Sign of P just right (side 1) or left (side -1) of x: that of the
+    first derivative P^(k) nonzero at x, times side^k."""
     parity = 1
-    while not is_zero(q):
-        v = evaluate(q, x)
-        if v:
-            return parity if v > 0 else -parity
-        q = derivative(q)
-        parity = -parity
+    while any(P):
+        if s := _sign(P, x):
+            return s * parity
+        P, parity = derivative(P), parity * side
     return 0
 
 
-def _nonneg_rec(p, q, lo, hi):
-    """Decide p >= 0 on [lo, hi].
-
-    Invariants: q is squarefree with the same roots as p inside (lo, hi),
-    q(lo) != 0, q(hi) != 0, and p is nonnegative at and just inside both
-    endpoints.  With at most one interior root the one-sided endpoint signs
-    already decide; with more, bisection separates roots, so the recursion
-    terminates once interval lengths drop below the least root gap.
-    """
-    if count_roots(q, lo, hi) <= 1:
+def _nonneg_rec(P, Q, lo, hi):
+    """Decide P >= 0 on [lo, hi], given Q squarefree with P's roots inside
+    and none at lo or hi, and P >= 0 at and just inside both ends.  With at
+    most one interior root the ends decide; bisection separates the roots,
+    so the recursion ends below the least root gap."""
+    if count_roots(Q, lo, hi) <= 1:
         return True
     mid = (lo + hi) / 2
-    v = evaluate(p, mid)
-    if v < 0:
-        return False
-    if v == 0:
-        if _sign_just_left(p, mid) < 0 or _sign_just_right(p, mid) < 0:
-            return False
-        q = _strip_root(q, mid)
-    return _nonneg_rec(p, q, lo, mid) and _nonneg_rec(p, q, mid, hi)
+    s = _sign(P, mid)
+    if s == 0:
+        s = min(_side_sign(P, mid, -1), _side_sign(P, mid, 1))
+        Q = _strip_root(Q, mid)
+    return s >= 0 and _nonneg_rec(P, Q, lo, mid) and _nonneg_rec(P, Q, mid, hi)
 
 
 def nonnegative_on(p, a, b) -> bool:
@@ -239,32 +237,26 @@ def nonnegative_on(p, a, b) -> bool:
     a, b = _frac(a), _frac(b)
     if a > b:
         raise ValueError("empty interval")
-    p = trim(p)
-    if is_zero(p):
-        return True
-    if evaluate(p, a) < 0 or (a != b and evaluate(p, b) < 0):
+    P = primitive(p)[1]  # a positive multiple of p
+    if _sign(P, a) < 0 or _sign(P, b) < 0:
         return False
-    if a == b:
+    if a == b or not any(P):
         return True
-    if _sign_just_right(p, a) < 0 or _sign_just_left(p, b) < 0:
+    if _side_sign(P, a, 1) < 0 or _side_sign(P, b, -1) < 0:
         return False
-    return _nonneg_rec(p, _interior_part(p, a, b), a, b)
+    return _nonneg_rec(P, _interior_part(P, a, b), a, b)
 
 
-def _interior_part(p, a, b):
-    """Squarefree, with p's roots in (a, b) and none at a or b."""
-    return _strip_root(_strip_root(squarefree(p), a), b)
+def _interior_part(P, a, b):
+    """Squarefree, with P's roots in (a, b) and none at a or b."""
+    return _strip_root(_strip_root(squarefree(P), a), b)
 
 
 def has_root_inside(p, a, b) -> bool:
     """Exact decision of whether p has a root strictly between a and b."""
     a, b = _frac(a), _frac(b)
-    p = trim(p)
-    if a >= b:
-        return False
-    if is_zero(p):
-        return True
-    return count_roots(_interior_part(p, a, b), a, b) > 0
+    P = primitive(p)[1]
+    return a < b and (not any(P) or count_roots(_interior_part(P, a, b), a, b) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,30 +264,42 @@ def has_root_inside(p, a, b) -> bool:
 
 
 class Piecewise:
-    """Methods over ``self.breakpoints`` and ``self.pieces``.
+    """Methods over the ``breakpoints`` and ``pieces`` a subclass supplies.
 
-    Piece i is the polynomial on [breakpoints[i], breakpoints[i+1]], so
-    there is one more breakpoint than pieces; an interior breakpoint reads
-    the piece on its left.  Subclasses supply both attributes.
+    Piece i is the polynomial on [breakpoints[i], breakpoints[i+1]]; an
+    interior breakpoint reads the piece on its left.  ``values_at`` reads
+    every value.
     """
+
+    @cached_property
+    def integer_pieces(self):
+        """``primitive(p)`` per piece, built once per profile."""
+        return tuple(primitive(p) for p in self.pieces)
+
+    def values_at(self, nums, den):
+        """(numerator, denominator) of the covering piece at each n/den, or
+        (0, 1) off the support; den clears every breakpoint's denominator."""
+        bounds = [b.numerator * (den // b.denominator) for b in self.breakpoints]
+        for n in nums:
+            if not self.pieces or not bounds[0] <= n <= bounds[-1]:
+                yield 0, 1
+                continue
+            c, P = self.integer_pieces[max(bisect_left(bounds, n) - 1, 0)]
+            yield c.numerator * _horner(P, n, den), c.denominator * den ** (len(P) - 1)
 
     def piece_value(self, x) -> Fraction:
         """The covering piece at x; 0 off the support or without pieces."""
         x = _frac(x)
-        points = self.breakpoints
-        if not self.pieces or x < points[0] or x > points[-1]:
-            return Fraction(0)
-        return evaluate(self.pieces[max(bisect_left(points, x) - 1, 0)], x)
+        den = lcm(x.denominator, *(b.denominator for b in self.breakpoints))
+        n = x.numerator * (den // x.denominator)
+        return Fraction(*next(self.values_at((n,), den)))
 
     def integral(self, hi=None) -> Fraction:
         """Integral from the first breakpoint up to hi (default: the end)."""
         hi = self.breakpoints[-1] if hi is None else _frac(hi)
-        total = Fraction(0)
-        for (a, b), p in zip(pairwise(self.breakpoints), self.pieces):
-            if hi <= a:
-                break
-            total += integrate(p, a, min(b, hi))
-        return total
+        spans = zip(pairwise(self.breakpoints), self.pieces)
+        parts = (integrate(p, a, min(b, hi)) for (a, b), p in spans if a < hi)
+        return sum(parts, Fraction(0))
 
     def all_nonnegative(self, transform=None) -> bool:
         """Exact decision that every piece, transformed, is >= 0 on its span."""
@@ -311,12 +315,17 @@ class Piecewise:
             for x, p, q in zip(self.breakpoints[1:], self.pieces, self.pieces[1:])
         )
 
+    def grid(self, count):
+        """(D, numerators over D) of the breakpoints and count + 1 evenly
+        spaced points, sorted, once each; D = lcm of their denominators."""
+        points = self.breakpoints
+        lo, span = points[0], points[-1] - points[0]
+        den = lcm((span / count).denominator, *(b.denominator for b in points))
+        start, stride = int(lo * den), int(span * den) // count
+        even = range(start, start + stride * count + 1, stride or 1)
+        return den, sorted({*(int(b * den) for b in points), *even})
+
     def sample_points(self, count):
-        """The breakpoints and count + 1 evenly spaced points, sorted, once each."""
-        lo, span = self.breakpoints[0], self.breakpoints[-1] - self.breakpoints[0]
-        even = (lo + span * Fraction(j, count) for j in range(count + 1))
-        points = []
-        for x in sorted([*self.breakpoints, *even]):  # merges two sorted runs
-            if not points or x != points[-1]:
-                points.append(x)
-        return points
+        """The points of ``grid(count)`` as Fractions."""
+        den, nums = self.grid(count)
+        return [Fraction(n, den) for n in nums]

@@ -357,6 +357,8 @@ class Blowup:
 
 def blowup_at_fixed_point(variety: ToricVariety, cone_index: int) -> Blowup:
     """Replace one maximal cone by the star subdivision at its ray sum."""
+    if variety.dim < 2:
+        raise ValidationError("a blow-up at a fixed point needs dimension >= 2")
     if not 0 <= cone_index < len(variety.max_cones):
         raise ValidationError(f"no maximal cone with index {cone_index}")
     cone = variety.max_cones[cone_index]

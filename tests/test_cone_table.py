@@ -16,7 +16,7 @@ from test_score_oracle import principal_shift
 from test_toric import _relabelled
 
 from torifan import catalog, invariants, toric
-from torifan.errors import NotSimplicial, NotSmooth
+from torifan.errors import NotSimplicial, NotSmooth, ValidationError
 
 TOWER_STARTS = (
     (catalog.projective_space(2), 3),
@@ -176,8 +176,10 @@ def test_wall_rows_match_the_fraction_formula():
         ample_kinds["zero"] += any(c == 0 for c in d.coeffs)
         eps = invariants.seshadri_constant(d)
         assert eps == reference_ratio(v, v.anticanonical().coeffs, d.coeffs)
-        if v.dim == 1:
-            continue  # a star subdivision of a ray would repeat it
+        if v.dim == 1:  # a star subdivision of a ray would repeat it
+            with pytest.raises(ValidationError, match="dimension"):
+                invariants.seshadri_at_point(v, 0, d)
+            continue
         cone = rng.randrange(len(v.max_cones))
         at_point, bl = invariants.seshadri_at_point(v, cone, d)
         pulled = toric.pullback(d, bl)

@@ -352,6 +352,14 @@ def test_cli_blowup_csv(tmp_path, capsys):
     assert "\r" not in out
 
 
+def test_cli_blowup_refuses_dimension_one(tmp_path, capsys):
+    fan = write_fan(tmp_path, catalog.projective_space(1))
+    assert cli.main(["blowup", fan, "--cone", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "needs dimension >= 2" in err
+    assert "repeated" not in err
+
+
 def test_cli_okounkov_with_translation_checks(tmp_path, capsys):
     fan = write_fan(tmp_path, catalog.hirzebruch_one())
     rc = cli.main(

@@ -3,6 +3,8 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
+import sturm_oracle
+from test_score_oracle import ample_class
 
 from torifan import catalog, invariants, okounkov, ratpoly
 
@@ -211,3 +213,112 @@ def test_sample_points_match_the_set_reference_on_catalog_profiles():
                 )
                 checked += 1
     assert checked == 8 * 2 * 6
+
+
+# ---------------------------------------------------------------------------
+# integer Sturm sequences against the Fraction oracle
+
+
+def catalog_classes(rng):
+    """Per dim 2-4 catalog fan: -K, then an integer and a Fraction ample class."""
+    for v in catalog.bundled_catalog():
+        if 2 <= v.dim <= 4:
+            yield v, v.anticanonical()
+            yield v, ample_class(rng, v, lambda: rng.randint(1, 6))
+            yield v, ample_class(
+                rng, v, lambda: F(rng.randint(1, 12), rng.randint(1, 5))
+            )
+
+
+def assert_verdicts_match(p, a, b):
+    """count_roots, nonnegative_on and has_root_inside agree with the oracle."""
+    if not ratpoly.is_zero(p):
+        assert ratpoly.count_roots(p, a, b) == sturm_oracle.count_roots(p, a, b)
+    if a <= b:
+        assert ratpoly.nonnegative_on(p, a, b) == sturm_oracle.nonnegative_on(p, a, b)
+    assert ratpoly.has_root_inside(p, a, b) == sturm_oracle.has_root_inside(p, a, b)
+
+
+def monic(p):
+    p = ratpoly.trim(p)
+    return ratpoly.scale(p, 1 / p[-1])
+
+
+def seeded_polynomial(rng):
+    """A rational polynomial of degree <= 6 and its rational roots.
+
+    Rational linear factors, a root repeated half the time, then either an
+    irreducible quadratic, x^2 - k with irrational roots or a constant, with
+    a leading coefficient of either sign.
+    """
+    roots = [
+        F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))
+    ]
+    if roots and rng.random() < 0.5:
+        roots.append(rng.choice(roots))
+    p = (F(rng.choice((-3, -2, -1, 1, 2, 5)), rng.randint(1, 4)),)
+    for r in roots:
+        p = ratpoly.multiply(p, (-r, 1))
+    tail = rng.choice(((1,), (F(rng.randint(1, 5)), 0, 1), (-2, 0, 1)))
+    return ratpoly.multiply(p, tail), roots
+
+
+def test_sturm_verdicts_match_the_fraction_oracle_on_seeded_polynomials():
+    rng = random.Random(20261203)
+    seen = dict.fromkeys(
+        ("repeated", "root at an end", "negative lead", "zero interval", "dip"), 0
+    )
+    for _ in range(150):
+        p, roots = seeded_polynomial(rng)
+        assert len(p) <= 7
+        ends = roots + [F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(3)]
+        for _ in range(4):
+            a, b = sorted((rng.choice(ends), rng.choice(ends)))
+            assert_verdicts_match(p, a, b)
+            assert_verdicts_match(p, b, a)
+            seen["root at an end"] += a in roots or b in roots
+            seen["zero interval"] += a == b
+            seen["dip"] += a < b and not ratpoly.nonnegative_on(p, a, b)
+        seen["repeated"] += len(set(roots)) < len(roots)
+        seen["negative lead"] += p[-1] < 0
+        assert monic(ratpoly.squarefree(p)) == monic(sturm_oracle.squarefree(p))
+        dp = ratpoly.derivative(p)
+        assert ratpoly.gcd_poly(p, dp) == sturm_oracle.gcd_poly(p, dp)
+    assert all(count >= 20 for count in seen.values()), seen
+    assert_verdicts_match(ratpoly.ZERO, F(0), F(1))
+    with pytest.raises(ValueError):
+        ratpoly.count_roots(ratpoly.ZERO, 0, 1)
+
+
+def test_sturm_verdicts_match_the_oracle_on_certified_profile_polynomials(
+    monkeypatch,
+):
+    calls = []
+
+    def recording(name):
+        real = getattr(ratpoly, name)
+
+        def record(p, a, b):
+            calls.append((p, a, b))
+            return real(p, a, b)
+
+        monkeypatch.setattr(ratpoly, name, record)
+
+    recording("nonnegative_on")
+    recording("has_root_inside")
+    verdicts = []
+    for v, d in catalog_classes(random.Random(20261204)):
+        for cone in range(len(v.max_cones)):
+            profile, _ = invariants.fujita_profile(v, cone, d)
+            flag = okounkov.default_flag(v, cone)
+            slices = okounkov.slice_profile(okounkov.okounkov_body(d, flag))
+            verdicts += [
+                profile.inequality_certificate(),
+                profile.monotone_certificate(),
+                okounkov.bm_concavity_check(slices),
+            ]
+    monkeypatch.undo()
+    assert all(verdicts) and len(verdicts) == 3 * 39 * 3
+    assert len(calls) > 1000
+    for p, a, b in calls:
+        assert_verdicts_match(p, a, b)

@@ -1,0 +1,122 @@
+"""Report tables on integers against the Fraction rows they replace.
+
+``blowup_command`` and ``okounkov_command`` read their rows from
+``Piecewise.grid`` and ``Piecewise.values_at``: integer numerators over one
+denominator and a homogeneous integer Horner.  The reference here is the
+computation they replace: the sorted set of Fraction sample points, a
+bisection over Fraction breakpoints and Fraction Horner
+(``sturm_oracle.horner``), with ``vol - x^n`` and the margin as Fraction
+differences.  Every row must be equal, as exact Fractions.
+"""
+
+import random
+from bisect import bisect_left
+from fractions import Fraction as F
+
+from sturm_oracle import horner
+from test_ratpoly import catalog_classes, set_sample_points
+
+from torifan import harness, invariants, okounkov, ratpoly
+from torifan.invariants import VolumeProfile
+from torifan.okounkov import SliceProfile
+
+COUNTS = (1, 2, 3, 7, 32, 100)
+
+def reference_value(profile, x):
+    """The covering piece at x by Fraction Horner; 0 off the support."""
+    points = profile.breakpoints
+    if not profile.pieces or x < points[0] or x > points[-1]:
+        return F(0)
+    return horner(profile.pieces[max(bisect_left(points, x) - 1, 0)], x)
+
+
+def reference_blowup_rows(profile, count):
+    rows = []
+    for x in set_sample_points(F(0), profile.domain_end, profile.breakpoints, count):
+        value = F(0) if x >= profile.domain_end else reference_value(profile, x)
+        lower = profile.total - x**profile.dim
+        rows.append((x, value, lower, value - lower))
+    return tuple(rows)
+
+
+def reference_slice_rows(profile, count):
+    lo, hi = profile.support
+    points = set_sample_points(lo, hi, profile.breakpoints, count)
+    return tuple((r, reference_value(profile, r)) for r in points)
+
+
+def table(profile, count):
+    """The (x, value) rows the integer core gives."""
+    den, nums = profile.grid(count)
+    return [(F(n, den), F(*v)) for n, v in zip(nums, profile.values_at(nums, den))]
+
+
+def counts_for(d, step):
+    """All counts for -K; two per cone for the seeded classes, in rotation."""
+    if d == d.variety.anticanonical():
+        return COUNTS
+    return (COUNTS[step % len(COUNTS)], COUNTS[(step + 3) % len(COUNTS)])
+
+
+def test_blowup_rows_match_the_fraction_reference():
+    checked = step = 0
+    fractional = 0
+    for v, d in catalog_classes(random.Random(20261201)):
+        fractional += any(c.denominator > 1 for c in d.coeffs)
+        for cone in range(len(v.max_cones)):
+            profile, _ = invariants.fujita_profile(v, cone, d)
+            for count in counts_for(d, step):
+                report = harness.blowup_command(v, cone, d, samples=count)
+                assert report.rows == reference_blowup_rows(profile, count)
+                assert all(type(c) is F for row in report.rows for c in row)
+                # the x = domain_end row, where VolumeProfile reads 0
+                assert report.rows[-1][:2] == (profile.domain_end, 0)
+                assert len(report.rows) >= count + 1
+                checked += 1
+            step += 1
+    assert fractional >= 6  # a Fraction class may reduce to integers
+    assert checked == 39 * (6 + 2 * 2)
+
+
+def test_okounkov_slice_rows_match_the_fraction_reference():
+    checked = step = 0
+    for v, d in catalog_classes(random.Random(20261202)):
+        for cone in range(len(v.max_cones)):
+            flag = okounkov.default_flag(v, cone)
+            profile = okounkov.slice_profile(okounkov.okounkov_body(d, flag))
+            for count in counts_for(d, step):
+                report = harness.okounkov_command(v, d, flag=flag, samples=count)
+                assert report.slice_rows == reference_slice_rows(profile, count)
+                assert all(type(c) is F for row in report.slice_rows for c in row)
+                checked += 1
+            step += 1
+    assert checked == 39 * (6 + 2 * 2)
+
+
+def test_values_at_and_grid_on_degenerate_profiles():
+    third = F(1, 3)
+    profiles = [
+        SliceProfile(2, (third, third), ()),  # no pieces, lo == hi
+        SliceProfile(3, (F(0), F(1, 2), F(2)), (ratpoly.ZERO, ratpoly.ZERO)),
+        SliceProfile(1, (F(5, 7), F(5, 7)), ((F(1),),)),  # a point body
+        SliceProfile(
+            2, (F(-3, 2), F(0), F(4, 3)), ((F(3, 2), F(1)), (F(3, 2), F(-9, 8)))
+        ),
+        VolumeProfile(2, F(7, 2), (F(0), F(1, 2)), ((F(7, 2), F(-1), F(-12)),)),
+    ]
+    for profile in profiles:
+        lo, hi = profile.breakpoints[0], profile.breakpoints[-1]
+        for count in COUNTS:
+            got = table(profile, count)
+            points = set_sample_points(lo, hi, profile.breakpoints, count)
+            assert got == [(x, reference_value(profile, x)) for x in points]
+            assert [x for x, _ in got] == profile.sample_points(count)
+    assert table(profiles[0], 7) == [(third, 0)]
+    assert table(profiles[2], 3) == [(F(5, 7), 1)]
+    assert all(value == 0 for _, value in table(profiles[1], 32))
+    # the volume profile's last piece vanishes at its end
+    assert table(profiles[4], 1)[-1] == (F(1, 2), 0)
+    # off the support and between grids, piece_value reads the same core
+    slopes = profiles[3]
+    for x in (F(-2), F(-3, 2), F(-1, 5), F(0), F(1, 7), F(4, 3), F(2)):
+        assert slopes.piece_value(x) == reference_value(slopes, x)
