@@ -27,7 +27,7 @@ def best_of(run, poly, repeat):
     times = []
     verts = None
     for _ in range(repeat):
-        fresh = Polytope(poly.ambient_dim, poly.halfspaces)
+        fresh = Polytope(poly.ambient_dim, poly.rows)
         t0 = time.perf_counter()
         verts = run(fresh)
         times.append(time.perf_counter() - t0)

@@ -19,6 +19,7 @@ from math import factorial
 
 from torifan import _sweep_pure, okounkov, ratgeom, ratpoly
 from torifan.errors import VerificationError
+from torifan.ratgeom import scale_to_integers
 from torifan.toric import (
     TDivisor,
     ToricVariety,
@@ -28,7 +29,6 @@ from torifan.toric import (
     require_ample,
     require_big,
     require_nef,
-    scale_to_integers,
 )
 
 
@@ -202,9 +202,6 @@ class VolumeProfile(ratpoly.Piecewise):
         """Symbolic proof that the profile never increases."""
         return self.all_nonnegative(lambda p: ratpoly.scale(ratpoly.derivative(p), -1))
 
-    def continuity_check(self) -> bool:
-        return self.is_continuous()
-
 
 def fujita_profile(variety: ToricVariety, cone_index: int, divisor: TDivisor):
     """Volume profile of the pullback minus x times the exceptional divisor.
@@ -252,7 +249,7 @@ def vanishing_order_profile(divisor: TDivisor, ray_index: int) -> VolumeProfile:
     profile = VolumeProfile(
         dim=variety.dim, total=vol, breakpoints=tuple(points), pieces=tuple(pieces)
     )
-    assert profile.continuity_check()
+    assert profile.is_continuous()
     return profile
 
 

@@ -17,7 +17,6 @@ DECIMAL_DIGITS = 12
 
 
 def format_rational(x) -> str:
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 

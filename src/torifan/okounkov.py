@@ -55,7 +55,7 @@ from operator import mul
 
 from torifan import ratgeom, ratpoly
 from torifan.errors import ThresholdExceeded, ValidationError
-from torifan.ratgeom import HalfSpace, Polytope
+from torifan.ratgeom import Polytope
 from torifan.toric import TDivisor, ToricVariety, require_big
 
 
@@ -133,13 +133,12 @@ def okounkov_body(divisor: TDivisor, flag: FlagSpec) -> OkounkovBody:
     cone = variety.max_cones[flag.cone_index]
     cone_cols = tuple(zip(*variety.cone_inverses[flag.cone_index]))
     inv_cols = [cone_cols[cone.index(i)] for i in flag.ray_order]
-    halfspaces = []
+    body_rows = []
     for ray, a in zip(variety.rays, divisor.coeffs):
         # <u, m> >= -a becomes <M^-T u, nu> >= -a + <M^-T u, shift>
         normal = tuple(sum(map(mul, col, ray)) for col in inv_cols)
-        offset = a - sum(map(mul, normal, shift))
-        halfspaces.append(HalfSpace(tuple(Fraction(c) for c in normal), offset))
-    polytope = Polytope(n, halfspaces)
+        body_rows.append((normal, a - sum(map(mul, normal, shift))))
+    polytope = Polytope(n, body_rows)
     # nu = (<m, u> + a over the flag's rays) maps vertices onto vertices
     polytope._vertices = tuple(
         sorted(
@@ -211,13 +210,6 @@ class SliceProfile(ratpoly.Piecewise):
     def support(self):
         return (self.breakpoints[0], self.breakpoints[-1])
 
-    def value(self, r) -> Fraction:
-        return self.piece_value(r)
-
-    def integral_to(self, x) -> Fraction:
-        """Integral of the profile from the support start up to x."""
-        return self.integral(x)
-
 
 def slice_profile(body: OkounkovBody) -> SliceProfile:
     """Exact slice areas: degree <= n-1 between vertex levels, interpolated.
@@ -244,7 +236,7 @@ def slice_profile(body: OkounkovBody) -> SliceProfile:
         # a flat body has no (n-1)-dimensional slice
         pieces = (ratpoly.ZERO,) * (len(levels) - 1)
         return SliceProfile(dim=n, breakpoints=tuple(levels), pieces=pieces)
-    rows = body.polytope.integer_rows()
+    rows = body.polytope.rows
     masks = [
         sum(1 << k for k, (a, b) in enumerate(rows) if sum(map(mul, a, v)) + b == 0)
         for v in verts
@@ -359,18 +351,14 @@ def cone_structure_check(body: OkounkovBody, a) -> bool:
         raise ValueError("cone check needs a positive level")
     n = body.dim
     truncated = ratgeom.truncate(body.polytope, 0, lo=0, hi=a)
-    cone_halfspaces = []
-    e1 = (Fraction(1),) + (Fraction(0),) * (n - 1)
-    cone_halfspaces.append(HalfSpace(e1, Fraction(0)))
-    cone_halfspaces.append(HalfSpace(tuple(-c for c in e1), a))
-    for h in body.polytope.halfspaces:
-        normal = tuple(
-            a * c + (h.offset if i == 0 else 0) for i, c in enumerate(h.normal)
-        )
+    e1 = (1,) + (0,) * (n - 1)
+    cone_rows = [(e1, 0), (tuple(-c for c in e1), a)]
+    for normal, offset in body.polytope.rows:
+        normal = (a * normal[0] + offset,) + tuple(a * c for c in normal[1:])
         if not any(normal):
             continue  # constraint degenerates to 0 >= 0
-        cone_halfspaces.append(HalfSpace(normal, Fraction(0)))
-    cone = Polytope(n, cone_halfspaces)
+        cone_rows.append((normal, 0))
+    cone = Polytope(n, cone_rows)
     return ratgeom.polytopes_equal(truncated, cone)
 
 

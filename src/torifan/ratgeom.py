@@ -1,16 +1,18 @@
 """Exact rational convex geometry.
 
 A polytope is an intersection of rational halfspaces
-``{m : <m, normal> >= -offset}`` in Q^n.  Everything here runs on
-:class:`fractions.Fraction` and Python integers; no floating point enters any
+``{m : <normal, m> + offset >= 0}`` in Q^n.  Everything here runs on Python
+integers and :class:`fractions.Fraction`; no floating point enters any
 predicate or measure.
 
-The vertex layer runs on integers only (Bareiss, *Sylvester's identity and
-multistep integer-preserving Gaussian elimination*, 1968).  It reads the
-halfspaces as primitive integer rows ``<a, x> + b >= 0``
-(``Polytope.integer_rows``), which hold exactly where the rational ones do,
-since each row is the rational one times a positive scale.  Each integer
-test below equals the Fraction test it replaces:
+:class:`Polytope` stores each halfspace once, as a primitive integer row
+``(a, b)``: the constructor scales ``(normal, offset)`` by the lcm of its
+denominators and divides the result by the gcd of its entries.  The row is
+the given pair times a positive rational k, and ``<a, m> + b = k * (<normal,
+m> + offset)`` has the same sign, so the rows cut out exactly the given set.
+Everything below decides on those rows with integers only (Bareiss,
+*Sylvester's identity and multistep integer-preserving Gaussian
+elimination*, 1968):
 
 - Vertices.  A nonsingular n-subset of rows, ``A x = -b``, has by Cramer's
   rule the one solution ``x = num / d`` with ``d = det A`` and ``num_j`` the
@@ -19,7 +21,7 @@ test below equals the Fraction test it replaces:
   iff ``<a, num> + b*d >= 0`` for every row.  Two subsets give the same
   point iff their ``(num, d)`` agree after division by ``gcd(d, *num)``,
   which is the reduced form of the point with a common denominator.
-- Recession rays.  n-1 rows of rank n-1 have a one-dimensional nullspace,
+- Recession rays.  n-1 rows of rank n-1 have a one-dimensional kernel,
   spanned by their generalized cross product ``c_j = (-1)^j det(rows
   without column j)`` (expand the determinant of the rows plus any row r
   along r: it is ``<r, c>``, zero when r is one of the rows, and nonzero
@@ -27,6 +29,11 @@ test below equals the Fraction test it replaces:
   a ray iff ``A c >= 0`` or ``A c <= 0``, tested with integer dot products.
 - Lineality.  A has rank n iff some n of its rows are independent, that is
   iff some n-subset has ``d != 0``; the vertex scan sees this for free.
+  When the rank k is below n, let P be the pivot columns and j the first
+  column outside P.  k rows independent on P span the row space of A, so
+  their cross product on the columns P + [j], read as a vector that is
+  zero off those columns, lies in the kernel of A; its j entry is
+  ``+-det`` of the rows on P, nonzero, which fixes the line's direction.
 - Rank, incidence and membership.  Scaling points by the lcm ``scale > 0``
   of their denominators makes them integral and changes neither the rank of
   their differences nor the sign of ``<a, v> + b``, which becomes
@@ -35,7 +42,6 @@ test below equals the Fraction test it replaces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm
@@ -46,95 +52,47 @@ from torifan.errors import DegeneratePolytope, UnboundedPolytope
 Point = tuple  # tuple[Fraction, ...]
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-@dataclass(frozen=True)
-class HalfSpace:
-    """The set ``{m : <m, normal> >= -offset}``."""
-
-    normal: tuple
-    offset: Fraction
-
-    def __post_init__(self):
-        normal = tuple(_frac(c) for c in self.normal)
-        if not any(normal):
-            raise ValueError("halfspace normal must be nonzero")
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", _frac(self.offset))
-
-    def value_at(self, point) -> Fraction:
-        """Slack ``<point, normal> + offset``; nonnegative inside."""
-        return sum(a * x for a, x in zip(self.normal, point)) + self.offset
+def scale_to_integers(coeffs):
+    """``(lam, lam * coeffs)`` with lam the lcm of the Fractions' denominators."""
+    lam = lcm(*(c.denominator for c in coeffs))
+    return lam, [c.numerator * (lam // c.denominator) for c in coeffs]
 
 
 class Polytope:
     """Immutable H-representation with write-once caches.
 
-    Vertices, volume and barycenter are cached on the instance; the cached
+    ``rows`` holds one primitive integer row ``(a, b)``, meaning
+    ``<a, m> + b >= 0``, per ``(normal, offset)`` pair given.  Vertices,
+    volume and barycenter are cached on the instance; the cached
     assignments are idempotent, so concurrent recomputation is harmless.
     """
 
-    def __init__(self, ambient_dim, halfspaces):
+    def __init__(self, ambient_dim, rows):
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be at least 1")
-        halfspaces = tuple(halfspaces)
-        for h in halfspaces:
-            if len(h.normal) != ambient_dim:
+        primitive = []
+        for normal, offset in rows:
+            if len(normal) != ambient_dim:
                 raise ValueError("halfspace dimension mismatch")
+            if not any(normal):
+                raise ValueError("halfspace normal must be nonzero")
+            _, row = scale_to_integers((*normal, offset))
+            g = gcd(*row)
+            if g > 1:
+                row = [c // g for c in row]
+            primitive.append((tuple(row[:-1]), row[-1]))
         self.ambient_dim = ambient_dim
-        self.halfspaces = halfspaces
-        self._int_rows = None
+        self.rows = tuple(primitive)
         self._vertices = None
         self._volume = None
         self._barycenter = None
 
     def __repr__(self):
-        return f"Polytope(dim={self.ambient_dim}, facets<={len(self.halfspaces)})"
-
-    def integer_rows(self):
-        """Halfspaces as primitive integer rows ``(a, b)`` with <a,x>+b >= 0."""
-        if self._int_rows is None:
-            rows = []
-            for h in self.halfspaces:
-                scale = lcm(*(c.denominator for c in h.normal), h.offset.denominator)
-                a = tuple(int(c * scale) for c in h.normal)
-                b = int(h.offset * scale)
-                g = gcd(*a, b)
-                if g > 1:
-                    a = tuple(c // g for c in a)
-                    b //= g
-                rows.append((a, b))
-            self._int_rows = tuple(rows)
-        return self._int_rows
+        return f"Polytope(dim={self.ambient_dim}, facets<={len(self.rows)})"
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra on small matrices
-
-
-def det(rows) -> Fraction:
-    """Determinant of a rational matrix by Gaussian elimination."""
-    n = len(rows)
-    m = [[_frac(x) for x in row] for row in rows]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        p = m[col][col]
-        result *= p
-        for r in range(col + 1, n):
-            f = m[r][col] / p
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return sign * result
+# exact linear algebra on small integer matrices
 
 
 def int_det(rows) -> int:
@@ -196,36 +154,6 @@ def _pivot_columns(rows):
 def int_rank(rows) -> int:
     """Rank of an integer matrix."""
     return len(_pivot_columns(rows))
-
-
-def nullspace(rows, ncols):
-    """Basis of the rational nullspace of a matrix given as rows."""
-    m = [[_frac(x) for x in row] for row in rows]
-    pivots = {}
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        p = m[rank][col]
-        m[rank] = [x / p for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots[col] = rank
-        rank += 1
-    basis = []
-    for col in range(ncols):
-        if col in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[col] = Fraction(1)
-        for pcol, prow in pivots.items():
-            vec[pcol] = -m[prow][col]
-        basis.append(tuple(vec))
-    return basis
 
 
 def _scaled(points):
@@ -315,6 +243,28 @@ def _recession_ray(rows, n):
     return None
 
 
+def _line(rows, n):
+    """A direction of the kernel of A, for rows of rank k < n.
+
+    The cross product of k rows independent on the pivot columns P, taken
+    on P + [j] with j the first other column, with coordinate j positive.
+    """
+    a_rows = [r[0] for r in rows]
+    pivot_cols = _pivot_columns(a_rows)
+    j = next(c for c in range(n) if c not in pivot_cols)
+    # the pivot columns of the transpose of A on P are k independent rows
+    on_pivots = [[row[c] for c in pivot_cols] for row in a_rows]
+    independent = _pivot_columns(list(zip(*on_pivots)))
+    cols = pivot_cols + [j]
+    c = _cross([tuple(a_rows[i][k] for k in cols) for i in independent], len(cols))
+    if c[-1] < 0:
+        c = [-x for x in c]
+    direction = [0] * n
+    for col, x in zip(cols, c):
+        direction[col] = x
+    return tuple(map(Fraction, direction))
+
+
 def _feasible(rows, n) -> bool:
     """Exact feasibility of {<a_i, x> + b_i >= 0}.
 
@@ -342,12 +292,12 @@ def enumerate_vertices(poly: Polytope):
 
 def _enumerate(poly):
     n = poly.ambient_dim
-    rows = poly.integer_rows()
+    rows = poly.rows
     candidates = _candidate_vertices(rows, n)
     if candidates is None:
         # rank below n: the feasible set, if any, holds a line
         if _feasible(rows, n):
-            raise UnboundedPolytope(nullspace([r[0] for r in rows], n)[0])
+            raise UnboundedPolytope(_line(rows, n))
         return ()
     if not candidates:
         # pointed recession cone: a nonempty set would have a vertex
@@ -362,8 +312,8 @@ def contains(poly: Polytope, point) -> bool:
     """Exact membership test."""
     if len(point) != poly.ambient_dim:
         raise ValueError("point dimension mismatch")
-    pt = tuple(_frac(x) for x in point)
-    return all(h.value_at(pt) >= 0 for h in poly.halfspaces)
+    scale, (v,) = _scaled([point])
+    return all(sum(map(mul, a, v)) + b * scale >= 0 for a, b in poly.rows)
 
 
 def is_full_dimensional(poly: Polytope) -> bool:
@@ -374,7 +324,7 @@ def _vertices_inside(p: Polytope, q: Polytope) -> bool:
     scale, points = _scaled(enumerate_vertices(p))
     return all(
         sum(map(mul, a, v)) + b * scale >= 0
-        for a, b in q.integer_rows()
+        for a, b in q.rows
         for v in points
     )
 
@@ -453,7 +403,7 @@ def fan_triangulation(poly: Polytope, base=None):
         return []
     order = list(verts)
     if base is not None:
-        base = tuple(_frac(x) for x in base)
+        base = tuple(map(Fraction, base))
         if base not in verts:
             raise ValueError("base point is not a vertex")
         order.remove(base)
@@ -463,19 +413,12 @@ def fan_triangulation(poly: Polytope, base=None):
         return []
     tight = [
         [i for i, v in enumerate(points) if sum(map(mul, a, v)) + b * scale == 0]
-        for a, b in poly.integer_rows()
+        for a, b in poly.rows
     ]
     return [
         tuple(order[i] for i in s)
         for s in pulling_triangulation(range(len(order)), tight)
     ]
-
-
-def simplex_volume(simplex) -> Fraction:
-    n = len(simplex) - 1
-    base = simplex[0]
-    rows = [[x - b for x, b in zip(v, base)] for v in simplex[1:]]
-    return abs(det(rows)) / factorial(n)
 
 
 def simplex_sums(points, simplices, n):
@@ -540,29 +483,26 @@ def truncate(poly: Polytope, axis: int, lo=None, hi=None) -> Polytope:
     n = poly.ambient_dim
     if not 0 <= axis < n:
         raise ValueError("axis out of range")
-    if lo is not None and hi is not None and _frac(lo) > _frac(hi):
+    if lo is not None and hi is not None and lo > hi:
         raise ValueError("truncation needs lo <= hi")
-    unit = [Fraction(0)] * n
-    unit[axis] = Fraction(1)
-    hs = list(poly.halfspaces)
+    unit = [0] * n
+    unit[axis] = 1
+    rows = list(poly.rows)
     if lo is not None:
-        hs.append(HalfSpace(tuple(unit), -_frac(lo)))
+        rows.append((unit, -lo))
     if hi is not None:
-        hs.append(HalfSpace(tuple(-c for c in unit), _frac(hi)))
-    return Polytope(n, hs)
+        rows.append(([-c for c in unit], hi))
+    return Polytope(n, rows)
 
 
 def translate(poly: Polytope, vector) -> Polytope:
     """Shift the polytope by a rational vector, with its vertex cache if filled."""
     if len(vector) != poly.ambient_dim:
         raise ValueError("vector dimension mismatch")
-    v = tuple(_frac(x) for x in vector)
-    hs = [
-        HalfSpace(h.normal, h.offset - sum(a * x for a, x in zip(h.normal, v)))
-        for h in poly.halfspaces
-    ]
-    moved = Polytope(poly.ambient_dim, hs)
+    moved = Polytope(
+        poly.ambient_dim, [(a, b - sum(map(mul, a, vector))) for a, b in poly.rows]
+    )
     if poly._vertices is not None:
         # translation keeps lexicographic order
-        moved._vertices = tuple(tuple(map(add, p, v)) for p in poly._vertices)
+        moved._vertices = tuple(tuple(map(add, p, vector)) for p in poly._vertices)
     return moved

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import mul
 
 from torifan import ratgeom
@@ -25,13 +25,7 @@ from torifan.errors import (
     NotSmooth,
     ValidationError,
 )
-from torifan.ratgeom import HalfSpace, Polytope
-
-
-def scale_to_integers(coeffs):
-    """``(lam, lam * coeffs)`` with lam the lcm of the Fractions' denominators."""
-    lam = lcm(*(c.denominator for c in coeffs))
-    return lam, [c.numerator * (lam // c.denominator) for c in coeffs]
+from torifan.ratgeom import Polytope, scale_to_integers
 
 
 @dataclass(frozen=True)
@@ -169,11 +163,9 @@ class TDivisor:
     def section_polytope(self) -> Polytope:
         """{m : <m, u_rho> >= -a_rho for all rays}."""
         if self._polytope is None:
-            hs = [
-                HalfSpace(tuple(Fraction(c) for c in ray), a)
-                for ray, a in zip(self.variety.rays, self.coeffs)
-            ]
-            self._polytope = Polytope(self.variety.dim, hs)
+            self._polytope = Polytope(
+                self.variety.dim, zip(self.variety.rays, self.coeffs)
+            )
         return self._polytope
 
     def wall_values(self):

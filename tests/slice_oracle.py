@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from torifan import ratgeom, ratpoly
 from torifan.okounkov import SliceProfile
-from torifan.ratgeom import HalfSpace, Polytope
+from torifan.ratgeom import Polytope
 
 
 def slice_polytope(poly: Polytope, axis: int, value) -> Polytope:
@@ -26,19 +26,19 @@ def slice_polytope(poly: Polytope, axis: int, value) -> Polytope:
     keep = [i for i in range(n) if i != axis]
     hs = []
     infeasible = False
-    for h in poly.halfspaces:
-        new_normal = tuple(h.normal[i] for i in keep)
-        new_offset = h.offset + h.normal[axis] * value
+    for normal, offset in poly.rows:
+        new_normal = tuple(normal[i] for i in keep)
+        new_offset = offset + normal[axis] * value
         if not any(new_normal):
             if new_offset < 0:
                 infeasible = True
             continue
-        hs.append(HalfSpace(new_normal, new_offset))
+        hs.append((new_normal, new_offset))
     if infeasible or not hs:
         # constant constraint violated (or no constraints left): empty slice
         e1 = (Fraction(1),) + (Fraction(0),) * (n - 2)
         neg = tuple(-c for c in e1)
-        hs = [HalfSpace(e1, Fraction(-1)), HalfSpace(neg, Fraction(0))]
+        hs = [(e1, Fraction(-1)), (neg, Fraction(0))]
     return Polytope(n - 1, hs)
 
 
@@ -46,7 +46,7 @@ def nodewise_slice_profile(body) -> SliceProfile:
     """Slice areas measured on a fresh slice polytope at every node."""
     n = body.dim
     # a fresh copy, so that no vertex cache filled elsewhere is read
-    verts = ratgeom.enumerate_vertices(Polytope(n, body.polytope.halfspaces))
+    verts = ratgeom.enumerate_vertices(Polytope(n, body.polytope.rows))
     levels = sorted({v[0] for v in verts})
     if n == 1:
         return SliceProfile(

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 
 from torifan import catalog, harness, invariants, okounkov, ratgeom, ratpoly, sweep
-from torifan.ratgeom import HalfSpace, Polytope
+from torifan.ratgeom import Polytope
 
 
 @contextmanager
@@ -199,16 +199,16 @@ def test_07_cone_structure_mechanics():
         # model cone: slice area r^{n-1}/(n-1)! exactly
         for n in (2, 3):
             hs = [
-                HalfSpace(
+                (
                     tuple(F(1 if j == i else 0) for j in range(n)), F(0)
                 )
                 for i in range(1, n)
             ]
             e1 = (F(1),) + (F(0),) * (n - 1)
-            hs.append(HalfSpace(e1, F(0)))
-            hs.append(HalfSpace(tuple(-c for c in e1), F(1)))
+            hs.append((e1, F(0)))
+            hs.append((tuple(-c for c in e1), F(1)))
             hs.append(
-                HalfSpace((F(1),) + tuple(F(-1) for _ in range(n - 1)), F(0))
+                ((F(1),) + tuple(F(-1) for _ in range(n - 1)), F(0))
             )
             body = okounkov.OkounkovBody.from_polytope(Polytope(n, hs))
             profile = okounkov.slice_profile(body)
@@ -255,10 +255,10 @@ def test_07_cone_structure_mechanics():
             Polytope(
                 2,
                 (
-                    HalfSpace((F(1), F(0)), F(0)),
-                    HalfSpace((F(-1), F(0)), F(1)),
-                    HalfSpace((F(0), F(1)), F(-1)),
-                    HalfSpace((F(0), F(-1)), F(2)),
+                    ((F(1), F(0)), F(0)),
+                    ((F(-1), F(0)), F(1)),
+                    ((F(0), F(1)), F(-1)),
+                    ((F(0), F(-1)), F(2)),
                 ),
             )
         )

@@ -122,7 +122,7 @@ def test_fujita_profile_values_and_domain():
     assert profile.value(0) == profile.total == 8
     assert profile.value(profile.domain_end) == 0
     assert profile.value(profile.domain_end + 5) == 0
-    assert profile.continuity_check()
+    assert profile.is_continuous()
     assert profile.inequality_certificate()
     assert profile.monotone_certificate()
     with pytest.raises(ValueError):
@@ -136,14 +136,14 @@ def test_fujita_certificates_across_catalog_surfaces():
             profile, _ = invariants.fujita_profile(v, cone_index, mk)
             assert profile.inequality_certificate()
             assert profile.monotone_certificate()
-            assert profile.continuity_check()
+            assert profile.is_continuous()
 
 
 def cut_volume(divisor, normal, level, x):
     """Reference definition: n! vol(P_D intersect {<m, normal> >= x - level})."""
     poly = divisor.section_polytope()
-    cut = ratgeom.HalfSpace(tuple(F(c) for c in normal), level - x)
-    cut_poly = ratgeom.Polytope(poly.ambient_dim, poly.halfspaces + (cut,))
+    cut = (tuple(F(c) for c in normal), level - x)
+    cut_poly = ratgeom.Polytope(poly.ambient_dim, poly.rows + (cut,))
     return factorial(poly.ambient_dim) * ratgeom.volume(cut_poly)
 
 

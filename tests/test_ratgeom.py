@@ -1,14 +1,15 @@
 import random
-from itertools import product
 from fractions import Fraction as F
+from itertools import product
+from math import factorial
 
 import pytest
 from slice_oracle import slice_polytope
-from vertex_oracle import solve_square
+from vertex_oracle import det, solve_square
 
 from torifan import ratgeom
 from torifan.errors import DegeneratePolytope, UnboundedPolytope
-from torifan.ratgeom import HalfSpace, Polytope
+from torifan.ratgeom import Polytope
 
 
 def box(*bounds):
@@ -16,24 +17,51 @@ def box(*bounds):
     halfspaces = []
     for axis, (lo, hi) in enumerate(bounds):
         e = tuple(F(1) if i == axis else F(0) for i in range(len(bounds)))
-        halfspaces.append(HalfSpace(e, -F(lo)))
-        halfspaces.append(HalfSpace(tuple(-c for c in e), F(hi)))
+        halfspaces.append((e, -F(lo)))
+        halfspaces.append((tuple(-c for c in e), F(hi)))
     return Polytope(len(bounds), halfspaces)
 
 
 def simplex(n):
     """Standard simplex x_i >= 0, sum x_i <= 1."""
     halfspaces = [
-        HalfSpace(tuple(F(1) if j == i else F(0) for j in range(n)), F(0))
+        (tuple(F(1) if j == i else F(0) for j in range(n)), F(0))
         for i in range(n)
     ]
-    halfspaces.append(HalfSpace((F(-1),) * n, F(1)))
+    halfspaces.append(((F(-1),) * n, F(1)))
     return Polytope(n, halfspaces)
+
+
+def simplex_volume(simplex):
+    """Volume of a simplex by the oracle's Fraction determinant."""
+    base = simplex[0]
+    rows = [[x - b for x, b in zip(v, base)] for v in simplex[1:]]
+    return abs(det(rows)) / factorial(len(rows))
 
 
 def test_halfspace_rejects_zero_normal():
     with pytest.raises(ValueError):
-        HalfSpace((F(0), F(0)), F(1))
+        Polytope(2, [((F(0), F(0)), F(1))])
+    with pytest.raises(ValueError):
+        Polytope(2, [((1, 0, 0), 1)])
+
+
+def test_scaled_rows_give_the_same_polytope():
+    rng = random.Random(20261023)
+    for n in (1, 2, 3):
+        for _ in range(10):
+            p = random_polytope(rng, n)
+            scaled = []
+            for a, b in p.rows:
+                k = F(rng.randint(1, 9), rng.randint(1, 9))
+                scaled.append((tuple(k * c for c in a), k * b))
+            q = Polytope(n, scaled)
+            assert q.rows == p.rows
+            assert all(isinstance(c, int) for a, b in q.rows for c in a + (b,))
+            assert ratgeom.enumerate_vertices(q) == ratgeom.enumerate_vertices(p)
+    # a row and its positive rational multiples share one primitive form
+    row = ((F(2, 3), F(-4, 9)), F(10, 27))
+    assert Polytope(2, [row]).rows == (((9, -6), 5),)
 
 
 def test_unit_square_vertices():
@@ -52,7 +80,7 @@ def test_simplex_vertices_and_volume():
 
 def test_redundant_halfspace_ignored():
     sq = box((0, 1), (0, 1))
-    fat = Polytope(2, sq.halfspaces + (HalfSpace((F(1), F(1)), F(5)),))
+    fat = Polytope(2, sq.rows + (((F(1), F(1)), F(5)),))
     assert ratgeom.enumerate_vertices(fat) == ratgeom.enumerate_vertices(sq)
     assert ratgeom.polytopes_equal(fat, sq)
 
@@ -61,8 +89,8 @@ def test_empty_intersection_has_no_vertices():
     empty = Polytope(
         2,
         (
-            HalfSpace((F(1), F(0)), F(0)),
-            HalfSpace((F(-1), F(0)), F(-1)),
+            ((F(1), F(0)), F(0)),
+            ((F(-1), F(0)), F(-1)),
         ),
     )
     assert ratgeom.enumerate_vertices(empty) == ()
@@ -71,7 +99,7 @@ def test_empty_intersection_has_no_vertices():
 
 def test_unbounded_raises_with_direction():
     # upper half plane
-    p = Polytope(2, (HalfSpace((F(0), F(1)), F(0)),))
+    p = Polytope(2, (((F(0), F(1)), F(0)),))
     with pytest.raises(UnboundedPolytope) as err:
         ratgeom.enumerate_vertices(p)
     d = err.value.direction
@@ -82,7 +110,7 @@ def test_unbounded_raises_with_direction():
 def test_unbounded_recession_ray_detected():
     # quadrant x >= 0, y >= 0 has vertex candidates but is unbounded
     p = Polytope(
-        2, (HalfSpace((F(1), F(0)), F(0)), HalfSpace((F(0), F(1)), F(0)))
+        2, (((F(1), F(0)), F(0)), ((F(0), F(1)), F(0)))
     )
     with pytest.raises(UnboundedPolytope):
         ratgeom.enumerate_vertices(p)
@@ -98,15 +126,15 @@ def test_contains_boundary_and_interior():
 def cross_polytope(n):
     """{x : |x_1| + ... + |x_n| <= 1}: simplicial, not simple for n >= 3."""
     return Polytope(
-        n, [HalfSpace(signs, F(1)) for signs in product((1, -1), repeat=n)]
+        n, [(signs, F(1)) for signs in product((1, -1), repeat=n)]
     )
 
 
 def square_pyramid():
     """Apex (0, 0, 1) over the square [-1, 1]^2: four facets at the apex."""
     sides = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    halfspaces = [HalfSpace((F(0), F(0), F(1)), F(0))]
-    halfspaces += [HalfSpace((F(a), F(b), F(-1)), F(1)) for a, b in sides]
+    halfspaces = [((F(0), F(0), F(1)), F(0))]
+    halfspaces += [((F(a), F(b), F(-1)), F(1)) for a, b in sides]
     return Polytope(3, halfspaces)
 
 
@@ -115,12 +143,12 @@ def test_volume_triangulation_base_independent():
     hexgon = Polytope(
         2,
         (
-            HalfSpace((F(1), F(0)), F(1)),
-            HalfSpace((F(-1), F(0)), F(1)),
-            HalfSpace((F(0), F(1)), F(1)),
-            HalfSpace((F(0), F(-1)), F(1)),
-            HalfSpace((F(1), F(1)), F(1)),
-            HalfSpace((F(-1), F(-1)), F(1)),
+            ((F(1), F(0)), F(1)),
+            ((F(-1), F(0)), F(1)),
+            ((F(0), F(1)), F(1)),
+            ((F(0), F(-1)), F(1)),
+            ((F(1), F(1)), F(1)),
+            ((F(-1), F(-1)), F(1)),
         ),
     )
     assert len(ratgeom.enumerate_vertices(hexgon)) == 6
@@ -144,8 +172,8 @@ def test_volume_triangulation_base_independent():
             tri = ratgeom.fan_triangulation(poly, base=base)
             for s in tri:
                 assert len(s) == n + 1 and s[0] == base
-                assert ratgeom.simplex_volume(s) > 0
-            vols.add(sum(ratgeom.simplex_volume(s) for s in tri))
+                assert simplex_volume(s) > 0
+            vols.add(sum(simplex_volume(s) for s in tri))
         assert vols == {ratgeom.volume(poly)}
         if vol is not None:
             assert ratgeom.volume(poly) == vol
@@ -168,10 +196,10 @@ def test_barycenter_of_flat_polytope_raises():
     flat = Polytope(
         2,
         (
-            HalfSpace((F(1), F(0)), F(0)),
-            HalfSpace((F(-1), F(0)), F(0)),
-            HalfSpace((F(0), F(1)), F(0)),
-            HalfSpace((F(0), F(-1)), F(1)),
+            ((F(1), F(0)), F(0)),
+            ((F(-1), F(0)), F(0)),
+            ((F(0), F(1)), F(0)),
+            ((F(0), F(-1)), F(1)),
         ),
     )
     assert ratgeom.volume(flat) == 0
@@ -200,7 +228,7 @@ def test_truncate_and_translate():
     moved = ratgeom.translate(upper, (F(0), F(-1, 2)))
     # the vertex cache is carried over, in order
     assert moved._vertices == ratgeom.enumerate_vertices(
-        Polytope(2, moved.halfspaces)
+        Polytope(2, moved.rows)
     )
     lower = ratgeom.truncate(sq, 1, hi=F(1, 2))
     assert ratgeom.polytopes_equal(moved, lower)
@@ -211,9 +239,9 @@ def test_polytopes_equal_detects_difference():
     tri = Polytope(
         2,
         (
-            HalfSpace((F(1), F(0)), F(0)),
-            HalfSpace((F(0), F(1)), F(0)),
-            HalfSpace((F(-1), F(-1)), F(1)),
+            ((F(1), F(0)), F(0)),
+            ((F(0), F(1)), F(0)),
+            ((F(-1), F(-1)), F(1)),
         ),
     )
     assert not ratgeom.polytopes_equal(sq, tri)
@@ -227,7 +255,7 @@ def random_polytope(rng, n):
         hi = lo + F(rng.randint(1, 8), rng.randint(1, 3))
         bounds.append((lo, hi))
     p = box(*bounds)
-    cuts = list(p.halfspaces)
+    cuts = list(p.rows)
     for _ in range(rng.randint(1, 3)):
         normal = tuple(F(rng.randint(-3, 3)) for _ in range(n))
         if not any(normal):
@@ -237,7 +265,7 @@ def random_polytope(rng, n):
         offset = F(rng.randint(0, 2)) - sum(
             c * x for c, x in zip(normal, center)
         )
-        cuts.append(HalfSpace(normal, offset))
+        cuts.append((normal, offset))
     return Polytope(n, tuple(cuts))
 
 
@@ -292,14 +320,14 @@ def test_random_polytope_barycenter_membership():
 def test_fan_triangulation_covers_4d_cube():
     c = box((0, 1), (0, 1), (0, 1), (0, 1))
     tri = ratgeom.fan_triangulation(c)
-    assert sum(ratgeom.simplex_volume(s) for s in tri) == 1
+    assert sum(simplex_volume(s) for s in tri) == 1
     for s in tri:
         assert len(s) == 5
 
 
 def test_exact_solve_and_det():
     rows = ((F(2), F(1)), (F(1), F(3)))
-    assert ratgeom.det(rows) == 5
+    assert det(rows) == 5
     # the integer determinant keeps the sign of every row swap
     assert ratgeom.int_det(((0, 1, 0), (1, 0, 0), (0, 0, 1))) == -1
     rng = random.Random(7)
@@ -307,6 +335,6 @@ def test_exact_solve_and_det():
         for _ in range(20):
             entries = (0, 0, 1, -1, 2, -3)
             m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
-            assert ratgeom.int_det(m) == ratgeom.det(m)
+            assert ratgeom.int_det(m) == det(m)
     x = solve_square(rows, (F(4), F(7)))
     assert x == (F(1), F(2))

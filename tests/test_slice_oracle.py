@@ -39,7 +39,7 @@ def test_slice_profile_matches_the_oracle_on_catalog_bodies():
                 # every flag cone, its rays in a seeded order
                 flag = okounkov.FlagSpec(v, c, rng.sample(cone, len(cone)))
                 body = okounkov.okounkov_body(d, flag)
-                fresh = Polytope(v.dim, body.polytope.halfspaces)
+                fresh = Polytope(v.dim, body.polytope.rows)
                 assert body.vertices() == ratgeom.enumerate_vertices(fresh)
                 assert_matches_oracle(body)
                 checked += 1

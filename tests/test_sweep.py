@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from vertex_oracle import det
 
 from torifan import _sweep_pure, catalog, ratgeom, sweep, toric
 from torifan.errors import EmptyGrid, ValidationError, VerificationError
@@ -121,7 +122,7 @@ def skeleton_volume(skel, coeffs):
     for simplex in skel["simplices"]:
         base = verts[simplex[0]]
         rows = [[a - b for a, b in zip(verts[s], base)] for s in simplex[1:]]
-        total += abs(ratgeom.det(rows))
+        total += abs(det(rows))
     return total
 
 

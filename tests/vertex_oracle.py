@@ -3,15 +3,39 @@
 Solves every n-subset of rows by Fraction Gaussian elimination, decides
 feasibility on the rational point, proves boundedness with a Fraction
 nullspace per (n-1)-subset and detects lineality with a nullspace up front.
-It shares with ``ratgeom.enumerate_vertices`` only
-``Polytope.integer_rows``, so agreement checks Cramer's rule, the integer
-sign tests, the generalized cross product and the rank-n test.
+It shares with ``ratgeom.enumerate_vertices`` only the primitive integer
+rows ``Polytope.rows``, so agreement checks Cramer's rule, the integer sign
+tests, the generalized cross products and the rank-n test.  ``det`` is the
+Fraction determinant that ``ratgeom.int_det`` is checked against.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from torifan.errors import UnboundedPolytope
+
+
+def det(rows) -> Fraction:
+    """Determinant of a rational matrix by Gaussian elimination."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    sign = 1
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        p = m[col][col]
+        result *= p
+        for r in range(col + 1, n):
+            f = m[r][col] / p
+            if f:
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    return sign * result
 
 
 def solve_square(rows, rhs):
@@ -113,7 +137,7 @@ def fraction_vertices(poly):
     returns an empty tuple when it is empty.  Reads no vertex cache.
     """
     n = poly.ambient_dim
-    rows = poly.integer_rows()
+    rows = poly.rows
     lines = nullspace([r[0] for r in rows], n)
     if lines:
         if _feasible(rows, n):
