@@ -71,11 +71,15 @@ def delta_toric(divisor: TDivisor):
     ray index.
     """
     require_big(divisor)
-    variety = divisor.variety
     center = ratgeom.barycenter(divisor.section_polytope())
+    return delta_from_barycenter(divisor, center)
+
+
+def delta_from_barycenter(divisor: TDivisor, center):
+    """``delta_toric`` read off a given barycenter of the section polytope."""
     best = None
     witness = None
-    for i, ray in enumerate(variety.rays):
+    for i, ray in enumerate(divisor.variety.rays):
         s = sum(c * u for c, u in zip(center, ray)) + divisor.coeffs[i]
         if best is None or s > best:
             best = s

@@ -6,7 +6,10 @@ point: pair with the ordered rays of the cone and shift by the divisor
 coefficients.  The body is that image of the section polytope, so it lives in
 the nonnegative orthant and has the same volume.  An affine bijection maps
 vertices to vertices, so the body's vertices are the images of the section
-polytope's, which ``require_big`` has already enumerated.
+polytope's, mapped on their integer form (``ratgeom.vertex_points``).  For a
+nef class those are the cone points read off the cone table
+(``ToricVariety.nef_vertex_points``); for any other big class, the section
+polytope's own enumeration.
 
 Slice profiles (Lawrence, *Polytope volume computation*, 1991, on the
 chambers of a parametric polytope).  Let Delta be a full-dimensional
@@ -55,7 +58,7 @@ from operator import mul
 
 from torifan import ratgeom, ratpoly
 from torifan.errors import ThresholdExceeded, ValidationError
-from torifan.ratgeom import Polytope
+from torifan.ratgeom import Polytope, scale_to_integers
 from torifan.toric import TDivisor, ToricVariety, require_big
 
 
@@ -93,8 +96,8 @@ class OkounkovBody:
         self.divisor = divisor
         self.flag = flag
         self.polytope = polytope
-        for v in ratgeom.enumerate_vertices(polytope):
-            assert all(c >= 0 for c in v), "body must lie in the orthant"
+        for p in ratgeom.vertex_points(polytope)[1]:
+            assert all(c >= 0 for c in p), "body must lie in the orthant"
 
     @classmethod
     def from_polytope(cls, polytope: Polytope) -> "OkounkovBody":
@@ -127,7 +130,6 @@ def okounkov_body(divisor: TDivisor, flag: FlagSpec) -> OkounkovBody:
     n = variety.dim
     rows = [variety.rays[i] for i in flag.ray_order]
     shift = [Fraction(divisor.coeffs[i]) for i in flag.ray_order]
-    section_vertices = ratgeom.enumerate_vertices(divisor.section_polytope())
     # M, the matrix with those rows, is the cone's ray matrix with its rows
     # permuted, so M^-1 is the cone's inverse with its columns permuted
     cone = variety.max_cones[flag.cone_index]
@@ -138,13 +140,19 @@ def okounkov_body(divisor: TDivisor, flag: FlagSpec) -> OkounkovBody:
         # <u, m> >= -a becomes <M^-T u, nu> >= -a + <M^-T u, shift>
         normal = tuple(sum(map(mul, col, ray)) for col in inv_cols)
         body_rows.append((normal, a - sum(map(mul, normal, shift))))
-    polytope = Polytope(n, body_rows)
-    # nu = (<m, u> + a over the flag's rays) maps vertices onto vertices
-    polytope._vertices = tuple(
-        sorted(
-            tuple(sum(map(mul, m, row)) + a for row, a in zip(rows, shift))
-            for m in section_vertices
-        )
+    # nu = (<m, u> + a over the flag's rays) maps vertices onto vertices; with
+    # m = p / s and lam * a = c integral, common * nu is integral
+    s, points = ratgeom.vertex_points(divisor.section_polytope())
+    lam, c = scale_to_integers(shift)
+    common = lcm(s, lam)
+    k, j = common // s, common // lam
+    polytope = ratgeom.fill_vertices(
+        Polytope(n, body_rows),
+        common,
+        [
+            [sum(map(mul, p, row)) * k + ci * j for row, ci in zip(rows, c)]
+            for p in points
+        ],
     )
     return OkounkovBody(divisor, flag, polytope)
 
@@ -154,16 +162,18 @@ def pseff_threshold(divisor: TDivisor, flag: FlagSpec) -> Fraction:
     require_big(divisor)
     top = flag.ray_order[0]
     ray = divisor.variety.rays[top]
-    verts = ratgeom.enumerate_vertices(divisor.section_polytope())
-    reach = max(sum(c * u for c, u in zip(v, ray)) for v in verts)
-    return Fraction(divisor.coeffs[top]) + reach
+    s, points = ratgeom.vertex_points(divisor.section_polytope())
+    reach = max(sum(map(mul, p, ray)) for p in points)
+    return divisor.coeffs[top] + Fraction(reach, s)
 
 
 def translation_identity_check(divisor: TDivisor, flag: FlagSpec, t) -> bool:
     """Truncating the body at nu_1 >= t equals the body of D - t*D_top + t e_1.
 
-    The two sides' vertices come from independent enumerations: the
-    truncated polytope's own, and the section polytope of D - t*D_top.
+    The two sides' vertices come from independent computations: the
+    truncated body is enumerated generically, and the shifted class
+    D - t*D_top is read off the cone table when it is nef (and enumerated
+    when it is not).
     """
     t = Fraction(t)
     tau = pseff_threshold(divisor, flag)
@@ -221,8 +231,10 @@ def slice_profile(body: OkounkovBody) -> SliceProfile:
     costs one integer determinant per simplex and no vertex enumeration.
     """
     n = body.dim
-    verts = body.vertices()
-    levels = sorted({v[0] for v in verts})
+    scale, points = ratgeom.vertex_points(body.polytope)
+    # vertex levels: nu_1 times scale, and as Fractions
+    heights = sorted({p[0] for p in points})
+    levels = [Fraction(h, scale) for h in heights]
     if n == 1:
         return SliceProfile(
             dim=1,
@@ -232,38 +244,49 @@ def slice_profile(body: OkounkovBody) -> SliceProfile:
     if len(levels) == 1:
         # degenerate body inside one hyperplane; zero slice area
         return SliceProfile(dim=n, breakpoints=(levels[0], levels[0]), pieces=())
-    if ratgeom.affine_rank(verts) < n:
+    if not ratgeom.is_full_dimensional(body.polytope):
         # a flat body has no (n-1)-dimensional slice
         pieces = (ratpoly.ZERO,) * (len(levels) - 1)
         return SliceProfile(dim=n, breakpoints=tuple(levels), pieces=pieces)
     rows = body.polytope.rows
     masks = [
-        sum(1 << k for k, (a, b) in enumerate(rows) if sum(map(mul, a, v)) + b == 0)
-        for v in verts
+        sum(
+            1 << k
+            for k, (a, b) in enumerate(rows)
+            if sum(map(mul, a, p)) + b * scale == 0
+        )
+        for p in points
     ]
-    # the edges between two levels, as (low level, high level, mask of the
-    # halfspaces holding the edge, a, b): the edge crosses level r at a + r*b
-    # in nu_2..nu_n.  verts is sorted, so verts[i] is the lower end.
-    edges = []
-    for i, j in combinations(range(len(verts)), 2):
-        v, w = verts[i], verts[j]
+    # the edges between two levels, as (low height, high height, mask of the
+    # halfspaces holding the edge, A, B).  With v = P / scale, w = W / scale
+    # and dz = W_0 - P_0 > 0 (points is sorted, so P is the lower end), the
+    # edge crosses level r at a + r*b in nu_2..nu_n, where
+    # a = (P_k W_0 - P_0 W_k) / (scale dz) and b = (W_k - P_k) / dz, so
+    # A = L a and B = L b are integral for L = scale * lcm(dz).
+    ends = []
+    for i, j in combinations(range(len(points)), 2):
+        v, w = points[i], points[j]
         common = masks[i] & masks[j]
         if v[0] == w[0] or any(
             m & common == common for k, m in enumerate(masks) if k not in (i, j)
         ):
             continue
-        b = [(y - x) / (w[0] - v[0]) for x, y in zip(v[1:], w[1:])]
-        a = [x - v[0] * c for x, c in zip(v[1:], b)]
+        ends.append((v, w, common))
+    dz_lcm = lcm(*(w[0] - v[0] for v, w, _ in ends))
+    multiplier = scale * dz_lcm
+    edges = []
+    for v, w, common in ends:
+        f = dz_lcm // (w[0] - v[0])
+        a = [(x * w[0] - v[0] * y) * f for x, y in zip(v[1:], w[1:])]
+        b = [(y - x) * scale * f for x, y in zip(v[1:], w[1:])]
         edges.append((v[0], w[0], common, a, b))
-    # one scale makes every a and b integral
-    scale = lcm(*(c.denominator for *_, a, b in edges for c in a + b))
-    edges = [
-        (low, high, mask, [int(c * scale) for c in a], [int(c * scale) for c in b])
-        for low, high, mask, a, b in edges
-    ]
     pieces = []
-    for lo, hi in zip(levels, levels[1:]):
-        crossing = [e for e, edge in enumerate(edges) if edge[0] <= lo <= hi <= edge[1]]
+    for t, (lo, hi) in enumerate(zip(levels, levels[1:])):
+        crossing = [
+            e
+            for e, edge in enumerate(edges)
+            if edge[0] <= heights[t] and heights[t + 1] <= edge[1]
+        ]
         facets = [
             [e for e in crossing if edges[e][2] >> k & 1] for k in range(len(rows))
         ]
@@ -272,7 +295,7 @@ def slice_profile(body: OkounkovBody) -> SliceProfile:
         for j in range(n):
             r = lo + (hi - lo) * Fraction(j, n - 1)
             p, q = r.numerator, r.denominator
-            # the crossings scaled by q * scale, so integral
+            # the crossings scaled by q * multiplier, so integral
             point = {
                 e: [q * x + p * y for x, y in zip(*edges[e][3:])] for e in crossing
             }
@@ -281,7 +304,7 @@ def slice_profile(body: OkounkovBody) -> SliceProfile:
                 base = point[s[0]]
                 rows_s = [[x - y for x, y in zip(point[e], base)] for e in s[1:]]
                 total += abs(ratgeom.int_det(rows_s))
-            area = Fraction(total, factorial(n - 1) * (q * scale) ** (n - 1))
+            area = Fraction(total, factorial(n - 1) * (q * multiplier) ** (n - 1))
             samples.append((r, area))
         pieces.append(ratpoly.interpolate(samples))
     return SliceProfile(dim=n, breakpoints=tuple(levels), pieces=tuple(pieces))

@@ -38,6 +38,15 @@ elimination*, 1968):
   of their denominators makes them integral and changes neither the rank of
   their differences nor the sign of ``<a, v> + b``, which becomes
   ``(<a, scale*v> + b*scale) / scale``.
+
+A polytope caches its vertices once, in that integer form: ``vertex_points``
+returns ``(scale, points)`` with ``scale`` the lcm of the vertices'
+denominators and ``points`` the vertices times ``scale``, sorted.  One
+positive scale keeps lexicographic order, so ``points`` sorts like the
+Fraction vertices of ``enumerate_vertices``.  A vertex found as ``(num,
+d)`` with ``gcd(d, *num) = 1`` has d as the lcm of its coordinates'
+denominators (``lcm_j(d / gcd(d, num_j)) = d / gcd(d, *num)``), so the lcm
+of the d's is ``scale``.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm
-from operator import add, mul, sub
+from operator import mul, sub
 
 from torifan.errors import DegeneratePolytope, UnboundedPolytope
 
@@ -62,9 +71,10 @@ class Polytope:
     """Immutable H-representation with write-once caches.
 
     ``rows`` holds one primitive integer row ``(a, b)``, meaning
-    ``<a, m> + b >= 0``, per ``(normal, offset)`` pair given.  Vertices,
-    volume and barycenter are cached on the instance; the cached
-    assignments are idempotent, so concurrent recomputation is harmless.
+    ``<a, m> + b >= 0``, per ``(normal, offset)`` pair given.  Vertices
+    (integer form, and the Fraction tuples read off it), volume and
+    barycenter are cached on the instance; the cached assignments are
+    idempotent, so concurrent recomputation is harmless.
     """
 
     def __init__(self, ambient_dim, rows):
@@ -83,6 +93,7 @@ class Polytope:
             primitive.append((tuple(row[:-1]), row[-1]))
         self.ambient_dim = ambient_dim
         self.rows = tuple(primitive)
+        self._points = None  # (scale, integer points), see vertex_points
         self._vertices = None
         self._volume = None
         self._barycenter = None
@@ -163,16 +174,15 @@ def _scaled(points):
 
 
 def _affine_rank(int_points):
+    if len(int_points) <= 1:
+        return 0
     base = int_points[0]
     return int_rank([list(map(sub, p, base)) for p in int_points[1:]])
 
 
 def affine_rank(points) -> int:
     """Dimension of the affine span of a point set."""
-    pts = list(points)
-    if len(pts) <= 1:
-        return 0
-    return _affine_rank(_scaled(pts)[1])
+    return _affine_rank(_scaled(list(points))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +192,9 @@ def affine_rank(points) -> int:
 def _candidate_vertices(rows, n):
     """Feasible intersections of n facet hyperplanes, deduplicated.
 
-    Returns None when no n-subset of the rows is nonsingular, that is when
-    the rows have rank below n.
+    Each is ``(num, d)`` with ``d > 0`` and ``gcd(d, *num) = 1``, the point
+    ``num / d``.  Returns None when no n-subset of the rows is nonsingular,
+    that is when the rows have rank below n.
     """
     seen = set()
     found = []
@@ -209,9 +220,7 @@ def _candidate_vertices(rows, n):
         seen.add(key)
         if all(sum(map(mul, ai, num)) + bi * d >= 0 for ai, bi in rows):
             found.append(key)
-    if not nonsingular:
-        return None
-    return [tuple(Fraction(x, d) for x in num) for num, d in found]
+    return found if nonsingular else None
 
 
 def _cross(rows, n):
@@ -279,15 +288,33 @@ def _feasible(rows, n) -> bool:
     return bool(_candidate_vertices(reduced, len(pivot_cols)))
 
 
-def enumerate_vertices(poly: Polytope):
-    """All vertices of a bounded polytope, sorted lexicographically.
+def vertex_points(poly: Polytope):
+    """``(scale, points)``: the vertices times the lcm ``scale`` of their
+    denominators, as sorted integer tuples (module docstring).
 
     Raises :class:`UnboundedPolytope` when the feasible set is unbounded;
-    returns an empty tuple when it is empty.
+    ``points`` is empty when it is empty.
     """
+    if poly._points is None:
+        poly._points = _enumerate(poly)
+    return poly._points
+
+
+def enumerate_vertices(poly: Polytope):
+    """All vertices of a bounded polytope as Fraction tuples, sorted
+    lexicographically: ``vertex_points`` over its scale."""
     if poly._vertices is None:
-        poly._vertices = tuple(_enumerate(poly))
+        scale, points = vertex_points(poly)
+        poly._vertices = tuple(tuple(Fraction(x, scale) for x in p) for p in points)
     return poly._vertices
+
+
+def fill_vertices(poly: Polytope, scale, points) -> Polytope:
+    """Cache ``points / scale``, integer points and ``scale > 0``, as the
+    vertices of ``poly``; the caller proves that they are.  Returns poly."""
+    g = gcd(scale, *(x for p in points for x in p))
+    poly._points = scale // g, tuple(sorted({tuple(x // g for x in p) for p in points}))
+    return poly
 
 
 def _enumerate(poly):
@@ -298,14 +325,16 @@ def _enumerate(poly):
         # rank below n: the feasible set, if any, holds a line
         if _feasible(rows, n):
             raise UnboundedPolytope(_line(rows, n))
-        return ()
+        return 1, ()
     if not candidates:
         # pointed recession cone: a nonempty set would have a vertex
-        return ()
+        return 1, ()
     ray = _recession_ray(rows, n)
     if ray is not None:
         raise UnboundedPolytope(ray)
-    return tuple(sorted(candidates))
+    scale = lcm(*(d for _, d in candidates))
+    points = (tuple(x * (scale // d) for x in num) for num, d in candidates)
+    return scale, tuple(sorted(points))
 
 
 def contains(poly: Polytope, point) -> bool:
@@ -317,11 +346,11 @@ def contains(poly: Polytope, point) -> bool:
 
 
 def is_full_dimensional(poly: Polytope) -> bool:
-    return affine_rank(enumerate_vertices(poly)) == poly.ambient_dim
+    return _affine_rank(vertex_points(poly)[1]) == poly.ambient_dim
 
 
 def _vertices_inside(p: Polytope, q: Polytope) -> bool:
-    scale, points = _scaled(enumerate_vertices(p))
+    scale, points = vertex_points(p)
     return all(
         sum(map(mul, a, v)) + b * scale >= 0
         for a, b in q.rows
@@ -389,6 +418,22 @@ def _pull(face, facets, memo):
     return out
 
 
+def _pulling(poly: Polytope, first=0):
+    """``(scale, points, simplices)``: ``vertex_points`` with the point at
+    index ``first`` moved to the front, and their pulling triangulation as
+    index tuples into those points, empty when not full-dimensional."""
+    n = poly.ambient_dim
+    scale, points = vertex_points(poly)
+    if len(points) <= n or _affine_rank(points) < n:
+        return scale, points, []
+    points = (points[first],) + points[:first] + points[first + 1 :]
+    tight = [
+        [i for i, v in enumerate(points) if sum(map(mul, a, v)) + b * scale == 0]
+        for a, b in poly.rows
+    ]
+    return scale, points, pulling_triangulation(range(len(points)), tight)
+
+
 def fan_triangulation(poly: Polytope, base=None):
     """Triangulate a full-dimensional polytope by pulling, first from ``base``.
 
@@ -399,26 +444,15 @@ def fan_triangulation(poly: Polytope, base=None):
     full-dimensional.
     """
     verts = enumerate_vertices(poly)
-    if len(verts) <= poly.ambient_dim:
-        return []
-    order = list(verts)
+    first = 0
     if base is not None:
         base = tuple(map(Fraction, base))
         if base not in verts:
             raise ValueError("base point is not a vertex")
-        order.remove(base)
-        order.insert(0, base)
-    scale, points = _scaled(order)
-    if _affine_rank(points) < poly.ambient_dim:
-        return []
-    tight = [
-        [i for i, v in enumerate(points) if sum(map(mul, a, v)) + b * scale == 0]
-        for a, b in poly.rows
-    ]
-    return [
-        tuple(order[i] for i in s)
-        for s in pulling_triangulation(range(len(order)), tight)
-    ]
+        first = verts.index(base)
+    order = (verts[first],) + verts[:first] + verts[first + 1 :]
+    _, _, simplices = _pulling(poly, first)
+    return [tuple(order[i] for i in s) for s in simplices]
 
 
 def simplex_sums(points, simplices, n):
@@ -442,15 +476,13 @@ def simplex_sums(points, simplices, n):
 def _measure(poly: Polytope):
     """Fill the volume and barycenter caches from one triangulation.
 
-    The vertices are scaled by the lcm of their denominators, so every
-    simplex determinant and coordinate sum is an integer.  The barycenter
-    stays None when the volume is zero.
+    The triangulation runs on ``vertex_points``, so every simplex
+    determinant and coordinate sum is an integer.  The barycenter stays
+    None when the volume is zero.
     """
     n = poly.ambient_dim
-    simplices = fan_triangulation(poly)
-    verts = list({v for s in simplices for v in s})
-    scale, points = _scaled(verts)
-    total, acc = simplex_sums(dict(zip(verts, points)), simplices, n)
+    scale, points, simplices = _pulling(poly)
+    total, acc = simplex_sums(points, simplices, n)
     poly._volume = Fraction(total, factorial(n) * scale**n)
     if total:
         poly._barycenter = tuple(
@@ -502,7 +534,12 @@ def translate(poly: Polytope, vector) -> Polytope:
     moved = Polytope(
         poly.ambient_dim, [(a, b - sum(map(mul, a, vector))) for a, b in poly.rows]
     )
-    if poly._vertices is not None:
-        # translation keeps lexicographic order
-        moved._vertices = tuple(tuple(map(add, p, vector)) for p in poly._vertices)
+    if poly._points is not None:
+        scale, points = poly._points
+        lam, shift = scale_to_integers(vector)
+        common = lcm(scale, lam)
+        k, j = common // scale, common // lam
+        fill_vertices(
+            moved, common, [[x * k + y * j for x, y in zip(p, shift)] for p in points]
+        )
     return moved

@@ -181,7 +181,7 @@ def gcd_poly(p, q):
 def squarefree(p):
     """The primitive integer polynomial with p's roots, each once."""
     P = primitive(p)[1]
-    g = _sturm_sequence(P, derivative(P))[-1]
+    g = _sturm(P)[-1]
     return P if len(g) == 1 else _divide(P, g)
 
 
@@ -190,12 +190,17 @@ def _sign_changes(seq, x):
     return sum(a != b for a, b in pairwise(signs))
 
 
+def _sturm(P):
+    """The Sturm sequence of a nonzero integer polynomial P."""
+    return _sturm_sequence(P, derivative(P))
+
+
 def count_roots(p, a, b) -> int:
     """Number of distinct real roots in (a, b]; requires p(a) != 0."""
     P = primitive(p)[1]
     if not any(P):
         raise ValueError("root counting needs a nonzero polynomial")
-    seq = _sturm_sequence(P, derivative(P))
+    seq = _sturm(P)
     return _sign_changes(seq, _frac(a)) - _sign_changes(seq, _frac(b))
 
 
@@ -217,19 +222,26 @@ def _side_sign(P, x, side):
     return 0
 
 
-def _nonneg_rec(P, Q, lo, hi):
+def _nonneg_rec(P, Q, seq, lo, hi):
     """Decide P >= 0 on [lo, hi], given Q squarefree with P's roots inside
-    and none at lo or hi, and P >= 0 at and just inside both ends.  With at
-    most one interior root the ends decide; bisection separates the roots,
-    so the recursion ends below the least root gap."""
-    if count_roots(Q, lo, hi) <= 1:
+    and none at lo or hi, seq its Sturm sequence, and P >= 0 at and just
+    inside both ends.  With at most one interior root the ends decide;
+    bisection separates the roots, so the recursion ends below the least
+    root gap.  A root of P at a midpoint is one of Q's, so it is divided
+    out of Q and only then is the sequence built again."""
+    if _sign_changes(seq, lo) - _sign_changes(seq, hi) <= 1:
         return True
     mid = (lo + hi) / 2
     s = _sign(P, mid)
     if s == 0:
         s = min(_side_sign(P, mid, -1), _side_sign(P, mid, 1))
         Q = _strip_root(Q, mid)
-    return s >= 0 and _nonneg_rec(P, Q, lo, mid) and _nonneg_rec(P, Q, mid, hi)
+        seq = _sturm(Q)
+    return (
+        s >= 0
+        and _nonneg_rec(P, Q, seq, lo, mid)
+        and _nonneg_rec(P, Q, seq, mid, hi)
+    )
 
 
 def nonnegative_on(p, a, b) -> bool:
@@ -244,7 +256,8 @@ def nonnegative_on(p, a, b) -> bool:
         return True
     if _side_sign(P, a, 1) < 0 or _side_sign(P, b, -1) < 0:
         return False
-    return _nonneg_rec(P, _interior_part(P, a, b), a, b)
+    Q = _interior_part(P, a, b)
+    return _nonneg_rec(P, Q, _sturm(Q), a, b)
 
 
 def _interior_part(P, a, b):

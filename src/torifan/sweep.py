@@ -30,17 +30,22 @@ The engine's evaluator also scores the collected sample reports, through
 invariants.score.  The argmax is therefore re-checked by the independent
 ratgeom composition (Seshadri constant, stability threshold from the
 barycenter, volume from a triangulation of the section polytope), so that
-the evaluator is never compared with itself.
+the evaluator is never compared with itself.  That composition runs on a
+fresh ``Polytope(n, zip(rays, coeffs))`` whose vertices come from generic
+enumeration: ``TDivisor.section_polytope()`` of a nef class reads them off
+the same cone inverses as the evaluator's vertex maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
-from torifan import _sweep_pure, invariants
+from torifan import _sweep_pure, invariants, ratgeom
 from torifan._sweep_pure import build_skeleton
 from torifan.errors import EmptyGrid, ValidationError, VerificationError
+from torifan.ratgeom import Polytope
 from torifan.toric import ToricVariety
 
 # The interval walk costs up to one set test per point of {1..res}^(#rays),
@@ -93,10 +98,15 @@ def sweep_ample_cone(
         raise EmptyGrid(
             f"no ample sample in {{1..{resolution}}}^{variety.n_rays}"
         )
-    # ratgeom composition: invariants.score would run the evaluator again
+    # ratgeom composition on a fresh polytope, enumerated generically:
+    # invariants.score would run the evaluator again, and top.section_polytope()
+    # would read its vertices off the cone inverses the evaluator uses
     top = variety.divisor(raw.argmax)
     n = variety.dim
-    if invariants.greatest_ricci_lower_bound(top) ** n * top.vol() != raw.best:
+    fresh = Polytope(n, zip(variety.rays, top.coeffs))
+    delta, _ = invariants.delta_from_barycenter(top, ratgeom.barycenter(fresh))
+    beta = min(invariants.seshadri_constant(top), delta)
+    if beta**n * factorial(n) * ratgeom.volume(fresh) != raw.best:
         raise VerificationError(
             "sweep engine disagrees with the direct invariant computation",
             variety=variety.name,

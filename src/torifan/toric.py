@@ -98,10 +98,44 @@ class ToricVariety:
         lam, c = scale_to_integers(coeffs)
         return lam, [sum(map(mul, row, c)) for row in self.wall_rows]
 
+    def _cone_point(self, cone_index, c):
+        """-inv_sigma c_sigma: the integer m with <m, u_rho> = -c_rho on the
+        rays of cone sigma, for integer coefficients c."""
+        cone = self.max_cones[cone_index]
+        return tuple(
+            -sum(x * c[i] for x, i in zip(row, cone))
+            for row in self.cone_inverses[cone_index]
+        )
+
     def cone_vertex(self, cone_index, coeffs):
         """The point m with <m, u_rho> = -a_rho for every ray of the cone."""
-        rhs = [-Fraction(coeffs[i]) for i in self.max_cones[cone_index]]
-        return tuple(sum(map(mul, r, rhs)) for r in self.cone_inverses[cone_index])
+        lam, c = scale_to_integers(coeffs)
+        return tuple(Fraction(x, lam) for x in self._cone_point(cone_index, c))
+
+    def nef_vertex_points(self, coeffs):
+        """``(lam, points)``: the set of cone points m_sigma of a nef class
+        times lam (``scale_to_integers``).  They are exactly the vertices
+        of its section polytope P_D = {m : <m, u_rho> >= -a_rho}.
+
+        Proof.  Each m_sigma lies in P_D: that is the nef condition
+        (Cox-Little-Schenck, *Toric Varieties*, 2011, Theorems 6.1.7 and
+        6.3.12), decided here on ``wall_rows``; across a wall with opposite
+        rays u_a in sigma and u_b in sigma', the relation gives
+        ``<m_sigma', u_a> + a_a = D.C``, so each wall value is the slack of
+        a neighbouring cone point.  Let Q = conv{m_sigma}, inside P_D.  A
+        direction u lies in some maximal cone sigma, u = sum l_i u_i over
+        its rays with l_i >= 0, so every m in P_D has
+        ``<m, u> = sum l_i <m, u_i> >= -sum l_i a_i = <m_sigma, u>``.  A
+        point of P_D outside the compact convex Q would be separated from
+        it by some u with <m, u> below every value on Q, which this rules
+        out; so P_D = Q (CLS, 6.1).  And each m_sigma is a vertex of P_D:
+        it is feasible and tight on the n linearly independent rays of
+        sigma, so it is the only point of P_D on those n hyperplanes.  The
+        vertices of Q are among the m_sigma, so the distinct m_sigma are
+        exactly the vertices of P_D, whether D is big or not.
+        """
+        lam, c = scale_to_integers(coeffs)
+        return lam, {self._cone_point(k, c) for k in range(len(self.max_cones))}
 
     def fixed_points(self):
         """Indices of maximal cones, one torus-fixed point each."""
@@ -161,11 +195,18 @@ class TDivisor:
     __rmul__ = __mul__
 
     def section_polytope(self) -> Polytope:
-        """{m : <m, u_rho> >= -a_rho for all rays}."""
+        """{m : <m, u_rho> >= -a_rho for all rays}.
+
+        For a nef class the vertices are read off the cone table
+        (``ToricVariety.nef_vertex_points``); any other class leaves them to
+        generic enumeration.
+        """
         if self._polytope is None:
-            self._polytope = Polytope(
-                self.variety.dim, zip(self.variety.rays, self.coeffs)
-            )
+            variety = self.variety
+            poly = Polytope(variety.dim, zip(variety.rays, self.coeffs))
+            if self.is_nef():
+                ratgeom.fill_vertices(poly, *variety.nef_vertex_points(self.coeffs))
+            self._polytope = poly
         return self._polytope
 
     def wall_values(self):
@@ -179,6 +220,8 @@ class TDivisor:
         return all(v > 0 for v in self.variety.scaled_wall_values(self.coeffs)[1])
 
     def is_big(self) -> bool:
+        """Whether P_D has dimension n: for a nef class, whether its cone
+        points have integer affine rank n."""
         return ratgeom.is_full_dimensional(self.section_polytope())
 
     def vol(self) -> Fraction:

@@ -5,18 +5,22 @@ matrix, every wall must satisfy its relation, and a cone that is not
 unimodular must be refused by name.  The integer wall rows must decide
 wall values, nef, ample and both Seshadri constants exactly as the Fraction
 formula a_opp_a + a_opp_b + sum b_i a_i over the ``Wall`` fields does;
-that formula is kept here as the reference.
+that formula is kept here as the reference.  The section polytope of a nef
+class reads its vertices off the cone table, and they must be the Fraction
+oracle's vertices of a fresh polytope.
 """
 
 import random
 from fractions import Fraction as F
 
 import pytest
-from test_score_oracle import principal_shift
+from test_score_oracle import ample_class, principal_shift
 from test_toric import _relabelled
+from vertex_oracle import fraction_vertices, matrix_rank
 
-from torifan import catalog, invariants, toric
+from torifan import catalog, invariants, ratgeom, toric
 from torifan.errors import NotSimplicial, NotSmooth, ValidationError
+from torifan.ratgeom import Polytope
 
 TOWER_STARTS = (
     (catalog.projective_space(2), 3),
@@ -188,3 +192,59 @@ def test_wall_rows_match_the_fraction_formula():
         assert at_point == reference_ratio(bl.result, pulled.coeffs, e.coeffs)
     assert all(seen.values()), seen
     assert all(ample_kinds.values()), ample_kinds
+
+
+def section_classes(rng):
+    """Per catalog fan and tower level: ample classes (-K or the tower's
+    class, and a seeded one), nef pullbacks along a blow-up, every D_rho
+    (rulings of P1xP1 and P1xP1xP1 are nef and not big), the ample class
+    plus 2 D_rho (big, and not nef on an exceptional ray), 0 and seeded
+    mixed classes."""
+    entries = [(v.anticanonical(), None) for v in catalog.bundled_catalog()]
+    entries += towers(rng)
+    for ample, nef in entries:
+        v = ample.variety
+        yield ample
+        yield ample_class(rng, v, lambda: rng.randint(1, 5))
+        if nef is not None:
+            yield nef
+        if v.dim >= 2:
+            bl = toric.blowup_at_fixed_point(v, rng.randrange(len(v.max_cones)))
+            yield toric.pullback(ample, bl)
+        yield v.divisor([0] * v.n_rays)
+        for k in range(v.n_rays):
+            unit = v.divisor([int(i == k) for i in range(v.n_rays)])
+            yield unit
+            yield ample + 2 * unit
+        for _ in range(4):
+            yield v.divisor([rng.randint(-2, 2) for _ in v.rays])
+
+
+def test_nef_section_vertices_from_the_cone_table_match_the_oracle(monkeypatch):
+    real = ratgeom._enumerate
+    runs = []
+
+    def counting(poly):
+        runs.append(poly)
+        return real(poly)
+
+    monkeypatch.setattr(ratgeom, "_enumerate", counting)
+    seen = dict.fromkeys(("ample", "nef big", "nef not big", "big not nef"), 0)
+    for d in section_classes(random.Random(20261104)):
+        v = d.variety
+        runs.clear()
+        verts = ratgeom.enumerate_vertices(d.section_polytope())
+        # a nef class's vertices come from the cone table alone
+        assert bool(runs) != d.is_nef(), (v.name, d.coeffs)
+        want = fraction_vertices(Polytope(v.dim, zip(v.rays, d.coeffs)))
+        assert verts == want, (v.name, d.coeffs)
+        diffs = [[x - y for x, y in zip(p, want[0])] for p in want[1:]]
+        big = bool(diffs) and matrix_rank(diffs) == v.dim
+        assert d.is_big() == big, (v.name, d.coeffs)
+        if d.is_ample():
+            seen["ample"] += 1
+        elif d.is_nef():
+            seen["nef big" if big else "nef not big"] += 1
+        elif big:
+            seen["big not nef"] += 1
+    assert all(count >= 20 for count in seen.values()), seen

@@ -226,10 +226,8 @@ def test_truncate_and_translate():
     upper = ratgeom.truncate(sq, 1, lo=F(1, 2))
     assert ratgeom.volume(upper) == F(1, 2)
     moved = ratgeom.translate(upper, (F(0), F(-1, 2)))
-    # the vertex cache is carried over, in order
-    assert moved._vertices == ratgeom.enumerate_vertices(
-        Polytope(2, moved.rows)
-    )
+    # the integer vertex cache is carried over, in order
+    assert moved._points == ratgeom.vertex_points(Polytope(2, moved.rows))
     lower = ratgeom.truncate(sq, 1, hi=F(1, 2))
     assert ratgeom.polytopes_equal(moved, lower)
 

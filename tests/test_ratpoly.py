@@ -120,6 +120,40 @@ def test_gcd_and_squarefree():
     assert ratpoly.equal(ratpoly.squarefree(cube), poly(-1, 1))
 
 
+def squared_roots(*roots):
+    """prod (x - r)^2: nonnegative, with a double root at each r."""
+    p = poly(1)
+    for r in roots:
+        p = ratpoly.multiply(p, ratpoly.multiply(poly(-r, 1), poly(-r, 1)))
+    return p
+
+
+@pytest.mark.parametrize(
+    "roots, a, b, builds",
+    [
+        # bisection at 5/2, 5/4 and 15/4 splits four roots, none at a midpoint:
+        # one build for the squarefree part, one for its Sturm sequence
+        ((1, 2, 3, 4), 0, 5, 2),
+        # the midpoint 2 is a root: it is divided out and the sequence rebuilt
+        ((1, 2, 3), 0, 4, 3),
+    ],
+)
+def test_nonnegative_on_builds_each_sturm_sequence_once(
+    monkeypatch, roots, a, b, builds
+):
+    real = ratpoly._sturm_sequence
+    calls = []
+
+    def counting(P, Q):
+        calls.append(P)
+        return real(P, Q)
+
+    monkeypatch.setattr(ratpoly, "_sturm_sequence", counting)
+    p = squared_roots(*roots)
+    assert ratpoly.nonnegative_on(p, F(a), F(b))
+    assert len(calls) == builds
+
+
 # ---------------------------------------------------------------------------
 # piecewise polynomials
 

@@ -174,6 +174,34 @@ def test_argmax_recheck_is_independent_of_the_evaluator(monkeypatch):
         sweep.sweep_ample_cone(catalog.hirzebruch_one(), 2, collect_cap=0)
 
 
+def test_argmax_recheck_never_reads_the_cone_table(monkeypatch):
+    """The re-check enumerates a fresh polytope; the cone table feeds the
+    evaluator, so reading nef section vertices off it would check the
+    evaluator with itself."""
+
+    def refuse(self, coeffs):
+        raise AssertionError("the re-check read cone-table vertices")
+
+    real = ratgeom._enumerate
+    runs = []
+
+    def counting(poly):
+        runs.append(poly)
+        return real(poly)
+
+    monkeypatch.setattr(toric.ToricVariety, "nef_vertex_points", refuse)
+    monkeypatch.setattr(ratgeom, "_enumerate", counting)
+    for v in (
+        catalog.projective_space(2),
+        catalog.hirzebruch_one(),
+        catalog.del_pezzo_6(),
+    ):
+        runs.clear()
+        res = sweep.sweep_ample_cone(v, 3)
+        assert res.max_score > 0
+        assert runs, v.name
+
+
 def test_refinement_is_monotone_on_bl3p2():
     v = catalog.del_pezzo_6()
     coarse = sweep.sweep_ample_cone(v, 8, collect_cap=0)
