@@ -2,8 +2,9 @@
 
 ``build_skeleton`` gathers a variety's integer tables once per variety
 object; the cache holds the variety weakly, so it keeps none alive.  The
-wall rows are the variety's ``wall_rows`` and the vertex maps its negated
-``cone_inverses``; the skeleton adds the triangulation.
+wall rows are the distinct ``wall_rows`` of the variety, one per curve
+class (reduction 5), and the vertex maps its negated ``cone_inverses``;
+the skeleton adds the triangulation.
 ``_evaluate`` reads every invariant of one ample class off them, and it is
 the one evaluator of ample classes: ``run_sweep`` scores grid samples with
 it, and torifan.invariants.score scores any ample Q-divisor with it by the
@@ -17,7 +18,7 @@ composition, never by this evaluator.
 The result is the one a point-by-point walk gives -- visit every gcd-1
 vector of {1..res}^r in lexicographic order (last coordinate fastest),
 score each ample one, keep the first strict maximiser -- but the walk does
-far less work, by four reductions.
+far less work, by five reductions.
 
 1. Class invariance.  For m in M, D' = D + div(chi^m) has coefficients
    c'_rho = c_rho + <m, u_rho>.  Each cone vertex moves by -m (it solves
@@ -77,6 +78,21 @@ far less work, by four reductions.
    that progression skips every line whose integer classes were all seen
    before; only new integer classes are reduced to primitive vectors.
 
+5. One wall row per curve class.  The skeleton keeps the distinct rows of
+   ``wall_rows`` in first-occurrence order.  Two walls with equal rows w
+   have equal D.C = <w, c> for every c and equal K.C = sum w (``wall_k``,
+   the row on the all-ones anticanonical vector), so dropping the later
+   copy changes no comparison.  The Kleiman test (every wall value
+   positive), every ``bounds`` interval with the ``reach``, ``raising``
+   and ``lowering`` tables behind it, and the level-0 test that every
+   wall can turn positive are conditions on the set of rows, which the
+   copy does not change.  ``_evaluate``'s eps is the first wall whose
+   ratio K.C / D.C is strictly smallest; a later copy of a row has the
+   ratio of its first occurrence, so it never replaces it, and eps keeps
+   the same pair (K.C, D.C).  On P^n every wall curve is a line
+   (Cox-Little-Schenck, *Toric Varieties*, 2011, 6.3-6.4), so its
+   n(n+1)/2 walls leave one row; P1xP1xP1 keeps 3 of 12.
+
 Every check in ``_evaluate`` is a class function by 1 and 2, so the first
 failing sample of the point-by-point walk is the first sample, in grid
 order, of the first failing class.  The walk here visits lines in
@@ -129,11 +145,12 @@ def build_skeleton(variety) -> MappingProxyType:
         [j for j, cone in enumerate(cones) if rho in cone]
         for rho in range(variety.n_rays)
     ]
+    walls = tuple(dict.fromkeys(variety.wall_rows))  # reduction 5
     skel = _skeletons[variety] = MappingProxyType({
         "dim": variety.dim,
         "rays": variety.rays,
-        "walls": variety.wall_rows,
-        "wall_k": tuple(map(sum, variety.wall_rows)),
+        "walls": walls,
+        "wall_k": tuple(map(sum, walls)),
         "cone_indices": cones,
         # the vertex m_sigma = -R_sigma^-1 (c on sigma's rays)
         "cone_matrices": tuple(

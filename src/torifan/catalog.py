@@ -145,6 +145,6 @@ def write_bundled_files(target_dir):
         fname = catalog_file_name(variety.name)
         path = os.path.join(target_dir, fname)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+            fh.write(jsonio.dumps(payload))
         written.append(path)
     return written

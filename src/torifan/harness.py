@@ -382,7 +382,7 @@ def okounkov_command(
         )
     checks = []
     for t in translations:
-        ok = translation_identity_check(divisor, flag, t)
+        ok = translation_identity_check(body, t)
         if not ok:
             raise VerificationError(
                 "translation identity failed",

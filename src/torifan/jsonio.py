@@ -9,6 +9,7 @@ from __future__ import annotations
 import decimal
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from torifan.errors import ParseError
 from torifan.toric import TDivisor, ToricVariety, validate_fan
@@ -100,5 +101,58 @@ def load_divisor(path, variety: ToricVariety) -> TDivisor:
 
 
 def dumps(payload) -> str:
-    """Canonical JSON text: stable key order as built, trailing newline."""
-    return json.dumps(payload, indent=2) + "\n"
+    """Canonical JSON text: stable key order as built, trailing newline.
+
+    The text is ``json.dumps(payload, indent=2) + "\\n"`` byte for byte,
+    written here because an indent makes CPython fall back to its
+    pure-Python encoder.  Strings are escaped by the escaper json.dumps
+    uses; dict, list, tuple, str, int, bool and None are the only types
+    accepted, dict keys must be strings, and anything else raises
+    TypeError.
+    """
+    out = []
+    _write(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, out, newline):
+    """Append the indent-2 JSON of ``value``, nested at ``newline``."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )

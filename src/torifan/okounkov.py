@@ -167,19 +167,20 @@ def pseff_threshold(divisor: TDivisor, flag: FlagSpec) -> Fraction:
     return divisor.coeffs[top] + Fraction(reach, s)
 
 
-def translation_identity_check(divisor: TDivisor, flag: FlagSpec, t) -> bool:
-    """Truncating the body at nu_1 >= t equals the body of D - t*D_top + t e_1.
+def translation_identity_check(body: OkounkovBody, t) -> bool:
+    """Truncating the body of D at nu_1 >= t equals the body of
+    D - t*D_top + t e_1, for the body's divisor D and flag.
 
     The two sides' vertices come from independent computations: the
     truncated body is enumerated generically, and the shifted class
     D - t*D_top is read off the cone table when it is nef (and enumerated
     when it is not).
     """
+    divisor, flag = body.divisor, body.flag
     t = Fraction(t)
     tau = pseff_threshold(divisor, flag)
     if not 0 <= t < tau:
         raise ThresholdExceeded(f"need 0 <= t < {tau}, got {t}")
-    body = okounkov_body(divisor, flag)
     truncated = ratgeom.truncate(body.polytope, 0, lo=t)
     top = flag.ray_order[0]
     coeffs = list(divisor.coeffs)

@@ -72,9 +72,10 @@ class Polytope:
 
     ``rows`` holds one primitive integer row ``(a, b)``, meaning
     ``<a, m> + b >= 0``, per ``(normal, offset)`` pair given.  Vertices
-    (integer form, and the Fraction tuples read off it), volume and
-    barycenter are cached on the instance; the cached assignments are
-    idempotent, so concurrent recomputation is harmless.
+    (integer form, and the Fraction tuples read off it), full
+    dimensionality, volume and barycenter are cached on the instance; the
+    cached assignments are idempotent, so concurrent recomputation is
+    harmless.
     """
 
     def __init__(self, ambient_dim, rows):
@@ -95,6 +96,7 @@ class Polytope:
         self.rows = tuple(primitive)
         self._points = None  # (scale, integer points), see vertex_points
         self._vertices = None
+        self._full = None  # see is_full_dimensional
         self._volume = None
         self._barycenter = None
 
@@ -107,12 +109,16 @@ class Polytope:
 
 
 def int_det(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss."""
+    """Determinant of a square integer matrix: cofactor expansion up to
+    3x3, fraction-free Bareiss above."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     m = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -346,7 +352,10 @@ def contains(poly: Polytope, point) -> bool:
 
 
 def is_full_dimensional(poly: Polytope) -> bool:
-    return _affine_rank(vertex_points(poly)[1]) == poly.ambient_dim
+    """Whether the vertices have affine rank n; cached on the polytope."""
+    if poly._full is None:
+        poly._full = _affine_rank(vertex_points(poly)[1]) == poly.ambient_dim
+    return poly._full
 
 
 def _vertices_inside(p: Polytope, q: Polytope) -> bool:

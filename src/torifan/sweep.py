@@ -8,7 +8,10 @@ by torifan._sweep_pure.build_skeleton (also reachable as
 torifan.sweep.build_skeleton):
 
   - wall rows: D.C_w as an integer functional of the coefficients, the
-    variety's own ``ToricVariety.wall_rows`` (which also decide nef/ample),
+    distinct rows of the variety's own ``ToricVariety.wall_rows`` (which
+    also decide nef/ample), one per curve class: walls with equal rows
+    give equal values on every class, so P^n keeps one row for its
+    n(n+1)/2 walls (torifan._sweep_pure, reduction 5),
   - vertex maps: the cone vertex m_sigma as an integer matrix times the
     cone's coefficients, the negated ``ToricVariety.cone_inverses``,
   - a pulling triangulation of the section polytope, stored as tuples of

@@ -4,6 +4,40 @@ A fan is given by primitive integer ray generators and simplicial maximal
 cones.  Completeness is certified combinatorially: every wall (codimension-1
 cone) lies in exactly two maximal cones that sit on opposite sides of it, and
 the cone-adjacency graph is connected.
+
+One walk over the wall graph certifies smoothness and inverts every cone
+(``_walk``).  Cone 0 is inverted by fraction-free elimination
+(``_unimodular_inverse``); every other cone is reached across a wall that
+lies in exactly two cones.  Let cone a, already certified unimodular, have
+rays u_i with dual basis m_i (the columns of its inverse, <u_j, m_i> =
+delta_ij), and let the wall drop its ray u_p (p = opp_a) while cone b adds
+u_q (q = opp_b).  One vector-matrix product gives the coordinates
+x_i = <u_q, m_i> of u_q = sum_i x_i u_i; write c = x_p.
+
+- Determinant.  Cone b's ray matrix is cone a's with u_p replaced by u_q,
+  up to the order of the rows.  The determinant is linear in that row, and
+  every u_i with i != p repeats a row, so det(b) = +-c det(a) = +-c.  Hence
+  c = 0 means cone b is not simplicial and |c| > 1 that it is not smooth
+  (Cramer's rule), with |det| = |c| as elimination would report.
+- Inverse.  For |c| = 1 the dual basis of cone b is m'_q = m_p / c and
+  m'_i = m_i - (x_i / c) m_p for the wall rays i.  Indeed
+  <u_q, m'_q> = x_p / c = 1, <u_q, m'_i> = x_i - (x_i / c) c = 0, and a
+  wall ray u_j gives <u_j, m'_q> = 0 and <u_j, m'_i> = delta_ij, since
+  <u_j, m_p> = 0.  With c = +-1 both updates stay integral.
+- Wall.  The same x gives u_p + u_q + sum_i b_i u_i = 0 with b_i = -x_i
+  exactly when c = -1, and c = -1 says that u_q lies on the side of the
+  wall opposite to u_p.  Seen from cone b, u_p = (1/c) u_q - sum (x_i/c)
+  u_i, so both cones give the same c = +-1 and the same relation, and each
+  wall is crossed once, from whichever cone the walk meets first.
+- Connectivity.  The walk from cone 0 reaches exactly the cones of its
+  component of the graph of two-cone walls.  Cones it cannot reach (a
+  disconnected or otherwise defective fan) are inverted by elimination and
+  start a walk of their own, so every two-cone wall is still crossed, and
+  the fan is connected iff one walk reached every cone.
+
+Errors keep one precedence: ray checks, structural cone checks, the
+lowest-index cone that is not unimodular, rays in no cone, then the walls
+in sorted order (owner count, then opposite sides), then connectivity.
 """
 
 from __future__ import annotations
@@ -75,12 +109,13 @@ class ToricVariety:
         return _build_walls(self)
 
     @cached_property
+    def _cone_walk(self):
+        return _walk(self)
+
+    @cached_property
     def cone_inverses(self):
         """Per maximal cone, the integer inverse of its ray matrix."""
-        return tuple(
-            _unimodular_inverse([self.rays[i] for i in cone], ci)
-            for ci, cone in enumerate(self.max_cones)
-        )
+        return self._cone_walk[0]
 
     @cached_property
     def wall_rows(self):
@@ -310,13 +345,79 @@ def _unimodular_inverse(rows, ci):
     return tuple(tuple(prev * x for x in row[n:]) for row in a)
 
 
-def _build_walls(variety):
-    n = variety.dim
-    inverses = variety.cone_inverses
+def _walk(variety):
+    """``(inverses, incidence, crossings, connected)`` from one walk over
+    the graph of two-cone walls (module docstring).
+
+    ``incidence`` maps each sorted (n-1)-subset of a cone to its owners,
+    ``crossings`` each two-cone wall to ``(c, relation)``, and
+    ``connected`` tells whether the walk from cone 0 reached every cone.
+    Raises NotSimplicial or NotSmooth for the lowest-index cone that is
+    not unimodular.
+    """
+    n, rays, cones = variety.dim, variety.rays, variety.max_cones
     incidence = {}
-    for ci, cone in enumerate(variety.max_cones):
+    for ci, cone in enumerate(cones):
         for sub in combinations(sorted(cone), n - 1):
             incidence.setdefault(sub, []).append(ci)
+    links = [[] for _ in cones]
+    for sub, owners in incidence.items():
+        if len(owners) == 2:
+            a, b = owners
+            links[a].append((sub, b))
+            links[b].append((sub, a))
+    inverses = [None] * len(cones)
+    errors = {}
+    crossings = {}
+    roots = 0
+    for root in range(len(cones)):
+        if inverses[root] is not None or root in errors:
+            continue
+        roots += 1
+        try:
+            inverses[root] = _unimodular_inverse(
+                [rays[i] for i in cones[root]], root
+            )
+        except (NotSimplicial, NotSmooth) as exc:
+            errors[root] = exc
+            continue
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            dual = dict(zip(cones[a], zip(*inverses[a])))  # ray i -> m_i
+            for sub, b in links[a]:
+                if sub in crossings or b in errors:
+                    continue
+                (p,) = set(cones[a]).difference(sub)
+                (q,) = set(cones[b]).difference(sub)
+                x = {i: sum(map(mul, rays[q], m)) for i, m in dual.items()}
+                c = x[p]
+                crossings[sub] = c, tuple(-x[i] for i in sub)
+                if inverses[b] is not None:
+                    continue
+                if c == 0:
+                    errors[b] = NotSimplicial(f"cone {b} has linearly dependent rays")
+                elif abs(c) != 1:
+                    errors[b] = NotSmooth(
+                        f"cone {b} with rays {[rays[i] for i in cones[b]]} "
+                        f"has |det| = {abs(c)}"
+                    )
+                else:
+                    m_p = dual[p]
+                    new = {q: tuple(c * y for y in m_p)}
+                    for i in sub:
+                        f = x[i] * c
+                        new[i] = tuple(y - f * z for y, z in zip(dual[i], m_p))
+                    inverses[b] = tuple(zip(*(new[i] for i in cones[b])))
+                    stack.append(b)
+    if errors:
+        raise errors[min(errors)]
+    return tuple(inverses), incidence, crossings, roots <= 1
+
+
+def _build_walls(variety):
+    cones = variety.max_cones
+    _, incidence, crossings, connected = variety._cone_walk
     walls = []
     for sub in sorted(incidence):
         owners = incidence[sub]
@@ -325,37 +426,16 @@ def _build_walls(variety):
                 f"wall {sub} lies in {len(owners)} maximal cones, expected 2"
             )
         ca, cb = owners
-        (opp_a,) = set(variety.max_cones[ca]) - set(sub)
-        (opp_b,) = set(variety.max_cones[cb]) - set(sub)
-        # u_opp_b in the basis of cone_a's rays, read off cone_a's inverse;
-        # by Cramer's rule its u_opp_a coordinate is +-det(cone_b) / det(cone_a),
-        # so +-1, and it must be -1 or the two cones overlap
-        target = variety.rays[opp_b]
-        coords = {
-            i: sum(u * row[k] for u, row in zip(target, inverses[ca]))
-            for k, i in enumerate(variety.max_cones[ca])
-        }
-        if coords[opp_a] != -1:
+        c, relation = crossings[sub]
+        if c != -1:
             raise NotComplete(
                 f"cones {ca} and {cb} are not on opposite sides of wall {sub}"
             )
-        relation = tuple(-coords[i] for i in sub)
+        (opp_a,) = set(cones[ca]).difference(sub)
+        (opp_b,) = set(cones[cb]).difference(sub)
         walls.append(Wall(sub, ca, cb, opp_a, opp_b, relation))
-    # connectivity of the adjacency graph completes the certificate
-    if variety.max_cones:
-        adjacency = {i: set() for i in range(len(variety.max_cones))}
-        for w in walls:
-            adjacency[w.cone_a].add(w.cone_b)
-            adjacency[w.cone_b].add(w.cone_a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nb in adjacency[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != len(variety.max_cones):
-            raise NotComplete("cone adjacency graph is disconnected")
+    if not connected:
+        raise NotComplete("cone adjacency graph is disconnected")
     return tuple(walls)
 
 

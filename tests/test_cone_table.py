@@ -19,7 +19,7 @@ from test_toric import _relabelled
 from vertex_oracle import fraction_vertices, matrix_rank
 
 from torifan import catalog, invariants, ratgeom, toric
-from torifan.errors import NotSimplicial, NotSmooth, ValidationError
+from torifan.errors import NotComplete, NotSimplicial, NotSmooth, ValidationError
 from torifan.ratgeom import Polytope
 
 TOWER_STARTS = (
@@ -125,6 +125,96 @@ def test_a_cone_that_is_not_unimodular_is_named(fan, error, message):
         toric.validate_fan(*fan)
     with pytest.raises(error, match=message):
         toric.ToricVariety(*fan).walls
+
+
+def test_the_walk_inverts_every_cone_as_elimination_does():
+    rng = random.Random(20261105)
+    cones = 0
+    for v in all_fans(rng):
+        for ci, cone in enumerate(v.max_cones):
+            rows = [v.rays[i] for i in cone]
+            want = toric._unimodular_inverse(rows, ci)
+            assert v.cone_inverses[ci] == want, (v.name, ci)
+            cones += 1
+    assert cones > 200
+
+
+P2_RAYS = [(1, 0), (0, 1), (-1, -1)]
+P2_CONES = [(0, 1), (1, 2), (2, 0)]
+
+TWO_DEFECTS = [
+    # cones 1 and 3 have |det| = 2, and the walk from cone 0 meets cone 3
+    # first: the lower index is named
+    (
+        (2, [(1, 0), (1, 2), (-1, 0), (0, -1)], [(2, 3), (0, 1), (3, 0), (1, 2)]),
+        NotSmooth,
+        r"^cone 1 with rays \[\(1, 0\), \(1, 2\)\] has \|det\| = 2$",
+    ),
+    # P(1,1,2) without cone (1, 2): cone 1 is singular and walls (1,) and
+    # (2,) lie in one cone each
+    (
+        (2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (0, 2)]),
+        NotSmooth,
+        r"^cone 1 with rays .* has \|det\| = 2$",
+    ),
+    # P2 plus the singular cone 3: its walls lie in three cones and in one,
+    # so no two-cone wall reaches it
+    (
+        (2, P2_RAYS + [(1, 2)], P2_CONES + [(0, 3)]),
+        NotSmooth,
+        r"^cone 3 with rays \[\(1, 0\), \(1, 2\)\] has \|det\| = 2$",
+    ),
+    # both cones of wall (0,) lie above it, and walls (1,) and (2,) lie in
+    # one cone each
+    (
+        (2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)]),
+        NotComplete,
+        r"^cones 0 and 1 are not on opposite sides of wall \(0,\)$",
+    ),
+    # the same defects, with a one-cone wall sorting first
+    (
+        (2, [(0, 1), (1, 0), (1, 1)], [(0, 1), (1, 2)]),
+        NotComplete,
+        r"^wall \(0,\) lies in 1 maximal cones, expected 2$",
+    ),
+    # P2 and P2 in the basis (1, 1), (1, 2): complete and smooth apart
+    (
+        (2, P2_RAYS + [(1, 1), (1, 2), (-2, -3)], P2_CONES + [(3, 4), (4, 5), (5, 3)]),
+        NotComplete,
+        "^cone adjacency graph is disconnected$",
+    ),
+]
+
+
+@pytest.mark.parametrize("fan, error, message", TWO_DEFECTS)
+def test_a_fan_with_two_defects_reports_the_first(fan, error, message):
+    with pytest.raises(error, match=message):
+        toric.validate_fan(*fan)
+    with pytest.raises(error, match=message):
+        toric.ToricVariety(*fan).walls
+
+
+def test_validate_fan_runs_elimination_once_per_component(monkeypatch):
+    real = toric._unimodular_inverse
+    calls = []
+
+    def counting(rows, ci):
+        calls.append(ci)
+        return real(rows, ci)
+
+    monkeypatch.setattr(toric, "_unimodular_inverse", counting)
+    for v in catalog.bundled_catalog():
+        calls.clear()
+        toric.validate_fan(v.dim, v.rays, v.max_cones, v.name)
+        assert calls == [0], v.name
+    p6 = catalog.projective_space(6)
+    calls.clear()
+    toric.validate_fan(6, p6.rays, p6.max_cones)
+    assert calls == [0]  # 7 cones, one elimination
+    calls.clear()
+    with pytest.raises(NotComplete, match="disconnected"):
+        toric.validate_fan(*TWO_DEFECTS[-1][0])
+    assert calls == [0, 3]
 
 
 def reference_value(wall, coeffs):

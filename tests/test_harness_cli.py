@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from torifan import catalog, cli, harness, jsonio, toric
+from torifan import catalog, cli, harness, jsonio, okounkov, toric
 from torifan.errors import NotAmple, ValidationError, VerificationError
 
 
@@ -150,6 +150,23 @@ def test_okounkov_command_report():
     assert data["bm_concave"] is True
     assert all(c["verdict"] == "OK" for c in data["translation_checks"])
     assert data["pseff_threshold"] == "3/1"
+
+
+def test_okounkov_command_builds_one_body_per_class(monkeypatch):
+    real = okounkov.okounkov_body
+    built = []
+
+    def counting(divisor, flag):
+        built.append(divisor.coeffs)
+        return real(divisor, flag)
+
+    monkeypatch.setattr(okounkov, "okounkov_body", counting)
+    monkeypatch.setattr(harness, "okounkov_body", counting)
+    f1 = catalog.hirzebruch_one()
+    harness.okounkov_command(f1, f1.anticanonical(), translations=(F(1, 3),))
+    # the command's body and the translation check's shifted body
+    assert len(built) == 2
+    assert built[0] == f1.anticanonical().coeffs
 
 
 def test_okounkov_command_raises_on_forced_translation_failure(monkeypatch):

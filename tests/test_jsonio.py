@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from torifan import catalog, jsonio
+from torifan import catalog, cli, jsonio
 from torifan.errors import ParseError, ValidationError
 
 
@@ -100,3 +100,73 @@ def test_dumps_layout():
     text = jsonio.dumps({"a": 1})
     assert text == '{\n  "a": 1\n}\n'
     assert text.endswith("\n")
+
+
+def _write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_dumps_matches_json_dumps_on_every_report_kind(tmp_path, monkeypatch, capsys):
+    real = jsonio.dumps
+    texts = []
+
+    def recording(payload):
+        text = real(payload)
+        assert text == json.dumps(payload, indent=2) + "\n"
+        texts.append(text)
+        return text
+
+    monkeypatch.setattr(jsonio, "dumps", recording)
+    runs = {}
+
+    def run(kind, *argv):
+        texts.clear()
+        assert cli.main(list(argv)) == 0
+        (text,) = texts
+        assert capsys.readouterr().out == text
+        runs[kind] = runs.get(kind, 0) + 1
+
+    for v in catalog.bundled_catalog():
+        fan = _write_json(tmp_path / f"{v.name}.json", jsonio.fan_to_dict(v))
+        run("validate", "validate", fan)
+        run("invariants", "invariants", fan)
+        run("sweep", "sweep", fan, "--resolution", "2", "--include-samples")
+        if 2 <= v.dim <= 4:
+            run("blowup", "blowup", fan, "--cone", "0", "--samples", "4",
+                "--format", "json")
+            run("okounkov", "okounkov", fan, "--samples", "4",
+                "--check-translation", "1/3")
+    run("verify", "verify-theorem", "--resolution", "2", "--format", "json")
+    run("gap", "gap-report", "--resolution", "2", "--dimension", "2",
+        "--format", "json")
+    assert runs["blowup"] == runs["okounkov"] >= 6
+    assert len(runs) == 7
+
+
+def test_dumps_matches_json_dumps_on_edge_payloads(tmp_path, capsys):
+    name = 'Pé "2" \\ ☃ \U0001f600 \x00\x1f\n\t\x7f'
+    v = catalog.projective_space(2)
+    data = dict(jsonio.fan_to_dict(v), name=name)
+    assert cli.main(["validate", _write_json(tmp_path / "fan.json", data)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["name"] == name
+    payloads = [
+        report,
+        {},
+        [],
+        (),
+        [[], {}, [[]], {"a": {}}, [{}]],
+        {"": "", "k": [()]},
+        {"neg": -(10**40), "zero": 0, "pos": 10**40, "small": [-1, 1]},
+        {"t": True, "f": False, "n": None, "list": [True, False, None]},
+        (1, ("a", ("b",))),
+        "plain",
+        -7,
+        None,
+    ]
+    for payload in payloads:
+        assert jsonio.dumps(payload) == json.dumps(payload, indent=2) + "\n"
+    for bad in (1.5, F(1, 2), {1, 2}, {1: "int key"}, [b"bytes"], {"x": object()}):
+        with pytest.raises(TypeError):
+            jsonio.dumps(bad)

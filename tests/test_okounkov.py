@@ -117,22 +117,23 @@ def test_pseff_threshold_examples():
 
 def test_translation_identity_worked_examples():
     x, flag = standard_flag_p2()
-    h = x.divisor([0, 0, 1])
-    assert okounkov.translation_identity_check(h, flag, 0)
-    assert okounkov.translation_identity_check(h, flag, F(1, 2))
+    body = okounkov.okounkov_body(x.divisor([0, 0, 1]), flag)
+    assert okounkov.translation_identity_check(body, 0)
+    assert okounkov.translation_identity_check(body, F(1, 2))
     f1 = catalog.hirzebruch_one()
     assert okounkov.translation_identity_check(
-        f1.anticanonical(), okounkov.default_flag(f1, 0), F(1, 3)
+        okounkov.okounkov_body(f1.anticanonical(), okounkov.default_flag(f1, 0)),
+        F(1, 3),
     )
 
 
 def test_translation_identity_rejects_out_of_range_t():
     x, flag = standard_flag_p2()
-    h = x.divisor([0, 0, 1])
+    body = okounkov.okounkov_body(x.divisor([0, 0, 1]), flag)
     with pytest.raises(ThresholdExceeded):
-        okounkov.translation_identity_check(h, flag, 1)
+        okounkov.translation_identity_check(body, 1)
     with pytest.raises(ThresholdExceeded):
-        okounkov.translation_identity_check(h, flag, F(-1, 2))
+        okounkov.translation_identity_check(body, F(-1, 2))
 
 
 def test_translation_identity_on_random_classes_and_flags():
@@ -149,9 +150,10 @@ def test_translation_identity_on_random_classes_and_flags():
         rng.shuffle(order)
         flag = okounkov.FlagSpec(v, cone_index, tuple(order))
         tau = okounkov.pseff_threshold(d, flag)
+        body = okounkov.okounkov_body(d, flag)
         for _ in range(10):
             t = tau * F(rng.randint(0, 9), 10)
-            assert okounkov.translation_identity_check(d, flag, t)
+            assert okounkov.translation_identity_check(body, t)
         pairs += 1
 
 

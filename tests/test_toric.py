@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from torifan import catalog, invariants, toric
+from torifan import catalog, invariants, ratgeom, toric
 from torifan.errors import (
     NotAmple,
     NotBig,
@@ -330,3 +330,22 @@ def test_projective_space_by_ray_count_needs_a_smooth_complete_fan():
     x = toric.ToricVariety(2, P2_RAYS, [(1, 2), (0, 1)])
     with pytest.raises(NotComplete):
         toric.is_projective_space(x)
+
+
+def test_is_big_computes_the_affine_rank_once_per_polytope(monkeypatch):
+    real = ratgeom._affine_rank
+    calls = []
+
+    def counting(points):
+        calls.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(ratgeom, "_affine_rank", counting)
+    answers = set()
+    for v in catalog.bundled_catalog():
+        for d in (v.anticanonical(), v.divisor([1] + [0] * (v.n_rays - 1))):
+            calls.clear()
+            big = {d.is_big() for _ in range(5)}
+            assert len(big) == 1 and len(calls) == 1, (v.name, d.coeffs)
+            answers |= big
+    assert answers == {True, False}
