@@ -2,8 +2,10 @@
 
 Runs the same ample-cone sweep through the engine (torifan._sweep_pure) and
 the point-by-point oracle it reduces (tests/sweep_oracle.py), and prints
-one row per (variety, resolution) with both times and the oracle's time as
-a multiple of the engine's.
+one row per (variety, resolution) with both times, the oracle's time as a
+multiple of the engine's, and how many times each run called the exact
+evaluator ``_evaluate``.  The defaults are every surface plus P3 and
+P1xP1xP1, the 3-fold whose automorphism group acts on classes.
 
     python3 benchmarks/bench_sweep.py --resolutions 3 5 8 --repeat 3
 """
@@ -16,17 +18,32 @@ from pathlib import Path
 from torifan import _sweep_pure, catalog, sweep
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from sweep_oracle import pointwise_sweep  # noqa: E402
+import sweep_oracle  # noqa: E402
 
 
-def best_of(run, skel, resolution, repeat):
+def counting(module):
+    """Wrap ``module._evaluate`` so that each call is counted in a list."""
+    evaluate = module._evaluate
+    calls = []
+
+    def counted(skel, c):
+        calls.append(None)
+        return evaluate(skel, c)
+
+    module._evaluate = counted
+    return calls
+
+
+def best_of(run, args, repeat, calls):
+    """Least time of ``repeat`` runs, the result and the calls of one run."""
     times = []
     raw = None
     for _ in range(repeat):
+        calls.clear()
         t0 = time.perf_counter()
-        raw = run(skel, resolution, 0)
+        raw = run(*args)
         times.append(time.perf_counter() - t0)
-    return min(times), raw
+    return min(times), raw, len(calls)
 
 
 def main(argv=None):
@@ -39,7 +56,7 @@ def main(argv=None):
         "--varieties",
         nargs="+",
         default=None,
-        help="catalog names; defaults to every surface plus P3",
+        help="catalog names; defaults to every surface plus P3 and P1xP1xP1",
     )
     args = parser.parse_args(argv)
 
@@ -47,19 +64,28 @@ def main(argv=None):
     if args.varieties:
         chosen = [entries[name] for name in args.varieties]
     else:
-        chosen = catalog.surface_catalog() + [entries["P3"]]
+        chosen = catalog.surface_catalog() + [entries["P3"], entries["P1xP1xP1"]]
 
+    pure_calls = counting(_sweep_pure)
+    oracle_calls = counting(sweep_oracle)
     header = f"{'variety':<10} {'res':>4} {'pure (s)':>10}"
     header += f" {'pointwise (s)':>14} {'ratio':>8}"
+    header += f" {'pure evals':>11} {'pointwise evals':>16}"
     print(header)
     for variety in chosen:
         skel = sweep.build_skeleton(variety)
         for resolution in args.resolutions:
-            t_pure, raw = best_of(
-                _sweep_pure.run_sweep, skel, resolution, args.repeat
+            t_pure, raw, n_pure = best_of(
+                _sweep_pure.run_sweep,
+                (skel, resolution, 0),
+                args.repeat,
+                pure_calls,
             )
-            t_pt, raw_pt = best_of(
-                pointwise_sweep, skel, resolution, args.repeat
+            t_pt, raw_pt, n_pt = best_of(
+                sweep_oracle.pointwise_sweep,
+                (variety.wall_rows, skel, resolution, 0),
+                args.repeat,
+                oracle_calls,
             )
             if raw != raw_pt:
                 raise SystemExit(
@@ -68,6 +94,7 @@ def main(argv=None):
                 )
             line = f"{variety.name:<10} {resolution:>4} {t_pure:>10.4f}"
             line += f" {t_pt:>14.4f} {t_pt / t_pure:>7.1f}x"
+            line += f" {n_pure:>11} {n_pt:>16}"
             print(line)
 
 

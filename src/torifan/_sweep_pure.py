@@ -18,7 +18,7 @@ composition, never by this evaluator.
 The result is the one a point-by-point walk gives -- visit every gcd-1
 vector of {1..res}^r in lexicographic order (last coordinate fastest),
 score each ample one, keep the first strict maximiser -- but the walk does
-far less work, by five reductions.
+far less work, by six reductions.
 
 1. Class invariance.  For m in M, D' = D + div(chi^m) has coefficients
    c'_rho = c_rho + <m, u_rho>.  Each cone vertex moves by -m (it solves
@@ -93,26 +93,79 @@ far less work, by five reductions.
    (Cox-Little-Schenck, *Toric Varieties*, 2011, 6.3-6.4), so its
    n(n+1)/2 walls leave one row; P1xP1xP1 keeps 3 of 12.
 
+6. One evaluation per orbit of the automorphism group.  Precondition:
+   the skeleton's simplices triangulate P_D for every ample D, as
+   ``build_skeleton`` guarantees (torifan.sweep) and tests/test_sweep.py
+   checks.  Reductions 1-5 hold for any simplex list; this one does not.
+   Let phi be a fan automorphism, a unimodular map of N with
+   phi(u_rho) = u_pi(rho) for a ray permutation pi that carries maximal
+   cones onto maximal cones, and let c'_pi(rho) = c_rho.  Then
+   <m, u_pi(rho)> = <phi^T m, u_rho>, so P_c' = psi P_c with
+   psi = (phi^T)^-1 unimodular, and psi carries the vertex of cone sigma
+   to the vertex of cone phi(sigma).
+
+   - Volume and barycenter.  Lattice volume is unimodular invariant, so
+     the volume sum of a triangulation, vol, is the same for c and c'.
+     The centroid maps by psi, so t'_pi(rho) = t_rho and t_max is the
+     same; only the witness, which ``run_sweep`` discards, may move.  Both
+     facts need the simplices to triangulate: phi permutes the cones, not
+     the skeleton's simplex list.
+   - Walls.  phi carries a wall and its relation to a wall, so the row
+     of phi(w) at pi(rho) is the row of w at rho.  D'.phi(C) = D.C and
+     K.C = K.phi(C) (K has all coefficients 1), and equal rows go to equal
+     rows, so the pairs (K.C, D.C) over the skeleton's rows are the same
+     multiset for c and c'.  The Kleiman test is the same, and so is the
+     least ratio K.C / D.C, although the pair at its first minimiser may
+     be another pair of equal ratio.
+   - Checks and score.  vol <= 0 and vol^(n+1) > t_max^n compare equal
+     integers; beta = min(eps, delta) is the same rational, and lhs > rhs
+     and lhs == rhs compare beta^n * vol with (n+1)^n.  So the score, the
+     extremal test and every check's verdict agree on c and c'.
+
+   On classes, c -> c' maps principal divisors to principal divisors
+   (<m, u_rho> becomes <psi m, u_pi(rho)>), and L e_rho is the unit
+   vector of rho for every ray rho off cone 0.  So c has the class of
+   sum (L c)_rho e_rho over those rays, and L c' = M (L c) with M the
+   integer map whose column for such a ray is L e_pi(rho)
+   (``_class_maps``).  M is invertible over Z (phi^-1 gives its inverse),
+   so it keeps primitive vectors primitive.  With the identity the maps M
+   form a group, so evaluating the class v and storing its (score, meets)
+   under every M v covers v's orbit, and each orbit is evaluated once, at
+   the first of its classes that the walk meets.
+
+   ``toric.ray_maps`` enumerates the automorphisms, and ``_needs_search``
+   skips the search when none can act on classes.  M sends the class of
+   D_k to that of D_pi(k), so it keeps the number of rays in a ray class,
+   and the column pi(k) of the wall rows is a permutation of column k.
+   Ray classes span Pic, so a non-identity M moves some ray class onto a
+   distinct one with the same signature (that number, the sorted column).
+   P^n, F1 and the blow-up of P^n at a point never search.
+
 Every check in ``_evaluate`` is a class function by 1 and 2, so the first
 failing sample of the point-by-point walk is the first sample, in grid
-order, of the first failing class.  The walk here visits lines in
-lexicographic order and each line in increasing x, and runs the checks on
-the first sample of each class it meets, so it raises on that same sample
-with the same message.  For the same reason the first sample of the first
-class with the largest score is the point-by-point argmax, and ``extremal``
-counts samples, not classes: each line adds its samples whose integer
-class is extremal.
+order, of the first failing class F.  The walk here visits lines in
+lexicographic order and each line in increasing x, and evaluates the first
+class of each orbit it meets, on that class's first sample.  By 6 the
+first class of F's orbit fails too, and it is met no later than F, so it
+is F: the walk raises on that same sample with the same message.  In the
+same way the first class C with the largest score is the first of its
+orbit, so it is evaluated, and every class evaluated before it scores
+less; a strict comparison over evaluated classes therefore keeps the first
+sample of C, the point-by-point argmax.  ``extremal`` counts samples, not
+classes: each line adds its samples whose integer class is extremal.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
 from types import MappingProxyType
 
+from torifan import toric
 from torifan.errors import VerificationError
 from torifan.ratgeom import pulling_triangulation, simplex_sums
 
@@ -231,6 +284,48 @@ def _class_rows(skel):
     return rows
 
 
+def _needs_search(skel, cols):
+    """Whether some fan automorphism may act on classes (reduction 6).
+
+    ``cols[k]`` is the class L e_k of the ray divisor D_k.  A ray class's
+    signature is the number of rays in that class and its sorted column
+    of the skeleton's wall rows.  When no two distinct ray classes share a
+    signature, every automorphism fixes every class.
+    """
+    count = Counter(cols)
+    walls = skel["walls"]
+    owners = {}  # signature -> a ray class carrying it
+    for k, col in enumerate(cols):
+        sig = (count[col], tuple(sorted(w[k] for w in walls)))
+        if owners.setdefault(sig, col) != col:
+            return True
+    return False
+
+
+def _class_maps(skel, rows):
+    """The distinct non-identity maps that fan automorphisms induce on
+    class vectors L c, as integer matrices (reduction 6).
+
+    An automorphism sends ray k to ray image[k], so it sends the class of
+    D_k, column k of ``rows``, to column image[k].  For a free ray (one
+    off cone 0) column k is a unit vector, so the map's column for it is
+    L e_image[k].
+    """
+    cols = list(zip(*rows))
+    if not _needs_search(skel, cols):
+        return ()
+    cones = skel["cone_indices"]
+    rays = skel["rays"]
+    inverse = tuple(tuple(-x for x in row) for row in skel["cone_matrices"][0])
+    free = [k for k in range(len(rays)) if k not in cones[0]]
+    maps = {
+        tuple(zip(*(cols[image[k]] for k in free)))
+        for image in toric.ray_maps(rays, cones, inverse, rays, cones)
+    }
+    maps.discard(tuple(zip(*(cols[k] for k in free))))
+    return tuple(maps)
+
+
 def _coprime_count(res, r):
     """Number of gcd-1 vectors in {1..res}^r: sum_d mu(d) floor(res/d)^r."""
     mu = [1] * (res + 1)
@@ -259,6 +354,7 @@ def run_sweep(skel, resolution, collect_cap):
     last = r - 1
 
     rows = _class_rows(skel)
+    maps = _class_maps(skel, rows)
     radix = 2 * res * max(sum(abs(a) for a in row) for row in rows) + 1
     packed = [
         sum(row[k] * radix**i for i, row in enumerate(rows)) for k in range(r)
@@ -328,6 +424,8 @@ def run_sweep(skel, resolution, collect_cap):
                     beta_n, beta_d = _beta(eps, delta)
                     value = Fraction(beta_n**n * vol, beta_d**n)
                     hit = classes[cls] = (value, meets)
+                    for m in maps:  # reduction 6: the rest of the orbit
+                        classes[tuple(sum(map(mul, w, cls)) for w in m)] = hit
                     if best is None or value > best:
                         best, argmax = value, sample
                 if hit[1]:

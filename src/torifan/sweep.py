@@ -24,10 +24,14 @@ torifan.sweep.build_skeleton):
 One engine consumes the skeleton: torifan._sweep_pure, exact integer
 arithmetic in any dimension.  It scores far fewer points than the grid
 holds: the score and both checks are functions of the divisor class up to
-scale, and the ample samples along each grid line form one interval, so
-it walks lines and evaluates each class once (torifan._sweep_pure proves
-these reductions and tests/sweep_oracle.py keeps the point-by-point walk
-as the reference).
+scale, a fan automorphism maps P_D unimodularly onto the polytope of the
+image class, and the ample samples along each grid line form one
+interval, so it walks lines and evaluates one class per orbit of the
+automorphism group on classes (torifan._sweep_pure proves these
+reductions and tests/sweep_oracle.py keeps the point-by-point walk as the
+reference).
+The orbit reduction needs the skeleton's simplices to triangulate P_D,
+which the incidence argument above guarantees.
 
 The engine's evaluator also scores the collected sample reports, through
 invariants.score.  The argmax is therefore re-checked by the independent

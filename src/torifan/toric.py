@@ -42,10 +42,11 @@ in sorted order (owner count, then opposite sides), then connectivity.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import factorial, gcd
 from operator import mul
 
@@ -507,30 +508,55 @@ def exceptional(blowup: Blowup) -> TDivisor:
 # fan isomorphism
 
 
+def ray_maps(rays, cones, inverse, target_rays, target_cones):
+    """Yield the ray permutations of the linear maps carrying one smooth
+    fan onto another: ``image[i]`` is the target ray that ray i maps to.
+
+    The source fan has ``rays`` and ``cones``; ``inverse`` is the integer
+    inverse of its cone 0's ray matrix.  A map sends cone 0 onto some
+    target cone in some order, and a basis image fixes the map, so each
+    map is met exactly once.  It is integer and unimodular: it takes one
+    lattice basis (cone 0 is smooth) to another (the target cone is).  A
+    map keeps the degree of a ray, the number of maximal cones through
+    it, so orderings that break it are skipped, and an ordering is dropped
+    at the first ray whose image is not a target ray of the same degree.
+    With the source fan as its own target this yields the automorphism
+    group.
+    """
+    # each ray v in the basis of cone 0: v = sum_k c_k u_k, c = v B^-1
+    inv_cols = tuple(zip(*inverse))
+    coords = [[sum(map(mul, ray, col)) for col in inv_cols] for ray in rays]
+    deg = Counter(chain.from_iterable(cones))
+    target_deg = Counter(chain.from_iterable(target_cones))
+    cone0_deg = [deg[i] for i in cones[0]]
+    target_index = {ray: k for k, ray in enumerate(target_rays)}
+    target_set = {frozenset(c) for c in target_cones}
+    for cone in target_cones:
+        for perm in permutations(cone):
+            if [target_deg[j] for j in perm] != cone0_deg:
+                continue
+            # the linear map taking u_k to the target ray perm[k]
+            cols = tuple(zip(*(target_rays[j] for j in perm)))
+            image = []
+            for i, c in enumerate(coords):
+                j = target_index.get(tuple(sum(map(mul, c, col)) for col in cols))
+                if j is None or target_deg[j] != deg[i]:
+                    break
+                image.append(j)
+            else:
+                if {frozenset(image[i] for i in c) for c in cones} == target_set:
+                    yield tuple(image)
+
+
 def fans_isomorphic(x: ToricVariety, y: ToricVariety) -> bool:
     """Whether a unimodular map carries one fan onto the other."""
     if x.dim != y.dim or x.n_rays != y.n_rays:
         return False
     if len(x.max_cones) != len(y.max_cones):
         return False
-    # each ray v of x in the basis of x's cone 0: v = sum_k c_k u_k, c = v B^-1
-    inv_cols = tuple(zip(*x.cone_inverses[0]))
-    coords = [[sum(map(mul, ray, col)) for col in inv_cols] for ray in x.rays]
-    y_index = {ray: k for k, ray in enumerate(y.rays)}
-    y_cones = {frozenset(c) for c in y.max_cones}
-    for cone in y.max_cones:
-        for perm in permutations(cone):
-            # the linear map taking u_k to the ray perm[k] of y
-            cols = tuple(zip(*(y.rays[i] for i in perm)))
-            image = [
-                y_index.get(tuple(sum(map(mul, c, col)) for col in cols))
-                for c in coords
-            ]
-            if None in image:
-                continue
-            if {frozenset(image[i] for i in xc) for xc in x.max_cones} == y_cones:
-                return True
-    return False
+    return any(
+        ray_maps(x.rays, x.max_cones, x.cone_inverses[0], y.rays, y.max_cones)
+    )
 
 
 def is_projective_space(variety: ToricVariety) -> bool:

@@ -1,9 +1,12 @@
 """Brute-force sweep: the point-by-point walk torifan._sweep_pure reduces.
 
 Visits every gcd-1 vector of {1..resolution}^r in lexicographic order,
-tests each for ampleness and scores every ample one with the engine's own
-exact evaluator, so agreement with ``_sweep_pure.run_sweep`` checks the
-walk's reductions (intervals, class memo, counting) and nothing else.
+tests each for ampleness on the variety's own per-wall ``wall_rows`` (not
+the skeleton's one row per curve class) and scores every ample one with
+the engine's own exact evaluator.  It knows nothing of classes, curve
+classes or automorphisms, so agreement with ``_sweep_pure.run_sweep``
+checks the walk's reductions (intervals, class and orbit memo, one row per
+curve class, counting) and nothing else.
 """
 
 from fractions import Fraction
@@ -30,7 +33,9 @@ def grid(r, resolution):
         c[i] += 1
 
 
-def pointwise_sweep(skel, resolution, collect_cap):
+def pointwise_sweep(wall_rows, skel, resolution, collect_cap):
+    """The RawSweep of the point-by-point walk: ampleness from
+    ``wall_rows``, scores from ``_evaluate(skel, c)``."""
     candidates = 0
     ample = 0
     extremal = 0
@@ -38,10 +43,9 @@ def pointwise_sweep(skel, resolution, collect_cap):
     argmax = None
     collected = []
     collect_complete = True
-    walls = skel["walls"]
     for c in grid(len(skel["rays"]), resolution):
         candidates += 1
-        if any(sum(w * x for w, x in zip(row, c)) <= 0 for row in walls):
+        if any(sum(w * x for w, x in zip(row, c)) <= 0 for row in wall_rows):
             continue
         ample += 1
         if len(collected) < collect_cap:

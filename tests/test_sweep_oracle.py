@@ -1,18 +1,20 @@
 """The interval/class-memo engine against the point-by-point oracle.
 
 ``_sweep_pure.run_sweep`` skips non-ample prefixes, counts candidates in
-closed form and scores each divisor class once; ``sweep_oracle`` visits
-every grid vector.  Both must return equal RawSweep records: counts,
-extremal samples, max score, argmax, collected samples and the complete
-flag, for a cap of 0, a cap that truncates, and a cap above the ample
-count.
+closed form and scores one divisor class per orbit of the fan's
+automorphism group; ``sweep_oracle`` visits every grid vector.  Both must
+return equal RawSweep records: counts, extremal samples, max score,
+argmax, collected samples and the complete flag, for a cap of 0, a cap
+that truncates, and a cap above the ample count.
 """
 
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from sweep_oracle import pointwise_sweep
+from test_toric import _relabelled
 
 from torifan import _sweep_pure, catalog, sweep, toric
 from torifan.errors import VerificationError
@@ -20,7 +22,7 @@ from torifan.errors import VerificationError
 
 def assert_agrees(variety, resolution):
     skel = sweep.build_skeleton(variety)
-    oracle = pointwise_sweep(skel, resolution, 10**9)
+    oracle = pointwise_sweep(variety.wall_rows, skel, resolution, 10**9)
     assert oracle.collect_complete and len(oracle.collected) == oracle.ample
     for cap in (0, oracle.ample // 2, oracle.ample + 1):
         expected = replace(
@@ -35,9 +37,10 @@ def assert_agrees(variety, resolution):
 
 
 def test_oracle_with_cap_zero_matches_truncation():
-    skel = sweep.build_skeleton(catalog.hirzebruch_one())
-    full = pointwise_sweep(skel, 4, 10**9)
-    assert pointwise_sweep(skel, 4, 0) == replace(
+    f1 = catalog.hirzebruch_one()
+    skel = sweep.build_skeleton(f1)
+    full = pointwise_sweep(f1.wall_rows, skel, 4, 10**9)
+    assert pointwise_sweep(f1.wall_rows, skel, 4, 0) == replace(
         full, collected=[], collect_complete=False
     )
 
@@ -82,14 +85,55 @@ def test_agrees_on_random_blowup_towers():
 
 def test_checks_raise_on_the_same_sample():
     # Two extra simplices make the volume sum overcount on Bl2P2, so the
-    # delta check fails on some classes only.  The reductions hold for any
+    # delta check fails on some classes only.  Reductions 1-5 hold for any
     # simplex list, so both walks must stop on the same first failure.
-    skel = sweep.build_skeleton(catalog.del_pezzo_7())
+    # (Reduction 6 needs a triangulation; here the first failing class is
+    # also the first class of its orbit that the walk meets.)
+    variety = catalog.del_pezzo_7()
+    skel = sweep.build_skeleton(variety)
     bad = dict(skel, simplices=skel["simplices"] + ((0, 2, 3), (0, 3, 4)))
     failures = []
-    for run in (pointwise_sweep, _sweep_pure.run_sweep):
+    for run in (partial(pointwise_sweep, variety.wall_rows), _sweep_pure.run_sweep):
         with pytest.raises(VerificationError) as info:
             run(bad, 4, 0)
         failures.append((str(info.value), info.value.sample))
     assert failures[0] == failures[1]
     assert failures[0][1] != (1, 1, 1, 1, 1)  # not the first ample sample
+
+
+def test_agrees_on_blowups_that_keep_a_symmetry():
+    # seeded blow-ups of P1xP1 and P1xP1xP1 whose automorphism group still
+    # acts on classes, so the orbit memo (reduction 6) is exercised
+    rng = random.Random(20261605)
+    kept = 0
+    for start, depth, resolution in (
+        (catalog.p1_power(2), 2, 5),
+        (catalog.p1_power(3), 1, 3),
+    ):
+        x = start
+        for _ in range(depth):
+            x = toric.blowup_at_fixed_point(
+                x, rng.randrange(len(x.max_cones))
+            ).result
+            for y in (x, _relabelled(x, rng)):
+                skel = sweep.build_skeleton(y)
+                if _sweep_pure._class_maps(skel, _sweep_pure._class_rows(skel)):
+                    kept += 1
+                    assert assert_agrees(y, resolution).ample > 0
+    assert kept >= 4
+
+
+def test_one_evaluation_per_orbit(monkeypatch):
+    calls = []
+    evaluate = _sweep_pure._evaluate
+
+    def counted(skel, c):
+        calls.append(c)
+        return evaluate(skel, c)
+
+    monkeypatch.setattr(_sweep_pure, "_evaluate", counted)
+    entries = {v.name: v for v in catalog.bundled_catalog()}
+    for name, resolution, most in (("Bl3P2", 5, 160), ("P1xP1xP1", 3, 30)):
+        calls.clear()
+        _sweep_pure.run_sweep(sweep.build_skeleton(entries[name]), resolution, 0)
+        assert len(calls) <= most, (name, len(calls))
