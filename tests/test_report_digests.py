@@ -1,10 +1,14 @@
-"""SHA-256 digests of the sweep reports' bytes over the bundled catalog.
+"""SHA-256 digests of every CLI report's bytes over the bundled catalog.
 
 ``report_digests.json`` pins the stdout of ``sweep --include-samples`` on
 every bundled fan file, of ``verify-theorem`` and of ``gap-report
---dimension 2``, each in ``json`` and ``csv``.  A change that alters any
-byte of these reports fails here.  Re-recording is a deliberate edit of the
-JSON file, printed by
+--dimension 2``; of ``validate`` and of ``invariants`` (on -K) on every fan
+file, plus ``invariants`` of one Q-divisor on P2; and of ``blowup --cone 0``,
+``okounkov --check-translation 1/2`` and ``okounkov --flag 0:<reversed cone
+0>`` on every fan file of dimension at least 2.  Each report is recorded in
+``json`` and ``csv`` wherever the subcommand has ``--format``.  A change that
+alters any byte of these reports fails here.  Re-recording is a deliberate
+edit of the JSON file, printed by
 
     PYTHONPATH=src python3 tests/test_report_digests.py > tests/report_digests.json
 """
@@ -22,6 +26,7 @@ from torifan import cli
 
 CATALOG = Path(__file__).resolve().parents[1] / "src/torifan/data/catalog"
 DIGESTS = Path(__file__).with_name("report_digests.json")
+Q_DIVISOR = Path(__file__).with_name("p2_q_divisor.json")
 
 
 def cases():
@@ -40,6 +45,38 @@ def cases():
             "gap-report", "--dimension", "2", "--resolution", "4",
             "--format", fmt,
         ]
+    fans = sorted(CATALOG.glob("*.json"))
+    for path in fans:
+        out[f"validate {path.stem}"] = ["validate", str(path)]
+    surfaces = [
+        path for path in fans
+        if json.loads(path.read_text(encoding="utf-8"))["dim"] >= 2
+    ]
+    for fmt in ("json", "csv"):
+        for path in fans:
+            out[f"invariants {path.stem} {fmt}"] = [
+                "invariants", str(path), "--format", fmt,
+            ]
+        out[f"invariants p2 q-divisor {fmt}"] = [
+            "invariants", str(CATALOG / "p2.json"),
+            "--divisor", str(Q_DIVISOR), "--format", fmt,
+        ]
+        for path in surfaces:
+            out[f"blowup {path.stem} {fmt}"] = [
+                "blowup", str(path), "--cone", "0", "--format", fmt,
+            ]
+        for path in surfaces:
+            out[f"okounkov {path.stem} translation {fmt}"] = [
+                "okounkov", str(path), "--check-translation", "1/2",
+                "--format", fmt,
+            ]
+        for path in surfaces:
+            cone = json.loads(path.read_text(encoding="utf-8"))["max_cones"][0]
+            order = ",".join(str(i) for i in reversed(cone))
+            out[f"okounkov {path.stem} flag {fmt}"] = [
+                "okounkov", str(path), "--flag", f"0:{order}",
+                "--format", fmt,
+            ]
     return out
 
 
