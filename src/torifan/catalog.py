@@ -134,17 +134,3 @@ def load_catalog(path=None):
             )
         out.append(variety)
     return out
-
-
-def write_bundled_files(target_dir):
-    """Regenerate the shipped catalog JSON from the builders."""
-    os.makedirs(target_dir, exist_ok=True)
-    written = []
-    for variety in bundled_catalog():
-        payload = jsonio.fan_to_dict(variety)
-        fname = catalog_file_name(variety.name)
-        path = os.path.join(target_dir, fname)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.dumps(payload))
-        written.append(path)
-    return written

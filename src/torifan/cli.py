@@ -16,6 +16,7 @@ from torifan import harness, invariants, jsonio
 from torifan.catalog import load_catalog
 from torifan.errors import ParseError, TorifanError, VerificationError
 from torifan.okounkov import FlagSpec, default_flag
+from torifan.sweep import sweep_ample_cone
 
 
 def _write(text: str, out):
@@ -32,6 +33,15 @@ def _emit(report, args):
         _write(jsonio.dumps(report.json_dict()), args.out)
     else:
         _write(report.csv_text(), args.out)
+    return 0
+
+
+def _emit_record(record, csv_header, args):
+    """Write one report record as ``args.format`` asks; exit code 0."""
+    if args.format == "json":
+        _write(jsonio.dumps(record), args.out)
+    else:
+        _write(harness.render_records(csv_header, [record]), args.out)
     return 0
 
 
@@ -59,24 +69,6 @@ def _parse_flag(variety, text):
     return FlagSpec(variety, cone_index, order)
 
 
-def _report_dict(rep):
-    return {
-        "variety": rep.variety,
-        "n": rep.dim,
-        "coeffs": [jsonio.format_rational(c) for c in rep.coeffs],
-        "vol": jsonio.format_rational(rep.vol),
-        "seshadri": jsonio.format_rational(rep.eps),
-        "delta": jsonio.format_rational(rep.delta),
-        "delta_witness_ray": rep.delta_witness_ray,
-        "beta": jsonio.format_rational(rep.beta),
-        "score": jsonio.format_rational(rep.score),
-        "score_decimal": jsonio.decimal_string(rep.score),
-        "bound": jsonio.format_rational(rep.bound),
-        "gap": jsonio.format_rational(rep.bound - rep.score),
-        "is_extremal": rep.is_extremal,
-    }
-
-
 def _cmd_validate(args):
     variety = jsonio.load_fan(args.fan)
     payload = {
@@ -94,102 +86,24 @@ def _cmd_validate(args):
 
 def _cmd_invariants(args):
     variety = jsonio.load_fan(args.fan)
-    divisor = _divisor_from_args(variety, args)
-    rep = invariants.score(divisor)
-    if args.format == "csv":
-        rows = [
-            (
-                rep.variety,
-                rep.dim,
-                jsonio.format_rational(rep.vol),
-                jsonio.format_rational(rep.eps),
-                jsonio.format_rational(rep.delta),
-                jsonio.format_rational(rep.beta),
-                jsonio.format_rational(rep.score),
-                jsonio.decimal_string(rep.score),
-                jsonio.format_rational(rep.bound - rep.score),
-            )
-        ]
-        text = harness.render_csv(
-            (
-                "variety",
-                "n",
-                "vol",
-                "seshadri",
-                "delta",
-                "beta",
-                "score",
-                "score_decimal",
-                "gap",
-            ),
-            rows,
-        )
-    else:
-        text = jsonio.dumps(_report_dict(rep))
-    _write(text, args.out)
-    return 0
+    record = harness.invariant_record(
+        invariants.score(_divisor_from_args(variety, args))
+    )
+    return _emit_record(record, harness.INVARIANTS_CSV, args)
 
 
 def _cmd_sweep(args):
-    from torifan.sweep import sweep_ample_cone
-
     variety = jsonio.load_fan(args.fan)
+    harness.require_count("samples cap", args.samples_cap, 0)
     cap = args.samples_cap if args.include_samples else 0
-    harness.require_count("samples cap", cap, 0)
     result = sweep_ample_cone(variety, args.resolution, collect_cap=cap)
-    if args.format == "csv":
-        rows = [
-            (
-                result.variety_name,
-                result.dim,
-                result.resolution,
-                result.engine,
-                result.candidates,
-                result.ample_samples,
-                jsonio.format_rational(result.max_score),
-                jsonio.decimal_string(result.max_score),
-                jsonio.format_rational(result.gap),
-                " ".join(str(c) for c in result.argmax_coeffs),
-            )
+    record = harness.sweep_record(result)
+    if args.include_samples:
+        record["sample_reports_complete"] = result.sample_reports_complete
+        record["sample_reports"] = [
+            harness.invariant_record(rep) for rep in result.sample_reports
         ]
-        text = harness.render_csv(
-            (
-                "variety",
-                "n",
-                "resolution",
-                "engine",
-                "candidates",
-                "ample_samples",
-                "max_score",
-                "max_score_decimal",
-                "gap",
-                "argmax",
-            ),
-            rows,
-        )
-    else:
-        payload = {
-            "variety": result.variety_name,
-            "n": result.dim,
-            "resolution": result.resolution,
-            "engine": result.engine,
-            "candidates": result.candidates,
-            "ample_samples": result.ample_samples,
-            "extremal_samples": result.extremal_samples,
-            "max_score": jsonio.format_rational(result.max_score),
-            "max_score_decimal": jsonio.decimal_string(result.max_score),
-            "argmax": list(result.argmax_coeffs),
-            "gap": jsonio.format_rational(result.gap),
-            "bound": result.bound,
-        }
-        if args.include_samples:
-            payload["sample_reports_complete"] = result.sample_reports_complete
-            payload["sample_reports"] = [
-                _report_dict(rep) for rep in result.sample_reports
-            ]
-        text = jsonio.dumps(payload)
-    _write(text, args.out)
-    return 0
+    return _emit_record(record, harness.SWEEP_CSV, args)
 
 
 def _cmd_blowup(args):

@@ -25,7 +25,7 @@ from torifan.okounkov import (
     translation_identity_check,
 )
 from torifan.sweep import sweep_ample_cone
-from torifan.toric import TDivisor, ToricVariety, is_projective_space, require_ample
+from torifan.toric import TDivisor, ToricVariety, is_projective_space
 
 _fmt = jsonio.format_rational
 _dec = jsonio.decimal_string
@@ -39,6 +39,65 @@ def render_csv(header, rows) -> str:
     return buf.getvalue()
 
 
+def _cell(value):
+    return " ".join(map(str, value)) if isinstance(value, list) else value
+
+
+def render_records(header, records) -> str:
+    """CSV of the ``header`` keys of each record; a list cell is joined by
+    spaces."""
+    return render_csv(header, [[_cell(r[key]) for key in header] for r in records])
+
+
+# ---------------------------------------------------------------------------
+# report records: one dict per SweepResult and per InvariantReport, in key
+# order, read by every JSON and CSV rendering of them
+
+SWEEP_CSV = (
+    "variety", "n", "resolution", "engine", "candidates", "ample_samples",
+    "max_score", "max_score_decimal", "gap", "argmax",
+)
+INVARIANTS_CSV = (
+    "variety", "n", "vol", "seshadri", "delta", "beta", "score",
+    "score_decimal", "gap",
+)
+
+
+def sweep_record(result) -> dict:
+    return {
+        "variety": result.variety_name,
+        "n": result.dim,
+        "resolution": result.resolution,
+        "engine": result.engine,
+        "candidates": result.candidates,
+        "ample_samples": result.ample_samples,
+        "extremal_samples": result.extremal_samples,
+        "max_score": _fmt(result.max_score),
+        "max_score_decimal": _dec(result.max_score),
+        "argmax": list(result.argmax_coeffs),
+        "gap": _fmt(result.gap),
+        "bound": result.bound,
+    }
+
+
+def invariant_record(rep) -> dict:
+    return {
+        "variety": rep.variety,
+        "n": rep.dim,
+        "coeffs": [_fmt(c) for c in rep.coeffs],
+        "vol": _fmt(rep.vol),
+        "seshadri": _fmt(rep.eps),
+        "delta": _fmt(rep.delta),
+        "delta_witness_ray": rep.delta_witness_ray,
+        "beta": _fmt(rep.beta),
+        "score": _fmt(rep.score),
+        "score_decimal": _dec(rep.score),
+        "bound": _fmt(rep.bound),
+        "gap": _fmt(rep.bound - rep.score),
+        "is_extremal": rep.is_extremal,
+    }
+
+
 # ---------------------------------------------------------------------------
 # theorem verification and gap reports
 
@@ -49,42 +108,23 @@ class VerifyReport:
     results: tuple  # SweepResult per entry, catalog order
     projective: tuple  # matching is-P^n flags
 
+    def entries(self):
+        """Each entry's sweep record without its resolution, then whether it
+        is P^n."""
+        for res, pn in zip(self.results, self.projective):
+            record = sweep_record(res)
+            del record["resolution"]
+            record["is_projective_space"] = pn
+            yield record
+
     def csv_text(self) -> str:
-        rows = [
-            (
-                res.variety_name,
-                res.dim,
-                _fmt(res.max_score),
-                _dec(res.max_score),
-                _fmt(res.gap),
-            )
-            for res in self.results
-        ]
-        return render_csv(
-            ("variety", "n", "max_score", "max_score_decimal", "gap"), rows
+        return render_records(
+            ("variety", "n", "max_score", "max_score_decimal", "gap"),
+            self.entries(),
         )
 
     def json_dict(self) -> dict:
-        return {
-            "resolution": self.resolution,
-            "entries": [
-                {
-                    "variety": res.variety_name,
-                    "n": res.dim,
-                    "engine": res.engine,
-                    "candidates": res.candidates,
-                    "ample_samples": res.ample_samples,
-                    "extremal_samples": res.extremal_samples,
-                    "max_score": _fmt(res.max_score),
-                    "max_score_decimal": _dec(res.max_score),
-                    "argmax": list(res.argmax_coeffs),
-                    "gap": _fmt(res.gap),
-                    "bound": res.bound,
-                    "is_projective_space": pn,
-                }
-                for res, pn in zip(self.results, self.projective)
-            ],
-        }
+        return {"resolution": self.resolution, "entries": list(self.entries())}
 
 
 def verify_theorem(catalog, resolution: int) -> VerifyReport:
@@ -279,7 +319,7 @@ def blowup_command(
 ) -> BlowupReport:
     """Fujita profile at a fixed point plus the vanishing-order chain."""
     require_count("samples", samples, 1)
-    require_ample(divisor)
+    beta = invariants.score(divisor).beta  # refuses a class that is not ample
     profile, bl = fujita_profile(variety, cone_index, divisor)
     margin_ok = profile.inequality_certificate()
     if not margin_ok:
@@ -288,7 +328,6 @@ def blowup_command(
             variety=variety.name,
             sample=cone_index,
         )
-    beta = invariants.greatest_ricci_lower_bound(divisor)
     chain = chain_report(profile, beta)
     # at x = N/D, vol - x^n = (T_num D^n - T_den N^n) / (T_den D^n), vol = T_num/T_den
     den, nums = profile.grid(samples)

@@ -192,11 +192,6 @@ class VolumeProfile(ratpoly.Piecewise):
         x = Fraction(x)
         return self.value(x) - (self.total - x**self.dim)
 
-    def equality_flags(self):
-        """Per piece: does it coincide with vol - x^n identically."""
-        bound = self.lower_bound_poly()
-        return tuple(ratpoly.equal(p, bound) for p in self.pieces)
-
     def inequality_certificate(self) -> bool:
         """Symbolic proof that value >= vol - x^n holds on every piece."""
         bound = self.lower_bound_poly()
@@ -255,18 +250,6 @@ def vanishing_order_profile(divisor: TDivisor, ray_index: int) -> VolumeProfile:
     )
     assert profile.is_continuous()
     return profile
-
-
-def seshadri_at_point(variety: ToricVariety, cone_index: int, divisor: TDivisor):
-    """Seshadri constant at the fixed point: sup{x : pullback - x*E nef}.
-
-    Returns ``(value, blowup)``.
-    """
-    require_ample(divisor)
-    bl = blowup_at_fixed_point(variety, cone_index)
-    pulled = pullback(divisor, bl)
-    ratio = _least_wall_ratio(bl.result, pulled.coeffs, exceptional(bl).coeffs)
-    return ratio, bl
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ def format_rational(x) -> str:
 
 
 def parse_rational(text) -> Fraction:
-    if isinstance(text, int):
+    if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
         raise ParseError(f"expected a rational string, got {text!r}")
@@ -53,6 +53,13 @@ def fan_to_dict(variety: ToricVariety) -> dict:
     }
 
 
+def _integer(value) -> int:
+    """A JSON integer; bools, floats and strings raise TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def fan_from_dict(data) -> ToricVariety:
     if not isinstance(data, dict):
         raise ParseError("fan JSON must be an object")
@@ -60,10 +67,10 @@ def fan_from_dict(data) -> ToricVariety:
     if missing:
         raise ParseError(f"fan JSON lacks keys: {sorted(missing)}")
     try:
-        dim = int(data["dim"])
-        rays = [tuple(int(c) for c in ray) for ray in data["rays"]]
-        cones = [tuple(int(i) for i in cone) for cone in data["max_cones"]]
-    except (TypeError, ValueError) as exc:
+        dim = _integer(data["dim"])
+        rays = [tuple(map(_integer, ray)) for ray in data["rays"]]
+        cones = [tuple(map(_integer, cone)) for cone in data["max_cones"]]
+    except TypeError as exc:
         raise ParseError(f"malformed fan JSON: {exc}") from exc
     name = data.get("name", "")
     if not isinstance(name, str):
@@ -71,17 +78,16 @@ def fan_from_dict(data) -> ToricVariety:
     return validate_fan(dim, rays, cones, name)
 
 
-def load_fan(path) -> ToricVariety:
+def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return fan_from_dict(data)
 
 
-def divisor_to_dict(divisor: TDivisor) -> dict:
-    return {"coeffs": [format_rational(c) for c in divisor.coeffs]}
+def load_fan(path) -> ToricVariety:
+    return fan_from_dict(_load_json(path))
 
 
 def divisor_from_dict(data, variety: ToricVariety) -> TDivisor:
@@ -92,12 +98,7 @@ def divisor_from_dict(data, variety: ToricVariety) -> TDivisor:
 
 
 def load_divisor(path, variety: ToricVariety) -> TDivisor:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return divisor_from_dict(data, variety)
+    return divisor_from_dict(_load_json(path), variety)
 
 
 def dumps(payload) -> str:

@@ -117,9 +117,6 @@ class OkounkovBody:
     def contains_origin(self) -> bool:
         return ratgeom.contains(self.polytope, (Fraction(0),) * self.dim)
 
-    def max_first_coordinate(self) -> Fraction:
-        return max(v[0] for v in self.vertices())
-
 
 def okounkov_body(divisor: TDivisor, flag: FlagSpec) -> OkounkovBody:
     """Image of the section polytope under the flag's valuation coordinates."""

@@ -186,11 +186,6 @@ def _affine_rank(int_points):
     return int_rank([list(map(sub, p, base)) for p in int_points[1:]])
 
 
-def affine_rank(points) -> int:
-    """Dimension of the affine span of a point set."""
-    return _affine_rank(_scaled(list(points))[1])
-
-
 # ---------------------------------------------------------------------------
 # vertex enumeration
 

@@ -172,12 +172,6 @@ def _divide(P, G):
     return tuple(quot)
 
 
-def gcd_poly(p, q):
-    """The monic gcd of p and q; ZERO when both are zero."""
-    g = _sturm_sequence(primitive(p)[1], primitive(q)[1])[-1]
-    return scale(g, Fraction(1, g[-1])) if any(g) else ZERO
-
-
 def squarefree(p):
     """The primitive integer polynomial with p's roots, each once."""
     P = primitive(p)[1]

@@ -143,11 +143,6 @@ class ToricVariety:
             for row in self.cone_inverses[cone_index]
         )
 
-    def cone_vertex(self, cone_index, coeffs):
-        """The point m with <m, u_rho> = -a_rho for every ray of the cone."""
-        lam, c = scale_to_integers(coeffs)
-        return tuple(Fraction(x, lam) for x in self._cone_point(cone_index, c))
-
     def nef_vertex_points(self, coeffs):
         """``(lam, points)``: the set of cone points m_sigma of a nef class
         times lam (``scale_to_integers``).  They are exactly the vertices
@@ -244,10 +239,6 @@ class TDivisor:
                 ratgeom.fill_vertices(poly, *variety.nef_vertex_points(self.coeffs))
             self._polytope = poly
         return self._polytope
-
-    def wall_values(self):
-        lam, values = self.variety.scaled_wall_values(self.coeffs)
-        return [Fraction(v, lam) for v in values]
 
     def is_nef(self) -> bool:
         return all(v >= 0 for v in self.variety.scaled_wall_values(self.coeffs)[1])

@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -87,20 +86,18 @@ def test_load_catalog_empty_directory(tmp_path):
     assert catalog.load_catalog(str(tmp_path)) == []
 
 
-def test_write_bundled_files_round_trip(tmp_path):
-    catalog.write_bundled_files(str(tmp_path))
-    files = sorted(os.listdir(str(tmp_path)))
+def test_bundled_files_match_the_builders():
+    files = sorted(
+        p.name for p in catalog.bundled_dir().iterdir() if p.name.endswith(".json")
+    )
     assert files == sorted(
         catalog.catalog_file_name(n) for n in catalog.builders()
     )
-    reloaded = catalog.load_catalog(str(tmp_path))
-    assert [v.name for v in reloaded] == [
-        v.name for v in catalog.load_catalog()
-    ]
-    # byte identical to the shipped data
-    for fname in files:
+    # each shipped file is byte identical to its builder's canonical JSON
+    for variety in catalog.bundled_catalog():
+        fname = catalog.catalog_file_name(variety.name)
         shipped = catalog.bundled_dir().joinpath(fname).read_text()
-        assert (tmp_path / fname).read_text() == shipped
+        assert jsonio.dumps(jsonio.fan_to_dict(variety)) == shipped
 
 
 def test_bundled_json_shape():

@@ -20,7 +20,7 @@ from vertex_oracle import fraction_vertices, matrix_rank
 
 from torifan import catalog, invariants, ratgeom, toric
 from torifan.errors import NotComplete, NotSimplicial, NotSmooth, ValidationError
-from torifan.ratgeom import Polytope
+from torifan.ratgeom import Polytope, scale_to_integers
 
 TOWER_STARTS = (
     (catalog.projective_space(2), 3),
@@ -243,7 +243,9 @@ def classes(rng):
     for ample, nef in entries:
         v = ample.variety
         m = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(v.dim)]
-        zeroed = principal_shift(ample, v.cone_vertex(0, ample.coeffs))
+        lam, c = scale_to_integers(ample.coeffs)
+        vertex = [F(x, lam) for x in v._cone_point(0, c)]
+        zeroed = principal_shift(ample, vertex)
         out += [ample, principal_shift(ample, m), F(rng.randint(1, 7), 3) * zeroed]
         out += [nef] if nef is not None else []
         out += [v.divisor([rng.choice(coeffs) for _ in v.rays]) for _ in range(4)]
@@ -257,8 +259,9 @@ def test_wall_rows_match_the_fraction_formula():
     for d in classes(rng):
         v = d.variety
         expected = [reference_value(w, d.coeffs) for w in v.walls]
-        assert d.wall_values() == expected
-        assert all(type(x) is F for x in d.wall_values())
+        lam, values = v.scaled_wall_values(d.coeffs)
+        assert all(type(x) is int for x in values)
+        assert [F(x, lam) for x in values] == expected
         assert d.is_nef() == all(x >= 0 for x in expected)
         assert d.is_ample() == all(x > 0 for x in expected)
         if not d.is_ample():
@@ -272,12 +275,15 @@ def test_wall_rows_match_the_fraction_formula():
         assert eps == reference_ratio(v, v.anticanonical().coeffs, d.coeffs)
         if v.dim == 1:  # a star subdivision of a ray would repeat it
             with pytest.raises(ValidationError, match="dimension"):
-                invariants.seshadri_at_point(v, 0, d)
+                toric.blowup_at_fixed_point(v, 0)
             continue
+        # the Seshadri constant at a fixed point: least wall ratio of the
+        # pullback over the exceptional divisor on the blow-up
         cone = rng.randrange(len(v.max_cones))
-        at_point, bl = invariants.seshadri_at_point(v, cone, d)
+        bl = toric.blowup_at_fixed_point(v, cone)
         pulled = toric.pullback(d, bl)
         e = toric.exceptional(bl)
+        at_point = invariants._least_wall_ratio(bl.result, pulled.coeffs, e.coeffs)
         assert type(at_point) is F
         assert at_point == reference_ratio(bl.result, pulled.coeffs, e.coeffs)
     assert all(seen.values()), seen

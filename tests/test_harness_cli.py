@@ -201,6 +201,20 @@ def test_cli_validate_rejects_singular_fan(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "rays", [[[1.7, 0], [0, 1], [-1, -1]], [[1, 0], [0, True], [-1, -1]]]
+)
+def test_cli_validate_refuses_values_that_are_not_integers(tmp_path, capsys, rays):
+    path = tmp_path / "p2.json"
+    payload = {"dim": 2, "rays": rays, "max_cones": [[1, 2], [0, 2], [0, 1]]}
+    path.write_text(json.dumps(payload))
+    assert cli.main(["validate", str(path)]) == 2
+    payload["rays"] = [[1, 0], [0, 1], [-1, -1]]
+    path.write_text(json.dumps({**payload, "dim": 2.9}))
+    assert cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.count("error: malformed fan JSON") == 2
+
+
 def test_cli_validate_missing_file(capsys):
     assert cli.main(["validate", "/no/such/fan.json"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -347,6 +361,8 @@ def test_cli_too_large_resolution_is_an_input_error(tmp_path, capsys, argv):
             "--samples-cap",
             "100001",
         ],
+        ["sweep", "FAN", "--resolution", "2", "--samples-cap", "-5"],
+        ["sweep", "FAN", "--resolution", "2", "--samples-cap", "999999999"],
     ],
 )
 def test_cli_sample_counts_are_input_errors(tmp_path, capsys, argv):

@@ -48,6 +48,21 @@ def test_fan_from_dict_errors():
         jsonio.fan_from_dict(
             {"dim": 2, "rays": [["a", 0]], "max_cones": [[0]]}
         )
+    # JSON integers only: int() would truncate these to a valid P2
+    p2 = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[1, 2], [0, 2], [0, 1]]}
+    for key, value in (
+        ("dim", 2.9),
+        ("dim", "2"),
+        ("dim", True),
+        ("rays", [[1.7, 0], [0, 1], [-1, -1]]),
+        ("rays", [[1, 0], [0, True], [-1, -1]]),
+        ("rays", [[1, 0], [0, "1"], [-1, -1]]),
+        ("max_cones", [[1, 2], [0, 2], [0, 1.0]]),
+        ("max_cones", [[1, 2], [0, 2], [False, 1]]),
+    ):
+        with pytest.raises(ParseError, match="malformed"):
+            jsonio.fan_from_dict({**p2, key: value})
+    assert jsonio.fan_from_dict(p2).dim == 2
     with pytest.raises(ParseError, match="name"):
         jsonio.fan_from_dict(
             {"dim": 2, "rays": [[1, 0]], "max_cones": [[0]], "name": 7}
@@ -80,7 +95,7 @@ def test_load_fan_and_divisor(tmp_path):
 def test_divisor_dict_round_trip():
     v = catalog.projective_space(2)
     d = v.divisor([F(-1, 2), 1, 1])
-    data = jsonio.divisor_to_dict(d)
+    data = {"coeffs": [jsonio.format_rational(c) for c in d.coeffs]}
     assert data == {"coeffs": ["-1/2", "1/1", "1/1"]}
     assert jsonio.divisor_from_dict(data, v) == d
 
@@ -91,6 +106,9 @@ def test_divisor_from_dict_errors():
         jsonio.divisor_from_dict({"rays": []}, v)
     with pytest.raises(ParseError):
         jsonio.divisor_from_dict({"coeffs": ["1/0"]}, v)
+    for bad in (True, False, 1.5, None):
+        with pytest.raises(ParseError, match="rational"):
+            jsonio.divisor_from_dict({"coeffs": [1, bad, 1]}, v)
     # wrong arity is a divisor validation problem
     with pytest.raises(ValidationError):
         jsonio.divisor_from_dict({"coeffs": ["1", "2"]}, v)

@@ -52,7 +52,6 @@ def test_hyperplane_body_is_unit_simplex():
     assert body.volume() == F(1, 2)
     assert 2 * body.volume() == 1  # n! vol(body) = vol(class)
     assert body.contains_origin()
-    assert body.max_first_coordinate() == 1
 
 
 def test_f1_anticanonical_body_is_a_quadrilateral_of_area_4():

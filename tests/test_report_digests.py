@@ -94,8 +94,15 @@ def test_report_bytes_are_pinned(name):
 
 
 def test_every_case_has_a_digest():
-    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    assert sorted(expected) == sorted(cases())
+    """The table holds one digest per case, in case order, laid out as the
+    re-record command prints it, so re-recording reproduces the committed
+    file exactly while every report is unchanged.  A re-record is a
+    deliberate edit: CHANGES.md names each digest it changes and why.
+    """
+    text = DIGESTS.read_text(encoding="utf-8")
+    expected = json.loads(text)
+    assert list(expected) == list(cases())
+    assert text == json.dumps(expected, indent=2) + "\n"
 
 
 if __name__ == "__main__":

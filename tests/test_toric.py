@@ -68,7 +68,8 @@ def test_wall_relations_on_p2():
     # every wall curve is a line: u_a + u_b + u_wall = 0
     assert all(w.relation == (1,) for w in x.walls)
     mk = x.anticanonical()
-    assert sorted(mk.wall_values()) == [3, 3, 3]
+    lam, values = x.scaled_wall_values(mk.coeffs)
+    assert (lam, sorted(values)) == (1, [3, 3, 3])
 
 
 def test_wall_relations_on_f1():
@@ -76,13 +77,14 @@ def test_wall_relations_on_f1():
     by_ray = {w.rays[0]: w.relation[0] for w in x.walls}
     # two fibers, the -1 section and the +1 section
     assert by_ray == {0: 0, 1: -1, 2: 0, 3: 1}
-    assert sorted(x.anticanonical().wall_values()) == [1, 2, 2, 3]
+    lam, values = x.scaled_wall_values(x.anticanonical().coeffs)
+    assert (lam, sorted(values)) == (1, [1, 2, 2, 3])
 
 
 def test_wall_relations_on_p1xp1():
     x = catalog.p1_power(2)
     assert all(w.relation == (0,) for w in x.walls)
-    assert x.anticanonical().wall_values() == [2, 2, 2, 2]
+    assert x.scaled_wall_values(x.anticanonical().coeffs) == (1, [2, 2, 2, 2])
 
 
 def test_wall_relations_need_a_unimodular_cone():
@@ -96,13 +98,6 @@ def test_wall_relations_need_a_unimodular_cone():
     x = toric.ToricVariety(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(NotSmooth, match="cone 2"):
         x.walls
-
-
-def test_cone_vertex():
-    x = p2()
-    cone = x.max_cones.index((0, 1))
-    assert x.cone_vertex(cone, (1, 1, 1)) == (F(-1), F(-1))
-    assert x.cone_vertex(cone, (0, 0, 1)) == (F(0), F(0))
 
 
 def test_divisor_arithmetic_and_identity():
@@ -260,7 +255,9 @@ def test_functionals_are_class_functions():
         )
         assert shifted.coeffs != d.coeffs
         assert shifted.vol() == d.vol()
-        assert shifted.wall_values() == d.wall_values()
+        assert x.scaled_wall_values(shifted.coeffs) == x.scaled_wall_values(
+            d.coeffs
+        )
         assert shifted.is_ample() == d.is_ample()
         assert invariants.seshadri_constant(shifted) == (
             invariants.seshadri_constant(d)
