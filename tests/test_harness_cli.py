@@ -202,17 +202,24 @@ def test_cli_validate_rejects_singular_fan(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "rays", [[[1.7, 0], [0, 1], [-1, -1]], [[1, 0], [0, True], [-1, -1]]]
+    "change",
+    [
+        {"dim": 2.9},
+        {"rays": [[1.7, 0], [0, 1], [-1, -1]]},
+        {"rays": [[1, 0], [0, True], [-1, -1]]},
+    ],
 )
-def test_cli_validate_refuses_values_that_are_not_integers(tmp_path, capsys, rays):
+def test_cli_validate_refuses_values_that_are_not_integers(tmp_path, capsys, change):
+    """int() would truncate each of these to a valid P2."""
     path = tmp_path / "p2.json"
-    payload = {"dim": 2, "rays": rays, "max_cones": [[1, 2], [0, 2], [0, 1]]}
-    path.write_text(json.dumps(payload))
+    payload = {
+        "dim": 2,
+        "rays": [[1, 0], [0, 1], [-1, -1]],
+        "max_cones": [[1, 2], [0, 2], [0, 1]],
+    }
+    path.write_text(json.dumps({**payload, **change}))
     assert cli.main(["validate", str(path)]) == 2
-    payload["rays"] = [[1, 0], [0, 1], [-1, -1]]
-    path.write_text(json.dumps({**payload, "dim": 2.9}))
-    assert cli.main(["validate", str(path)]) == 2
-    assert capsys.readouterr().err.count("error: malformed fan JSON") == 2
+    assert capsys.readouterr().err.startswith("error: malformed fan JSON")
 
 
 def test_cli_validate_missing_file(capsys):

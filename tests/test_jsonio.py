@@ -49,7 +49,11 @@ def test_fan_from_dict_errors():
             {"dim": 2, "rays": [["a", 0]], "max_cones": [[0]]}
         )
     # JSON integers only: int() would truncate these to a valid P2
-    p2 = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[1, 2], [0, 2], [0, 1]]}
+    p2 = {
+        "dim": 2,
+        "rays": [[1, 0], [0, 1], [-1, -1]],
+        "max_cones": [[1, 2], [0, 2], [0, 1]],
+    }
     for key, value in (
         ("dim", 2.9),
         ("dim", "2"),
