@@ -8,20 +8,24 @@ both times and the oracle's time as a multiple of slice_profile's.
 With ``--reports`` it times the report layer instead: one
 ``harness.blowup_command`` (100 samples) and one ``harness.okounkov_command``
 (32 samples) on -K at cone 0 of each chosen fan, one row per variety.  The
-last column times the Sturm certificates of the same two profiles:
+next column times the Sturm certificates of the same two profiles:
 ``inequality_certificate`` and ``monotone_certificate`` of the volume
-profile and ``okounkov.bm_concavity_check`` of the slice profile.
+profile and ``okounkov.bm_concavity_check`` of the slice profile.  The last
+times rendering both reports (``json_dict`` and ``jsonio.dumps``); the run
+exits non-zero if that JSON, or the CSV, differs from the rendering of the
+reports' Fraction rows by ``format_rational`` and ``json.dumps``.
 
     python3 benchmarks/bench_profiles.py --repeat 3
     python3 benchmarks/bench_profiles.py --repeat 5 --reports
 """
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
 
-from torifan import catalog, harness, invariants, okounkov
+from torifan import catalog, harness, invariants, jsonio, okounkov
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from slice_oracle import nodewise_slice_profile  # noqa: E402
@@ -68,11 +72,42 @@ def certify(volume, slices):
     )
 
 
+BLOWUP_COLUMNS = ("x", "volume", "lower_bound", "margin")
+# per report: the JSON key of its table, the table's columns in JSON and in
+# CSV, and its Fraction rows
+TABLES = {
+    harness.BlowupReport: ("rows", BLOWUP_COLUMNS, BLOWUP_COLUMNS, "rows"),
+    harness.OkounkovReport: (
+        "slice_samples", ("r", "area"), ("r", "slice_area"), "slice_rows"
+    ),
+}
+
+
+def render(report):
+    return jsonio.dumps(report.json_dict())
+
+
+def check_rendering(report, name):
+    """Exit unless the report renders as its Fraction rows do."""
+    key, columns, csv_columns, attribute = TABLES[type(report)]
+    cells = [
+        tuple(map(jsonio.format_rational, row)) for row in getattr(report, attribute)
+    ]
+    payload = report.json_dict()
+    payload[key] = [dict(zip(columns, row)) for row in cells]
+    csv_text = harness.render_csv(csv_columns, cells)
+    if render(report) != json.dumps(payload, indent=2) + "\n":
+        raise SystemExit(f"{key} JSON differs from its Fraction rendering on {name}")
+    if report.csv_text() != csv_text:
+        raise SystemExit(f"{key} CSV differs from its Fraction rendering on {name}")
+
+
 def bench_reports(chosen, repeat):
     header = f"{'variety':<10} {'blowup (s)':>11} {'rows':>5}"
     header += f" {'okounkov (s)':>13} {'rows':>5} {'certificates (s)':>17}"
+    header += f" {'render (s)':>11}"
     print(header)
-    total = certificates = 0.0
+    total = certificates = rendering = 0.0
     for variety in chosen:
         divisor = variety.anticanonical()
         t_blowup, blowup = best_of(
@@ -87,12 +122,18 @@ def bench_reports(chosen, repeat):
         t_cert, verdicts = best_of(lambda: certify(volume, slices), repeat)
         if not all(verdicts):
             raise SystemExit(f"a certificate failed on {variety.name}")
+        t_render, _ = best_of(lambda: (render(blowup), render(body)), repeat)
+        check_rendering(blowup, variety.name)
+        check_rendering(body, variety.name)
         total += t_blowup + t_body
         certificates += t_cert
+        rendering += t_render
         line = f"{variety.name:<10} {t_blowup:>11.4f} {len(blowup.rows):>5}"
         line += f" {t_body:>13.4f} {len(body.slice_rows):>5} {t_cert:>17.4f}"
+        line += f" {t_render:>11.4f}"
         print(line)
-    print(f"{'total':<10} {total:>11.4f}{'':>26} {certificates:>17.4f}")
+    line = f"{'total':<10} {total:>11.4f}{'':>26} {certificates:>17.4f}"
+    print(line + f" {rendering:>11.4f}")
 
 
 def main(argv=None):

@@ -11,6 +11,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from torifan import invariants, jsonio
@@ -28,6 +29,7 @@ from torifan.sweep import sweep_ample_cone
 from torifan.toric import TDivisor, ToricVariety, is_projective_space
 
 _fmt = jsonio.format_rational
+_ratio = jsonio.format_ratio
 _dec = jsonio.decimal_string
 
 
@@ -249,16 +251,41 @@ class BlowupReport:
     vol: Fraction
     domain_end: Fraction
     breakpoints: tuple
-    rows: tuple  # (x, profile value, vol - x^n, margin)
+    grid: tuple  # Piecewise.grid: (D, the sample numerators over D)
+    values: tuple  # Piecewise.values_at the grid: (num, den) pairs
     margin_certified: bool
     monotone_certified: bool
     chain: object
 
-    def csv_text(self) -> str:
-        rows = [
-            (_fmt(x), _fmt(v), _fmt(lb), _fmt(m)) for x, v, lb, m in self.rows
+    def _integer_rows(self):
+        """(x, profile value, vol - x^n, margin), each as (num, den) with
+        den > 0.  At x = N/D and vol = T/U, vol - x^n = (T D^n - U N^n) /
+        (U D^n)."""
+        den, nums = self.grid
+        n, total = self.dim, self.vol
+        den_n = den**n
+        low_den = total.denominator * den_n
+        for x, (v_num, v_den) in zip(nums, self.values):
+            low = total.numerator * den_n - total.denominator * x**n
+            margin = (v_num * low_den - low * v_den, v_den * low_den)
+            yield (x, den), (v_num, v_den), (low, low_den), margin
+
+    @cached_property
+    def rows(self):
+        """The rows as Fractions: (x, profile value, vol - x^n, margin)."""
+        return tuple(
+            tuple(Fraction(*cell) for cell in row) for row in self._integer_rows()
+        )
+
+    def cells(self):
+        """The rows as "p/q" strings, one gcd per cell and no Fraction."""
+        return [
+            (_ratio(*x), _ratio(*v), _ratio(*lb), _ratio(*m))
+            for x, v, lb, m in self._integer_rows()
         ]
-        return render_csv(("x", "volume", "lower_bound", "margin"), rows)
+
+    def csv_text(self) -> str:
+        return render_csv(("x", "volume", "lower_bound", "margin"), self.cells())
 
     def json_dict(self) -> dict:
         chain = self.chain
@@ -288,13 +315,8 @@ class BlowupReport:
                 ],
             },
             "rows": [
-                {
-                    "x": _fmt(x),
-                    "volume": _fmt(v),
-                    "lower_bound": _fmt(lb),
-                    "margin": _fmt(m),
-                }
-                for x, v, lb, m in self.rows
+                {"x": x, "volume": v, "lower_bound": lb, "margin": m}
+                for x, v, lb, m in self.cells()
             ],
         }
 
@@ -329,17 +351,7 @@ def blowup_command(
             sample=cone_index,
         )
     chain = chain_report(profile, beta)
-    # at x = N/D, vol - x^n = (T_num D^n - T_den N^n) / (T_den D^n), vol = T_num/T_den
     den, nums = profile.grid(samples)
-    n, total = profile.dim, profile.total
-    den_n = den**n
-    low_den = total.denominator * den_n
-    rows = []
-    for x, (v_num, v_den) in zip(nums, profile.values_at(nums, den)):
-        low = total.numerator * den_n - total.denominator * x**n
-        margin = Fraction(v_num * low_den - low * v_den, v_den * low_den)
-        value = Fraction(v_num, v_den)
-        rows.append((Fraction(x, den), value, Fraction(low, low_den), margin))
     return BlowupReport(
         variety_name=variety.name,
         cone_index=cone_index,
@@ -348,7 +360,8 @@ def blowup_command(
         vol=profile.total,
         domain_end=profile.domain_end,
         breakpoints=profile.breakpoints,
-        rows=tuple(rows),
+        grid=(den, tuple(nums)),
+        values=tuple(profile.values_at(nums, den)),
         margin_certified=margin_ok,
         monotone_certified=profile.monotone_certificate(),
         chain=chain,
@@ -371,11 +384,24 @@ class OkounkovReport:
     translation_results: tuple  # (t, verdict) pairs
     support: tuple
     concave: bool
-    slice_rows: tuple  # (r, A(r))
+    grid: tuple  # Piecewise.grid: (D, the sample numerators over D)
+    values: tuple  # Piecewise.values_at the grid: (num, den) pairs
+
+    @cached_property
+    def slice_rows(self):
+        """The rows as Fractions: (r, A(r))."""
+        den, nums = self.grid
+        return tuple(
+            (Fraction(r, den), Fraction(*a)) for r, a in zip(nums, self.values)
+        )
+
+    def cells(self):
+        """The rows as "p/q" strings, one gcd per cell and no Fraction."""
+        den, nums = self.grid
+        return [(_ratio(r, den), _ratio(*a)) for r, a in zip(nums, self.values)]
 
     def csv_text(self) -> str:
-        rows = [(_fmt(r), _fmt(a)) for r, a in self.slice_rows]
-        return render_csv(("r", "slice_area"), rows)
+        return render_csv(("r", "slice_area"), self.cells())
 
     def json_dict(self) -> dict:
         return {
@@ -393,9 +419,7 @@ class OkounkovReport:
             ],
             "support": [_fmt(self.support[0]), _fmt(self.support[1])],
             "bm_concave": self.concave,
-            "slice_samples": [
-                {"r": _fmt(r), "area": _fmt(a)} for r, a in self.slice_rows
-            ],
+            "slice_samples": [{"r": r, "area": a} for r, a in self.cells()],
         }
 
 
@@ -431,8 +455,6 @@ def okounkov_command(
         checks.append((Fraction(t), ok))
     profile = slice_profile(body)
     den, nums = profile.grid(samples)
-    values = profile.values_at(nums, den)
-    slice_rows = tuple((Fraction(r, den), Fraction(*v)) for r, v in zip(nums, values))
     return OkounkovReport(
         variety_name=variety.name,
         cone_index=flag.cone_index,
@@ -444,5 +466,6 @@ def okounkov_command(
         translation_results=tuple(checks),
         support=profile.support,
         concave=bm_concavity_check(profile),
-        slice_rows=slice_rows,
+        grid=(den, tuple(nums)),
+        values=tuple(profile.values_at(nums, den)),
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from math import factorial
 
 from torifan import _sweep_pure, okounkov, ratgeom, ratpoly
@@ -236,11 +237,12 @@ def vanishing_order_profile(divisor: TDivisor, ray_index: int) -> VolumeProfile:
     n_fact, vol = factorial(variety.dim), divisor.vol()
     points, pieces = list(slices.breakpoints), []
     head = Fraction(0)  # n! int A from b_0 to b_i
-    for i, p in enumerate(slices.pieces):
-        anti = ratpoly.scale(ratpoly.antiderivative(p), n_fact)
-        head -= ratpoly.evaluate(anti, points[i])
-        pieces.append(ratpoly.subtract((vol - head,), anti))
-        head += ratpoly.evaluate(anti, points[i + 1])
+    for (a, b), (c, P) in zip(pairwise(points), slices.integer_pieces):
+        # n! int_0^x A = c * Q(x), with Q integral because deg P < n
+        Q = (0, *(v * (n_fact // (j + 1)) for j, v in enumerate(P)))
+        start = ratpoly.evaluate_primitive(c, Q, a)
+        pieces.append(ratpoly.trim((vol - head + start, *(-c * v for v in Q[1:]))))
+        head += ratpoly.evaluate_primitive(c, Q, b) - start
     assert head == vol
     if points[0] > 0:
         points.insert(0, Fraction(0))

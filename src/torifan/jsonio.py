@@ -10,6 +10,7 @@ import decimal
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from torifan.errors import ParseError
 from torifan.toric import TDivisor, ToricVariety, validate_fan
@@ -19,6 +20,13 @@ DECIMAL_DIGITS = 12
 
 def format_rational(x) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_ratio(num, den) -> str:
+    """``format_rational(Fraction(num, den))`` for integers with den > 0,
+    reduced by one gcd and without building the Fraction."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def parse_rational(text) -> Fraction:
@@ -129,7 +137,10 @@ def _write(value, out, newline):
         sep = "[" + inner
         for item in value:
             out.append(sep)
-            _write(item, out, inner)
+            if isinstance(item, str):  # inline: the commonest leaf
+                out.append(encode_basestring_ascii(item))
+            else:
+                _write(item, out, inner)
             sep = "," + inner
         out.append(newline + "]")
     elif isinstance(value, dict):
@@ -142,7 +153,10 @@ def _write(value, out, newline):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write(item, out, inner)
+            if isinstance(item, str):
+                out.append(encode_basestring_ascii(item))
+            else:
+                _write(item, out, inner)
             sep = "," + inner
         out.append(newline + "}")
     elif value is None:

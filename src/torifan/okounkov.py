@@ -41,7 +41,18 @@ consecutive values of nu_1 on the vertices of Delta.
   the sign at the midpoint, and on the closed piece [lo, hi] it takes that
   sign or vanishes.  So sum |det| / (n-1)! equals a polynomial of degree
   <= n - 1 on all of [lo, hi]; by continuity of slice volumes it is the
-  slice area there, endpoints included, and n nodes interpolate it.
+  slice area there, endpoints included.
+- Integer pieces.  With L the common denominator of the crossings, the
+  crossing of edge e at level r is (A_e + r B_e) / L for integer vectors
+  A_e, B_e, so a simplex's determinant is det_s(r) / L^(n-1) for an
+  integer polynomial det_s of degree <= n - 1.  Taking each simplex's
+  sign at the midpoint, the area is P(r) / ((n-1)! L^(n-1)) with
+  P = sum of sign * det_s, an integer polynomial known by its integer
+  values P(0), ..., P(n-1): the levels need not lie in the piece, since P
+  is a polynomial identity.  Its forward differences are integers, and by
+  Newton's formula P(r) = sum_k Delta^k P(0) binom(r, k), so (n-1)! P has
+  integer coefficients (``ratpoly.factorial_interpolate``).  One division
+  by (n-1)!^2 L^(n-1) gives the piece.
 
 A body of affine rank below n (possible through
 :meth:`OkounkovBody.from_polytope`) has zero slice area everywhere; the
@@ -220,13 +231,14 @@ class SliceProfile(ratpoly.Piecewise):
 
 
 def slice_profile(body: OkounkovBody) -> SliceProfile:
-    """Exact slice areas: degree <= n-1 between vertex levels, interpolated.
+    """Exact slice areas: degree <= n-1 between vertex levels.
 
     Reads the body's edges off its vertex-facet incidence and triangulates
     each piece's slice once, from the edges crossing it; the module
     docstring proves that this triangulation and the sign of every simplex
-    hold on the whole closed piece.  Each of the n interpolation nodes then
-    costs one integer determinant per simplex and no vertex enumeration.
+    hold on the whole closed piece.  Each piece then costs n + 1 integer
+    determinants per simplex (its sign at the midpoint and its values at
+    r = 0, ..., n-1) and no vertex enumeration.
     """
     n = body.dim
     scale, points = ratgeom.vertex_points(body.polytope)
@@ -278,8 +290,12 @@ def slice_profile(body: OkounkovBody) -> SliceProfile:
         a = [(x * w[0] - v[0] * y) * f for x, y in zip(v[1:], w[1:])]
         b = [(y - x) * scale * f for x, y in zip(v[1:], w[1:])]
         edges.append((v[0], w[0], common, a, b))
+    # a piece's slice area is P(r) / ((n-1)! multiplier^(n-1)) for the
+    # integer polynomial P of the module docstring; its values at r = 0..n-1
+    # give (n-1)! P
+    denominator = factorial(n - 1) ** 2 * multiplier ** (n - 1)
     pieces = []
-    for t, (lo, hi) in enumerate(zip(levels, levels[1:])):
+    for t in range(len(levels) - 1):
         crossing = [
             e
             for e, edge in enumerate(edges)
@@ -289,23 +305,27 @@ def slice_profile(body: OkounkovBody) -> SliceProfile:
             [e for e in crossing if edges[e][2] >> k & 1] for k in range(len(rows))
         ]
         simplices = ratgeom.pulling_triangulation(crossing, facets)
-        samples = []
+        # the midpoint level p / q, and the crossings there scaled by q
+        p, q = heights[t] + heights[t + 1], 2 * scale
+        mid = {e: [q * x + p * y for x, y in zip(*edges[e][3:])] for e in crossing}
+        signs = [1 if _simplex_det(mid, s) > 0 else -1 for s in simplices]
+        values = []
         for j in range(n):
-            r = lo + (hi - lo) * Fraction(j, n - 1)
-            p, q = r.numerator, r.denominator
-            # the crossings scaled by q * multiplier, so integral
-            point = {
-                e: [q * x + p * y for x, y in zip(*edges[e][3:])] for e in crossing
-            }
-            total = 0
-            for s in simplices:
-                base = point[s[0]]
-                rows_s = [[x - y for x, y in zip(point[e], base)] for e in s[1:]]
-                total += abs(ratgeom.int_det(rows_s))
-            area = Fraction(total, factorial(n - 1) * (q * multiplier) ** (n - 1))
-            samples.append((r, area))
-        pieces.append(ratpoly.interpolate(samples))
+            point = {e: [x + j * y for x, y in zip(*edges[e][3:])] for e in crossing}
+            values.append(
+                sum(sign * _simplex_det(point, s) for sign, s in zip(signs, simplices))
+            )
+        ints = ratpoly.factorial_interpolate(values)
+        pieces.append(ratpoly.trim(Fraction(c, denominator) for c in ints))
     return SliceProfile(dim=n, breakpoints=tuple(levels), pieces=tuple(pieces))
+
+
+def _simplex_det(point, simplex) -> int:
+    """The determinant of the simplex's edge vectors from its first point."""
+    base = point[simplex[0]]
+    return ratgeom.int_det(
+        [[x - y for x, y in zip(point[e], base)] for e in simplex[1:]]
+    )
 
 
 def bm_concavity_check(profile: SliceProfile) -> bool:

@@ -1,8 +1,7 @@
 """Exact univariate polynomials over Q, and piecewise polynomials of them.
 
-A polynomial is a tuple of Fractions, lowest degree first.  Interpolation
-recovers each slice-area piece exactly from point evaluations,
-antiderivatives integrate slice areas into volume profiles, and Sturm
+A polynomial is a tuple of Fractions, lowest degree first.
+Antiderivatives integrate slice areas into volume profiles, and Sturm
 sequences certify sign conditions on intervals without floating point.
 :class:`Piecewise` evaluates, integrates, certifies and samples both of
 those profiles.  Values and signs are computed on integers: ``primitive``
@@ -75,7 +74,12 @@ def _sign(P, x) -> int:
 
 
 def evaluate(p, x) -> Fraction:
-    (c, P), x = primitive(p), _frac(x)
+    return evaluate_primitive(*primitive(p), x)
+
+
+def evaluate_primitive(c, P, x) -> Fraction:
+    """c * P(x) for a Fraction c and integer coefficients P."""
+    x = _frac(x)
     v = c.numerator * _horner(P, x.numerator, x.denominator)
     return Fraction(v, c.denominator * x.denominator ** (len(P) - 1))
 
@@ -116,7 +120,12 @@ def integrate(p, a, b) -> Fraction:
 
 
 def interpolate(points):
-    """The unique polynomial of degree < len(points) through the points."""
+    """The unique polynomial of degree < len(points) through the points.
+
+    Newton's divided differences over Fractions.  The package builds its
+    slice pieces on integers instead (``factorial_interpolate``); this one
+    is kept as the test oracle and for perfbench's trace table.
+    """
     xs = [_frac(x) for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
@@ -128,6 +137,29 @@ def interpolate(points):
     for c, x in zip(reversed(coeffs), reversed(xs)):
         result = add(multiply(result, (-x, 1)), (c,))
     return result
+
+
+def factorial_interpolate(values):
+    """m! p as integer coefficients, lowest degree first, for the polynomial
+    p of degree <= m with the integer values p(0), ..., p(m).
+
+    The forward differences D_k = Delta^k p(0) are integers, and Newton's
+    formula p(t) = sum_k D_k binom(t, k) gives m! p(t) = sum_k D_k (m!/k!)
+    t (t-1) ... (t-k+1), an integer polynomial, built here by Horner in that
+    falling-factorial basis.
+    """
+    m = len(values) - 1
+    diffs = list(values)
+    for j in range(1, m + 1):
+        for i in range(m, j - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    acc, weight = [diffs[m]], 1  # weight = m!/k!
+    for k in range(m - 1, -1, -1):
+        weight *= k + 1
+        # acc <- acc * (t - k) + D_k m!/k!
+        acc = [-k * acc[0]] + [a - k * b for a, b in zip(acc, acc[1:])] + [acc[-1]]
+        acc[0] += diffs[k] * weight
+    return acc
 
 
 def equal(p, q) -> bool:
@@ -317,9 +349,10 @@ class Piecewise:
 
     def is_continuous(self) -> bool:
         """Do neighbouring pieces agree at every interior breakpoint."""
+        ints = self.integer_pieces
         return all(
-            evaluate(p, x) == evaluate(q, x)
-            for x, p, q in zip(self.breakpoints[1:], self.pieces, self.pieces[1:])
+            evaluate_primitive(*p, x) == evaluate_primitive(*q, x)
+            for x, p, q in zip(self.breakpoints[1:], ints, ints[1:])
         )
 
     def grid(self, count):

@@ -2,10 +2,10 @@
 
 Builds the slice ``{nu_1 = r}`` of the body as a fresh ``ratgeom.Polytope``
 at each of n interpolation nodes per piece, enumerates its vertices from
-scratch and measures it with ``ratgeom.volume``.  It shares with
-``okounkov.slice_profile`` only the vertex levels, the nodes and
-``ratpoly.interpolate``, so agreement checks the edge, crossing and
-one-triangulation-per-piece reductions.
+scratch, measures it with ``ratgeom.volume`` and interpolates the n areas
+with ``ratpoly.interpolate``.  It shares with ``okounkov.slice_profile``
+only the vertex levels, so agreement checks the edge, crossing,
+one-triangulation-per-piece and integer-piece reductions.
 """
 
 from fractions import Fraction

@@ -124,6 +124,20 @@ def test_dumps_layout():
     assert text.endswith("\n")
 
 
+def test_dumps_writes_nested_strings_as_json_dumps():
+    strings = ["", "p/q", 'say "2"', "back\\slash", "tab\t nl\n", "\x00\x1f\x7f"]
+    strings += ["Pé", "☃", "\U0001f600", "-18/98"]
+    payloads = [
+        strings,
+        {s: s for s in strings},
+        {"rows": [{"x": s, "n": i, "more": [s, [s]]} for i, s in enumerate(strings)]},
+        [strings, {"é": strings, "t": tuple(strings)}, [[s] for s in strings]],
+        ("☃", ({"k": "\U0001f600"},), []),
+    ]
+    for payload in payloads:
+        assert jsonio.dumps(payload) == json.dumps(payload, indent=2) + "\n"
+
+
 def _write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)

@@ -1,6 +1,7 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 import sturm_oracle
@@ -43,6 +44,19 @@ def test_interpolate_recovers_polynomial():
     nodes = [F(k, 3) for k in range(4)]
     q = ratpoly.interpolate([(x, ratpoly.evaluate(p, x)) for x in nodes])
     assert ratpoly.equal(p, q)
+
+
+def test_factorial_interpolate_is_lagrange_times_m_factorial():
+    rng = random.Random(20261207)
+    for m in range(6):
+        for _ in range(40):
+            values = [rng.randint(-(10**6), 10**6) for _ in range(m + 1)]
+            ints = ratpoly.factorial_interpolate(values)
+            assert all(type(c) is int for c in ints) and len(ints) == m + 1
+            lagrange = ratpoly.interpolate(list(enumerate(values)))
+            assert ratpoly.trim(F(c, factorial(m)) for c in ints) == lagrange
+    # t^3 - t = 6 binom(t+1, 3): values 0, 0, 6, 24 give 3! (t^3 - t)
+    assert ratpoly.factorial_interpolate([0, 0, 6, 24]) == [0, -6, 0, 6]
 
 
 def test_interpolate_rejects_duplicate_nodes():
