@@ -12,8 +12,9 @@ next column times the Sturm certificates of the same two profiles:
 ``inequality_certificate`` and ``monotone_certificate`` of the volume
 profile and ``okounkov.bm_concavity_check`` of the slice profile.  The last
 times rendering both reports (``json_dict`` and ``jsonio.dumps``); the run
-exits non-zero if that JSON, or the CSV, differs from the rendering of the
-reports' Fraction rows by ``format_rational`` and ``json.dumps``.
+exits non-zero if that JSON, or the CSV, differs from the rendering by
+``format_rational`` and ``json.dumps`` of the Fraction rows that
+tests/test_report_tables.py rebuilds on its own.
 
     python3 benchmarks/bench_profiles.py --repeat 3
     python3 benchmarks/bench_profiles.py --repeat 5 --reports
@@ -29,6 +30,11 @@ from torifan import catalog, harness, invariants, jsonio, okounkov
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from slice_oracle import nodewise_slice_profile  # noqa: E402
+from test_report_tables import (  # noqa: E402
+    formatted,
+    reference_blowup_rows,
+    reference_slice_rows,
+)
 
 
 def best_of(run, repeat):
@@ -72,14 +78,13 @@ def certify(volume, slices):
     )
 
 
+BLOWUP_SAMPLES, SLICE_SAMPLES = 100, 32
 BLOWUP_COLUMNS = ("x", "volume", "lower_bound", "margin")
-# per report: the JSON key of its table, the table's columns in JSON and in
-# CSV, and its Fraction rows
+# per report: the JSON key of its table and the table's columns in JSON and
+# in CSV
 TABLES = {
-    harness.BlowupReport: ("rows", BLOWUP_COLUMNS, BLOWUP_COLUMNS, "rows"),
-    harness.OkounkovReport: (
-        "slice_samples", ("r", "area"), ("r", "slice_area"), "slice_rows"
-    ),
+    harness.BlowupReport: ("rows", BLOWUP_COLUMNS, BLOWUP_COLUMNS),
+    harness.OkounkovReport: ("slice_samples", ("r", "area"), ("r", "slice_area")),
 }
 
 
@@ -87,12 +92,10 @@ def render(report):
     return jsonio.dumps(report.json_dict())
 
 
-def check_rendering(report, name):
-    """Exit unless the report renders as its Fraction rows do."""
-    key, columns, csv_columns, attribute = TABLES[type(report)]
-    cells = [
-        tuple(map(jsonio.format_rational, row)) for row in getattr(report, attribute)
-    ]
+def check_rendering(report, rows, name):
+    """Exit unless the report renders as the Fraction ``rows`` do."""
+    key, columns, csv_columns = TABLES[type(report)]
+    cells = formatted(rows)
     payload = report.json_dict()
     payload[key] = [dict(zip(columns, row)) for row in cells]
     csv_text = harness.render_csv(csv_columns, cells)
@@ -111,10 +114,16 @@ def bench_reports(chosen, repeat):
     for variety in chosen:
         divisor = variety.anticanonical()
         t_blowup, blowup = best_of(
-            lambda: harness.blowup_command(variety, 0, divisor), repeat
+            lambda: harness.blowup_command(
+                variety, 0, divisor, samples=BLOWUP_SAMPLES
+            ),
+            repeat,
         )
         t_body, body = best_of(
-            lambda: harness.okounkov_command(variety, divisor), repeat
+            lambda: harness.okounkov_command(
+                variety, divisor, samples=SLICE_SAMPLES
+            ),
+            repeat,
         )
         volume, _ = invariants.fujita_profile(variety, 0, divisor)
         flag = okounkov.default_flag(variety, 0)
@@ -123,13 +132,15 @@ def bench_reports(chosen, repeat):
         if not all(verdicts):
             raise SystemExit(f"a certificate failed on {variety.name}")
         t_render, _ = best_of(lambda: (render(blowup), render(body)), repeat)
-        check_rendering(blowup, variety.name)
-        check_rendering(body, variety.name)
+        blowup_rows = reference_blowup_rows(volume, BLOWUP_SAMPLES)
+        slice_rows = reference_slice_rows(slices, SLICE_SAMPLES)
+        check_rendering(blowup, blowup_rows, variety.name)
+        check_rendering(body, slice_rows, variety.name)
         total += t_blowup + t_body
         certificates += t_cert
         rendering += t_render
-        line = f"{variety.name:<10} {t_blowup:>11.4f} {len(blowup.rows):>5}"
-        line += f" {t_body:>13.4f} {len(body.slice_rows):>5} {t_cert:>17.4f}"
+        line = f"{variety.name:<10} {t_blowup:>11.4f} {len(blowup.values):>5}"
+        line += f" {t_body:>13.4f} {len(body.values):>5} {t_cert:>17.4f}"
         line += f" {t_render:>11.4f}"
         print(line)
     line = f"{'total':<10} {total:>11.4f}{'':>26} {certificates:>17.4f}"

@@ -1,9 +1,12 @@
 """Bundled smooth toric Fano varieties.
 
-Builders construct each fan from scratch; the JSON files shipped under
-``data/catalog`` hold the same data so external tools can read them and the
-catalog directory can be swapped out via the ``TORIFAN_CATALOG`` environment
-variable.
+The 11 bundled fans exist once, as the JSON files under ``data/catalog``.
+``load_catalog`` reads a directory of such files -- the bundled one, or one
+named by an argument or the ``TORIFAN_CATALOG`` environment variable -- and
+``bundled_catalog``, ``surface_catalog`` and the named constructors read the
+bundled files through the same reader.  ``projective_space(n)`` and
+``p1_power(k)`` build those two families for any n and k; the bundled P^n and
+(P^1)^k files are their output, written by ``jsonio``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ from torifan.errors import ValidationError
 from torifan.toric import ToricVariety, validate_fan
 
 CATALOG_ENV = "TORIFAN_CATALOG"
+BUNDLED = (
+    "P1", "P2", "P3", "P4", "P5", "P6", "P1xP1", "F1", "Bl2P2", "Bl3P2",
+    "P1xP1xP1",
+)
 
 
 def projective_space(n: int) -> ToricVariety:
@@ -42,53 +49,30 @@ def p1_power(k: int) -> ToricVariety:
     return validate_fan(k, rays, cones, name)
 
 
-def hirzebruch_one() -> ToricVariety:
-    """F1, the blow-up of P^2 at one point."""
-    rays = [(1, 0), (0, 1), (-1, 1), (0, -1)]
-    cones = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    return validate_fan(2, rays, cones, "F1")
-
-
-def del_pezzo_7() -> ToricVariety:
-    """Blow-up of P^2 at two fixed points (anticanonical degree 7)."""
-    rays = [(1, 0), (0, 1), (-1, -1), (1, 1), (0, -1)]
-    cones = [(0, 3), (3, 1), (1, 2), (2, 4), (4, 0)]
-    return validate_fan(2, rays, cones, "Bl2P2")
-
-
-def del_pezzo_6() -> ToricVariety:
-    """Blow-up of P^2 at three fixed points (anticanonical degree 6)."""
-    rays = [(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0), (0, -1)]
-    cones = [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)]
-    return validate_fan(2, rays, cones, "Bl3P2")
-
-
-def builders():
-    """Name -> builder for every bundled variety, in catalog order."""
-    entries = {f"P{n}": (lambda n=n: projective_space(n)) for n in range(1, 7)}
-    entries["P1xP1"] = lambda: p1_power(2)
-    entries["F1"] = hirzebruch_one
-    entries["Bl2P2"] = del_pezzo_7
-    entries["Bl3P2"] = del_pezzo_6
-    entries["P1xP1xP1"] = lambda: p1_power(3)
-    return entries
-
-
 def bundled_catalog():
-    """All bundled varieties; every one has ample anticanonical class."""
-    out = []
-    for name, build in builders().items():
-        variety = build()
-        assert variety.name == name
-        assert variety.anticanonical().is_ample(), f"{name} is not Fano"
-        out.append(variety)
-    return out
+    """The bundled varieties, in the order seeded tests draw classes from."""
+    by_name = {v.name: v for v in _read_catalog(bundled_dir())}
+    return [by_name[name] for name in BUNDLED]
 
 
 def surface_catalog():
     """The five smooth toric del Pezzo surfaces."""
-    wanted = {"P2", "P1xP1", "F1", "Bl2P2", "Bl3P2"}
-    return [v for v in bundled_catalog() if v.name in wanted]
+    return [v for v in bundled_catalog() if v.dim == 2]
+
+
+def hirzebruch_one() -> ToricVariety:
+    """F1, the blow-up of P^2 at one point."""
+    return _read_fan(bundled_dir(), "f1.json")
+
+
+def del_pezzo_7() -> ToricVariety:
+    """Blow-up of P^2 at two fixed points (anticanonical degree 7)."""
+    return _read_fan(bundled_dir(), "bl2p2.json")
+
+
+def del_pezzo_6() -> ToricVariety:
+    """Blow-up of P^2 at three fixed points (anticanonical degree 6)."""
+    return _read_fan(bundled_dir(), "bl3p2.json")
 
 
 def catalog_file_name(name: str) -> str:
@@ -96,6 +80,7 @@ def catalog_file_name(name: str) -> str:
 
 
 def bundled_dir():
+    """The bundled catalog directory, a path on the file system."""
     return resources.files("torifan").joinpath("data/catalog")
 
 
@@ -109,28 +94,22 @@ def load_catalog(path=None):
     if path is None:
         path = os.environ.get(CATALOG_ENV)
     if path is None:
-        root = bundled_dir()
-        names = sorted(
-            entry.name for entry in root.iterdir() if entry.name.endswith(".json")
-        )
-        texts = [(n, root.joinpath(n).read_text()) for n in names]
-    else:
-        if not os.path.isdir(path):
-            raise ValidationError(f"catalog directory not found: {path}")
-        names = sorted(n for n in os.listdir(path) if n.endswith(".json"))
-        if not names:
-            return []
-        texts = []
-        for n in names:
-            with open(os.path.join(path, n), "r", encoding="utf-8") as fh:
-                texts.append((n, fh.read()))
-    out = []
-    for fname, text in texts:
-        data = json.loads(text)
-        variety = jsonio.fan_from_dict(data)
-        if not variety.anticanonical().is_ample():
-            raise ValidationError(
-                f"catalog entry {fname} is not Fano: -K is not ample"
-            )
-        out.append(variety)
-    return out
+        path = bundled_dir()
+    elif not os.path.isdir(path):
+        raise ValidationError(f"catalog directory not found: {path}")
+    return _read_catalog(path)
+
+
+def _read_catalog(root):
+    """The fan of every ``*.json`` file in directory ``root``, by file name."""
+    names = sorted(name for name in os.listdir(root) if name.endswith(".json"))
+    return [_read_fan(root, name) for name in names]
+
+
+def _read_fan(root, name):
+    """The Fano variety in file ``name`` of directory ``root``, read as UTF-8."""
+    with open(os.path.join(root, name), encoding="utf-8") as fh:
+        variety = jsonio.fan_from_dict(json.loads(fh.read()))
+    if not variety.anticanonical().is_ample():
+        raise ValidationError(f"catalog entry {name} is not Fano: -K is not ample")
+    return variety

@@ -3,6 +3,12 @@
 Every verdict here is decided on exact rationals; decimal columns are
 display only.  Reports render to CSV or JSON deterministically: fixed row
 order, fixed key order, "p/q" rationals, no timestamps.
+
+Each fact has one source.  ``gap_report`` is a view of ``verify_theorem``:
+it sweeps nothing itself, so it checks the theorem both ways too, and its
+entries are sweep records cut to a few keys.  The blow-up and Okounkov
+tables exist only on integers (``Piecewise.grid`` and ``values_at``) and
+are formatted once, by ``cells``.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import factorial
 
 from torifan import invariants, jsonio
@@ -162,12 +167,26 @@ def verify_theorem(catalog, resolution: int) -> VerifyReport:
     )
 
 
+GAP_ENTRY = ("variety", "n", "max_score", "gap", "is_projective_space")
+
+
 @dataclass(frozen=True)
 class GapReport:
-    resolution: int
+    sweep: VerifyReport  # verify_theorem of the dimension-filtered catalog
     note: str
     rows: tuple  # (dim, epsilon, achieving variety), sorted by dim
-    detail: tuple  # (name, dim, max_score, gap, is_projective_space)
+
+    @property
+    def resolution(self) -> int:
+        return self.sweep.resolution
+
+    @property
+    def detail(self):
+        """(name, dim, max_score, gap, is_projective_space) per entry."""
+        return tuple(
+            (res.variety_name, res.dim, res.max_score, res.gap, pn)
+            for res, pn in zip(self.sweep.results, self.sweep.projective)
+        )
 
     def csv_text(self) -> str:
         rows = [
@@ -192,50 +211,33 @@ class GapReport:
                 for dim, eps, name in self.rows
             ],
             "entries": [
-                {
-                    "variety": name,
-                    "n": dim,
-                    "max_score": _fmt(ms),
-                    "gap": _fmt(gap),
-                    "is_projective_space": pn,
-                }
-                for name, dim, ms, gap, pn in self.detail
+                {key: record[key] for key in GAP_ENTRY}
+                for record in self.sweep.entries()
             ],
         }
 
 
 def gap_report(catalog, resolution: int, dimension=None) -> GapReport:
-    """Empirical volume-gap margin: smallest gap among non-P^n entries."""
-    entries = [
-        v for v in catalog if dimension is None or v.dim == dimension
-    ]
-    detail = []
-    best = {}
-    for variety in entries:
-        res = sweep_ample_cone(variety, resolution, collect_cap=0)
-        is_pn = is_projective_space(variety)
-        detail.append(
-            (variety.name, variety.dim, res.max_score, res.gap, is_pn)
-        )
-        if is_pn:
-            continue
-        held = best.get(variety.dim)
-        if held is None or res.gap < held[0]:
-            best[variety.dim] = (res.gap, variety.name)
-    if not best:
+    """Empirical volume-gap margin: per dimension, the smallest gap among the
+    non-P^n entries of ``verify_theorem``'s sweep, which also holds the
+    bound to equality on P^n alone."""
+    entries = [v for v in catalog if dimension is None or v.dim == dimension]
+    if all(map(is_projective_space, entries)):
         raise ValidationError(
             "gap report needs at least one entry besides projective space"
         )
-    rows = tuple(
-        (dim, best[dim][0], best[dim][1]) for dim in sorted(best)
-    )
+    sweep = verify_theorem(entries, resolution)
+    best = {}
+    for res, is_pn in zip(sweep.results, sweep.projective):
+        held = best.get(res.dim)
+        if not is_pn and (held is None or res.gap < held[0]):
+            best[res.dim] = (res.gap, res.variety_name)
     note = (
         "empirical exploration over the toric catalog at resolution "
         f"{resolution}; a lower-bound witness, not a proof"
     )
-    return GapReport(
-        resolution=resolution, note=note, rows=rows, detail=tuple(detail)
-    )
+    rows = tuple((dim, *best[dim]) for dim in sorted(best))
+    return GapReport(sweep=sweep, note=note, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +271,6 @@ class BlowupReport:
             low = total.numerator * den_n - total.denominator * x**n
             margin = (v_num * low_den - low * v_den, v_den * low_den)
             yield (x, den), (v_num, v_den), (low, low_den), margin
-
-    @cached_property
-    def rows(self):
-        """The rows as Fractions: (x, profile value, vol - x^n, margin)."""
-        return tuple(
-            tuple(Fraction(*cell) for cell in row) for row in self._integer_rows()
-        )
 
     def cells(self):
         """The rows as "p/q" strings, one gcd per cell and no Fraction."""
@@ -321,7 +316,7 @@ class BlowupReport:
         }
 
 
-# Each report table has a row per Piecewise.sample_points point, at least
+# Each report table has a row per Piecewise.grid point, at least
 # samples + 1 (3.1 s and 64 MB for blowup at 10^5 on P2), and a sweep scores
 # each collected sample, so larger counts are refused before any work.
 MAX_SAMPLES = 10**5
@@ -386,14 +381,6 @@ class OkounkovReport:
     concave: bool
     grid: tuple  # Piecewise.grid: (D, the sample numerators over D)
     values: tuple  # Piecewise.values_at the grid: (num, den) pairs
-
-    @cached_property
-    def slice_rows(self):
-        """The rows as Fractions: (r, A(r))."""
-        den, nums = self.grid
-        return tuple(
-            (Fraction(r, den), Fraction(*a)) for r, a in zip(nums, self.values)
-        )
 
     def cells(self):
         """The rows as "p/q" strings, one gcd per cell and no Fraction."""

@@ -364,8 +364,3 @@ class Piecewise:
         start, stride = int(lo * den), int(span * den) // count
         even = range(start, start + stride * count + 1, stride or 1)
         return den, sorted({*(int(b * den) for b in points), *even})
-
-    def sample_points(self, count):
-        """The points of ``grid(count)`` as Fractions."""
-        den, nums = self.grid(count)
-        return [Fraction(n, den) for n in nums]

@@ -1,46 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from torifan import catalog, jsonio, toric
 from torifan.errors import ValidationError
 
-
-def test_builders_produce_fano_varieties():
-    entries = catalog.builders()
-    assert list(entries) == [
-        "P1",
-        "P2",
-        "P3",
-        "P4",
-        "P5",
-        "P6",
-        "P1xP1",
-        "F1",
-        "Bl2P2",
-        "Bl3P2",
-        "P1xP1xP1",
-    ]
-    for name, build in entries.items():
-        v = build()
-        assert v.name == name
-        assert v.anticanonical().is_ample()
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_surface_catalog_contents():
     names = [v.name for v in catalog.surface_catalog()]
     assert sorted(names) == ["Bl2P2", "Bl3P2", "F1", "P1xP1", "P2"]
     assert all(v.dim == 2 for v in catalog.surface_catalog())
-
-
-def test_bundled_files_match_builders():
-    built = {v.name: v for v in catalog.bundled_catalog()}
-    loaded = catalog.load_catalog()
-    assert len(loaded) == len(built)
-    for v in loaded:
-        twin = built[v.name]
-        assert v.rays == twin.rays
-        assert v.max_cones == twin.max_cones
 
 
 def test_load_catalog_sorts_by_file_name():
@@ -86,24 +61,66 @@ def test_load_catalog_empty_directory(tmp_path):
     assert catalog.load_catalog(str(tmp_path)) == []
 
 
-def test_bundled_files_match_the_builders():
+def test_bundled_files_match_the_family_constructors():
+    bundled = catalog.bundled_catalog()
+    names = [v.name for v in bundled]
+    assert names == [
+        "P1",
+        "P2",
+        "P3",
+        "P4",
+        "P5",
+        "P6",
+        "P1xP1",
+        "F1",
+        "Bl2P2",
+        "Bl3P2",
+        "P1xP1xP1",
+    ]
+    assert all(v.anticanonical().is_ample() for v in bundled)
+    named = (catalog.hirzebruch_one, catalog.del_pezzo_7, catalog.del_pezzo_6)
+    assert [build().name for build in named] == ["F1", "Bl2P2", "Bl3P2"]
     files = sorted(
         p.name for p in catalog.bundled_dir().iterdir() if p.name.endswith(".json")
     )
-    assert files == sorted(
-        catalog.catalog_file_name(n) for n in catalog.builders()
-    )
-    # each shipped file is byte identical to its builder's canonical JSON
-    for variety in catalog.bundled_catalog():
+    assert files == sorted(map(catalog.catalog_file_name, names))
+    # each P^n and (P^1)^k file is byte identical to its family's canonical JSON
+    families = [catalog.projective_space(n) for n in range(1, 7)]
+    families += [catalog.p1_power(2), catalog.p1_power(3)]
+    for variety in families:
         fname = catalog.catalog_file_name(variety.name)
-        shipped = catalog.bundled_dir().joinpath(fname).read_text()
+        shipped = catalog.bundled_dir().joinpath(fname).read_text(encoding="utf-8")
         assert jsonio.dumps(jsonio.fan_to_dict(variety)) == shipped
 
 
 def test_bundled_json_shape():
-    text = catalog.bundled_dir().joinpath("f1.json").read_text()
+    text = catalog.bundled_dir().joinpath("f1.json").read_text(encoding="utf-8")
     data = json.loads(text)
     assert data["name"] == "F1"
     assert data["dim"] == 2
     assert data["rays"] == [[1, 0], [0, 1], [-1, 1], [0, -1]]
     assert len(data["max_cones"]) == 4
+
+
+def test_catalog_reads_utf8_whatever_the_locale(tmp_path):
+    """No catalog read falls back on the locale's encoding: with
+    EncodingWarning raised as an error, every reader still runs."""
+    fan = tmp_path / "p2.json"
+    fan.write_text(jsonio.dumps(jsonio.fan_to_dict(catalog.projective_space(2))))
+    script = (
+        "import contextlib, io\n"
+        "from torifan import catalog, cli\n"
+        "assert len(catalog.load_catalog()) == 11\n"
+        f"assert [v.name for v in catalog.load_catalog({str(tmp_path)!r})] == ['P2']\n"
+        "assert len(catalog.bundled_catalog()) == 11\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify-theorem', '--resolution', '1']) == 0\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop(catalog.CATALOG_ENV, None)
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding",
+         "-W", "error::EncodingWarning", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

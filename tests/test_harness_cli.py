@@ -89,6 +89,28 @@ def test_gap_report_dimension_filter():
     assert all(dim == 2 for _, dim, _, _, _ in report.detail)
 
 
+def test_gap_report_guards_both_directions(tmp_path, monkeypatch, capsys):
+    """A P^n that misses the bound, or another fan that meets it, is refused
+    with exit 1, as verify-theorem refuses it."""
+    entries = [
+        catalog.projective_space(2), catalog.p1_power(2), catalog.hirzebruch_one()
+    ]
+    for variety in entries:
+        write_fan(tmp_path, variety, catalog.catalog_file_name(variety.name))
+    argv = ["gap-report", "--catalog", str(tmp_path), "--resolution", "2"]
+    for misread, message in (
+        ({"P2", "P1xP1"}, "must attain"),  # P1xP1 taken for P^n
+        (set(), "only projective space"),  # P2 taken for another fan
+    ):
+        monkeypatch.setattr(
+            harness, "is_projective_space", lambda v, pn=misread: v.name in pn
+        )
+        with pytest.raises(VerificationError, match=message):
+            harness.gap_report(entries, 2)
+        assert cli.main(argv) == 1
+        assert message in capsys.readouterr().err
+
+
 def test_gap_report_requires_a_non_projective_entry():
     with pytest.raises(ValidationError):
         harness.gap_report([catalog.projective_space(2)], 2)
@@ -100,7 +122,7 @@ def test_blowup_command_equality_case():
     assert report.vol == 1
     assert report.domain_end == 1
     assert report.margin_certified and report.monotone_certified
-    assert all(margin == 0 for _, _, _, margin in report.rows)
+    assert all(margin == "0/1" for _, _, _, margin in report.cells())
     assert report.chain.all_tight
     lines = report.csv_text().splitlines()
     assert lines[0] == "x,volume,lower_bound,margin"
@@ -117,9 +139,10 @@ def test_blowup_command_on_anticanonical_margins():
     report = harness.blowup_command(f1, 2, f1.anticanonical(), samples=25)
     assert report.vol == 8
     assert report.margin_certified
-    assert all(margin >= 0 for _, _, _, margin in report.rows)
-    assert report.rows[0][1] == 8  # profile starts at the full volume
-    assert report.rows[-1][1] == 0
+    cells = report.cells()
+    assert not any(margin.startswith("-") for _, _, _, margin in cells)
+    assert cells[0][1] == "8/1"  # profile starts at the full volume
+    assert cells[-1][1] == "0/1"
 
 
 def test_blowup_command_requires_ample():

@@ -252,7 +252,8 @@ def test_sample_points_match_the_set_reference_on_catalog_profiles():
             (volume, (F(0), volume.domain_end)),
         ):
             for count in (1, 2, 3, 7, 32, 100):
-                assert profile.sample_points(count) == set_sample_points(
+                den, nums = profile.grid(count)
+                assert [F(n, den) for n in nums] == set_sample_points(
                     lo, hi, profile.breakpoints, count
                 )
                 checked += 1

@@ -14,16 +14,12 @@ from fractions import Fraction as F
 from math import gcd
 
 from test_ratpoly import catalog_classes
-from test_report_tables import reference_blowup_rows, reference_slice_rows
+from test_report_tables import formatted, reference_blowup_rows, reference_slice_rows
 
 from torifan import harness, invariants, jsonio, okounkov
 
 COUNTS = (1, 7, 100)
 BLOWUP_COLUMNS = ("x", "volume", "lower_bound", "margin")
-
-
-def formatted(rows):
-    return [tuple(map(jsonio.format_rational, row)) for row in rows]
 
 
 def csv_cells(text, header):

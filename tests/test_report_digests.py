@@ -1,11 +1,12 @@
 """SHA-256 digests of every CLI report's bytes over the bundled catalog.
 
 ``report_digests.json`` pins the stdout of ``sweep --include-samples`` on
-every bundled fan file, of ``verify-theorem`` and of ``gap-report
---dimension 2``; of ``validate`` and of ``invariants`` (on -K) on every fan
-file, plus ``invariants`` of one Q-divisor on P2; and of ``blowup --cone 0``,
-``okounkov --check-translation 1/2`` and ``okounkov --flag 0:<reversed cone
-0>`` on every fan file of dimension at least 2.  Each report is recorded in
+every bundled fan file, of ``verify-theorem``, of ``gap-report --dimension
+2`` and of ``gap-report`` over every dimension; of ``validate`` and of
+``invariants`` (on -K) on every fan file, plus ``invariants`` of one
+Q-divisor on P2; and of ``blowup --cone 0``, ``okounkov --check-translation
+1/2`` and ``okounkov --flag 0:<reversed cone 0>`` on every fan file of
+dimension at least 2.  Each report is recorded in
 ``json`` and ``csv`` wherever the subcommand has ``--format``.  A change that
 alters any byte of these reports fails here.  Re-recording is a deliberate
 edit of the JSON file, printed by
@@ -44,6 +45,9 @@ def cases():
         out[f"gap-report {fmt}"] = [
             "gap-report", "--dimension", "2", "--resolution", "4",
             "--format", fmt,
+        ]
+        out[f"gap-report all dimensions {fmt}"] = [
+            "gap-report", "--resolution", "3", "--format", fmt,
         ]
     fans = sorted(CATALOG.glob("*.json"))
     for path in fans:

@@ -2,11 +2,12 @@
 
 ``blowup_command`` and ``okounkov_command`` read their rows from
 ``Piecewise.grid`` and ``Piecewise.values_at``: integer numerators over one
-denominator and a homogeneous integer Horner.  The reference here is the
-computation they replace: the sorted set of Fraction sample points, a
-bisection over Fraction breakpoints and Fraction Horner
-(``sturm_oracle.horner``), with ``vol - x^n`` and the margin as Fraction
-differences.  Every row must be equal, as exact Fractions.
+denominator and a homogeneous integer Horner, formatted once by ``cells``.
+The reference here is the computation they replace: the sorted set of
+Fraction sample points, a bisection over Fraction breakpoints and Fraction
+Horner (``sturm_oracle.horner``), with ``vol - x^n`` and the margin as
+Fraction differences.  Every cell must be ``format_rational`` of the
+reference, which is injective, so equal cells are equal Fractions.
 """
 
 import random
@@ -17,6 +18,7 @@ from sturm_oracle import horner
 from test_ratpoly import catalog_classes, set_sample_points
 
 from torifan import harness, invariants, okounkov, ratpoly
+from torifan.jsonio import format_rational
 from torifan.invariants import VolumeProfile
 from torifan.okounkov import SliceProfile
 
@@ -45,6 +47,10 @@ def reference_slice_rows(profile, count):
     return tuple((r, reference_value(profile, r)) for r in points)
 
 
+def formatted(rows):
+    return [tuple(map(format_rational, row)) for row in rows]
+
+
 def table(profile, count):
     """The (x, value) rows the integer core gives."""
     den, nums = profile.grid(count)
@@ -67,11 +73,11 @@ def test_blowup_rows_match_the_fraction_reference():
             profile, _ = invariants.fujita_profile(v, cone, d)
             for count in counts_for(d, step):
                 report = harness.blowup_command(v, cone, d, samples=count)
-                assert report.rows == reference_blowup_rows(profile, count)
-                assert all(type(c) is F for row in report.rows for c in row)
+                cells = report.cells()
+                assert cells == formatted(reference_blowup_rows(profile, count))
                 # the x = domain_end row, where VolumeProfile reads 0
-                assert report.rows[-1][:2] == (profile.domain_end, 0)
-                assert len(report.rows) >= count + 1
+                assert cells[-1][:2] == (format_rational(profile.domain_end), "0/1")
+                assert len(cells) >= count + 1
                 checked += 1
             step += 1
     assert fractional >= 6  # a Fraction class may reduce to integers
@@ -86,8 +92,8 @@ def test_okounkov_slice_rows_match_the_fraction_reference():
             profile = okounkov.slice_profile(okounkov.okounkov_body(d, flag))
             for count in counts_for(d, step):
                 report = harness.okounkov_command(v, d, flag=flag, samples=count)
-                assert report.slice_rows == reference_slice_rows(profile, count)
-                assert all(type(c) is F for row in report.slice_rows for c in row)
+                expected = formatted(reference_slice_rows(profile, count))
+                assert report.cells() == expected
                 checked += 1
             step += 1
     assert checked == 39 * (6 + 2 * 2)
@@ -110,7 +116,8 @@ def test_values_at_and_grid_on_degenerate_profiles():
             got = table(profile, count)
             points = set_sample_points(lo, hi, profile.breakpoints, count)
             assert got == [(x, reference_value(profile, x)) for x in points]
-            assert [x for x, _ in got] == profile.sample_points(count)
+            den, nums = profile.grid(count)
+            assert [F(n, den) for n in nums] == points
     assert table(profiles[0], 7) == [(third, 0)]
     assert table(profiles[2], 3) == [(F(5, 7), 1)]
     assert all(value == 0 for _, value in table(profiles[1], 32))
