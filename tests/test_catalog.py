@@ -61,10 +61,11 @@ def test_load_catalog_empty_directory(tmp_path):
     assert catalog.load_catalog(str(tmp_path)) == []
 
 
-def test_bundled_files_match_the_family_constructors():
+def test_builders_produce_fano_varieties():
+    """The bundled fans come in catalog order, each Fano, and the named
+    constructors give the surfaces their catalog names."""
     bundled = catalog.bundled_catalog()
-    names = [v.name for v in bundled]
-    assert names == [
+    assert [v.name for v in bundled] == [
         "P1",
         "P2",
         "P3",
@@ -80,6 +81,26 @@ def test_bundled_files_match_the_family_constructors():
     assert all(v.anticanonical().is_ample() for v in bundled)
     named = (catalog.hirzebruch_one, catalog.del_pezzo_7, catalog.del_pezzo_6)
     assert [build().name for build in named] == ["F1", "Bl2P2", "Bl3P2"]
+
+
+def test_bundled_files_match_builders():
+    """load_catalog of the bundled directory and the constructors give the
+    same fans as bundled_catalog."""
+    bundled = {v.name: v for v in catalog.bundled_catalog()}
+    loaded = catalog.load_catalog()
+    assert len(loaded) == len(bundled)
+    built = [catalog.projective_space(n) for n in range(1, 7)]
+    built += [catalog.p1_power(2), catalog.p1_power(3)]
+    built += [catalog.hirzebruch_one(), catalog.del_pezzo_7(), catalog.del_pezzo_6()]
+    assert sorted(v.name for v in built) == sorted(bundled)
+    for v in loaded + built:
+        twin = bundled[v.name]
+        assert v.rays == twin.rays
+        assert v.max_cones == twin.max_cones
+
+
+def test_bundled_files_match_the_builders():
+    names = catalog.BUNDLED
     files = sorted(
         p.name for p in catalog.bundled_dir().iterdir() if p.name.endswith(".json")
     )
