@@ -3,8 +3,9 @@
 ``build_skeleton`` gathers a variety's integer tables once per variety
 object; the cache holds the variety weakly, so it keeps none alive.  The
 wall rows are the distinct ``wall_rows`` of the variety, one per curve
-class (reduction 5), and the vertex maps its negated ``cone_inverses``;
-the skeleton adds the triangulation.
+class (reduction 5), and the vertex maps its own ``cone_inverses``, which
+send c to the reflected cone vertices -m_sigma; the skeleton adds the
+triangulation.
 ``_evaluate`` reads every invariant of one ample class off them, and it is
 the one evaluator of ample classes: ``run_sweep`` scores grid samples with
 it, and torifan.invariants.score scores any ample Q-divisor with it by the
@@ -205,11 +206,8 @@ def build_skeleton(variety) -> MappingProxyType:
         "walls": walls,
         "wall_k": tuple(map(sum, walls)),
         "cone_indices": cones,
-        # the vertex m_sigma = -R_sigma^-1 (c on sigma's rays)
-        "cone_matrices": tuple(
-            tuple(tuple(-x for x in row) for row in inv)
-            for inv in variety.cone_inverses
-        ),
+        # R_sigma^-1 (c on sigma's rays) = -m_sigma, m_sigma the cone vertex
+        "cone_inverses": variety.cone_inverses,
         "simplices": tuple(pulling_triangulation(range(len(cones)), facets)),
     })
     return skel
@@ -226,10 +224,11 @@ def _evaluate(skel, c):
     exceeds the simplex bound, or when the score exceeds (n+1)^n.
     """
     n = skel["dim"]
+    # the reflected vertices -m_sigma keep vol and negate the barycenter
     verts = []
-    for idx, mat in zip(skel["cone_indices"], skel["cone_matrices"]):
+    for idx, inv in zip(skel["cone_indices"], skel["cone_inverses"]):
         coeffs = [c[i] for i in idx]
-        verts.append([sum(map(mul, row, coeffs)) for row in mat])
+        verts.append([sum(map(mul, row, coeffs)) for row in inv])
     vol, bary_num = simplex_sums(verts, skel["simplices"], n)
     if vol <= 0:
         raise VerificationError(
@@ -238,7 +237,7 @@ def _evaluate(skel, c):
 
     # t_rho = (n+1) * vol * S(D_rho); the delta bound is vol^(n+1) <= t_max^n
     t = [
-        sum(map(mul, bary_num, u)) + (n + 1) * vol * x
+        (n + 1) * vol * x - sum(map(mul, bary_num, u))
         for u, x in zip(skel["rays"], c)
     ]
     t_max = max(t)
@@ -271,7 +270,7 @@ def _class_rows(skel):
     n = skel["dim"]
     rays = skel["rays"]
     cone0 = skel["cone_indices"][0]
-    mat0 = skel["cone_matrices"][0]
+    inv0 = skel["cone_inverses"][0]  # m = -inv0 (c on cone 0's rays)
     rows = []
     for rho in range(len(rays)):
         if rho in cone0:
@@ -279,7 +278,7 @@ def _class_rows(skel):
         row = [0] * len(rays)
         row[rho] = 1
         for pos, k in enumerate(cone0):
-            row[k] += sum(rays[rho][j] * mat0[j][pos] for j in range(n))
+            row[k] -= sum(rays[rho][j] * inv0[j][pos] for j in range(n))
         rows.append(row)
     return rows
 
@@ -316,7 +315,7 @@ def _class_maps(skel, rows):
         return ()
     cones = skel["cone_indices"]
     rays = skel["rays"]
-    inverse = tuple(tuple(-x for x in row) for row in skel["cone_matrices"][0])
+    inverse = skel["cone_inverses"][0]
     free = [k for k in range(len(rays)) if k not in cones[0]]
     maps = {
         tuple(zip(*(cols[image[k]] for k in free)))

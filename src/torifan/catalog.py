@@ -11,7 +11,6 @@ bundled files through the same reader.  ``projective_space(n)`` and
 
 from __future__ import annotations
 
-import json
 import os
 from importlib import resources
 from itertools import product
@@ -107,9 +106,8 @@ def _read_catalog(root):
 
 
 def _read_fan(root, name):
-    """The Fano variety in file ``name`` of directory ``root``, read as UTF-8."""
-    with open(os.path.join(root, name), encoding="utf-8") as fh:
-        variety = jsonio.fan_from_dict(json.loads(fh.read()))
+    """The Fano variety in file ``name`` of directory ``root``."""
+    variety = jsonio.load_fan(os.path.join(root, name))
     if not variety.anticanonical().is_ample():
         raise ValidationError(f"catalog entry {name} is not Fano: -K is not ample")
     return variety

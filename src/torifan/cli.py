@@ -8,7 +8,6 @@ input, byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -242,7 +241,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (TorifanError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (TorifanError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,6 @@ from torifan.toric import (
     TDivisor,
     ToricVariety,
     blowup_at_fixed_point,
-    exceptional,
     pullback,
     require_ample,
     require_big,

@@ -3,13 +3,13 @@
 For a flag of invariant subvarieties picked inside one maximal cone, the
 valuation vector of a section is an affine unimodular image of its lattice
 point: pair with the ordered rays of the cone and shift by the divisor
-coefficients.  The body is that image of the section polytope, so it lives in
-the nonnegative orthant and has the same volume.  An affine bijection maps
-vertices to vertices, so the body's vertices are the images of the section
-polytope's, mapped on their integer form (``ratgeom.vertex_points``).  For a
-nef class those are the cone points read off the cone table
-(``ToricVariety.nef_vertex_points``); for any other big class, the section
-polytope's own enumeration.
+coefficients.  The body is that ``ratgeom.affine_image`` of the section
+polytope, so it lives in the nonnegative orthant and has the same volume.
+An affine bijection maps vertices to vertices, so the body's vertices are
+the images of the section polytope's, mapped on their integer form
+(``ratgeom.vertex_points``).  For a nef class those are the cone points
+read off the cone table (``ToricVariety.nef_vertex_points``); for any
+other big class, the section polytope's own enumeration.
 
 Slice profiles (Lawrence, *Polytope volume computation*, 1991, on the
 chambers of a parametric polytope).  Let Delta be a full-dimensional
@@ -69,7 +69,7 @@ from operator import mul
 
 from torifan import ratgeom, ratpoly
 from torifan.errors import ThresholdExceeded, ValidationError
-from torifan.ratgeom import Polytope, scale_to_integers
+from torifan.ratgeom import Polytope
 from torifan.toric import TDivisor, ToricVariety, require_big
 
 
@@ -133,34 +133,19 @@ def okounkov_body(divisor: TDivisor, flag: FlagSpec) -> OkounkovBody:
     """Image of the section polytope under the flag's valuation coordinates."""
     if divisor.variety is not flag.variety:
         raise ValidationError("flag and divisor live on different varieties")
-    require_big(divisor)
+    require_big(divisor)  # fills the section polytope's vertex cache
     variety = divisor.variety
-    n = variety.dim
-    rows = [variety.rays[i] for i in flag.ray_order]
+    matrix = tuple(variety.rays[i] for i in flag.ray_order)
     shift = [Fraction(divisor.coeffs[i]) for i in flag.ray_order]
-    # M, the matrix with those rows, is the cone's ray matrix with its rows
-    # permuted, so M^-1 is the cone's inverse with its columns permuted
+    # the matrix is the cone's ray matrix with its rows permuted, so its
+    # inverse is the cone's inverse with its columns permuted
     cone = variety.max_cones[flag.cone_index]
-    cone_cols = tuple(zip(*variety.cone_inverses[flag.cone_index]))
-    inv_cols = [cone_cols[cone.index(i)] for i in flag.ray_order]
-    body_rows = []
-    for ray, a in zip(variety.rays, divisor.coeffs):
-        # <u, m> >= -a becomes <M^-T u, nu> >= -a + <M^-T u, shift>
-        normal = tuple(sum(map(mul, col, ray)) for col in inv_cols)
-        body_rows.append((normal, a - sum(map(mul, normal, shift))))
-    # nu = (<m, u> + a over the flag's rays) maps vertices onto vertices; with
-    # m = p / s and lam * a = c integral, common * nu is integral
-    s, points = ratgeom.vertex_points(divisor.section_polytope())
-    lam, c = scale_to_integers(shift)
-    common = lcm(s, lam)
-    k, j = common // s, common // lam
-    polytope = ratgeom.fill_vertices(
-        Polytope(n, body_rows),
-        common,
-        [
-            [sum(map(mul, p, row)) * k + ci * j for row, ci in zip(rows, c)]
-            for p in points
-        ],
+    order = [cone.index(i) for i in flag.ray_order]
+    inverse = tuple(
+        tuple(row[k] for k in order) for row in variety.cone_inverses[flag.cone_index]
+    )
+    polytope = ratgeom.affine_image(
+        divisor.section_polytope(), matrix, inverse, shift
     )
     return OkounkovBody(divisor, flag, polytope)
 
@@ -308,24 +293,19 @@ def slice_profile(body: OkounkovBody) -> SliceProfile:
         # the midpoint level p / q, and the crossings there scaled by q
         p, q = heights[t] + heights[t + 1], 2 * scale
         mid = {e: [q * x + p * y for x, y in zip(*edges[e][3:])] for e in crossing}
-        signs = [1 if _simplex_det(mid, s) > 0 else -1 for s in simplices]
+        signs = [1 if ratgeom.simplex_det(mid, s) > 0 else -1 for s in simplices]
         values = []
         for j in range(n):
             point = {e: [x + j * y for x, y in zip(*edges[e][3:])] for e in crossing}
             values.append(
-                sum(sign * _simplex_det(point, s) for sign, s in zip(signs, simplices))
+                sum(
+                    sign * ratgeom.simplex_det(point, s)
+                    for sign, s in zip(signs, simplices)
+                )
             )
         ints = ratpoly.factorial_interpolate(values)
         pieces.append(ratpoly.trim(Fraction(c, denominator) for c in ints))
     return SliceProfile(dim=n, breakpoints=tuple(levels), pieces=tuple(pieces))
-
-
-def _simplex_det(point, simplex) -> int:
-    """The determinant of the simplex's edge vectors from its first point."""
-    base = point[simplex[0]]
-    return ratgeom.int_det(
-        [[x - y for x, y in zip(point[e], base)] for e in simplex[1:]]
-    )
 
 
 def bm_concavity_check(profile: SliceProfile) -> bool:

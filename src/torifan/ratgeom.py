@@ -47,6 +47,9 @@ Fraction vertices of ``enumerate_vertices``.  A vertex found as ``(num,
 d)`` with ``gcd(d, *num) = 1`` has d as the lcm of its coordinates'
 denominators (``lcm_j(d / gcd(d, num_j)) = d / gcd(d, *num)``), so the lcm
 of the d's is ``scale``.
+
+Newton-Okounkov bodies (torifan.okounkov) are ``affine_image``s of section
+polytopes, and ``translate`` is the image under the identity matrix.
 """
 
 from __future__ import annotations
@@ -171,12 +174,6 @@ def _pivot_columns(rows):
 def int_rank(rows) -> int:
     """Rank of an integer matrix."""
     return len(_pivot_columns(rows))
-
-
-def _scaled(points):
-    """The points times the lcm ``scale`` of their denominators, as integers."""
-    scale = lcm(*(x.denominator for p in points for x in p))
-    return scale, [[x.numerator * (scale // x.denominator) for x in p] for p in points]
 
 
 def _affine_rank(int_points):
@@ -342,7 +339,7 @@ def contains(poly: Polytope, point) -> bool:
     """Exact membership test."""
     if len(point) != poly.ambient_dim:
         raise ValueError("point dimension mismatch")
-    scale, (v,) = _scaled([point])
+    scale, v = scale_to_integers(point)
     return all(sum(map(mul, a, v)) + b * scale >= 0 for a, b in poly.rows)
 
 
@@ -459,6 +456,13 @@ def fan_triangulation(poly: Polytope, base=None):
     return [tuple(order[i] for i in s) for s in simplices]
 
 
+def simplex_det(points, simplex) -> int:
+    """The determinant of the simplex's edge vectors from its first point;
+    ``points`` maps each label of ``simplex`` to an integer point."""
+    base = points[simplex[0]]
+    return int_det([list(map(sub, points[v], base)) for v in simplex[1:]])
+
+
 def simplex_sums(points, simplices, n):
     """Sum of |det| over the simplices and the |det|-weighted vertex sums.
 
@@ -470,10 +474,10 @@ def simplex_sums(points, simplices, n):
     total = 0
     acc = [0] * n
     for s in simplices:
-        pts = [points[v] for v in s]
-        d = abs(int_det([list(map(sub, p, pts[0])) for p in pts[1:]]))
+        d = abs(simplex_det(points, s))
         total += d
-        acc = [a + d * sum(col) for a, col in zip(acc, zip(*pts))]
+        cols = zip(*(points[v] for v in s))
+        acc = [a + d * sum(col) for a, col in zip(acc, cols)]
     return total, acc
 
 
@@ -531,19 +535,38 @@ def truncate(poly: Polytope, axis: int, lo=None, hi=None) -> Polytope:
     return Polytope(n, rows)
 
 
+def affine_image(poly: Polytope, matrix, inverse, shift) -> Polytope:
+    """``{matrix m + shift : m in poly}``, with its vertex cache if filled;
+    the caller proves the integer ``matrix`` unimodular with ``inverse``.
+
+    With m = inverse (nu - shift), ``<a, m> + b >= 0`` reads ``<inverse^T a,
+    nu> + b - <inverse^T a, shift> >= 0``.  The bijection maps the vertices
+    p / s onto the vertices; lcm(s, lam) times each image is integral when
+    lam * shift is."""
+    n = poly.ambient_dim
+    if len(shift) != n:
+        raise ValueError("vector dimension mismatch")
+    cols = tuple(zip(*inverse))
+    rows = []
+    for a, b in poly.rows:
+        normal = [sum(map(mul, col, a)) for col in cols]
+        rows.append((normal, b - sum(map(mul, normal, shift))))
+    image = Polytope(n, rows)
+    if poly._points is not None:
+        s, points = poly._points
+        lam, c = scale_to_integers(shift)
+        common = lcm(s, lam)
+        k, j = common // s, common // lam
+        images = [
+            [sum(map(mul, row, p)) * k + x * j for row, x in zip(matrix, c)]
+            for p in points
+        ]
+        fill_vertices(image, common, images)
+    return image
+
+
 def translate(poly: Polytope, vector) -> Polytope:
     """Shift the polytope by a rational vector, with its vertex cache if filled."""
-    if len(vector) != poly.ambient_dim:
-        raise ValueError("vector dimension mismatch")
-    moved = Polytope(
-        poly.ambient_dim, [(a, b - sum(map(mul, a, vector))) for a, b in poly.rows]
-    )
-    if poly._points is not None:
-        scale, points = poly._points
-        lam, shift = scale_to_integers(vector)
-        common = lcm(scale, lam)
-        k, j = common // scale, common // lam
-        fill_vertices(
-            moved, common, [[x * k + y * j for x, y in zip(p, shift)] for p in points]
-        )
-    return moved
+    n = poly.ambient_dim
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return affine_image(poly, identity, identity, vector)

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from torifan import catalog, jsonio, toric
-from torifan.errors import ValidationError
+from torifan import catalog, cli, jsonio, toric
+from torifan.errors import ParseError, ValidationError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -55,6 +55,19 @@ def test_load_catalog_rejects_non_fano_entries(tmp_path):
     (tmp_path / "f2.json").write_text(jsonio.dumps(jsonio.fan_to_dict(f2)))
     with pytest.raises(ValidationError, match="not Fano"):
         catalog.load_catalog(str(tmp_path))
+
+
+def test_malformed_catalog_file_is_named(tmp_path, capsys):
+    v = catalog.hirzebruch_one()
+    (tmp_path / "f1.json").write_text(jsonio.dumps(jsonio.fan_to_dict(v)))
+    bad = tmp_path / "p2.json"
+    bad.write_text('{"dim": 2, "rays": [[1, 0]')
+    with pytest.raises(ParseError) as info:
+        catalog.load_catalog(str(tmp_path))
+    assert str(bad) in str(info.value)
+    argv = ["verify-theorem", "--catalog", str(tmp_path), "--resolution", "1"]
+    assert cli.main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_load_catalog_empty_directory(tmp_path):

@@ -8,21 +8,27 @@ Fraction sample points, a bisection over Fraction breakpoints and Fraction
 Horner (``sturm_oracle.horner``), with ``vol - x^n`` and the margin as
 Fraction differences.  Every cell must be ``format_rational`` of the
 reference, which is injective, so equal cells are equal Fractions.
+``cells`` formats each cell from integers, one gcd per cell
+(``jsonio.format_ratio``), and every JSON and CSV cell must equal it too.
 """
 
+import csv
+import io
 import random
 from bisect import bisect_left
 from fractions import Fraction as F
+from math import gcd
 
 from sturm_oracle import horner
 from test_ratpoly import catalog_classes, set_sample_points
 
-from torifan import harness, invariants, okounkov, ratpoly
+from torifan import harness, invariants, jsonio, okounkov, ratpoly
 from torifan.jsonio import format_rational
 from torifan.invariants import VolumeProfile
 from torifan.okounkov import SliceProfile
 
 COUNTS = (1, 2, 3, 7, 32, 100)
+BLOWUP_COLUMNS = ("x", "volume", "lower_bound", "margin")
 
 def reference_value(profile, x):
     """The covering piece at x by Fraction Horner; 0 off the support."""
@@ -57,6 +63,17 @@ def table(profile, count):
     return [(F(n, den), F(*v)) for n, v in zip(nums, profile.values_at(nums, den))]
 
 
+def csv_cells(text, header):
+    head, *rows = csv.reader(io.StringIO(text))
+    assert head == list(header)
+    return [tuple(row) for row in rows]
+
+
+def reducible(pairs):
+    """How many (num, den) pairs are not in lowest terms."""
+    return sum(gcd(num, den) > 1 for num, den in pairs)
+
+
 def counts_for(d, step):
     """All counts for -K; two per cone for the seeded classes, in rotation."""
     if d == d.variety.anticanonical():
@@ -64,9 +81,17 @@ def counts_for(d, step):
     return (COUNTS[step % len(COUNTS)], COUNTS[(step + 3) % len(COUNTS)])
 
 
+def test_format_ratio_is_format_rational_of_the_fraction():
+    rng = random.Random(20261203)
+    pairs = [(0, 1), (0, 49), (-8, 1), (-18, 98), (6, 4), (7, 7), (10**30, 6)]
+    pairs += [(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(500)]
+    for num, den in pairs:
+        assert jsonio.format_ratio(num, den) == format_rational(F(num, den))
+
+
 def test_blowup_rows_match_the_fraction_reference():
     checked = step = 0
-    fractional = 0
+    fractional = negative = zero_end = unreduced = 0
     for v, d in catalog_classes(random.Random(20261201)):
         fractional += any(c.denominator > 1 for c in d.coeffs)
         for cone in range(len(v.max_cones)):
@@ -78,14 +103,27 @@ def test_blowup_rows_match_the_fraction_reference():
                 # the x = domain_end row, where VolumeProfile reads 0
                 assert cells[-1][:2] == (format_rational(profile.domain_end), "0/1")
                 assert len(cells) >= count + 1
+                rows = report.json_dict()["rows"]
+                assert all(tuple(row) == BLOWUP_COLUMNS for row in rows)
+                got = [tuple(row[key] for key in BLOWUP_COLUMNS) for row in rows]
+                assert got == cells
+                assert csv_cells(report.csv_text(), BLOWUP_COLUMNS) == cells
+                negative += any(lb.startswith("-") for _, _, lb, _ in got)
+                # the domain_end volume cell "0/1" from 0 over a denominator > 1
+                zero_end += report.values[-1] != (0, 1)
+                den, nums = report.grid
+                unreduced += reducible(report.values) + reducible(
+                    (x, den) for x in nums
+                )
                 checked += 1
             step += 1
     assert fractional >= 6  # a Fraction class may reduce to integers
     assert checked == 39 * (6 + 2 * 2)
+    assert negative and zero_end and unreduced
 
 
 def test_okounkov_slice_rows_match_the_fraction_reference():
-    checked = step = 0
+    checked = step = unreduced = 0
     for v, d in catalog_classes(random.Random(20261202)):
         for cone in range(len(v.max_cones)):
             flag = okounkov.default_flag(v, cone)
@@ -94,9 +132,20 @@ def test_okounkov_slice_rows_match_the_fraction_reference():
                 report = harness.okounkov_command(v, d, flag=flag, samples=count)
                 expected = formatted(reference_slice_rows(profile, count))
                 assert report.cells() == expected
+                samples = report.json_dict()["slice_samples"]
+                assert all(tuple(row) == ("r", "area") for row in samples)
+                assert [(row["r"], row["area"]) for row in samples] == expected
+                assert csv_cells(report.csv_text(), ("r", "slice_area")) == expected
+                unreduced += reducible(report.values)
                 checked += 1
             step += 1
+        # past the support the profile reads (0, 1), the cell "0/1"
+        den, nums = profile.grid(1)
+        (past,) = profile.values_at([nums[-1] + 1], den)
+        assert past == (0, 1)
+        assert jsonio.format_ratio(*past) == "0/1"
     assert checked == 39 * (6 + 2 * 2)
+    assert unreduced
 
 
 def test_values_at_and_grid_on_degenerate_profiles():

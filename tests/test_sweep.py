@@ -113,10 +113,11 @@ def test_collect_cap_truncates_reports():
 
 
 def skeleton_volume(skel, coeffs):
-    """Sum of |det| over the skeleton's simplices at the vertices of D."""
+    """Sum of |det| over the skeleton's simplices at the reflected vertices
+    -m_sigma of D, which the cone inverses give."""
     verts = [
-        [sum(a * coeffs[i] for a, i in zip(row, idx)) for row in mat]
-        for idx, mat in zip(skel["cone_indices"], skel["cone_matrices"])
+        [sum(a * coeffs[i] for a, i in zip(row, idx)) for row in inv]
+        for idx, inv in zip(skel["cone_indices"], skel["cone_inverses"])
     ]
     total = 0
     for simplex in skel["simplices"]:
@@ -131,6 +132,7 @@ def test_skeleton_triangulation_matches_polytope_volume():
     for v in catalog.surface_catalog() + [catalog.p1_power(3)]:
         skel = sweep.build_skeleton(v)
         assert skel["dim"] == v.dim
+        assert skel["cone_inverses"] is v.cone_inverses  # one cone table
         checked = 0
         while checked < 8:
             coeffs = tuple(rng.randint(1, 9) for _ in range(v.n_rays))

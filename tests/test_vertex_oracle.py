@@ -9,6 +9,7 @@ positively proportional directions.
 
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from test_invariants import seeded_class
@@ -90,6 +91,49 @@ def test_random_polytopes_truncations_and_translates_match_the_oracle():
             # dropping halfspaces leaves bounded, unbounded or lined sets
             kept = [h for h in p.rows if rng.random() < 0.6]
             assert_matches_oracle(Polytope(n, kept))
+
+
+def unimodular_pair(rng, n):
+    """A seeded unimodular integer matrix and its inverse, from elementary
+    row operations: adding c * row i to row j of the matrix subtracts
+    c * column j from column i of the inverse."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in m]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m[j] = [x + c * y for x, y in zip(m[j], m[i])]
+        for row in inv:
+            row[i] -= c * row[j]
+    if rng.random() < 0.5:  # a reflection: negate row 0 and column 0
+        m[0] = [-x for x in m[0]]
+        for row in inv:
+            row[0] = -row[0]
+    return m, inv
+
+
+def test_affine_images_match_the_oracle():
+    rng = random.Random(20261021)
+    for n, count in ((2, 12), (3, 12), (4, 6)):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(count):
+            p = random_polytope(rng, n)
+            m, inv = unimodular_pair(rng, n)
+            product = [[sum(map(mul, row, col)) for col in zip(*inv)] for row in m]
+            assert product == identity
+            shift = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+            ratgeom.vertex_points(p)  # fill the cache that the image maps
+            image = ratgeom.affine_image(p, m, inv, shift)
+            assert image._points == ratgeom.vertex_points(fresh(image))
+            mapped = sorted(
+                tuple(sum(map(mul, row, v)) + x for row, x in zip(m, shift))
+                for v in fraction_vertices(p)
+            )
+            assert list(ratgeom.enumerate_vertices(image)) == mapped
+            same = ratgeom.affine_image(p, identity, identity, shift)
+            moved = ratgeom.translate(p, shift)
+            assert same.rows == moved.rows
+            assert same._points == moved._points
 
 
 def test_empty_sets_match_the_oracle():
