@@ -9,15 +9,15 @@ Horner (``sturm_oracle.horner``), with ``vol - x^n`` and the margin as
 Fraction differences.  Every cell must be ``format_rational`` of the
 reference, which is injective, so equal cells are equal Fractions.
 ``cells`` formats each cell from integers, one gcd per cell
-(``jsonio.format_ratio``), and every JSON and CSV cell must equal it too.
+(``jsonio.format_ratio``).  ``blowup_cases`` and ``okounkov_cases`` build
+each seeded report and its reference once; ``tests/test_report_cells.py``
+checks the JSON and CSV cells of the same reports.
 """
 
-import csv
-import io
 import random
 from bisect import bisect_left
 from fractions import Fraction as F
-from math import gcd
+from functools import cache
 
 from sturm_oracle import horner
 from test_ratpoly import catalog_classes, set_sample_points
@@ -63,22 +63,42 @@ def table(profile, count):
     return [(F(n, den), F(*v)) for n, v in zip(nums, profile.values_at(nums, den))]
 
 
-def csv_cells(text, header):
-    head, *rows = csv.reader(io.StringIO(text))
-    assert head == list(header)
-    return [tuple(row) for row in rows]
-
-
-def reducible(pairs):
-    """How many (num, den) pairs are not in lowest terms."""
-    return sum(gcd(num, den) > 1 for num, den in pairs)
-
-
 def counts_for(d, step):
     """All counts for -K; two per cone for the seeded classes, in rotation."""
     if d == d.variety.anticanonical():
         return COUNTS
     return (COUNTS[step % len(COUNTS)], COUNTS[(step + 3) % len(COUNTS)])
+
+
+@cache
+def blowup_cases():
+    """(class, profile, count, report, reference cells), seed 20261201."""
+    cases, step = [], 0
+    for v, d in catalog_classes(random.Random(20261201)):
+        for cone in range(len(v.max_cones)):
+            profile, _ = invariants.fujita_profile(v, cone, d)
+            for count in counts_for(d, step):
+                report = harness.blowup_command(v, cone, d, samples=count)
+                expected = formatted(reference_blowup_rows(profile, count))
+                cases.append((d, profile, count, report, expected))
+            step += 1
+    return tuple(cases)
+
+
+@cache
+def okounkov_cases():
+    """(profile, report, reference cells), seed 20261202."""
+    cases, step = [], 0
+    for v, d in catalog_classes(random.Random(20261202)):
+        for cone in range(len(v.max_cones)):
+            flag = okounkov.default_flag(v, cone)
+            profile = okounkov.slice_profile(okounkov.okounkov_body(d, flag))
+            for count in counts_for(d, step):
+                report = harness.okounkov_command(v, d, flag=flag, samples=count)
+                expected = formatted(reference_slice_rows(profile, count))
+                cases.append((profile, report, expected))
+            step += 1
+    return tuple(cases)
 
 
 def test_format_ratio_is_format_rational_of_the_fraction():
@@ -90,62 +110,24 @@ def test_format_ratio_is_format_rational_of_the_fraction():
 
 
 def test_blowup_rows_match_the_fraction_reference():
-    checked = step = 0
-    fractional = negative = zero_end = unreduced = 0
-    for v, d in catalog_classes(random.Random(20261201)):
-        fractional += any(c.denominator > 1 for c in d.coeffs)
-        for cone in range(len(v.max_cones)):
-            profile, _ = invariants.fujita_profile(v, cone, d)
-            for count in counts_for(d, step):
-                report = harness.blowup_command(v, cone, d, samples=count)
-                cells = report.cells()
-                assert cells == formatted(reference_blowup_rows(profile, count))
-                # the x = domain_end row, where VolumeProfile reads 0
-                assert cells[-1][:2] == (format_rational(profile.domain_end), "0/1")
-                assert len(cells) >= count + 1
-                rows = report.json_dict()["rows"]
-                assert all(tuple(row) == BLOWUP_COLUMNS for row in rows)
-                got = [tuple(row[key] for key in BLOWUP_COLUMNS) for row in rows]
-                assert got == cells
-                assert csv_cells(report.csv_text(), BLOWUP_COLUMNS) == cells
-                negative += any(lb.startswith("-") for _, _, lb, _ in got)
-                # the domain_end volume cell "0/1" from 0 over a denominator > 1
-                zero_end += report.values[-1] != (0, 1)
-                den, nums = report.grid
-                unreduced += reducible(report.values) + reducible(
-                    (x, den) for x in nums
-                )
-                checked += 1
-            step += 1
-    assert fractional >= 6  # a Fraction class may reduce to integers
-    assert checked == 39 * (6 + 2 * 2)
-    assert negative and zero_end and unreduced
+    cases = blowup_cases()
+    for _, profile, count, report, expected in cases:
+        cells = report.cells()
+        assert cells == expected
+        # the x = domain_end row, where VolumeProfile reads 0
+        assert cells[-1][:2] == (format_rational(profile.domain_end), "0/1")
+        assert len(cells) >= count + 1
+    classes = {id(d): d for d, *_ in cases}.values()
+    # a Fraction class may reduce to integers
+    assert sum(any(c.denominator > 1 for c in d.coeffs) for d in classes) >= 6
+    assert len(cases) == 39 * (6 + 2 * 2)
 
 
 def test_okounkov_slice_rows_match_the_fraction_reference():
-    checked = step = unreduced = 0
-    for v, d in catalog_classes(random.Random(20261202)):
-        for cone in range(len(v.max_cones)):
-            flag = okounkov.default_flag(v, cone)
-            profile = okounkov.slice_profile(okounkov.okounkov_body(d, flag))
-            for count in counts_for(d, step):
-                report = harness.okounkov_command(v, d, flag=flag, samples=count)
-                expected = formatted(reference_slice_rows(profile, count))
-                assert report.cells() == expected
-                samples = report.json_dict()["slice_samples"]
-                assert all(tuple(row) == ("r", "area") for row in samples)
-                assert [(row["r"], row["area"]) for row in samples] == expected
-                assert csv_cells(report.csv_text(), ("r", "slice_area")) == expected
-                unreduced += reducible(report.values)
-                checked += 1
-            step += 1
-        # past the support the profile reads (0, 1), the cell "0/1"
-        den, nums = profile.grid(1)
-        (past,) = profile.values_at([nums[-1] + 1], den)
-        assert past == (0, 1)
-        assert jsonio.format_ratio(*past) == "0/1"
-    assert checked == 39 * (6 + 2 * 2)
-    assert unreduced
+    cases = okounkov_cases()
+    for _, report, expected in cases:
+        assert report.cells() == expected
+    assert len(cases) == 39 * (6 + 2 * 2)
 
 
 def test_values_at_and_grid_on_degenerate_profiles():
