@@ -107,7 +107,8 @@ def _read_catalog(root):
 
 def _read_fan(root, name):
     """The Fano variety in file ``name`` of directory ``root``."""
-    variety = jsonio.load_fan(os.path.join(root, name))
+    path = os.path.join(root, name)
+    variety = jsonio.load_fan(path)
     if not variety.anticanonical().is_ample():
-        raise ValidationError(f"catalog entry {name} is not Fano: -K is not ample")
+        raise ValidationError(f"{path}: catalog entry is not Fano: -K is not ample")
     return variety

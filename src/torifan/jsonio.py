@@ -12,7 +12,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
-from torifan.errors import ParseError
+from torifan.errors import ParseError, TorifanError
 from torifan.toric import TDivisor, ToricVariety, validate_fan
 
 DECIMAL_DIGITS = 12
@@ -86,27 +86,34 @@ def fan_from_dict(data) -> ToricVariety:
     return validate_fan(dim, rays, cones, name)
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+def _read(path, build):
+    """``build`` of the JSON in file ``path``.  A TorifanError raised while
+    reading, parsing or validating it keeps its class and names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise ParseError(f"not valid JSON: {exc}") from exc
+        return build(data)
+    except TorifanError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def load_fan(path) -> ToricVariety:
-    return fan_from_dict(_load_json(path))
+    return _read(path, fan_from_dict)
 
 
 def divisor_from_dict(data, variety: ToricVariety) -> TDivisor:
-    if not isinstance(data, dict) or "coeffs" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
         raise ParseError('divisor JSON must be an object with a "coeffs" list')
     coeffs = [parse_rational(c) for c in data["coeffs"]]
     return TDivisor(variety, coeffs)
 
 
 def load_divisor(path, variety: ToricVariety) -> TDivisor:
-    return divisor_from_dict(_load_json(path), variety)
+    return _read(path, lambda data: divisor_from_dict(data, variety))
 
 
 def dumps(payload) -> str:

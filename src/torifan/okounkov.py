@@ -314,8 +314,11 @@ def bm_concavity_check(profile: SliceProfile) -> bool:
     Exact sign analysis of h = (2-n) A'^2 + (n-1) A A'' (the sign of the
     transform's second derivative where A > 0): a Sturm-sequence decision
     that h <= 0 on each whole piece, plus continuity, positivity and
-    junction-slope checks.  n = 1 bodies have constant slice profile and
-    pass trivially.
+    junction-slope checks.  Positivity needs no Sturm decision of its own:
+    a continuous A with no zero at a junction or inside a piece has one sign
+    on the open support, by the intermediate value theorem, so its value at
+    one interior point decides it, and A >= 0 at the ends by continuity.
+    n = 1 bodies have constant slice profile and pass trivially.
     """
     if profile.dim == 1:
         return True
@@ -343,15 +346,15 @@ def bm_concavity_check(profile: SliceProfile) -> bool:
         return ratpoly.evaluate(ratpoly.derivative(p), x)
 
     return (
-        # a signed area is no slice profile
-        profile.all_nonnegative()
-        and profile.is_continuous()
+        profile.is_continuous()
         # a zero at a junction or inside a piece dents the support
         and all(profile.piece_value(x) for x in points[1:-1])
         and not any(
             ratpoly.has_root_inside(p, a, b)
             for a, b, p in zip(points, points[1:], pieces)
         )
+        # so A has one sign on the open support; a signed area is no profile
+        and profile.piece_value((points[0] + points[1]) / 2) > 0
         and profile.all_nonnegative(minus_h)
         # junction slopes: the density may only flatten going right
         and all(

@@ -10,17 +10,22 @@ writes p = c * P with c > 0 rational and P coprime integers.
 1. ``_horner`` runs acc <- acc * N + P_k D^(d-k), k = d, ..., 0, for P of
    degree d and x = N/D, D > 0.  After step k, acc = sum_(j >= k) P_j
    N^(j-k) D^(d-j) by induction, so it ends at D^d P(x), signed as p(x).
-2. Sturm's theorem counts p's distinct roots in (a, b] as V(a) - V(b),
-   V(x) the sign changes (zeros dropped) of s_0(x), s_1(x), ..., where
-   s_0 = p, s_1 = p', s_(i+1) = -rem(s_(i-1), s_i).  Any S_i = k_i s_i
-   with all k_i > 0 have the same V.  ``_sturm_sequence`` builds such S_i
-   over Z: S_0 = P, then P' and each remainder over its positive content.
+2. Sturm's theorem counts the distinct roots in (a, b) of any nonzero p,
+   squarefree or not, with p(a) != 0 != p(b), as V(a) - V(b), V(x) the
+   sign changes (zeros dropped) of s_0(x), s_1(x), ..., where s_0 = p,
+   s_1 = p', s_(i+1) = -rem(s_(i-1), s_i).  A root at b of a squarefree
+   p is counted too.  Any S_i = k_i s_i with all k_i > 0 have the same V.
+   ``_sturm_sequence`` builds such S_i over Z: S_0 = P, then P' and each
+   remainder over its positive content.
    With l = |lc(S_i)|, ``_prem`` sets r <- l r - sign(lc(S_i)) lc(r)
    t^m S_i from r = S_(i-1) until deg r < deg S_i.  No step divides, and
    r = l^e S_(i-1) - Q S_i = l^e k_(i-1) rem(s_(i-1), s_i), as rem is
    linear in the dividend and blind to scaling the divisor.  So -r over
    its content is a positive multiple of s_(i+1).  Begun at (P, Q), the
    sequence ends at a positive multiple of gcd(P, Q).
+3. p changes sign exactly at its roots of odd multiplicity.  So counting
+   the roots of p, gcd(p, p'), ... decides a sign condition on an interval
+   without isolating any root (``nonnegative_on``).
 """
 
 from __future__ import annotations
@@ -204,13 +209,6 @@ def _divide(P, G):
     return tuple(quot)
 
 
-def squarefree(p):
-    """The primitive integer polynomial with p's roots, each once."""
-    P = primitive(p)[1]
-    g = _sturm(P)[-1]
-    return P if len(g) == 1 else _divide(P, g)
-
-
 def _sign_changes(seq, x):
     signs = [s for s in (_sign(P, x) for P in seq) if s]
     return sum(a != b for a, b in pairwise(signs))
@@ -222,7 +220,8 @@ def _sturm(P):
 
 
 def count_roots(p, a, b) -> int:
-    """Number of distinct real roots in (a, b]; requires p(a) != 0."""
+    """Number of distinct real roots in (a, b]; requires p(a) != 0, and
+    p(b) != 0 unless p is squarefree (module docstring, 2)."""
     P = primitive(p)[1]
     if not any(P):
         raise ValueError("root counting needs a nonzero polynomial")
@@ -230,48 +229,31 @@ def count_roots(p, a, b) -> int:
     return _sign_changes(seq, _frac(a)) - _sign_changes(seq, _frac(b))
 
 
-def _strip_root(P, x):
-    """Divide out (t - x) as often as possible."""
-    while len(P) > 1 and _sign(P, x) == 0:
-        P = _divide(P, (-x.numerator, x.denominator))
+def _strip_ends(P, a, b):
+    """P over its factors (t - a)^i (t - b)^j, so with no root at a or b."""
+    for x in (a, b):
+        while len(P) > 1 and _sign(P, x) == 0:
+            P = _divide(P, (-x.numerator, x.denominator))
     return P
 
 
-def _side_sign(P, x, side):
-    """Sign of P just right (side 1) or left (side -1) of x: that of the
-    first derivative P^(k) nonzero at x, times side^k."""
-    parity = 1
-    while any(P):
-        if s := _sign(P, x):
-            return s * parity
-        P, parity = derivative(P), parity * side
-    return 0
-
-
-def _nonneg_rec(P, Q, seq, lo, hi):
-    """Decide P >= 0 on [lo, hi], given Q squarefree with P's roots inside
-    and none at lo or hi, seq its Sturm sequence, and P >= 0 at and just
-    inside both ends.  With at most one interior root the ends decide;
-    bisection separates the roots, so the recursion ends below the least
-    root gap.  A root of P at a midpoint is one of Q's, so it is divided
-    out of Q and only then is the sequence built again."""
-    if _sign_changes(seq, lo) - _sign_changes(seq, hi) <= 1:
-        return True
-    mid = (lo + hi) / 2
-    s = _sign(P, mid)
-    if s == 0:
-        s = min(_side_sign(P, mid, -1), _side_sign(P, mid, 1))
-        Q = _strip_root(Q, mid)
-        seq = _sturm(Q)
-    return (
-        s >= 0
-        and _nonneg_rec(P, Q, seq, lo, mid)
-        and _nonneg_rec(P, Q, seq, mid, hi)
-    )
-
-
 def nonnegative_on(p, a, b) -> bool:
-    """Exact decision of ``p >= 0`` everywhere on [a, b]."""
+    """Exact decision of ``p >= 0`` everywhere on [a, b] (module docstring, 3).
+
+    For a < b and p != 0, let Q be p over its factors at a and b, G_0 = Q
+    and G_(k+1) = gcd(G_k, G_k'), the last entry of G_k's Sturm sequence.
+    A root of Q of multiplicity m is a root of exactly G_0, ..., G_(m-1),
+    and Q has p's roots in (a, b) with their multiplicities.  So
+    sum_k (-1)^k (distinct roots of G_k in (a, b)) counts each root of p in
+    (a, b) of odd multiplicity once and each of even multiplicity never.
+    p changes sign exactly at its roots of odd multiplicity: near a root r
+    of multiplicity m, p = (t - r)^m u with u(r) != 0.  If the sum is 0, p
+    keeps one sign on the points of (a, b) where it is nonzero, so p >= 0
+    on [a, b] iff p(a), p(b) >= 0 and p > 0 at one interior non-root.  The
+    points a + (b - a) / 2^j, j = 1, 2, ..., are distinct and interior, and
+    p has at most deg p roots, so one of the first deg p + 1 is no root.
+    If the sum is not 0, p changes sign inside and is negative somewhere.
+    """
     a, b = _frac(a), _frac(b)
     if a > b:
         raise ValueError("empty interval")
@@ -280,22 +262,24 @@ def nonnegative_on(p, a, b) -> bool:
         return False
     if a == b or not any(P):
         return True
-    if _side_sign(P, a, 1) < 0 or _side_sign(P, b, -1) < 0:
+    odd, parity, G = 0, 1, _strip_ends(P, a, b)
+    while len(G) > 1:
+        seq = _sturm(G)
+        roots = _sign_changes(seq, a) - _sign_changes(seq, b)
+        odd, parity, G = odd + parity * roots, -parity, seq[-1]
+    if odd:
         return False
-    Q = _interior_part(P, a, b)
-    return _nonneg_rec(P, Q, _sturm(Q), a, b)
-
-
-def _interior_part(P, a, b):
-    """Squarefree, with P's roots in (a, b) and none at a or b."""
-    return _strip_root(_strip_root(squarefree(P), a), b)
+    x = (a + b) / 2
+    while not (s := _sign(P, x)):
+        x = (a + x) / 2
+    return s > 0
 
 
 def has_root_inside(p, a, b) -> bool:
     """Exact decision of whether p has a root strictly between a and b."""
     a, b = _frac(a), _frac(b)
     P = primitive(p)[1]
-    return a < b and (not any(P) or count_roots(_interior_part(P, a, b), a, b) > 0)
+    return a < b and (not any(P) or count_roots(_strip_ends(P, a, b), a, b) > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Fraction Sturm sequences: the computation ratpoly's integer one reduces.
+"""Sign decisions by root isolation over Fractions: an independent oracle.
 
 Euclid's remainder sequence over Q with Fraction long division, signs read
-by Fraction Horner, the squarefree part as p over a monic gcd.  It shares
-with ``ratpoly`` only ``trim``, ``is_zero`` and ``derivative``, so agreement
-checks the primitive remainder sequence, the homogeneous integer Horner,
-the integer exact division and the one-sided signs.
+by Fraction Horner, the squarefree part as p over a monic gcd.
+``nonnegative_on`` isolates the roots of the squarefree part by bisection
+and reads one-sided signs from derivatives at each midpoint root, where
+``ratpoly`` counts roots of odd multiplicity without isolating any.  It
+shares with ``ratpoly`` only ``trim``, ``is_zero`` and ``derivative``, so
+agreement checks the primitive remainder sequence, the homogeneous integer
+Horner, the integer exact division and the odd-multiplicity rule.
 """
 
 from fractions import Fraction

@@ -4,7 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from torifan import catalog, cli, harness, jsonio, okounkov, toric
-from torifan.errors import NotAmple, ValidationError, VerificationError
+from torifan.errors import (
+    NotAmple,
+    NotComplete,
+    NotSmooth,
+    ParseError,
+    ValidationError,
+    VerificationError,
+)
 
 
 def write_fan(tmp_path, variety, name="fan.json"):
@@ -242,7 +249,58 @@ def test_cli_validate_refuses_values_that_are_not_integers(tmp_path, capsys, cha
     }
     path.write_text(json.dumps({**payload, **change}))
     assert cli.main(["validate", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: malformed fan JSON")
+    assert capsys.readouterr().err.startswith(f"error: {path}: malformed fan JSON")
+
+
+P2 = {
+    "dim": 2,
+    "rays": [[1, 0], [0, 1], [-1, -1]],
+    "max_cones": [[1, 2], [0, 2], [0, 1]],
+}
+BAD_FANS = {
+    "missing keys": ({"dim": 2, "rays": [[1, 0], [0, 1]]}, ParseError),
+    "repeated ray": ({**P2, "rays": [[1, 0], [1, 0], [-1, -1]]}, ValidationError),
+    "non-smooth cone": (
+        {"dim": 2, "rays": [[1, 0], [1, 2], [-1, -1]],
+         "max_cones": [[0, 1], [1, 2], [2, 0]]},
+        NotSmooth,
+    ),
+    "incomplete": (
+        {"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}, NotComplete
+    ),
+    "ray dimension": ({**P2, "rays": [[1, 0, 0], [0, 1], [-1, -1]]}, ValidationError),
+    "bool": ({**P2, "dim": True}, ParseError),
+    "float": ({**P2, "rays": [[1.0, 0], [0, 1], [-1, -1]]}, ParseError),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_FANS)
+def test_every_command_names_a_bad_fan_file(tmp_path, capsys, kind):
+    data, error = BAD_FANS[kind]
+    fan = tmp_path / "catalog" / "fan.json"
+    fan.parent.mkdir()
+    fan.write_text(json.dumps(data))
+    with pytest.raises(error) as info:
+        jsonio.load_fan(str(fan))
+    assert type(info.value) is error and str(info.value).startswith(f"{fan}: ")
+    for argv in (
+        ["validate", fan],
+        ["invariants", fan],
+        ["sweep", fan, "--resolution", 1],
+        ["verify-theorem", "--catalog", fan.parent, "--resolution", 1],
+    ):
+        assert cli.main([str(arg) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith(f"error: {fan}: ")
+
+
+def test_invariants_names_a_bad_divisor_file(tmp_path, capsys):
+    fan = write_fan(tmp_path, catalog.p1_power(2))
+    for coeffs in (["1", "2"], 4):  # P1xP1 needs 4 coefficients
+        path = tmp_path / "div.json"
+        path.write_text(json.dumps({"coeffs": coeffs}))
+        assert cli.main(["invariants", fan, "--divisor", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_cli_validate_missing_file(capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -94,6 +95,9 @@ def test_load_fan_and_divisor(tmp_path):
         jsonio.load_fan(str(bad))
     with pytest.raises(ParseError, match="not valid JSON"):
         jsonio.load_divisor(str(bad), loaded)
+    bad.write_bytes(b'{"dim": "\xff"}')  # not UTF-8
+    with pytest.raises(ParseError, match=f"^{re.escape(str(bad))}: not valid JSON"):
+        jsonio.load_fan(str(bad))
 
 
 def test_divisor_dict_round_trip():

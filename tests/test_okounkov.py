@@ -293,6 +293,16 @@ def test_bm_concavity_synthetic_profiles():
     )
 
 
+def test_bm_concavity_rejects_a_negative_profile():
+    # h = 0 and no slope changes: only the sign of A rejects these
+    mk = okounkov.SliceProfile
+    assert not okounkov.bm_concavity_check(mk(2, (F(0), F(1)), ((F(-1),),)))
+    assert not okounkov.bm_concavity_check(
+        mk(2, (F(0), F(1), F(2)), ((F(-1),), (F(-1),)))
+    )
+    assert okounkov.bm_concavity_check(mk(2, (F(0), F(1)), ((F(1),),)))
+
+
 def test_bm_concavity_rejects_a_bump_between_sample_points():
     # dimension 2: A^(1/(n-1)) = A, and A'' = -(r - a)(r - b) is positive
     # only on (a, b), which has length 1/402 and lies strictly between the

@@ -75,8 +75,7 @@ def test_count_roots_quadratic():
 
 def test_count_roots_multiple_root_counted_once():
     p = ratpoly.multiply(poly(-1, 1), poly(-1, 1))  # (x-1)^2
-    sf = ratpoly.squarefree(p)
-    assert ratpoly.count_roots(sf, F(0), F(2)) == 1
+    assert ratpoly.count_roots(p, F(0), F(2)) == 1
 
 
 def test_nonnegative_on_simple_cases():
@@ -120,14 +119,9 @@ def test_nonnegative_on_random_sum_of_squares():
             # a nonzero sum of squares cannot be nonnegative after flipping
             # unless it vanishes identically on the interval
             if ratpoly.evaluate(s, F(-3)) > 0 and ratpoly.count_roots(
-                ratpoly.squarefree(s), F(-3), F(3)
+                s, F(-3), F(3)
             ) == 0:
                 assert not ratpoly.nonnegative_on(flipped, F(-3), F(3))
-
-
-def test_squarefree():
-    cube = ratpoly.multiply(ratpoly.multiply(poly(-1, 1), poly(-1, 1)), poly(-1, 1))
-    assert ratpoly.equal(ratpoly.squarefree(cube), poly(-1, 1))
 
 
 def squared_roots(*roots):
@@ -138,19 +132,9 @@ def squared_roots(*roots):
     return p
 
 
-@pytest.mark.parametrize(
-    "roots, a, b, builds",
-    [
-        # bisection at 5/2, 5/4 and 15/4 splits four roots, none at a midpoint:
-        # one build for the squarefree part, one for its Sturm sequence
-        ((1, 2, 3, 4), 0, 5, 2),
-        # the midpoint 2 is a root: it is divided out and the sequence rebuilt
-        ((1, 2, 3), 0, 4, 3),
-    ],
-)
-def test_nonnegative_on_builds_each_sturm_sequence_once(
-    monkeypatch, roots, a, b, builds
-):
+def test_nonnegative_on_sturm_builds_do_not_grow_with_the_roots(monkeypatch):
+    """One Sturm sequence per G_k = gcd(G_(k-1), G_(k-1)'), whatever the
+    number of roots: no root is isolated."""
     real = ratpoly._sturm_sequence
     calls = []
 
@@ -159,9 +143,12 @@ def test_nonnegative_on_builds_each_sturm_sequence_once(
         return real(P, Q)
 
     monkeypatch.setattr(ratpoly, "_sturm_sequence", counting)
-    p = squared_roots(*roots)
-    assert ratpoly.nonnegative_on(p, F(a), F(b))
-    assert len(calls) == builds
+    builds = []
+    for roots in (range(1, 5), range(1, 7)):
+        calls.clear()
+        assert ratpoly.nonnegative_on(squared_roots(*roots), F(0), F(7))
+        builds.append(len(calls))
+    assert builds == [2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +271,6 @@ def assert_verdicts_match(p, a, b):
     assert ratpoly.has_root_inside(p, a, b) == sturm_oracle.has_root_inside(p, a, b)
 
 
-def monic(p):
-    p = ratpoly.trim(p)
-    return ratpoly.scale(p, 1 / p[-1])
-
-
 def seeded_polynomial(rng):
     """A rational polynomial of degree <= 6 and its rational roots.
 
@@ -326,11 +308,46 @@ def test_sturm_verdicts_match_the_fraction_oracle_on_seeded_polynomials():
             seen["dip"] += a < b and not ratpoly.nonnegative_on(p, a, b)
         seen["repeated"] += len(set(roots)) < len(roots)
         seen["negative lead"] += p[-1] < 0
-        assert monic(ratpoly.squarefree(p)) == monic(sturm_oracle.squarefree(p))
     assert all(count >= 20 for count in seen.values()), seen
     assert_verdicts_match(ratpoly.ZERO, F(0), F(1))
     with pytest.raises(ValueError):
         ratpoly.count_roots(ratpoly.ZERO, 0, 1)
+
+
+def power(p, m):
+    out = poly(1)
+    for _ in range(m):
+        out = ratpoly.multiply(out, p)
+    return out
+
+
+def test_sturm_verdicts_match_the_fraction_oracle_on_multiple_roots():
+    """(x - r)^m (x - s)^k q for m = 1..5, with r at an end of the interval,
+    inside it and outside it, and q a quadratic tail."""
+    rng = random.Random(20261219)
+    seen = dict.fromkeys(("at an end", "inside", "outside", "dip", "nonnegative"), 0)
+    for m in range(1, 6):
+        for _ in range(40):
+            r, s = (F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2))
+            tail = rng.choice(
+                ((F(rng.randint(1, 5)), 0, 1), (-2, 0, 1), (-1, 0, 1), (0, 0, 1))
+            )
+            p = ratpoly.multiply(power(poly(-r, 1), m), tail)
+            p = ratpoly.multiply(p, power(poly(-s, 1), rng.randint(0, 4)))
+            p = ratpoly.scale(p, rng.choice((-2, -1, 1, 3)))
+            w = F(rng.randint(1, 6), rng.randint(1, 3))
+            for a, b in (
+                (r, r + w),
+                (r - w, r),
+                (r - w, r + w / 2),
+                (r + w, r + 3 * w),
+                (s - w, s + w),
+            ):
+                inside = "inside" if a < r < b else "outside"
+                seen["at an end" if r in (a, b) else inside] += 1
+                seen["nonnegative" if ratpoly.nonnegative_on(p, a, b) else "dip"] += 1
+                assert_verdicts_match(p, a, b)
+    assert all(count >= 100 for count in seen.values()), seen
 
 
 def test_sturm_verdicts_match_the_oracle_on_certified_profile_polynomials(
