@@ -132,6 +132,42 @@ def squared_roots(*roots):
     return p
 
 
+def roots_with_multiplicity(*roots):
+    """prod (x - r)^m over the (r, m) pairs."""
+    p = poly(1)
+    for r, m in roots:
+        for _ in range(m):
+            p = ratpoly.multiply(p, poly(-r, 1))
+    return p
+
+
+@pytest.mark.parametrize(
+    "roots, a, b, builds",
+    [
+        # double roots only: G_0 = p and G_1 = (x - 1)...(x - 4) are built
+        (((1, 2), (2, 2), (3, 2), (4, 2)), 0, 5, 2),
+        # the triple root -1 outside [0, 4] adds G_2 = x + 1; the midpoint 2
+        # and then 1 are roots, so the sign is read at 1/2
+        (((1, 2), (2, 2), (3, 2), (-1, 3)), 0, 4, 3),
+    ],
+)
+def test_nonnegative_on_builds_each_sturm_sequence_once(
+    monkeypatch, roots, a, b, builds
+):
+    """One Sturm sequence per nonconstant G_k, the deepest multiplicity."""
+    real = ratpoly._sturm_sequence
+    calls = []
+
+    def counting(P, Q):
+        calls.append(P)
+        return real(P, Q)
+
+    monkeypatch.setattr(ratpoly, "_sturm_sequence", counting)
+    assert ratpoly.nonnegative_on(roots_with_multiplicity(*roots), F(a), F(b))
+    assert len(calls) == builds
+    assert len(set(calls)) == builds
+
+
 def test_nonnegative_on_sturm_builds_do_not_grow_with_the_roots(monkeypatch):
     """One Sturm sequence per G_k = gcd(G_(k-1), G_(k-1)'), whatever the
     number of roots: no root is isolated."""
