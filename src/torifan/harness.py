@@ -6,9 +6,10 @@ order, fixed key order, "p/q" rationals, no timestamps.
 
 Each fact has one source.  ``gap_report`` is a view of ``verify_theorem``:
 it sweeps nothing itself, so it checks the theorem both ways too, and its
-entries are sweep records cut to a few keys.  The blow-up and Okounkov
-tables exist only on integers (``Piecewise.grid`` and ``values_at``) and
-are formatted once, by ``cells``.
+entries are sweep records cut to a few keys.  Each table is formatted
+once, by its report's ``cells``: the gap rows from their exact epsilons, and
+the blow-up and Okounkov rows from integers alone (``Piecewise.grid`` and
+``values_at``).
 """
 
 from __future__ import annotations
@@ -168,6 +169,7 @@ def verify_theorem(catalog, resolution: int) -> VerifyReport:
 
 
 GAP_ENTRY = ("variety", "n", "max_score", "gap", "is_projective_space")
+GAP_ROW = ("dimension", "epsilon", "epsilon_decimal", "achieved_by")
 
 
 @dataclass(frozen=True)
@@ -188,28 +190,21 @@ class GapReport:
             for res, pn in zip(self.sweep.results, self.sweep.projective)
         )
 
+    def cells(self):
+        """The rows as (dimension, epsilon, its decimal, achieving variety)."""
+        return [(dim, _fmt(eps), _dec(eps), name) for dim, eps, name in self.rows]
+
     def csv_text(self) -> str:
-        rows = [
-            (dim, _fmt(eps), _dec(eps), name) for dim, eps, name in self.rows
-        ]
         return render_csv(
             ("dimension", "epsilon_toric", "epsilon_decimal", "achieved_by"),
-            rows,
+            self.cells(),
         )
 
     def json_dict(self) -> dict:
         return {
             "resolution": self.resolution,
             "note": self.note,
-            "epsilon_toric": [
-                {
-                    "dimension": dim,
-                    "epsilon": _fmt(eps),
-                    "epsilon_decimal": _dec(eps),
-                    "achieved_by": name,
-                }
-                for dim, eps, name in self.rows
-            ],
+            "epsilon_toric": [dict(zip(GAP_ROW, row)) for row in self.cells()],
             "entries": [
                 {key: record[key] for key in GAP_ENTRY}
                 for record in self.sweep.entries()
@@ -422,9 +417,11 @@ def okounkov_command(
     if flag is None:
         flag = default_flag(variety, 0)
     body = okounkov_body(divisor, flag)
-    n = variety.dim
-    body_volume = body.volume()
-    if factorial(n) * body_volume != divisor.vol():
+    # the slice areas integrate to the body's volume, here checked against
+    # the class volume from the triangulated section polytope
+    profile = slice_profile(body)
+    body_volume = profile.integral()
+    if factorial(variety.dim) * body_volume != divisor.vol():
         raise VerificationError(
             "body volume does not match the divisor volume",
             variety=variety.name,
@@ -440,7 +437,6 @@ def okounkov_command(
                 sample=str(t),
             )
         checks.append((Fraction(t), ok))
-    profile = slice_profile(body)
     den, nums = profile.grid(samples)
     return OkounkovReport(
         variety_name=variety.name,

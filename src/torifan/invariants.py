@@ -32,35 +32,34 @@ from torifan.toric import (
 )
 
 
-def _least_wall_ratio(variety: ToricVariety, num, den) -> Fraction:
-    """Least (A.C)/(B.C) over the wall curves C with B.C > 0.
-
-    A and B are the divisors with coefficients ``num`` and ``den``; the
-    ratio is read off the wall rows on both classes scaled to integers.
-    """
-    lam_a, a = variety.scaled_wall_values(num)
-    lam_b, b = variety.scaled_wall_values(den)
-    return min(Fraction(x, y) for x, y in zip(a, b) if y > 0) * lam_b / lam_a
-
-
 def seshadri_constant(divisor: TDivisor) -> Fraction:
-    """sup{mu : -K - mu*D nef}: least wall ratio (-K.C)/(D.C)."""
+    """sup{mu : -K - mu*D nef}: least wall ratio (-K.C)/(D.C).
+
+    -K has every coefficient 1, so -K.C is the sum of the wall row, and
+    D.C = x / lam for the scaled wall values x of D, all positive as D is
+    ample."""
     require_ample(divisor)
     variety = divisor.variety
-    return _least_wall_ratio(
-        variety, variety.anticanonical().coeffs, divisor.coeffs
-    )
+    lam, values = variety.scaled_wall_values(divisor.coeffs)
+    return lam * min(Fraction(sum(w), x) for w, x in zip(variety.wall_rows, values))
+
+
+def _vanishing_orders(divisor: TDivisor, center):
+    """S(D_rho) = <center, u_rho> + a_rho per ray, for the section
+    polytope's barycenter ``center``."""
+    return [
+        sum(c * u for c, u in zip(center, ray)) + a
+        for ray, a in zip(divisor.variety.rays, divisor.coeffs)
+    ]
 
 
 def expected_vanishing_order(divisor: TDivisor, ray_index: int) -> Fraction:
     """Volume-normalized integral of vol(D - x*D_ray): <barycenter, u> + a."""
     require_big(divisor)
-    variety = divisor.variety
-    if not 0 <= ray_index < variety.n_rays:
+    if not 0 <= ray_index < divisor.variety.n_rays:
         raise ValueError(f"no ray with index {ray_index}")
     center = ratgeom.barycenter(divisor.section_polytope())
-    ray = variety.rays[ray_index]
-    return sum(c * u for c, u in zip(center, ray)) + divisor.coeffs[ray_index]
+    return _vanishing_orders(divisor, center)[ray_index]
 
 
 def delta_toric(divisor: TDivisor):
@@ -77,15 +76,10 @@ def delta_toric(divisor: TDivisor):
 
 def delta_from_barycenter(divisor: TDivisor, center):
     """``delta_toric`` read off a given barycenter of the section polytope."""
-    best = None
-    witness = None
-    for i, ray in enumerate(divisor.variety.rays):
-        s = sum(c * u for c, u in zip(center, ray)) + divisor.coeffs[i]
-        if best is None or s > best:
-            best = s
-            witness = i
-    assert best is not None and best > 0
-    return 1 / best, witness
+    orders = _vanishing_orders(divisor, center)
+    best = max(orders)
+    assert best > 0
+    return 1 / best, orders.index(best)
 
 
 def greatest_ricci_lower_bound(divisor: TDivisor) -> Fraction:
@@ -181,20 +175,13 @@ class VolumeProfile(ratpoly.Piecewise):
             raise ValueError("profiles live on x >= 0")
         return self.piece_value(x)
 
-    def lower_bound_poly(self):
-        """vol - x^n, the Fujita comparison curve."""
-        coeffs = [Fraction(0)] * (self.dim + 1)
-        coeffs[0] = self.total
-        coeffs[self.dim] = Fraction(-1)
-        return tuple(coeffs)
-
     def margin(self, x) -> Fraction:
         x = Fraction(x)
         return self.value(x) - (self.total - x**self.dim)
 
     def inequality_certificate(self) -> bool:
         """Symbolic proof that value >= vol - x^n holds on every piece."""
-        bound = self.lower_bound_poly()
+        bound = (self.total, *(Fraction(0),) * (self.dim - 1), Fraction(-1))
         return self.all_nonnegative(lambda p: ratpoly.subtract(p, bound))
 
     def monotone_certificate(self) -> bool:
@@ -309,18 +296,17 @@ def chain_report(profile: VolumeProfile, beta: Fraction) -> ChainReport:
     vol = profile.total
     s_exc = profile.integral() / vol
     log_disc = Fraction(n)
-    first = log_disc >= beta * s_exc
+    beta_s = beta * s_exc
     # beta*S >= n*beta*vol^(1/n)/(n+1), i.e. ((n+1)S/n)^n >= vol
-    second = (Fraction(n + 1) * s_exc / n) ** n >= vol
+    power = (Fraction(n + 1) * s_exc / n) ** n
+    first = log_disc >= beta_s
+    second = power >= vol
     if not (first and second):
         raise VerificationError(
             "vanishing-order chain failed", sample=(str(beta), str(s_exc))
         )
     root = _nth_root_exact(vol, n)
-    tight = (
-        log_disc == beta * s_exc
-        and (Fraction(n + 1) * s_exc / n) ** n == vol
-    )
+    tight = log_disc == beta_s and power == vol
     return ChainReport(
         dim=n,
         vol=vol,

@@ -230,17 +230,9 @@ def slice_profile(body: OkounkovBody) -> SliceProfile:
     # vertex levels: nu_1 times scale, and as Fractions
     heights = sorted({p[0] for p in points})
     levels = [Fraction(h, scale) for h in heights]
-    if n == 1:
-        return SliceProfile(
-            dim=1,
-            breakpoints=(levels[0], levels[-1]),
-            pieces=((Fraction(1),),),
-        )
-    if len(levels) == 1:
-        # degenerate body inside one hyperplane; zero slice area
-        return SliceProfile(dim=n, breakpoints=(levels[0], levels[0]), pieces=())
     if not ratgeom.is_full_dimensional(body.polytope):
-        # a flat body has no (n-1)-dimensional slice
+        # a flat body has no (n-1)-dimensional slice: a zero piece between
+        # consecutive levels, and none when it lies in one level
         pieces = (ratpoly.ZERO,) * (len(levels) - 1)
         return SliceProfile(dim=n, breakpoints=tuple(levels), pieces=pieces)
     rows = body.polytope.rows
@@ -318,10 +310,9 @@ def bm_concavity_check(profile: SliceProfile) -> bool:
     a continuous A with no zero at a junction or inside a piece has one sign
     on the open support, by the intermediate value theorem, so its value at
     one interior point decides it, and A >= 0 at the ends by continuity.
-    n = 1 bodies have constant slice profile and pass trivially.
+    An n = 1 body has the constant profile 1, whose -h = (n-2) A'^2 is 0,
+    so it passes the same decisions.
     """
-    if profile.dim == 1:
-        return True
     n = profile.dim
     # zero pieces at both ends only shrink the support
     nonzero = [i for i, p in enumerate(profile.pieces) if not ratpoly.is_zero(p)]

@@ -59,7 +59,7 @@ from itertools import combinations
 from math import factorial, gcd, lcm
 from operator import mul, sub
 
-from torifan.errors import DegeneratePolytope, UnboundedPolytope
+from torifan.errors import DegeneratePolytope, UnboundedPolytope, ValidationError
 
 Point = tuple  # tuple[Fraction, ...]
 
@@ -113,10 +113,11 @@ class Polytope:
 
 def int_det(rows) -> int:
     """Determinant of a square integer matrix: cofactor expansion up to
-    3x3, fraction-free Bareiss above."""
+    3x3, fraction-free Bareiss above.  The 0x0 determinant is 1, the empty
+    product."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
+    if n < 2:
+        return rows[0][0] if n else 1
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if n == 3:
@@ -225,7 +226,7 @@ def _cross(rows, n):
     """Generalized cross product of n-1 integer rows: c_j = (-1)^j det(minor j)."""
     c = []
     for j in range(n):
-        minor = int_det([r[:j] + r[j + 1 :] for r in rows]) if n > 1 else 1
+        minor = int_det([r[:j] + r[j + 1 :] for r in rows])
         c.append(-minor if j % 2 else minor)
     return c
 
@@ -379,6 +380,11 @@ def polytopes_equal(p: Polytope, q: Polytope) -> bool:
 # F that miss v; since every face is pulled from its own least vertex, the
 # pieces agree on shared faces (De Loera, Rambau and Santos,
 # *Triangulations*, on pulling triangulations).
+#
+# (P^1)^k has k! simplices (362,880 at k = 9, where invariants would run
+# for tens of seconds), so a face whose triangulation passes MAX_SIMPLICES
+# is refused as it is built.
+MAX_SIMPLICES = 10**5
 
 
 def pulling_triangulation(labels, facets):
@@ -387,7 +393,8 @@ def pulling_triangulation(labels, facets):
     ``labels`` are mutually comparable vertex labels and ``facets`` holds
     one set of labels per facet; lower faces and repeats among them change
     nothing, as they are never inclusion-maximal.  Returns the simplices as
-    label tuples, each led by its least label.
+    label tuples, each led by its least label.  Raises ValidationError once
+    a face holds more than ``MAX_SIMPLICES`` simplices.
     """
     return _pull(frozenset(labels), [frozenset(f) for f in facets], {})
 
@@ -415,6 +422,10 @@ def _pull(face, facets, memo):
             if pivot in sub or any(sub < other for other in subfaces):
                 continue  # a facet through the pivot, or not a facet at all
             out.extend((pivot,) + s for s in _pull(sub, facets, memo))
+            if len(out) > MAX_SIMPLICES:
+                raise ValidationError(
+                    f"triangulation exceeds MAX_SIMPLICES = {MAX_SIMPLICES} simplices"
+                )
     memo[face] = out
     return out
 
@@ -423,9 +434,8 @@ def _pulling(poly: Polytope, first=0):
     """``(scale, points, simplices)``: ``vertex_points`` with the point at
     index ``first`` moved to the front, and their pulling triangulation as
     index tuples into those points, empty when not full-dimensional."""
-    n = poly.ambient_dim
     scale, points = vertex_points(poly)
-    if len(points) <= n or _affine_rank(points) < n:
+    if not is_full_dimensional(poly):
         return scale, points, []
     points = (points[first],) + points[:first] + points[first + 1 :]
     tight = [

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from torifan import catalog, cli, harness, jsonio, okounkov, toric
+from torifan import catalog, cli, harness, jsonio, okounkov, ratgeom, toric
 from torifan.errors import (
     NotAmple,
     NotComplete,
@@ -269,6 +269,11 @@ BAD_FANS = {
         {"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}, NotComplete
     ),
     "ray dimension": ({**P2, "rays": [[1, 0, 0], [0, 1], [-1, -1]]}, ValidationError),
+    "dimension 0": ({"dim": 0, "rays": [], "max_cones": []}, ValidationError),
+    "repeated ray index": (
+        {**P2, "max_cones": [[1, 1], [0, 2], [0, 1]]}, ValidationError
+    ),
+    "unused ray": ({**P2, "rays": [*P2["rays"], [1, 1]]}, ValidationError),
     "bool": ({**P2, "dim": True}, ParseError),
     "float": ({**P2, "rays": [[1.0, 0], [0, 1], [-1, -1]]}, ParseError),
 }
@@ -292,6 +297,28 @@ def test_every_command_names_a_bad_fan_file(tmp_path, capsys, kind):
         assert cli.main([str(arg) for arg in argv]) == 2
         out, err = capsys.readouterr()
         assert not out and err.startswith(f"error: {fan}: ")
+
+
+def test_a_fan_past_the_simplex_cap_is_refused_quickly(tmp_path, capsys):
+    """(P^1)^9 has 9! = 362,880 skeleton simplices; the pulling
+    triangulation stops at MAX_SIMPLICES = 10^5."""
+    fan = write_fan(tmp_path, catalog.p1_power(9))
+    for argv in (["invariants", fan], ["sweep", fan, "--resolution", "1"]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out and "MAX_SIMPLICES = 100000" in err
+
+
+def test_a_small_simplex_cap_refuses_a_small_fan(tmp_path, capsys, monkeypatch):
+    fan = write_fan(tmp_path, catalog.p1_power(3))  # 3! = 6 skeleton simplices
+    assert cli.main(["invariants", fan]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(ratgeom, "MAX_SIMPLICES", 5)
+    for argv in (["invariants", fan], ["sweep", fan, "--resolution", "1"]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == "error: triangulation exceeds MAX_SIMPLICES = 5 simplices\n"
 
 
 def test_invariants_names_a_bad_divisor_file(tmp_path, capsys):

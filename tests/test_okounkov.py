@@ -227,15 +227,53 @@ def test_slice_profile_of_flat_body_is_zero():
 
 
 def test_slice_profile_in_dimension_one():
+    """The general path gives a segment of length a + b the piece 1."""
     p1 = catalog.projective_space(1)
-    body = okounkov.okounkov_body(
-        p1.divisor([0, 1]), okounkov.default_flag(p1, 0)
-    )
-    profile = okounkov.slice_profile(body)
-    assert profile.dim == 1
-    assert profile.support == (0, 1)
-    assert profile.piece_value(F(1, 2)) == 1
-    assert profile.integral() == 1
+    for cone_index in (0, 1):
+        for coeffs in ([0, 1], [1, 0], [1, 1], [F(-1, 2), 3], [F(5, 3), F(1, 4)]):
+            body = okounkov.okounkov_body(
+                p1.divisor(coeffs), okounkov.default_flag(p1, cone_index)
+            )
+            profile = okounkov.slice_profile(body)
+            length = sum(coeffs)
+            assert profile.dim == 1
+            assert profile.support == (0, length)
+            assert profile.pieces == ((F(1),),)
+            assert profile.piece_value(length / 2) == 1
+            assert profile.integral() == length
+            assert okounkov.bm_concavity_check(profile) is True
+
+
+def test_every_slice_profile_has_one_more_breakpoint_than_pieces():
+    rng = random.Random(20261019)
+    bodies = []
+    for v in catalog.bundled_catalog():
+        built = 0
+        while built < 2:
+            d = v.divisor([rng.randint(-1, 3) for _ in range(v.n_rays)])
+            if d.is_big():
+                flag = okounkov.default_flag(v, rng.randrange(len(v.max_cones)))
+                bodies.append(okounkov.okounkov_body(d, flag))
+                built += 1
+    # the triangle y, z >= 0, y + z <= 1 lying flat in the level nu_1 = 1
+    hs = [
+        ((F(1), F(0), F(0)), F(-1)),
+        ((F(-1), F(0), F(0)), F(1)),
+        ((F(0), F(1), F(0)), F(0)),
+        ((F(0), F(0), F(1)), F(0)),
+        ((F(0), F(-1), F(-1)), F(1)),
+    ]
+    flat = okounkov.OkounkovBody.from_polytope(Polytope(3, hs))
+    for body in bodies + [flat]:
+        profile = okounkov.slice_profile(body)
+        assert len(profile.breakpoints) == len(profile.pieces) + 1
+    profile = okounkov.slice_profile(flat)
+    assert profile.breakpoints == (1,) and profile.pieces == ()
+    assert profile.support == (1, 1)
+    assert profile.integral() == 0
+    den, nums = profile.grid(4)
+    assert list(profile.values_at(nums, den)) == [(0, 1)]
+    assert okounkov.bm_concavity_check(profile)
 
 
 def test_slice_integral_matches_truncated_volume():

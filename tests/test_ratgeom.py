@@ -8,7 +8,7 @@ from slice_oracle import slice_polytope
 from vertex_oracle import det, solve_square
 
 from torifan import ratgeom
-from torifan.errors import DegeneratePolytope, UnboundedPolytope
+from torifan.errors import DegeneratePolytope, UnboundedPolytope, ValidationError
 from torifan.ratgeom import Polytope
 
 
@@ -328,6 +328,7 @@ def test_exact_solve_and_det():
     assert det(rows) == 5
     # the integer determinant keeps the sign of every row swap
     assert ratgeom.int_det(((0, 1, 0), (1, 0, 0), (0, 0, 1))) == -1
+    assert ratgeom.int_det(()) == 1  # the empty product
     rng = random.Random(7)
     for n in (1, 2, 3, 4, 5):
         for _ in range(20):
@@ -336,3 +337,32 @@ def test_exact_solve_and_det():
             assert ratgeom.int_det(m) == det(m)
     x = solve_square(rows, (F(4), F(7)))
     assert x == (F(1), F(2))
+
+
+def test_triangulations_past_the_simplex_cap_are_refused(monkeypatch):
+    cube = box((0, 1), (0, 1), (0, 1))
+    assert len(ratgeom.fan_triangulation(cube)) == 6
+    monkeypatch.setattr(ratgeom, "MAX_SIMPLICES", 5)
+    with pytest.raises(ValidationError, match="MAX_SIMPLICES = 5"):
+        ratgeom.volume(box((0, 1), (0, 1), (0, 1)))
+    monkeypatch.setattr(ratgeom, "MAX_SIMPLICES", 6)
+    assert ratgeom.volume(box((0, 1), (0, 1), (0, 1))) == 1
+
+
+def test_dimension_and_argument_errors():
+    with pytest.raises(ValueError, match="ambient dimension must be at least 1"):
+        Polytope(0, [])
+    square = box((0, 1), (0, 1))
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        ratgeom.contains(square, (F(0),))
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        ratgeom.polytopes_equal(square, box((0, 1), (0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="vector dimension mismatch"):
+        ratgeom.translate(square, (F(1),))
+    with pytest.raises(ValueError, match="not a vertex"):
+        ratgeom.fan_triangulation(square, (F(1, 2), F(0)))
+    for axis in (-1, 2):
+        with pytest.raises(ValueError, match="axis out of range"):
+            ratgeom.truncate(square, axis, lo=0)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        ratgeom.truncate(square, 0, lo=1, hi=0)

@@ -87,6 +87,11 @@ def test_nonnegative_on_simple_cases():
     assert ratpoly.nonnegative_on(square, F(0), F(1))
 
 
+def test_nonnegative_on_refuses_an_empty_interval():
+    with pytest.raises(ValueError, match="empty interval"):
+        ratpoly.nonnegative_on(poly(1), 1, 0)
+
+
 def test_nonnegative_on_catches_sign_dip_next_to_root():
     # -x(1-x)^2 vanishes at both ends of [0,1] but is negative inside
     p = ratpoly.multiply(poly(0, -1), ratpoly.multiply(poly(1, -1), poly(1, -1)))

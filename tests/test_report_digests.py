@@ -4,9 +4,10 @@
 every bundled fan file, of ``verify-theorem``, of ``gap-report --dimension
 2`` and of ``gap-report`` over every dimension; of ``validate`` and of
 ``invariants`` (on -K) on every fan file, plus ``invariants`` of one
-Q-divisor on P2; and of ``blowup --cone 0``, ``okounkov --check-translation
-1/2`` and ``okounkov --flag 0:<reversed cone 0>`` on every fan file of
-dimension at least 2.  Each report is recorded in
+Q-divisor on P2; of ``okounkov --check-translation 1/2`` on every fan file;
+of ``blowup --cone 0`` and ``okounkov --flag 0:<reversed cone 0>`` on every
+fan file of dimension at least 2; and of ``okounkov --flag 1`` on P1, the
+one flag given by its cone alone.  Each report is recorded in
 ``json`` and ``csv`` wherever the subcommand has ``--format``.  A change that
 alters any byte of these reports fails here.  Re-recording is a deliberate
 edit of the JSON file, printed by
@@ -69,7 +70,7 @@ def cases():
             out[f"blowup {path.stem} {fmt}"] = [
                 "blowup", str(path), "--cone", "0", "--format", fmt,
             ]
-        for path in surfaces:
+        for path in fans:
             out[f"okounkov {path.stem} translation {fmt}"] = [
                 "okounkov", str(path), "--check-translation", "1/2",
                 "--format", fmt,
@@ -81,6 +82,9 @@ def cases():
                 "okounkov", str(path), "--flag", f"0:{order}",
                 "--format", fmt,
             ]
+        out[f"okounkov p1 flag 1 {fmt}"] = [
+            "okounkov", str(CATALOG / "p1.json"), "--flag", "1", "--format", fmt,
+        ]
     return out
 
 

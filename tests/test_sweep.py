@@ -96,6 +96,11 @@ def test_resolution_must_be_positive():
         sweep.sweep_ample_cone(catalog.projective_space(2), 0)
 
 
+def test_negative_collect_cap_is_refused():
+    with pytest.raises(ValidationError, match="collect_cap"):
+        sweep.sweep_ample_cone(catalog.projective_space(2), 1, collect_cap=-1)
+
+
 def test_resolution_past_the_grid_limit_is_refused():
     with pytest.raises(ValidationError):
         sweep.sweep_ample_cone(catalog.projective_space(1), 2**14 + 1)

@@ -52,6 +52,15 @@ def test_validate_fan_rejects_bad_cones():
         toric.validate_fan(2, P2_RAYS, [])
 
 
+def test_validate_fan_rejects_bad_dimension_cone_indices_and_unused_rays():
+    with pytest.raises(ValidationError, match="dimension must be at least 1"):
+        toric.validate_fan(0, [], [])
+    with pytest.raises(ValidationError, match="cone 0 repeats a ray index"):
+        toric.validate_fan(2, P2_RAYS, [(1, 1), (0, 2), (0, 1)])
+    with pytest.raises(ValidationError, match="some rays belong to no maximal cone"):
+        toric.validate_fan(2, P2_RAYS + [(1, 1)], P2_CONES)
+
+
 def test_validate_fan_rejects_singular_cone():
     # det((1,0),(1,2)) = 2, an A_1 singularity
     with pytest.raises(NotSmooth):
