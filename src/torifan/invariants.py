@@ -78,7 +78,8 @@ def delta_from_barycenter(divisor: TDivisor, center):
     """``delta_toric`` read off a given barycenter of the section polytope."""
     orders = _vanishing_orders(divisor, center)
     best = max(orders)
-    assert best > 0
+    if best <= 0:
+        raise VerificationError("no positive vanishing order at the barycenter")
     return 1 / best, orders.index(best)
 
 
@@ -229,14 +230,16 @@ def vanishing_order_profile(divisor: TDivisor, ray_index: int) -> VolumeProfile:
         start = ratpoly.evaluate_primitive(c, Q, a)
         pieces.append(ratpoly.trim((vol - head + start, *(-c * v for v in Q[1:]))))
         head += ratpoly.evaluate_primitive(c, Q, b) - start
-    assert head == vol
+    if head != vol:
+        raise VerificationError("n! times the integrated slice areas is not the volume")
     if points[0] > 0:
         points.insert(0, Fraction(0))
         pieces.insert(0, (vol,))
     profile = VolumeProfile(
         dim=variety.dim, total=vol, breakpoints=tuple(points), pieces=tuple(pieces)
     )
-    assert profile.is_continuous()
+    if not profile.is_continuous():
+        raise VerificationError("vanishing-order profile is not continuous")
     return profile
 
 

@@ -107,8 +107,8 @@ class OkounkovBody:
         self.divisor = divisor
         self.flag = flag
         self.polytope = polytope
-        for p in ratgeom.vertex_points(polytope)[1]:
-            assert all(c >= 0 for c in p), "body must lie in the orthant"
+        if any(c < 0 for p in ratgeom.vertex_points(polytope)[1] for c in p):
+            raise ValidationError("body must lie in the orthant")
 
     @classmethod
     def from_polytope(cls, polytope: Polytope) -> "OkounkovBody":

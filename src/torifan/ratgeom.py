@@ -10,9 +10,9 @@ predicate or measure.
 denominators and divides the result by the gcd of its entries.  The row is
 the given pair times a positive rational k, and ``<a, m> + b = k * (<normal,
 m> + offset)`` has the same sign, so the rows cut out exactly the given set.
-Everything below decides on those rows with integers only (Bareiss,
-*Sylvester's identity and multistep integer-preserving Gaussian
-elimination*, 1968):
+Everything below decides on those rows with integers only; the one
+elimination, ``echelon``, is fraction-free (Bareiss, *Sylvester's identity
+and multistep integer-preserving Gaussian elimination*, 1968):
 
 - Vertices.  A nonsingular n-subset of rows, ``A x = -b``, has by Cramer's
   rule the one solution ``x = num / d`` with ``d = det A`` and ``num_j`` the
@@ -29,15 +29,16 @@ elimination*, 1968):
   a ray iff ``A c >= 0`` or ``A c <= 0``, tested with integer dot products.
 - Lineality.  A has rank n iff some n of its rows are independent, that is
   iff some n-subset has ``d != 0``; the vertex scan sees this for free.
-  When the rank k is below n, let P be the pivot columns and j the first
-  column outside P.  k rows independent on P span the row space of A, so
-  their cross product on the columns P + [j], read as a vector that is
-  zero off those columns, lies in the kernel of A; its j entry is
-  ``+-det`` of the rows on P, nonzero, which fixes the line's direction.
-- Rank, incidence and membership.  Scaling points by the lcm ``scale > 0``
-  of their denominators makes them integral and changes neither the rank of
-  their differences nor the sign of ``<a, v> + b``, which becomes
-  ``(<a, scale*v> + b*scale) / scale``.
+  When the rank k is below n, let P be the pivot columns of ``echelon(A)``
+  and j the first column outside P.  Its k nonzero rows span the row space
+  of A, so their cross product on the columns P + [j], read as a vector
+  that is zero off those columns, lies in the kernel of A; its j entry is
+  +-det of the rows on P, triangular with the pivots on its diagonal, so
+  nonzero, which fixes the line's direction.
+- Rank, incidence and membership.  Ranks are read off ``echelon``.
+  Scaling points by the lcm ``scale > 0`` of their denominators makes them
+  integral and changes neither the rank of their differences nor the sign
+  of ``<a, v> + b``, which becomes ``(<a, scale*v> + b*scale) / scale``.
 
 A polytope caches its vertices once, in that integer form: ``vertex_points``
 returns ``(scale, points)`` with ``scale`` the lcm of the vertices'
@@ -46,7 +47,8 @@ positive scale keeps lexicographic order, so ``points`` sorts like the
 Fraction vertices of ``enumerate_vertices``.  A vertex found as ``(num,
 d)`` with ``gcd(d, *num) = 1`` has d as the lcm of its coordinates'
 denominators (``lcm_j(d / gcd(d, num_j)) = d / gcd(d, *num)``), so the lcm
-of the d's is ``scale``.
+of the d's is ``scale``.  The form depends on the vertex set alone, so two
+bounded polytopes are equal iff their forms are (``polytopes_equal``).
 
 Newton-Okounkov bodies (torifan.okounkov) are ``affine_image``s of section
 polytopes, and ``translate`` is the image under the identity matrix.
@@ -111,10 +113,57 @@ class Polytope:
 # exact linear algebra on small integer matrices
 
 
+def echelon(rows, width=None):
+    """``(pivots, m, sign)``: the fraction-free row echelon form m of an
+    integer matrix A (Bareiss), with pivots searched in the first ``width``
+    columns (default all) and ``sign`` the parity of the row swaps.
+
+    The step on column c swaps a row i >= k with m_ic != 0 into the next
+    pivot row k (none: c is skipped), then sets m_ic = 0 and m_ij to
+    (p m_ij - m_ic m_kj) / prev for i > k, j > c, with p = m_kc and prev
+    the previous pivot (1 at first).  With A' the swapped A, pivot columns
+    c_0..c_k and M_k(i, j) the minor of A' on rows 0..k, i and columns
+    c_0..c_k, j, inductively m_ij = M_k(i, j) after step k, and the pivot
+    m_kc = D_k is the leading minor.  Sylvester's identity D_(k-1) M_k(i, j)
+    = D_k M_(k-1)(i, j) - M_(k-1)(i, c) M_(k-1)(k, j) makes each division
+    exact.  The steps are invertible row operations, and below k pivots the
+    columns before c vanish; so c is a pivot iff column c is independent of
+    those before it, m has A's row space and is zero from row len(pivots)
+    on in the searched columns, and det A = sign * m[-1][-1] at full rank.
+    """
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    sign = prev = 1
+    k = 0
+    for col in range(ncols if width is None else width):
+        if k == len(m):
+            break
+        if m[k][col] == 0:
+            for i in range(k + 1, len(m)):
+                if m[i][col]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                continue
+        top = m[k]
+        p = top[col]
+        cols = range(col + 1, ncols)
+        for row in m[k + 1 :]:
+            f = row[col]
+            row[col] = 0
+            for j in cols:
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+        pivots.append(col)
+        k += 1
+    return pivots, m, sign
+
+
 def int_det(rows) -> int:
     """Determinant of a square integer matrix: cofactor expansion up to
-    3x3, fraction-free Bareiss above.  The 0x0 determinant is 1, the empty
-    product."""
+    3x3, ``echelon`` above.  The 0x0 determinant is 1, the empty product."""
     n = len(rows)
     if n < 2:
         return rows[0][0] if n else 1
@@ -123,58 +172,13 @@ def int_det(rows) -> int:
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def _pivot_columns(rows):
-    """Pivot columns of an integer matrix, by fraction-free elimination.
-
-    Column c is a pivot iff it is independent of the columns before it.
-    Each division by the previous pivot is exact (Bareiss), as every entry
-    left below the pivots is a minor of the input.
-    """
-    m = [list(r) for r in rows]
-    pivots = []
-    prev = 1
-    for col in range(len(m[0]) if m else 0):
-        k = len(pivots)
-        p = next((i for i in range(k, len(m)) if m[i][col]), None)
-        if p is None:
-            continue
-        m[k], m[p] = m[p], m[k]
-        top = m[k]
-        pivot = top[col]
-        for row in m[k + 1 :]:
-            f = row[col]
-            for j in range(col + 1, len(row)):
-                row[j] = (row[j] * pivot - f * top[j]) // prev
-        prev = pivot
-        pivots.append(col)
-        if len(pivots) == len(m):
-            break
-    return pivots
+    pivots, m, sign = echelon(rows)
+    return sign * m[-1][-1] if len(pivots) == n else 0
 
 
 def int_rank(rows) -> int:
     """Rank of an integer matrix."""
-    return len(_pivot_columns(rows))
+    return len(echelon(rows)[0])
 
 
 def _affine_rank(int_points):
@@ -254,17 +258,14 @@ def _recession_ray(rows, n):
 def _line(rows, n):
     """A direction of the kernel of A, for rows of rank k < n.
 
-    The cross product of k rows independent on the pivot columns P, taken
-    on P + [j] with j the first other column, with coordinate j positive.
+    The cross product of the k nonzero ``echelon`` rows of A, taken on the
+    pivot columns P + [j] with j the first other column, with coordinate j
+    positive.
     """
-    a_rows = [r[0] for r in rows]
-    pivot_cols = _pivot_columns(a_rows)
+    pivot_cols, m, _ = echelon([r[0] for r in rows])
     j = next(c for c in range(n) if c not in pivot_cols)
-    # the pivot columns of the transpose of A on P are k independent rows
-    on_pivots = [[row[c] for c in pivot_cols] for row in a_rows]
-    independent = _pivot_columns(list(zip(*on_pivots)))
     cols = pivot_cols + [j]
-    c = _cross([tuple(a_rows[i][k] for k in cols) for i in independent], len(cols))
+    c = _cross([tuple(row[k] for k in cols) for row in m[: len(pivot_cols)]], len(cols))
     if c[-1] < 0:
         c = [-x for x in c]
     direction = [0] * n
@@ -280,7 +281,7 @@ def _feasible(rows, n) -> bool:
     range of A, so feasibility can be decided on the pivot columns alone,
     where the recession cone is pointed and candidate scanning is complete.
     """
-    pivot_cols = _pivot_columns([r[0] for r in rows])
+    pivot_cols = echelon([r[0] for r in rows])[0]
     if not pivot_cols:
         return all(r[1] >= 0 for r in rows)
     reduced = [(tuple(row[0][c] for c in pivot_cols), row[1]) for row in rows]
@@ -351,20 +352,20 @@ def is_full_dimensional(poly: Polytope) -> bool:
     return poly._full
 
 
-def _vertices_inside(p: Polytope, q: Polytope) -> bool:
-    scale, points = vertex_points(p)
-    return all(
-        sum(map(mul, a, v)) + b * scale >= 0
-        for a, b in q.rows
-        for v in points
-    )
-
-
 def polytopes_equal(p: Polytope, q: Polytope) -> bool:
-    """Set equality via mutual vertex containment."""
+    """Set equality of bounded polytopes: equal ``vertex_points``.
+
+    A bounded polytope is the hull of its vertices, and ``vertex_points``
+    depends on the vertex set alone: its points are sorted and distinct, and
+    its scale is the least s > 0 that makes them integral.  That is the lcm
+    of the vertex denominators in ``_enumerate``; ``fill_vertices`` (hence
+    ``affine_image``) leaves it by dividing by gcd(scale, coordinates), as a
+    valid scale is t times the least one, and t divides it and every
+    coordinate.  Raises UnboundedPolytope when either side is unbounded.
+    """
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return _vertices_inside(p, q) and _vertices_inside(q, p)
+    return vertex_points(p) == vertex_points(q)
 
 
 # ---------------------------------------------------------------------------

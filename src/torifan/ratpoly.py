@@ -36,6 +36,8 @@ from functools import cached_property
 from itertools import pairwise, zip_longest
 from math import gcd, lcm
 
+from torifan.errors import VerificationError
+
 ZERO = (Fraction(0),)
 
 
@@ -205,7 +207,8 @@ def _divide(P, G):
         f = quot[shift] = r[shift + len(G) - 1] // G[-1]
         for i, b in enumerate(G):
             r[shift + i] -= f * b
-    assert not any(r)
+    if any(r):
+        raise VerificationError("polynomial division left a remainder")
     return tuple(quot)
 
 

@@ -6,13 +6,13 @@ cone) lies in exactly two maximal cones that sit on opposite sides of it, and
 the cone-adjacency graph is connected.
 
 One walk over the wall graph certifies smoothness and inverts every cone
-(``_walk``).  Cone 0 is inverted by fraction-free elimination
-(``_unimodular_inverse``); every other cone is reached across a wall that
-lies in exactly two cones.  Let cone a, already certified unimodular, have
-rays u_i with dual basis m_i (the columns of its inverse, <u_j, m_i> =
-delta_ij), and let the wall drop its ray u_p (p = opp_a) while cone b adds
-u_q (q = opp_b).  One vector-matrix product gives the coordinates
-x_i = <u_q, m_i> of u_q = sum_i x_i u_i; write c = x_p.
+(``_walk``).  Cone 0 is inverted by ``ratgeom.echelon`` and back
+substitution (``_unimodular_inverse``); every other cone is reached across
+a wall that lies in exactly two cones.  Let cone a, already certified
+unimodular, have rays u_i with dual basis m_i (the columns of its inverse,
+<u_j, m_i> = delta_ij), and let the wall drop its ray u_p (p = opp_a) while
+cone b adds u_q (q = opp_b).  One vector-matrix product gives the
+coordinates x_i = <u_q, m_i> of u_q = sum_i x_i u_i; write c = x_p.
 
 - Determinant.  Cone b's ray matrix is cone a's with u_p replaced by u_q,
   up to the order of the rows.  The determinant is linear in that row, and
@@ -298,43 +298,28 @@ def _check_cones(variety):
 def _unimodular_inverse(rows, ci):
     """Integer inverse of cone ``ci``'s ray matrix R, certified unimodular.
 
-    Fraction-free Gauss-Jordan elimination of A = [R | I] (Bareiss, 1968):
-    step k swaps a row with A_ik != 0 into row k, keeps it, and replaces
-    every other row A_i by (p A_i - A_ik A_k) / prev, where p = A_kk and
-    prev is the previous step's p (1 before step 0).
-
-    Every division is exact.  Let E be what ordinary Gauss-Jordan
-    elimination reaches after step k and d_k the leading (k+1)-minor of the
-    row-swapped A.  Inductively A = d_k E: the ordinary step
-    E'_ij = E_ij - E_ik E_kj / E_kk with d_k = d_(k-1) E_kk turns d_k E'
-    into the update above and keeps row k.  And d_k E_ij is a minor of the
-    row-swapped A, by Cramer's rule for i <= k and by the Schur complement
-    for i > k, so it is an integer.
-
-    With no pivot in column k, the row operations so far (an invertible M)
-    leave M R with k + 1 leading columns of rank k, so R is singular:
-    NotSimplicial.  Otherwise A ends as [d I | d R^-1], d = +-det R; then
-    |d| != 1 is NotSmooth, and for d = +-1 the inverse is d times the
-    right block.
+    ``ratgeom.echelon`` of [R | I], pivots searched in the first n columns,
+    is [U | L] = M [R | I] with U triangular, so U = L R.  Fewer than n
+    pivots is NotSimplicial.  The last pivot is +-det R, NotSmooth unless
+    +-1; then back substitution solves U X = L for X = R^-1, integral, so
+    every division by a pivot is exact.
     """
     n = len(rows)
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot is None:
-            raise NotSimplicial(f"cone {ci} has linearly dependent rays")
-        a[k], a[pivot] = a[pivot], a[k]
-        top = a[k]
-        p = top[k]
-        for i, row in enumerate(a):
-            if i != k:
-                f = row[k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        prev = p
-    if abs(prev) != 1:
-        raise NotSmooth(f"cone {ci} with rays {list(rows)} has |det| = {abs(prev)}")
-    return tuple(tuple(prev * x for x in row[n:]) for row in a)
+    pivots, m, _ = ratgeom.echelon(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)], n
+    )
+    if len(pivots) < n:
+        raise NotSimplicial(f"cone {ci} has linearly dependent rays")
+    det = m[-1][n - 1]
+    if abs(det) != 1:
+        raise NotSmooth(f"cone {ci} with rays {list(rows)} has |det| = {abs(det)}")
+    inverse = [None] * n
+    for i in range(n - 1, -1, -1):
+        x = m[i][n:]
+        for j in range(i + 1, n):
+            x = [a - m[i][j] * b for a, b in zip(x, inverse[j])]
+        inverse[i] = tuple(a // m[i][i] for a in x)
+    return tuple(inverse)
 
 
 def _walk(variety):

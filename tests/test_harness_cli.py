@@ -158,6 +158,18 @@ def test_blowup_command_requires_ample():
         harness.blowup_command(f1, 0, f1.divisor([0, 0, 0, 1]))
 
 
+def test_a_wrong_volume_is_a_verification_failure(tmp_path, capsys, monkeypatch):
+    """The vanishing-order profile's exact checks raise VerificationError, not
+    an assertion that ``python -O`` would drop: blowup exits 1 and names it."""
+    fan = write_fan(tmp_path, catalog.projective_space(2))
+    real = toric.TDivisor.vol
+    monkeypatch.setattr(toric.TDivisor, "vol", lambda self: real(self) + 1)
+    assert cli.main(["blowup", fan, "--cone", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("verification failure: ")
+
+
 def test_okounkov_command_report():
     f1 = catalog.hirzebruch_one()
     report = harness.okounkov_command(

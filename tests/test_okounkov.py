@@ -436,5 +436,5 @@ def test_bodies_must_sit_in_the_orthant():
             ((F(0), F(-1)), F(1)),
         ),
     )
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValidationError, match="body must lie in the orthant"):
         okounkov.OkounkovBody.from_polytope(square)

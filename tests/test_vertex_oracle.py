@@ -8,6 +8,7 @@ positively proportional directions.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 from operator import mul
 
@@ -15,10 +16,16 @@ import pytest
 from test_invariants import seeded_class
 from test_ratgeom import box, random_polytope, simplex
 from test_score_oracle import seeded_classes
-from vertex_oracle import fraction_vertices, matrix_rank
+from vertex_oracle import (
+    det,
+    fraction_vertices,
+    matrix_rank,
+    pivot_columns,
+    solve_square,
+)
 
-from torifan import catalog, ratgeom
-from torifan.errors import UnboundedPolytope
+from torifan import catalog, ratgeom, toric
+from torifan.errors import NotSimplicial, NotSmooth, UnboundedPolytope
 from torifan.ratgeom import Polytope
 
 
@@ -165,29 +172,161 @@ def test_unbounded_sets_raise_like_the_oracle(n, halfspaces):
     assert isinstance(assert_matches_oracle(poly), UnboundedPolytope)
 
 
+def seeded_matrix(rng, rows, cols):
+    """A seeded integer matrix; half of them are a product through an inner
+    dimension below min(rows, cols), so of deficient rank."""
+    if rng.random() < 0.5:
+        inner = rng.randint(0, max(0, min(rows, cols) - 1))
+        left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)]
+        return [
+            [sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+            if inner
+            else [0] * cols
+            for row in left
+        ]
+    return [[rng.choice((0, 0, 1, -1, 2, -5, 7)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
 def test_int_rank_matches_matrix_rank():
     rng = random.Random(20261021)
     deficient = 0
     for _ in range(100):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        if rng.random() < 0.5:
-            # a product through an inner dimension below min(rows, cols)
-            inner = rng.randint(0, max(0, min(rows, cols) - 1))
-            left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
-            right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)]
-            m = [
-                [sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
-                if inner
-                else [0] * cols
-                for row in left
-            ]
-        else:
-            m = [[rng.choice((0, 0, 1, -1, 2, -5, 7)) for _ in range(cols)]
-                 for _ in range(rows)]
+        m = seeded_matrix(rng, rows, cols)
         rank = matrix_rank(m)
         deficient += rank < min(rows, cols)
         assert ratgeom.int_rank(m) == rank
     assert deficient >= 30
+
+
+def test_echelon_matches_the_oracle():
+    """Pivot columns, echelon shape, row space and, for square matrices,
+    ``sign * m[-1][-1]`` against the Fraction determinant."""
+    rng = random.Random(20261023)
+    kinds = Counter()
+    for _ in range(300):
+        rows = rng.randint(1, 7)
+        cols = rows if rng.random() < 0.5 else rng.randint(1, 7)
+        a = seeded_matrix(rng, rows, cols)
+        pivots, m, sign = ratgeom.echelon(a)
+        assert pivots == pivot_columns(a)
+        for k, c in enumerate(pivots):
+            assert m[k][c] and not any(m[k][:c])
+            assert all(row[c] == 0 for row in m[k + 1 :])
+        assert not any(x for row in m[len(pivots) :] for x in row)
+        assert matrix_rank(a + m) == len(pivots)  # the same row space
+        # pivots are searched in the first width columns only
+        identity = [[int(i == j) for j in range(rows)] for i in range(rows)]
+        wide = [row + e for row, e in zip(a, identity)]
+        assert ratgeom.echelon(wide, cols)[0] == pivots
+        if rows == cols:
+            d = det(a)
+            assert (len(pivots) == rows) == (d != 0)
+            if d:
+                assert sign * m[-1][-1] == d
+            assert ratgeom.int_det(a) == d
+            kinds["singular" if d == 0 else "square"] += 1
+        else:
+            kinds["rectangular"] += 1
+    assert min(kinds.values()) >= 40, kinds
+
+
+def fraction_inverse(m):
+    """The inverse by Fraction elimination, one unit vector at a time."""
+    n = len(m)
+    cols = [solve_square(m, [int(i == j) for i in range(n)]) for j in range(n)]
+    return tuple(zip(*cols))
+
+
+def test_unimodular_inverse_matches_the_fraction_inverse():
+    rng = random.Random(20261024)
+    for n in range(2, 8):
+        for _ in range(10):
+            m, inv = unimodular_pair(rng, n)
+            got = toric._unimodular_inverse(m, 3)
+            assert got == fraction_inverse(m)
+            assert [list(row) for row in got] == inv
+            doubled = [[2 * x for x in m[0]]] + m[1:]
+            with pytest.raises(NotSmooth, match=r"^cone 3 with rays .* \|det\| = 2$"):
+                toric._unimodular_inverse(doubled, 3)
+            repeated = m[:-1] + [m[0]]
+            with pytest.raises(NotSimplicial, match="^cone 3 has linearly dependent"):
+                toric._unimodular_inverse(repeated, 3)
+
+
+def test_lines_of_rank_two_and_more_match_the_oracle():
+    """Normals spanning a seeded subspace of dimension k, 2 <= k < n, with
+    offsets that keep the origin feasible: the line must be a positive
+    multiple of the oracle's and in the kernel of every row.  Dense rows
+    leave nonzero entries below the pivots, which ``echelon`` zeroes."""
+    rng = random.Random(20261025)
+    ranks = Counter()
+    for n in (3, 4):
+        for _ in range(60):
+            k = rng.randint(2, n - 1)
+            basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            normals = []
+            for _ in range(rng.randint(k, k + 3)):
+                coeffs = [rng.randint(-2, 2) for _ in basis]
+                a = [sum(map(mul, coeffs, col)) for col in zip(*basis)]
+                if any(a):
+                    normals.append(a)
+            if matrix_rank(normals) != k:
+                continue
+            poly = Polytope(n, [(a, rng.randint(0, 4)) for a in normals])
+            assert isinstance(assert_matches_oracle(poly), UnboundedPolytope)
+            line = outcome(ratgeom.enumerate_vertices, poly).direction
+            assert all(sum(map(mul, a, line)) == 0 for a, _ in poly.rows)
+            ranks[n, k] += 1
+    assert min(ranks.values()) >= 15 and len(ranks) == 3, ranks
+
+
+def contained(p, q, memo):
+    """Whether every Fraction vertex of p satisfies every row of q; ``memo``
+    keeps the oracle's vertices by rows."""
+    if p.rows not in memo:
+        memo[p.rows] = fraction_vertices(p)
+    return all(sum(map(mul, a, v)) + b >= 0 for v in memo[p.rows] for a, b in q.rows)
+
+
+def test_polytopes_equal_matches_mutual_containment():
+    """``polytopes_equal`` compares canonical vertex forms; mutual containment
+    of the oracle's vertices must agree, on reordered rows, truncations,
+    translate round trips through the vertex cache and unrelated pairs.
+    Unbounded inputs raise on either side."""
+    rng = random.Random(20261026)
+    verdicts = Counter()
+    for n, count in ((2, 50), (3, 24), (4, 2)):
+        for _ in range(count):
+            p = random_polytope(rng, n)
+            rows = list(p.rows)
+            rng.shuffle(rows)
+            axis = rng.randrange(n)
+            cut = F(rng.randint(-6, 6), rng.randint(1, 4))
+            shift = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+            memo = {}
+            ratgeom.vertex_points(p)  # the round trip carries the cache
+            back = ratgeom.translate(ratgeom.translate(p, shift), [-x for x in shift])
+            for q in (
+                Polytope(n, rows),
+                ratgeom.truncate(p, axis, lo=cut),
+                ratgeom.truncate(p, axis, hi=cut),
+                back,
+                random_polytope(rng, n),
+            ):
+                want = contained(p, q, memo) and contained(q, p, memo)
+                assert ratgeom.polytopes_equal(p, q) == want
+                assert ratgeom.polytopes_equal(fresh(q), fresh(p)) == want
+                verdicts[want] += 1
+            kept = Polytope(n, [h for h in rows if rng.random() < 0.5])
+            if isinstance(outcome(fraction_vertices, kept), UnboundedPolytope):
+                for pair in ((p, kept), (kept, p)):
+                    with pytest.raises(UnboundedPolytope):
+                        ratgeom.polytopes_equal(*pair)
+                verdicts["unbounded"] += 1
+    assert min(verdicts.values()) >= 20, verdicts
 
 
 def test_bounded_enumeration_does_no_fraction_linear_algebra():

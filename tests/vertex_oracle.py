@@ -5,8 +5,10 @@ feasibility on the rational point, proves boundedness with a Fraction
 nullspace per (n-1)-subset and detects lineality with a nullspace up front.
 It shares with ``ratgeom.enumerate_vertices`` only the primitive integer
 rows ``Polytope.rows``, so agreement checks Cramer's rule, the integer sign
-tests, the generalized cross products and the rank-n test.  ``det`` is the
-Fraction determinant that ``ratgeom.int_det`` is checked against.
+tests, the generalized cross products and the rank-n test.  ``det``,
+``pivot_columns`` and ``solve_square`` are the Fraction eliminations that
+``ratgeom.echelon``, ``ratgeom.int_det`` and ``toric._unimodular_inverse``
+are checked against.
 """
 
 from fractions import Fraction
@@ -74,9 +76,14 @@ def _echelon(m, ncols):
     return pivots
 
 
-def matrix_rank(rows) -> int:
+def pivot_columns(rows):
+    """Columns independent of the columns before them."""
     m = [[Fraction(x) for x in row] for row in rows]
-    return len(_echelon(m, len(m[0]))) if m else 0
+    return _echelon(m, len(m[0])) if m else []
+
+
+def matrix_rank(rows) -> int:
+    return len(pivot_columns(rows))
 
 
 def nullspace(rows, ncols):
