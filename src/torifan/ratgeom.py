@@ -34,7 +34,9 @@ and multistep integer-preserving Gaussian elimination*, 1968):
   of A, so their cross product on the columns P + [j], read as a vector
   that is zero off those columns, lies in the kernel of A; its j entry is
   +-det of the rows on P, triangular with the pivots on its diagonal, so
-  nonzero, which fixes the line's direction.
+  nonzero, which fixes the line's direction.  Divided by its gcd, the
+  vector is the primitive one of that direction, whatever rows the
+  elimination left.
 - Rank, incidence and membership.  Ranks are read off ``echelon``.
   Scaling points by the lcm ``scale > 0`` of their denominators makes them
   integral and changes neither the rank of their differences nor the sign
@@ -113,10 +115,9 @@ class Polytope:
 # exact linear algebra on small integer matrices
 
 
-def echelon(rows, width=None):
+def echelon(rows):
     """``(pivots, m, sign)``: the fraction-free row echelon form m of an
-    integer matrix A (Bareiss), with pivots searched in the first ``width``
-    columns (default all) and ``sign`` the parity of the row swaps.
+    integer matrix A (Bareiss), with ``sign`` the parity of the row swaps.
 
     The step on column c swaps a row i >= k with m_ic != 0 into the next
     pivot row k (none: c is skipped), then sets m_ic = 0 and m_ij to
@@ -129,14 +130,14 @@ def echelon(rows, width=None):
     exact.  The steps are invertible row operations, and below k pivots the
     columns before c vanish; so c is a pivot iff column c is independent of
     those before it, m has A's row space and is zero from row len(pivots)
-    on in the searched columns, and det A = sign * m[-1][-1] at full rank.
+    on, and det A = sign * m[-1][-1] at full rank.
     """
     m = [list(r) for r in rows]
     ncols = len(m[0]) if m else 0
     pivots = []
     sign = prev = 1
     k = 0
-    for col in range(ncols if width is None else width):
+    for col in range(ncols):
         if k == len(m):
             break
         if m[k][col] == 0:
@@ -259,15 +260,16 @@ def _line(rows, n):
     """A direction of the kernel of A, for rows of rank k < n.
 
     The cross product of the k nonzero ``echelon`` rows of A, taken on the
-    pivot columns P + [j] with j the first other column, with coordinate j
-    positive.
+    pivot columns P + [j] with j the first other column, divided by the gcd
+    of its entries and with coordinate j positive, so that the direction
+    depends on the set alone.
     """
     pivot_cols, m, _ = echelon([r[0] for r in rows])
     j = next(c for c in range(n) if c not in pivot_cols)
     cols = pivot_cols + [j]
     c = _cross([tuple(row[k] for k in cols) for row in m[: len(pivot_cols)]], len(cols))
-    if c[-1] < 0:
-        c = [-x for x in c]
+    g = gcd(*c) if c[-1] > 0 else -gcd(*c)
+    c = [x // g for x in c]
     direction = [0] * n
     for col, x in zip(cols, c):
         direction[col] = x

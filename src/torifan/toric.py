@@ -298,19 +298,21 @@ def _check_cones(variety):
 def _unimodular_inverse(rows, ci):
     """Integer inverse of cone ``ci``'s ray matrix R, certified unimodular.
 
-    ``ratgeom.echelon`` of [R | I], pivots searched in the first n columns,
-    is [U | L] = M [R | I] with U triangular, so U = L R.  Fewer than n
-    pivots is NotSimplicial.  The last pivot is +-det R, NotSmooth unless
-    +-1; then back substitution solves U X = L for X = R^-1, integral, so
-    every division by a pivot is exact.
+    ``ratgeom.echelon`` of [R | I] is [U | L] = M [R | I] with M invertible,
+    so U = L R.  If R is nonsingular, its n columns are the n pivots and the
+    last one is U_(n-1)(n-1) = +-det R.  If not, the rows from rank R on are
+    zero in the R block when the elimination leaves it, and later pivots
+    only change columns past it, so U_(n-1)(n-1) = 0.  Hence 0 is
+    NotSimplicial and any other value but +-1 NotSmooth; then back
+    substitution solves U X = L for X = R^-1, integral, so every division
+    by a pivot is exact.
     """
     n = len(rows)
-    pivots, m, _ = ratgeom.echelon(
-        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)], n
-    )
-    if len(pivots) < n:
-        raise NotSimplicial(f"cone {ci} has linearly dependent rays")
+    wide = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    m = ratgeom.echelon(wide)[1]
     det = m[-1][n - 1]
+    if not det:
+        raise NotSimplicial(f"cone {ci} has linearly dependent rays")
     if abs(det) != 1:
         raise NotSmooth(f"cone {ci} with rays {list(rows)} has |det| = {abs(det)}")
     inverse = [None] * n
