@@ -3,9 +3,9 @@
 ``build_skeleton`` gathers a variety's integer tables once per variety
 object; the cache holds the variety weakly, so it keeps none alive.  The
 wall rows are the distinct ``wall_rows`` of the variety, one per curve
-class (reduction 5), and the vertex maps its own ``cone_inverses``, which
-send c to the reflected cone vertices -m_sigma; the skeleton adds the
-triangulation.
+class (reduction 5), and the vertex maps its own ``cone_inverses``, from
+which ``toric.cone_points`` reads the cone vertices m_sigma; the skeleton
+adds the triangulation.
 ``_evaluate`` reads every invariant of one ample class off them, and it is
 the one evaluator of ample classes: ``run_sweep`` scores grid samples with
 it, and torifan.invariants.score scores any ample Q-divisor with it by the
@@ -206,7 +206,6 @@ def build_skeleton(variety) -> MappingProxyType:
         "walls": walls,
         "wall_k": tuple(map(sum, walls)),
         "cone_indices": cones,
-        # R_sigma^-1 (c on sigma's rays) = -m_sigma, m_sigma the cone vertex
         "cone_inverses": variety.cone_inverses,
         "simplices": tuple(pulling_triangulation(range(len(cones)), facets)),
     })
@@ -224,11 +223,7 @@ def _evaluate(skel, c):
     exceeds the simplex bound, or when the score exceeds (n+1)^n.
     """
     n = skel["dim"]
-    # the reflected vertices -m_sigma keep vol and negate the barycenter
-    verts = []
-    for idx, inv in zip(skel["cone_indices"], skel["cone_inverses"]):
-        coeffs = [c[i] for i in idx]
-        verts.append([sum(map(mul, row, coeffs)) for row in inv])
+    verts = toric.cone_points(skel["cone_indices"], skel["cone_inverses"], c)
     vol, bary_num = simplex_sums(verts, skel["simplices"], n)
     if vol <= 0:
         raise VerificationError(
@@ -236,10 +231,8 @@ def _evaluate(skel, c):
         )
 
     # t_rho = (n+1) * vol * S(D_rho); the delta bound is vol^(n+1) <= t_max^n
-    t = [
-        (n + 1) * vol * x - sum(map(mul, bary_num, u))
-        for u, x in zip(skel["rays"], c)
-    ]
+    nvol = (n + 1) * vol
+    t = [nvol * x + sum(map(mul, bary_num, u)) for u, x in zip(skel["rays"], c)]
     t_max = max(t)
     if vol ** (n + 1) > t_max**n:
         raise VerificationError(
@@ -251,7 +244,7 @@ def _evaluate(skel, c):
         s = sum(map(mul, row, c))
         if eps is None or k * eps[1] < eps[0] * s:
             eps = (k, s)
-    delta = ((n + 1) * vol, t_max)
+    delta = (nvol, t_max)
     beta_n, beta_d = _beta(eps, delta)
     lhs = beta_n**n * vol
     rhs = (n + 1) ** n * beta_d**n

@@ -224,9 +224,8 @@ def vanishing_order_profile(divisor: TDivisor, ray_index: int) -> VolumeProfile:
     n_fact, vol = factorial(variety.dim), divisor.vol()
     points, pieces = list(slices.breakpoints), []
     head = Fraction(0)  # n! int A from b_0 to b_i
-    for (a, b), (c, P) in zip(pairwise(points), slices.integer_pieces):
-        # n! int_0^x A = c * Q(x), with Q integral because deg P < n
-        Q = (0, *(v * (n_fact // (j + 1)) for j, v in enumerate(P)))
+    for (a, b), (c, Q) in zip(pairwise(points), slices.primitives):
+        c *= n_fact  # n! int_0^x A = c * Q(x)
         start = ratpoly.evaluate_primitive(c, Q, a)
         pieces.append(ratpoly.trim((vol - head + start, *(-c * v for v in Q[1:]))))
         head += ratpoly.evaluate_primitive(c, Q, b) - start

@@ -433,14 +433,13 @@ def _pull(face, facets, memo):
     return out
 
 
-def _pulling(poly: Polytope, first=0):
-    """``(scale, points, simplices)``: ``vertex_points`` with the point at
-    index ``first`` moved to the front, and their pulling triangulation as
-    index tuples into those points, empty when not full-dimensional."""
+def _pulling(poly: Polytope):
+    """``(scale, points, simplices)``: ``vertex_points`` and their pulling
+    triangulation as index tuples into those points, empty when not
+    full-dimensional."""
     scale, points = vertex_points(poly)
     if not is_full_dimensional(poly):
         return scale, points, []
-    points = (points[first],) + points[:first] + points[first + 1 :]
     tight = [
         [i for i, v in enumerate(points) if sum(map(mul, a, v)) + b * scale == 0]
         for a, b in poly.rows
@@ -448,25 +447,16 @@ def _pulling(poly: Polytope, first=0):
     return scale, points, pulling_triangulation(range(len(points)), tight)
 
 
-def fan_triangulation(poly: Polytope, base=None):
-    """Triangulate a full-dimensional polytope by pulling, first from ``base``.
+def fan_triangulation(poly: Polytope):
+    """Triangulate a full-dimensional polytope by pulling.
 
-    ``base`` defaults to the lexicographically least vertex; every other
-    face is pulled from its least vertex in that order, with ``base``
-    counted first.  Returns a list of simplices, each a tuple of
-    ambient_dim + 1 vertices.  The result is empty when the polytope is not
-    full-dimensional.
+    Every face is pulled from its lexicographically least vertex, so every
+    simplex holds the least vertex of the polytope.  Returns a list of
+    simplices, each a tuple of ambient_dim + 1 vertices.  The result is
+    empty when the polytope is not full-dimensional.
     """
     verts = enumerate_vertices(poly)
-    first = 0
-    if base is not None:
-        base = tuple(map(Fraction, base))
-        if base not in verts:
-            raise ValueError("base point is not a vertex")
-        first = verts.index(base)
-    order = (verts[first],) + verts[:first] + verts[first + 1 :]
-    _, _, simplices = _pulling(poly, first)
-    return [tuple(order[i] for i in s) for s in simplices]
+    return [tuple(verts[i] for i in s) for s in _pulling(poly)[2]]
 
 
 def simplex_det(points, simplex) -> int:

@@ -1,8 +1,9 @@
 """Exact univariate polynomials over Q, and piecewise polynomials of them.
 
 A polynomial is a tuple of Fractions, lowest degree first.
-Antiderivatives integrate slice areas into volume profiles, and Sturm
-sequences certify sign conditions on intervals without floating point.
+``Piecewise.primitives``, one integer antiderivative per piece, integrates
+slice areas into volume profiles, and Sturm sequences certify sign
+conditions on intervals without floating point.
 :class:`Piecewise` evaluates, integrates, certifies and samples both of
 those profiles.  Values and signs are computed on integers: ``primitive``
 writes p = c * P with c > 0 rational and P coprime integers.
@@ -34,7 +35,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import pairwise, zip_longest
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from torifan.errors import VerificationError
 
@@ -113,17 +114,6 @@ def scale(p, c):
 
 def derivative(p):
     return tuple(c * i for i, c in enumerate(p) if i) or ZERO
-
-
-def antiderivative(p):
-    """The antiderivative of p that vanishes at 0."""
-    return trim(ZERO + tuple(_frac(c) / (i + 1) for i, c in enumerate(p)))
-
-
-def integrate(p, a, b) -> Fraction:
-    """Definite integral over [a, b]."""
-    anti = antiderivative(p)
-    return evaluate(anti, b) - evaluate(anti, a)
 
 
 def interpolate(points):
@@ -302,6 +292,18 @@ class Piecewise:
         """``primitive(p)`` per piece, built once per profile."""
         return tuple(primitive(p) for p in self.pieces)
 
+    @cached_property
+    def primitives(self):
+        """``(c / k!, Q)`` per piece ``(c, P)`` of ``integer_pieces``,
+        k = len(P): c / k! * Q is the antiderivative of the piece vanishing
+        at 0, as Q(0) = 0 and Q' = k! P.  Q is integral, as k!/(j+1) is an
+        integer for j < k."""
+        out = []
+        for c, P in self.integer_pieces:
+            kf = factorial(len(P))
+            out.append((c / kf, (0, *(v * (kf // (j + 1)) for j, v in enumerate(P)))))
+        return tuple(out)
+
     def values_at(self, nums, den):
         """(numerator, denominator) of the covering piece at each n/den, or
         (0, 1) off the support; den clears every breakpoint's denominator."""
@@ -323,8 +325,11 @@ class Piecewise:
     def integral(self, hi=None) -> Fraction:
         """Integral from the first breakpoint up to hi (default: the end)."""
         hi = self.breakpoints[-1] if hi is None else _frac(hi)
-        spans = zip(pairwise(self.breakpoints), self.pieces)
-        parts = (integrate(p, a, min(b, hi)) for (a, b), p in spans if a < hi)
+        parts = (
+            evaluate_primitive(c, Q, min(b, hi)) - evaluate_primitive(c, Q, a)
+            for (a, b), (c, Q) in zip(pairwise(self.breakpoints), self.primitives)
+            if a < hi
+        )
         return sum(parts, Fraction(0))
 
     def all_nonnegative(self, transform=None) -> bool:

@@ -12,8 +12,8 @@ torifan.sweep.build_skeleton):
     also decide nef/ample), one per curve class: walls with equal rows
     give equal values on every class, so P^n keeps one row for its
     n(n+1)/2 walls (torifan._sweep_pure, reduction 5),
-  - vertex maps: the variety's own ``ToricVariety.cone_inverses``, which
-    map the cone's coefficients to the reflected cone vertex -m_sigma,
+  - vertex maps: the variety's own ``ToricVariety.cone_inverses``, from
+    which ``toric.cone_points`` reads each cone vertex m_sigma,
   - a pulling triangulation of the section polytope, stored as tuples of
     cone indices.  For every ample D, P_D has a vertex m_sigma per maximal
     cone and a facet per ray, whose vertices are the cones containing that

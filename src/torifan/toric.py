@@ -80,6 +80,17 @@ class Wall:
     relation: tuple
 
 
+def cone_points(cones, inverses, c):
+    """Per cone sigma, m_sigma = -inv_sigma c_sigma as a list: the integer m
+    with <m, u_rho> = -c_rho on the rays of sigma, for integer coefficients
+    c and ``inverses`` the inverses of the cones' ray matrices."""
+    points = []
+    for cone, inv in zip(cones, inverses):
+        coeffs = [-c[i] for i in cone]
+        points.append([sum(map(mul, row, coeffs)) for row in inv])
+    return points
+
+
 class ToricVariety:
     """Validated smooth complete fan with divisor and wall machinery."""
 
@@ -134,19 +145,11 @@ class ToricVariety:
         lam, c = scale_to_integers(coeffs)
         return lam, [sum(map(mul, row, c)) for row in self.wall_rows]
 
-    def _cone_point(self, cone_index, c):
-        """-inv_sigma c_sigma: the integer m with <m, u_rho> = -c_rho on the
-        rays of cone sigma, for integer coefficients c."""
-        cone = self.max_cones[cone_index]
-        return tuple(
-            -sum(x * c[i] for x, i in zip(row, cone))
-            for row in self.cone_inverses[cone_index]
-        )
-
     def nef_vertex_points(self, coeffs):
         """``(lam, points)``: the set of cone points m_sigma of a nef class
-        times lam (``scale_to_integers``).  They are exactly the vertices
-        of its section polytope P_D = {m : <m, u_rho> >= -a_rho}.
+        times lam (``scale_to_integers``), as ``cone_points`` computes them.
+        They are exactly the vertices of its section polytope
+        P_D = {m : <m, u_rho> >= -a_rho}.
 
         Proof.  Each m_sigma lies in P_D: that is the nef condition
         (Cox-Little-Schenck, *Toric Varieties*, 2011, Theorems 6.1.7 and
@@ -166,7 +169,7 @@ class ToricVariety:
         exactly the vertices of P_D, whether D is big or not.
         """
         lam, c = scale_to_integers(coeffs)
-        return lam, {self._cone_point(k, c) for k in range(len(self.max_cones))}
+        return lam, set(map(tuple, cone_points(self.max_cones, self.cone_inverses, c)))
 
     def fixed_points(self):
         """Indices of maximal cones, one torus-fixed point each."""

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 import pytest
 from test_score_oracle import ample_class, principal_shift
 from test_toric import _relabelled
-from vertex_oracle import fraction_vertices, matrix_rank
+from vertex_oracle import fraction_vertices, matrix_rank, solve_square
 
 from torifan import catalog, invariants, ratgeom, toric
 from torifan.errors import NotComplete, NotSimplicial, NotSmooth, ValidationError
@@ -48,6 +48,26 @@ def all_fans(rng):
     """The catalog, the towers and a unimodular relabelling of each."""
     fans = catalog.bundled_catalog() + [d.variety for d, _ in towers(rng)]
     return fans + [_relabelled(v, rng) for v in fans]
+
+
+def test_cone_points_solve_each_cone_system():
+    """m_sigma is the Fraction solution of <m, u_rho> = -c_rho on sigma's rays,
+    for -K and for seeded integer vectors, negative and non-nef ones too."""
+    rng = random.Random(20261105)
+    kinds = {"nef": 0, "not nef": 0, "negative": 0}
+    for v in all_fans(rng):
+        vectors = [[1] * v.n_rays]
+        vectors += [[rng.randint(-5, 5) for _ in v.rays] for _ in range(3)]
+        for c in vectors:
+            kinds["nef" if v.divisor(c).is_nef() else "not nef"] += 1
+            kinds["negative"] += min(c) < 0
+            points = toric.cone_points(v.max_cones, v.cone_inverses, c)
+            assert len(points) == len(v.max_cones)
+            for cone, m in zip(v.max_cones, points):
+                want = solve_square([v.rays[i] for i in cone], [-c[i] for i in cone])
+                assert all(type(x) is int for x in m)
+                assert tuple(m) == want, (v.name, cone, c)
+    assert all(kinds.values()), kinds
 
 
 def test_cone_inverses_invert_every_ray_matrix():
@@ -244,7 +264,8 @@ def classes(rng):
         v = ample.variety
         m = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(v.dim)]
         lam, c = scale_to_integers(ample.coeffs)
-        vertex = [F(x, lam) for x in v._cone_point(0, c)]
+        point = toric.cone_points(v.max_cones, v.cone_inverses, c)[0]
+        vertex = [F(x, lam) for x in point]
         zeroed = principal_shift(ample, vertex)
         out += [ample, principal_shift(ample, m), F(rng.randint(1, 7), 3) * zeroed]
         out += [nef] if nef is not None else []

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction as F
 from itertools import product
 from math import factorial
+from operator import mul
 
 import pytest
 from slice_oracle import slice_polytope
+from test_ratpoly import fraction_integral
 from vertex_oracle import det, solve_square
 
 from torifan import ratgeom
@@ -167,9 +169,20 @@ def test_volume_triangulation_base_independent():
         cases.append((p, None, None))
     for poly, vol, center in cases:
         n = poly.ambient_dim
+        verts = ratgeom.enumerate_vertices(poly)
+        facets = [
+            [v for v in verts if sum(map(mul, a, v)) + b == 0] for a, b in poly.rows
+        ]
         vols = set()
-        for base in ratgeom.enumerate_vertices(poly):
-            tri = ratgeom.fan_triangulation(poly, base=base)
+        for base in verts:
+            # relabel so that base is the least label and pulled from first
+            label = {v: (v != base, v) for v in verts}
+            tri = [
+                tuple(v for _, v in s)
+                for s in ratgeom.pulling_triangulation(
+                    label.values(), [[label[v] for v in f] for f in facets]
+                )
+            ]
             for s in tri:
                 assert len(s) == n + 1 and s[0] == base
                 assert simplex_volume(s) > 0
@@ -296,7 +309,7 @@ def test_random_polytope_slice_truncate_consistency():
                     for x in nodes
                 ]
                 piece = ratpoly.interpolate(samples)
-                acc += ratpoly.integrate(piece, a, b)
+                acc += fraction_integral(piece, a, b)
             assert acc == total
             mid = (lo + hi) / 2
             left = ratgeom.volume(ratgeom.truncate(p, 0, hi=mid))
@@ -359,8 +372,6 @@ def test_dimension_and_argument_errors():
         ratgeom.polytopes_equal(square, box((0, 1), (0, 1), (0, 1)))
     with pytest.raises(ValueError, match="vector dimension mismatch"):
         ratgeom.translate(square, (F(1),))
-    with pytest.raises(ValueError, match="not a vertex"):
-        ratgeom.fan_triangulation(square, (F(1, 2), F(0)))
     for axis in (-1, 2):
         with pytest.raises(ValueError, match="axis out of range"):
             ratgeom.truncate(square, axis, lo=0)

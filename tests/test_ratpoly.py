@@ -29,14 +29,21 @@ def test_arithmetic():
     assert ratpoly.scale(p, F(3)) == poly(3, 3)
 
 
+def fraction_integral(p, a, b):
+    """int_a^b p by the power rule on Fractions: the oracle of ``integral``."""
+    terms = (c * (b ** (j + 1) - a ** (j + 1)) / (j + 1) for j, c in enumerate(p))
+    return sum(terms, F(0))
+
+
 def test_derivative_and_integral():
     p = poly(0, 0, 3)  # 3x^2
     assert ratpoly.derivative(p) == poly(0, 6)
-    assert ratpoly.integrate(p, 0, 2) == 8
-    assert ratpoly.integrate(poly(), 0, 5) == 0
-    assert ratpoly.antiderivative(p) == poly(0, 0, 0, 1)
-    assert ratpoly.antiderivative(poly(1, 1)) == poly(0, 1, F(1, 2))
-    assert ratpoly.antiderivative(poly()) == ratpoly.ZERO
+    assert pieces((0, 2), p).integral() == 8
+    assert pieces((0, 5), poly()).integral() == 0
+    # (c / k!, Q): 1/2 * 2x^3, 1/2 * (2x + x^2) and 1 * 0
+    assert pieces((0, 1), p).primitives == ((F(1, 2), (0, 0, 0, 2)),)
+    assert pieces((0, 1), poly(1, 1)).primitives == ((F(1, 2), (0, 2, 1)),)
+    assert pieces((0, 1), poly()).primitives == ((F(1), (0, 0)),)
 
 
 def test_interpolate_recovers_polynomial():
@@ -223,6 +230,39 @@ def test_integral_below_inside_and_past_the_support():
     assert ramp.integral(F(3, 2)) == F(1, 8)
     assert ramp.integral(3) == F(3, 2)
     assert ramp.integral(10) == ramp.integral(4) == F(5, 2)
+
+
+def test_integral_and_primitives_match_the_power_rule_on_seeded_pieces():
+    rng = random.Random(20261106)
+    degrees = set()
+    for _ in range(60):
+        points = sorted({F(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(5)})
+        polys = []
+        for _ in points[1:]:
+            degree = rng.randint(0, 5)
+            degrees.add(degree)
+            coeffs = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(degree)]
+            lead = F(rng.choice((-1, 1)), rng.randint(1, 4))
+            polys.append((*coeffs, lead))
+        profile = Pieces(tuple(points), tuple(polys))
+        spans = list(zip(points, points[1:]))
+        mids = [(a + b) / 2 for a, b in spans]
+        for hi in (points[0] - 1, *points, *mids, points[-1] + F(1, 3)):
+            parts = [
+                fraction_integral(p, a, min(b, hi))
+                for (a, b), p in zip(spans, polys)
+                if a < hi
+            ]
+            want = sum(parts, F(0))
+            assert profile.integral(hi) == want, (points, polys, hi)
+        assert profile.integral() == profile.integral(points[-1] + 1)
+        # each entry (c / k!, Q) for the piece (c, P): Q(0) = 0 and Q' = k! P
+        for (c, P), (c_k, Q) in zip(profile.integer_pieces, profile.primitives):
+            k_fact = factorial(len(P))
+            assert all(type(q) is int for q in Q) and Q[0] == 0
+            assert ratpoly.derivative(Q) == tuple(k_fact * v for v in P)
+            assert c_k * k_fact == c
+    assert degrees == set(range(6))
 
 
 def test_all_nonnegative_with_a_transform_and_continuity():
