@@ -58,17 +58,23 @@ far less work, by six reductions.
    checks and the extremal test are functions of the primitive class
    vector v, which keys a memo: each class is evaluated once.
 
-3. Intervals.  With the first r-1 coordinates fixed, every wall value is
-   p_w + a_w x, affine in the last coordinate x.  D is ample iff every
-   wall value is positive (the toric Kleiman criterion), and each
-   condition is a half-line in x, so the ample samples on the line form
-   one integer interval [lo, hi], found by floor division.  Earlier
-   coordinates get a necessary interval in the same way, with each wall's
-   largest possible contribution from the later coordinates added in, so
-   no prefix with an ample completion is skipped.  On a line of prefix
-   gcd g the grid keeps the x with gcd(g, x) = 1, all of them when g = 1.
-   The candidate total needs no walk at all: by Moebius inversion there
-   are sum_d mu(d) floor(res/d)^r gcd-1 vectors in {1..res}^r.
+3. Intervals.  D is ample iff every wall value <w, c> is positive (the
+   toric Kleiman criterion).  With c_0..c_(k-1) fixed at wall sums p_w,
+   the later coordinates add at most reach_k(w) = sum_(j>k) max(w_j,
+   res w_j) on the grid, so p_w + w_k c_k + reach_k(w) > 0 is necessary
+   for an ample completion.  The walk bounds c_k by these half-lines, one
+   per wall with w_k != 0, by floor division, and so skips no prefix with
+   an ample completion.  The bound is exact at a wall's last nonzero level
+   K: reach_K(w) = 0 and nothing after K changes <w, c>, so every c_K it
+   admits makes that wall positive.  Every wall row is nonzero (it is 1 at
+   the two rays of the wall's cones off the wall), so every wall is
+   enforced at some level, and every sample in a line's interval [lo, hi]
+   (level r-1) is ample.  A wall that no grid vector makes positive
+   empties every interval at its level K, so the walk finds nothing
+   without a separate test.  On a line of prefix gcd g the grid keeps the
+   x with gcd(g, x) = 1, all of them when g = 1.  The candidate total
+   needs no walk at all: by Moebius inversion there are
+   sum_d mu(d) floor(res/d)^r gcd-1 vectors in {1..res}^r.
 
 4. Integer classes as keys.  L c is packed into one integer,
    sum_i (L c)_i K^i, with K larger than twice any |(L c)_i| on the grid,
@@ -84,11 +90,10 @@ far less work, by six reductions.
    have equal D.C = <w, c> for every c and equal K.C = sum w (``wall_k``,
    the row on the all-ones anticanonical vector), so dropping the later
    copy changes no comparison.  The Kleiman test (every wall value
-   positive), every ``bounds`` interval with the ``reach``, ``raising``
-   and ``lowering`` tables behind it, and the level-0 test that every
-   wall can turn positive are conditions on the set of rows, which the
-   copy does not change.  ``_evaluate``'s eps is the first wall whose
-   ratio K.C / D.C is strictly smallest; a later copy of a row has the
+   positive) and the walk's bounds, with the ``reach``, ``raising`` and
+   ``lowering`` tables behind them, are conditions on the set of rows,
+   which the copy does not change.  ``_evaluate``'s eps is the first wall
+   whose ratio K.C / D.C is strictly smallest; a later copy of a row has the
    ratio of its first occurrence, so it never replaces it, and eps keeps
    the same pair (K.C, D.C).  On P^n every wall curve is a line
    (Cox-Little-Schenck, *Toric Varieties*, 2011, 6.3-6.4), so its
@@ -144,15 +149,20 @@ far less work, by six reductions.
 
 Every check in ``_evaluate`` is a class function by 1 and 2, so the first
 failing sample of the point-by-point walk is the first sample, in grid
-order, of the first failing class F.  The walk here visits lines in
-lexicographic order and each line in increasing x, and evaluates the first
-class of each orbit it meets, on that class's first sample.  By 6 the
-first class of F's orbit fails too, and it is met no later than F, so it
-is F: the walk raises on that same sample with the same message.  In the
-same way the first class C with the largest score is the first of its
-orbit, so it is evaluated, and every class evaluated before it scores
-less; a strict comparison over evaluated classes therefore keeps the first
-sample of C, the point-by-point argmax.  ``extremal`` counts samples, not
+order, of the first failing class F.  The walk here is depth-first on one
+explicit stack of prefixes, each with its wall sums, packed class and gcd
+(a stack, not recursion: the depth is the ray count, which the grid cap
+leaves unbounded at resolution 1).  It pops the last entry and pushes that
+prefix's children in decreasing c_k, so the least child and its whole
+subtree come off before its next sibling: lines are met in lexicographic
+order, each line is taken in increasing x, and the first class of each
+orbit met is evaluated, on that class's first sample.  By 6 the first
+class of F's orbit fails too, and it is met no later than F, so it is F:
+the walk raises on that same sample with the same message.  In the same
+way the first class C with the largest score is the first of its orbit,
+so it is evaluated, and every class evaluated before it scores less; a
+strict comparison over evaluated classes therefore keeps the first sample
+of C, the point-by-point argmax.  ``extremal`` counts samples, not
 classes: each line adds its samples whose integer class is extremal.
 """
 
@@ -215,10 +225,11 @@ def build_skeleton(variety) -> MappingProxyType:
 def _evaluate(skel, c):
     """Exact invariants of the ample integer sample c, as plain integers.
 
-    Returns ``(vol, eps, delta, witness, extremal)``: vol = D^n, the pairs
-    eps = (K.C, D.C) at the first wall minimising the ratio and
+    Returns ``(vol, eps, delta, witness, extremal, score)``: vol = D^n,
+    the pairs eps = (K.C, D.C) at the first wall minimising the ratio and
     delta = ((n+1) vol, t_max), the witness (least ray index attaining
-    t_max) and whether beta^n * vol meets (n+1)^n exactly.  Raises
+    t_max), whether beta^n * vol meets (n+1)^n exactly, and the score
+    beta^n * vol as a Fraction, beta = min(eps, delta).  Raises
     VerificationError when the volume is not positive, when delta^n * vol
     exceeds the simplex bound, or when the score exceeds (n+1)^n.
     """
@@ -245,34 +256,37 @@ def _evaluate(skel, c):
         if eps is None or k * eps[1] < eps[0] * s:
             eps = (k, s)
     delta = (nvol, t_max)
-    beta_n, beta_d = _beta(eps, delta)
+    # beta = min(eps, delta) as an integer pair, eps on a tie
+    beta_n, beta_d = eps if eps[0] * delta[1] <= delta[0] * eps[1] else delta
     lhs = beta_n**n * vol
-    rhs = (n + 1) ** n * beta_d**n
+    den = beta_d**n
+    rhs = (n + 1) ** n * den
     if lhs > rhs:
         raise VerificationError("score exceeds the (n+1)^n bound", sample=c)
-    return vol, eps, delta, t.index(t_max), lhs == rhs
-
-
-def _beta(eps, delta):
-    """beta = min(eps, delta) as an integer pair, eps on a tie."""
-    return eps if eps[0] * delta[1] <= delta[0] * eps[1] else delta
+    return vol, eps, delta, t.index(t_max), lhs == rhs, Fraction(lhs, den)
 
 
 def _class_rows(skel):
-    """Rows of L: c -> c + div(chi^m), m the vertex of cone 0, off cone 0."""
-    n = skel["dim"]
+    """Rows of L: c -> c + div(chi^m), m the vertex of cone 0, off cone 0.
+
+    Column k is L e_k = e_k + div(chi^(m_k)), m_k the cone-0 point of D_k,
+    which is 0 unless k is on cone 0."""
     rays = skel["rays"]
+    r = len(rays)
     cone0 = skel["cone_indices"][0]
-    inv0 = skel["cone_inverses"][0]  # m = -inv0 (c on cone 0's rays)
+    inv0 = skel["cone_inverses"][:1]
+    points = [
+        toric.cone_points([cone0], inv0, [int(j == k) for j in range(r)])[0]
+        for k in cone0
+    ]
     rows = []
-    for rho in range(len(rays)):
-        if rho in cone0:
-            continue  # L c vanishes there
-        row = [0] * len(rays)
-        row[rho] = 1
-        for pos, k in enumerate(cone0):
-            row[k] -= sum(rays[rho][j] * inv0[j][pos] for j in range(n))
-        rows.append(row)
+    for rho, u in enumerate(rays):
+        if rho not in cone0:
+            row = [0] * r
+            row[rho] = 1
+            for k, m in zip(cone0, points):
+                row[k] = sum(map(mul, m, u))
+            rows.append(row)
     return rows
 
 
@@ -340,7 +354,6 @@ def run_sweep(skel, resolution, collect_cap):
     of {1..resolution}^r; the module docstring proves the reductions.
     """
     res = resolution
-    n = skel["dim"]
     walls = skel["walls"]
     r = len(skel["rays"])
     last = r - 1
@@ -348,22 +361,19 @@ def run_sweep(skel, resolution, collect_cap):
     rows = _class_rows(skel)
     maps = _class_maps(skel, rows)
     radix = 2 * res * max(sum(abs(a) for a in row) for row in rows) + 1
-    packed = [
-        sum(row[k] * radix**i for i, row in enumerate(rows)) for k in range(r)
-    ]
+    powers = [radix**i for i in range(len(rows))]
+    packed = [sum(map(mul, col, powers)) for col in zip(*rows)]
     step = packed[last]
     tail = [row[last] for row in rows]
 
-    # the most the coordinates after k can add to each wall value
-    reach = [
-        [sum(max(w[j], w[j] * res) for j in range(k + 1, r)) for w in walls]
-        for k in range(r)
-    ]
-    raising = []  # per level: (wall, a) with a > 0
-    lowering = []  # per level: (wall, -a) with a < 0
-    for k in range(r):
-        raising.append([(t, w[k]) for t, w in enumerate(walls) if w[k] > 0])
-        lowering.append([(t, -w[k]) for t, w in enumerate(walls) if w[k] < 0])
+    # reach[k]: the most the coordinates after k can add to each wall value
+    reach = [[0] * len(walls)]
+    for k in range(last, 0, -1):
+        reach.append([s + max(w[k], w[k] * res) for s, w in zip(reach[-1], walls)])
+    reach.reverse()
+    # per level k: the pairs (wall, a) with a = w[k] > 0, and with a = -w[k] > 0
+    raising = [[(t, w[k]) for t, w in enumerate(walls) if w[k] > 0] for k in range(r)]
+    lowering = [[(t, -w[k]) for t, w in enumerate(walls) if w[k] < 0] for k in range(r)]
 
     ample = 0
     extremal = 0
@@ -372,20 +382,9 @@ def run_sweep(skel, resolution, collect_cap):
     collected = []
     seen = set()  # packed integer classes met so far
     extremal_keys = set()
-    classes = {}  # primitive class vector -> (score, meets the bound)
-    c = [0] * r
+    classes = {}  # primitive class vector -> (meets the bound, score)
 
-    def bounds(k, p):
-        """Interval of c_k after which every wall can still turn positive."""
-        lo, hi = 1, res
-        slack = reach[k]
-        for t, a in raising[k]:
-            lo = max(lo, -(p[t] + slack[t]) // a + 1)
-        for t, b in lowering[k]:
-            hi = min(hi, (p[t] + slack[t] - 1) // b)
-        return lo, hi
-
-    def line(lo, hi, base, g):
+    def line(prefix, lo, hi, base, g):
         nonlocal ample, extremal, best, argmax
         if g == 1:
             xs = range(lo, hi + 1)
@@ -396,7 +395,6 @@ def run_sweep(skel, resolution, collect_cap):
         if not xs:
             return
         ample += len(xs)
-        prefix = tuple(c[:last])
         room = collect_cap - len(collected)
         if room > 0:
             collected.extend(prefix + (x,) for x in xs[:room])
@@ -412,46 +410,37 @@ def run_sweep(skel, resolution, collect_cap):
                 hit = classes.get(cls)
                 if hit is None:
                     sample = prefix + (x,)
-                    vol, eps, delta, _, meets = _evaluate(skel, sample)
-                    beta_n, beta_d = _beta(eps, delta)
-                    value = Fraction(beta_n**n * vol, beta_d**n)
-                    hit = classes[cls] = (value, meets)
+                    hit = classes[cls] = _evaluate(skel, sample)[4:]
                     for m in maps:  # reduction 6: the rest of the orbit
                         classes[tuple(sum(map(mul, w, cls)) for w in m)] = hit
-                    if best is None or value > best:
-                        best, argmax = value, sample
-                if hit[1]:
+                    if best is None or hit[1] > best:
+                        best, argmax = hit[1], sample
+                if hit[0]:
                     extremal_keys.add(key)
         if extremal_keys:
             extremal += len(extremal_keys.intersection(keys))
 
-    # odometer over the prefixes, each coordinate kept inside its bounds;
-    # level k holds the wall sums, packed class and gcd of c_0..c_(k-1)
-    sums = [[0] * len(walls)] + [None] * (last - 1)
-    bases = [0] * last
-    gcds = [0] * last
-    tops = [0] * last
-    lo, tops[0] = bounds(0, sums[0])
-    c[0] = lo - 1
-    # a wall that no grid vector makes positive leaves nothing ample; the
-    # bounds at level 0 rely on every other wall being reachable
-    k = 0 if all(sum(max(a, a * res) for a in w) > 0 for w in walls) else -1
-    while k >= 0:
-        c[k] += 1
-        if c[k] > tops[k]:
-            k -= 1
+    # depth-first over the prefixes c_0..c_(k-1), each coordinate inside its
+    # bounds: an entry is (prefix, wall sums, packed class, gcd), and its
+    # children go on in decreasing x, so lines come off in lexicographic order
+    stack = [((), [0] * len(walls), 0, 0)]
+    while stack:
+        prefix, p, base, g = stack.pop()
+        k = len(prefix)
+        # the bounds: the c_k after which every wall can still turn positive
+        lo, hi, slack = 1, res, reach[k]
+        for t, a in raising[k]:
+            lo = max(lo, -(p[t] + slack[t]) // a + 1)
+        for t, b in lowering[k]:
+            hi = min(hi, (p[t] + slack[t] - 1) // b)
+        if k == last:
+            line(prefix, lo, hi, base, g)
             continue
-        x = c[k]
-        p = [s + w[k] * x for s, w in zip(sums[k], walls)]
-        base = bases[k] + packed[k] * x
-        g = gcd(gcds[k], x)
-        lo, hi = bounds(k + 1, p)
-        if k + 1 == last:
-            line(lo, hi, base, g)
-            continue
-        k += 1
-        sums[k], bases[k], gcds[k], tops[k] = p, base, g, hi
-        c[k] = lo - 1
+        stack.extend(
+            (prefix + (x,), [s + w[k] * x for s, w in zip(p, walls)],
+             base + packed[k] * x, gcd(g, x))
+            for x in range(hi, lo - 1, -1)
+        )
 
     return RawSweep(
         candidates=_coprime_count(res, r),

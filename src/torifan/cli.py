@@ -57,8 +57,6 @@ def _parse_flag(variety, text):
         cone_index = int(head)
     except ValueError:
         raise ParseError(f"bad flag spec {text!r}: cone index must be an integer")
-    if not 0 <= cone_index < len(variety.max_cones):
-        raise ParseError(f"cone index {cone_index} out of range")
     if not sep:
         return default_flag(variety, cone_index)
     try:

@@ -119,29 +119,28 @@ def score(divisor: TDivisor) -> InvariantReport:
 
     Runs the sweep's integer evaluator on lam * D, lam the lcm of the
     coefficient denominators, and unscales by the rule proven in
-    torifan._sweep_pure: vol / lam^n, eps * lam, delta * lam.
+    torifan._sweep_pure: vol / lam^n, eps * lam, delta * lam; the score is
+    scale invariant, so the evaluator's is D's.
     """
     require_ample(divisor)
     variety = divisor.variety
     n = variety.dim
     lam, c = scale_to_integers(divisor.coeffs)
-    vol, eps, delta, witness, extremal = _sweep_pure._evaluate(
+    vol, eps, delta, witness, extremal, value = _sweep_pure._evaluate(
         _sweep_pure.build_skeleton(variety), c
     )
     eps = Fraction(*eps) * lam
     delta = Fraction(*delta) * lam
-    beta = min(eps, delta)
-    vol = Fraction(vol, lam**n)
     return InvariantReport(
         variety=variety.name,
         dim=n,
         coeffs=divisor.coeffs,
-        vol=vol,
+        vol=Fraction(vol, lam**n),
         eps=eps,
         delta=delta,
         delta_witness_ray=witness,
-        beta=beta,
-        score=beta**n * vol,
+        beta=min(eps, delta),
+        score=value,
         bound=Fraction(n + 1) ** n,
         is_extremal=extremal,
     )

@@ -87,7 +87,7 @@ class FlagSpec:
     ray_order: tuple
 
     def __post_init__(self):
-        cone = self.variety.max_cones[self.cone_index]
+        cone = self.variety.max_cone(self.cone_index)
         order = tuple(int(i) for i in self.ray_order)
         if sorted(order) != sorted(cone):
             raise ValidationError(
@@ -97,7 +97,7 @@ class FlagSpec:
 
 
 def default_flag(variety: ToricVariety, cone_index: int) -> FlagSpec:
-    return FlagSpec(variety, cone_index, variety.max_cones[cone_index])
+    return FlagSpec(variety, cone_index, variety.max_cone(cone_index))
 
 
 class OkounkovBody:

@@ -110,6 +110,12 @@ class ToricVariety:
     def n_rays(self):
         return len(self.rays)
 
+    def max_cone(self, index):
+        """The maximal cone with this index; a negative index is refused."""
+        if not 0 <= index < len(self.max_cones):
+            raise ValidationError(f"no maximal cone with index {index}")
+        return self.max_cones[index]
+
     def divisor(self, coeffs) -> "TDivisor":
         return TDivisor(self, coeffs)
 
@@ -456,9 +462,7 @@ def blowup_at_fixed_point(variety: ToricVariety, cone_index: int) -> Blowup:
     """Replace one maximal cone by the star subdivision at its ray sum."""
     if variety.dim < 2:
         raise ValidationError("a blow-up at a fixed point needs dimension >= 2")
-    if not 0 <= cone_index < len(variety.max_cones):
-        raise ValidationError(f"no maximal cone with index {cone_index}")
-    cone = variety.max_cones[cone_index]
+    cone = variety.max_cone(cone_index)
     new_ray = tuple(sum(variety.rays[i][c] for i in cone) for c in range(variety.dim))
     rays = variety.rays + (new_ray,)
     e_index = len(variety.rays)

@@ -2,11 +2,12 @@
 
 Visits every gcd-1 vector of {1..resolution}^r in lexicographic order,
 tests each for ampleness on the variety's own per-wall ``wall_rows`` (not
-the skeleton's one row per curve class) and scores every ample one with
-the engine's own exact evaluator.  It knows nothing of classes, curve
-classes or automorphisms, so agreement with ``_sweep_pure.run_sweep``
-checks the walk's reductions (intervals, class and orbit memo, one row per
-curve class, counting) and nothing else.
+the skeleton's one row per curve class) and scores every ample one from
+the (vol, eps, delta) of the engine's own exact evaluator, never from the
+evaluator's score.  It knows nothing of classes, curve classes or
+automorphisms, so agreement with ``_sweep_pure.run_sweep`` checks the
+walk's reductions (intervals, class and orbit memo, one row per curve
+class, counting) and nothing else.
 """
 
 from fractions import Fraction
@@ -52,7 +53,7 @@ def pointwise_sweep(wall_rows, skel, resolution, collect_cap):
             collected.append(c)
         else:
             collect_complete = False
-        vol, eps, delta, _, meets_bound = _evaluate(skel, c)
+        vol, eps, delta, _, meets_bound, _ = _evaluate(skel, c)  # not its score
         score = min(Fraction(*eps), Fraction(*delta)) ** skel["dim"] * vol
         if meets_bound:
             extremal += 1

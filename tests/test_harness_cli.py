@@ -562,6 +562,9 @@ def test_cli_okounkov_flag_errors(tmp_path, capsys):
     fan = write_fan(tmp_path, catalog.hirzebruch_one())
     assert cli.main(["okounkov", fan, "--flag", "x"]) == 2
     assert cli.main(["okounkov", fan, "--flag", "9"]) == 2
+    assert "no maximal cone with index 9" in capsys.readouterr().err
+    assert cli.main(["okounkov", fan, "--flag", "-1"]) == 2
+    assert "no maximal cone with index -1" in capsys.readouterr().err
     assert cli.main(["okounkov", fan, "--flag", "0:1,1"]) == 2
     assert cli.main(["okounkov", fan, "--flag", "0:a,b"]) == 2
     assert cli.main(["okounkov", fan, "--check-translation", "x"]) == 2

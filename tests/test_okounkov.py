@@ -45,6 +45,17 @@ def test_flag_spec_must_permute_the_cone():
         okounkov.FlagSpec(x, 0, (0, 1, 2))
 
 
+def test_flag_spec_refuses_a_cone_index_out_of_range():
+    f1 = catalog.hirzebruch_one()
+    last = f1.max_cones[-1]
+    for index in (-1, len(f1.max_cones), 7):
+        message = f"^no maximal cone with index {index}$"
+        with pytest.raises(ValidationError, match=message):
+            okounkov.FlagSpec(f1, index, last)
+        with pytest.raises(ValidationError, match=message):
+            okounkov.default_flag(f1, index)
+
+
 def test_hyperplane_body_is_unit_simplex():
     x, flag = standard_flag_p2()
     body = okounkov.okounkov_body(x.divisor([0, 0, 1]), flag)

@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -9,11 +10,13 @@ from torifan import _sweep_pure, catalog, ratgeom, sweep, toric
 from torifan.errors import EmptyGrid, ValidationError, VerificationError
 
 
-def hirzebruch_two():
-    """Smooth but not Fano: the anticanonical class is nef, not ample."""
-    rays = [(1, 0), (0, 1), (-1, 2), (0, -1)]
+def hirzebruch(a):
+    """F_a; for a >= 2 smooth but not Fano: -K is nef on F_2, not even nef
+    beyond.  Its one wall row that can fail, c_0 - a c_1 + c_2, is positive
+    on no vector of {1..res}^4 with 2 res <= a."""
+    rays = [(1, 0), (0, 1), (-1, a), (0, -1)]
     cones = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    return toric.validate_fan(2, rays, cones, "F2")
+    return toric.validate_fan(2, rays, cones, f"F{a}")
 
 
 def test_resolution_one_on_p2():
@@ -88,7 +91,20 @@ def test_threefold_sweeps():
 
 def test_empty_grid_on_non_fano_surface():
     with pytest.raises(EmptyGrid):
-        sweep.sweep_ample_cone(hirzebruch_two(), 1)
+        sweep.sweep_ample_cone(hirzebruch(2), 1)
+
+
+def test_long_chain_of_rays_fails_fast_at_resolution_one():
+    # 404 rays, so {1}^404 is one grid point, not capped; the (1, k) chain
+    # has self-intersection -2 curves, so -K, that one point, is not ample.
+    # The bounds' setup grows as rays times walls.
+    rays = [(1, k) for k in range(401)] + [(0, 1), (-1, 0), (0, -1)]
+    cones = [(403, 0)] + [(k, k + 1) for k in range(403)]
+    w = toric.validate_fan(2, rays, cones, "W")
+    start = time.monotonic()
+    with pytest.raises(EmptyGrid):
+        sweep.sweep_ample_cone(w, 1)
+    assert time.monotonic() - start < 3.0
 
 
 def test_resolution_must_be_positive():
@@ -174,7 +190,7 @@ def test_argmax_recheck_is_independent_of_the_evaluator(monkeypatch):
 
     def off_by_one(skel, c):
         out = real(skel, c)
-        return (out[0] + 1,) + out[1:]  # the volume, hence the score
+        return out[:5] + (out[5] + 1,)  # the score
 
     monkeypatch.setattr(_sweep_pure, "_evaluate", off_by_one)
     with pytest.raises(VerificationError, match="sweep engine disagrees"):

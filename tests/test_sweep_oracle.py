@@ -14,6 +14,8 @@ from functools import partial
 
 import pytest
 from sweep_oracle import pointwise_sweep
+from test_curve_classes import outcome
+from test_sweep import hirzebruch
 from test_toric import _relabelled
 
 from torifan import _sweep_pure, catalog, sweep, toric
@@ -81,6 +83,32 @@ def test_agrees_on_random_blowup_towers():
                 seen_empty |= raw.ample == 0
                 seen_ample |= raw.ample > 0
     assert seen_ample and seen_empty
+
+
+def test_agrees_on_hirzebruch_surfaces_with_unreachable_walls():
+    # F_a's wall c_0 - a c_1 + c_2 > 0 needs 2 res > a, so small grids
+    # leave nothing ample; relabellings move its last nonzero level and
+    # give it a zero coefficient at level 0, where the walk has no separate
+    # test that every wall can turn positive (reduction 3).  For a >= 3 the
+    # negative curve has K.C < 0, so eps < 0 and the score check fails on
+    # some ample sample: then both walks must stop on the same one.
+    rng = random.Random(20261025)
+    seen = set()
+    for a in range(2, 6):
+        x = hirzebruch(a)
+        for y in (x, *(_relabelled(x, rng) for _ in range(3))):
+            if any(row[0] == 0 for row in y.wall_rows):
+                seen.add("zero at level 0")
+            skel = sweep.build_skeleton(y)
+            for resolution in range(1, 5):
+                failed = outcome(pointwise_sweep, y.wall_rows, skel, resolution, 0)
+                if isinstance(failed, tuple):
+                    assert outcome(_sweep_pure.run_sweep, skel, resolution, 0) == failed
+                    seen.add("failed")
+                else:
+                    raw = assert_agrees(y, resolution)
+                    seen.add("ample" if raw.ample else "empty")
+    assert seen == {"zero at level 0", "failed", "ample", "empty"}
 
 
 def test_checks_raise_on_the_same_sample():
