@@ -8,6 +8,14 @@ evaluator ``_evaluate``.  The defaults are every surface plus P3 and
 P1xP1xP1, the 3-fold whose automorphism group acts on classes.
 
     python3 benchmarks/bench_sweep.py --resolutions 3 5 8 --repeat 3
+
+``--engine-only`` times the engine alone, without the oracle or its check,
+for sizes the point-by-point walk cannot reach in reasonable time:
+
+    python3 benchmarks/bench_sweep.py --engine-only --varieties Bl3P2 \
+        --resolutions 12 16 --repeat 1
+    python3 benchmarks/bench_sweep.py --engine-only --varieties P1 \
+        --resolutions 1024 4096 --repeat 1
 """
 
 import argparse
@@ -53,6 +61,11 @@ def main(argv=None):
     )
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument(
+        "--engine-only",
+        action="store_true",
+        help="time the engine alone: no point-by-point oracle, no check",
+    )
+    parser.add_argument(
         "--varieties",
         nargs="+",
         default=None,
@@ -69,8 +82,11 @@ def main(argv=None):
     pure_calls = counting(_sweep_pure)
     oracle_calls = counting(sweep_oracle)
     header = f"{'variety':<10} {'res':>4} {'pure (s)':>10}"
-    header += f" {'pointwise (s)':>14} {'ratio':>8}"
-    header += f" {'pure evals':>11} {'pointwise evals':>16}"
+    if args.engine_only:
+        header += f" {'pure evals':>11}"
+    else:
+        header += f" {'pointwise (s)':>14} {'ratio':>8}"
+        header += f" {'pure evals':>11} {'pointwise evals':>16}"
     print(header)
     for variety in chosen:
         skel = sweep.build_skeleton(variety)
@@ -81,6 +97,10 @@ def main(argv=None):
                 args.repeat,
                 pure_calls,
             )
+            line = f"{variety.name:<10} {resolution:>4} {t_pure:>10.4f}"
+            if args.engine_only:
+                print(f"{line} {n_pure:>11}")
+                continue
             t_pt, raw_pt, n_pt = best_of(
                 sweep_oracle.pointwise_sweep,
                 (variety.wall_rows, skel, resolution, 0),
@@ -92,7 +112,6 @@ def main(argv=None):
                     f"pure engine and oracle disagree on {variety.name} "
                     f"at resolution {resolution}"
                 )
-            line = f"{variety.name:<10} {resolution:>4} {t_pure:>10.4f}"
             line += f" {t_pt:>14.4f} {t_pt / t_pure:>7.1f}x"
             line += f" {n_pure:>11} {n_pt:>16}"
             print(line)

@@ -13,6 +13,7 @@ from torifan.errors import (
     NotAmple,
     NotBig,
     NotComplete,
+    NotFano,
     NotNef,
     NotSimplicial,
     NotSmooth,
@@ -32,6 +33,7 @@ __all__ = [
     "NotAmple",
     "NotBig",
     "NotComplete",
+    "NotFano",
     "NotNef",
     "NotSimplicial",
     "NotSmooth",

@@ -19,7 +19,7 @@ composition, never by this evaluator.
 The result is the one a point-by-point walk gives -- visit every gcd-1
 vector of {1..res}^r in lexicographic order (last coordinate fastest),
 score each ample one, keep the first strict maximiser -- but the walk does
-far less work, by six reductions.
+far less work, by seven reductions.
 
 1. Class invariance.  For m in M, D' = D + div(chi^m) has coefficients
    c'_rho = c_rho + <m, u_rho>.  Each cone vertex moves by -m (it solves
@@ -56,7 +56,8 @@ far less work, by six reductions.
    satisfy: b c1 and a c2 differ by a principal divisor, and by 1 and 2
    score(c1) = score(b c1) = score(a c2) = score(c2).  So the score, the
    checks and the extremal test are functions of the primitive class
-   vector v, which keys a memo: each class is evaluated once.
+   vector v, which keys a memo (as one packed integer, 4): each class is
+   evaluated once.
 
 3. Intervals.  D is ample iff every wall value <w, c> is positive (the
    toric Kleiman criterion).  With c_0..c_(k-1) fixed at wall sums p_w,
@@ -84,6 +85,17 @@ far less work, by six reductions.
    principal divisor is 0.  A set test over
    that progression skips every line whose integer classes were all seen
    before; only new integer classes are reduced to primitive vectors.
+
+   The class memo is keyed by packed integers too.  Every class L c of a
+   grid sample has |(L c)_i| <= res sum_j |L_ij| <= (K - 1) / 2, and on
+   vectors with entries that small the packing is injective: if two such
+   vectors a != b packed equal, then at the least i with a_i != b_i,
+   K would divide a_i - b_i, whose size is at most K - 1.  Let v = L c and
+   d = gcd(v).  Packing is linear, so its key is pack(v) = d pack(v / d);
+   ``key // d`` is exact and equals pack(v / d), the packed primitive
+   class.  v / d has entries no larger than v's, so it lies in the
+   injective range, and two primitive classes of grid samples share a key
+   iff they are equal.
 
 5. One wall row per curve class.  The skeleton keeps the distinct rows of
    ``wall_rows`` in first-occurrence order.  Two walls with equal rows w
@@ -147,15 +159,41 @@ far less work, by six reductions.
    distinct one with the same signature (that number, the sorted column).
    P^n, F1 and the blow-up of P^n at a point never search.
 
+   The images are written under packed keys (4).  Packing is linear, so
+   pack(M v) = sum_j v_j pack(M e_j): each class map is kept as its
+   packed columns, and an image costs one integer dot product.  It stays
+   in the injective range of 4: v = L c / d for a grid sample c, and
+   M L c = L c' for the sample c'_pi(rho) = c_rho, a permutation of c's
+   coordinates and so again a grid sample.  Hence M v = L c' / d has
+   entries no larger than those of L c', and pack(M v) is the packed
+   primitive class of c', the key under which the walk looks c' up.
+
+7. Rows in place.  The walk pushes prefixes of length at most r - 2 only.
+   A prefix c_0..c_(r-3) with wall sums p takes its interval [lo, hi] for
+   c_(r-2) as in 3 and walks its rows x = c_(r-2) in increasing order.
+   Row x has wall sums p_w + w_(r-2) x, and reach_(r-1)(w) = 0, so the
+   line bounds it reads off them are the half-lines and floor divisions
+   that 3 applies at level r - 1 to the prefix c_0..c_(r-3), x: the same
+   interval, exact at the last level.  Its packed class base +
+   packed_(r-2) x and gcd gcd(g, x) are those that prefix would carry.
+   Pushed on the stack, the prefixes c_0..c_(r-3), x would have no
+   children and would come off in increasing x, each line taken whole
+   before the next: the order in which rows are walked here.  So every
+   line keeps its interval, its keys and its place in lexicographic
+   order; only the stack entry, the prefix tuple and the wall-sum list of
+   each row are gone.  On P^1 (r = 2) the prefix is the empty root.
+
 Every check in ``_evaluate`` is a class function by 1 and 2, so the first
 failing sample of the point-by-point walk is the first sample, in grid
 order, of the first failing class F.  The walk here is depth-first on one
-explicit stack of prefixes, each with its wall sums, packed class and gcd
-(a stack, not recursion: the depth is the ray count, which the grid cap
-leaves unbounded at resolution 1).  It pops the last entry and pushes that
-prefix's children in decreasing c_k, so the least child and its whole
-subtree come off before its next sibling: lines are met in lexicographic
-order, each line is taken in increasing x, and the first class of each
+explicit stack of prefixes of length at most r - 2, each with its wall
+sums, packed class and gcd (a stack, not recursion: the depth is the ray
+count, which the grid cap leaves unbounded at resolution 1).  It pops the
+last entry and pushes that prefix's children in decreasing c_k, so the
+least child and its whole subtree come off before its next sibling; a
+prefix of length r - 2 walks its rows in increasing order instead (7).
+Lines are met in lexicographic order, each line is taken in increasing
+c_(r-1), and the first class of each
 orbit met is evaluated, on that class's first sample.  By 6 the first
 class of F's orbit fails too, and it is met no later than F, so it is F:
 the walk raises on that same sample with the same message.  In the same
@@ -357,14 +395,20 @@ def run_sweep(skel, resolution, collect_cap):
     walls = skel["walls"]
     r = len(skel["rays"])
     last = r - 1
+    fold = r - 2  # the level whose rows are walked in place (reduction 7)
 
     rows = _class_rows(skel)
-    maps = _class_maps(skel, rows)
     radix = 2 * res * max(sum(abs(a) for a in row) for row in rows) + 1
     powers = [radix**i for i in range(len(rows))]
     packed = [sum(map(mul, col, powers)) for col in zip(*rows)]
     step = packed[last]
     tail = [row[last] for row in rows]
+    beside = [row[fold] for row in rows]
+    # each class map M as its packed columns: M v packs to sum_j v_j M e_j
+    maps = [
+        [sum(map(mul, col, powers)) for col in zip(*m)]
+        for m in _class_maps(skel, rows)
+    ]
 
     # reach[k]: the most the coordinates after k can add to each wall value
     reach = [[0] * len(walls)]
@@ -374,6 +418,9 @@ def run_sweep(skel, resolution, collect_cap):
     # per level k: the pairs (wall, a) with a = w[k] > 0, and with a = -w[k] > 0
     raising = [[(t, w[k]) for t, w in enumerate(walls) if w[k] > 0] for k in range(r)]
     lowering = [[(t, -w[k]) for t, w in enumerate(walls) if w[k] < 0] for k in range(r)]
+    # the line bounds of a row x: (wall, a, w[fold]) for the walls of the last level
+    rising = [(t, a, walls[t][fold]) for t, a in raising[last]]
+    falling = [(t, b, walls[t][fold]) for t, b in lowering[last]]
 
     ample = 0
     extremal = 0
@@ -382,47 +429,12 @@ def run_sweep(skel, resolution, collect_cap):
     collected = []
     seen = set()  # packed integer classes met so far
     extremal_keys = set()
-    classes = {}  # primitive class vector -> (meets the bound, score)
+    classes = {}  # packed primitive class -> (meets the bound, score)
 
-    def line(prefix, lo, hi, base, g):
-        nonlocal ample, extremal, best, argmax
-        if g == 1:
-            xs = range(lo, hi + 1)
-            keys = range(base + lo * step, base + (hi + 1) * step, step)
-        else:
-            xs = [x for x in range(lo, hi + 1) if gcd(g, x) == 1]
-            keys = [base + x * step for x in xs]
-        if not xs:
-            return
-        ample += len(xs)
-        room = collect_cap - len(collected)
-        if room > 0:
-            collected.extend(prefix + (x,) for x in xs[:room])
-        if not seen.issuperset(keys):
-            head = [sum(map(mul, row, prefix)) for row in rows]
-            for x, key in zip(xs, keys):
-                if key in seen:
-                    continue
-                seen.add(key)
-                v = [h + x * t for h, t in zip(head, tail)]
-                d = gcd(*v)
-                cls = tuple(a // d for a in v)
-                hit = classes.get(cls)
-                if hit is None:
-                    sample = prefix + (x,)
-                    hit = classes[cls] = _evaluate(skel, sample)[4:]
-                    for m in maps:  # reduction 6: the rest of the orbit
-                        classes[tuple(sum(map(mul, w, cls)) for w in m)] = hit
-                    if best is None or hit[1] > best:
-                        best, argmax = hit[1], sample
-                if hit[0]:
-                    extremal_keys.add(key)
-        if extremal_keys:
-            extremal += len(extremal_keys.intersection(keys))
-
-    # depth-first over the prefixes c_0..c_(k-1), each coordinate inside its
-    # bounds: an entry is (prefix, wall sums, packed class, gcd), and its
-    # children go on in decreasing x, so lines come off in lexicographic order
+    # depth-first over the prefixes c_0..c_(k-1), k <= fold, each coordinate
+    # inside its bounds: an entry is (prefix, wall sums, packed class, gcd),
+    # and its children go on in decreasing x, so lines come off in
+    # lexicographic order; a prefix of length fold walks its rows in place
     stack = [((), [0] * len(walls), 0, 0)]
     while stack:
         prefix, p, base, g = stack.pop()
@@ -430,17 +442,73 @@ def run_sweep(skel, resolution, collect_cap):
         # the bounds: the c_k after which every wall can still turn positive
         lo, hi, slack = 1, res, reach[k]
         for t, a in raising[k]:
-            lo = max(lo, -(p[t] + slack[t]) // a + 1)
+            y = -(p[t] + slack[t]) // a + 1
+            if y > lo:
+                lo = y
         for t, b in lowering[k]:
-            hi = min(hi, (p[t] + slack[t] - 1) // b)
-        if k == last:
-            line(prefix, lo, hi, base, g)
+            y = (p[t] + slack[t] - 1) // b
+            if y < hi:
+                hi = y
+        if k < fold:
+            stack.extend(
+                (prefix + (x,), [s + w[k] * x for s, w in zip(p, walls)],
+                 base + packed[k] * x, gcd(g, x))
+                for x in range(hi, lo - 1, -1)
+            )
             continue
-        stack.extend(
-            (prefix + (x,), [s + w[k] * x for s, w in zip(p, walls)],
-             base + packed[k] * x, gcd(g, x))
-            for x in range(hi, lo - 1, -1)
-        )
+        head = None  # the class of the prefix, once a row has a new class
+        for x in range(lo, hi + 1):
+            # the row's line: c_last in [ylo, yhi], exact as reach is 0 there
+            ylo = 1
+            for t, a, s in rising:
+                y = -(p[t] + s * x) // a + 1
+                if y > ylo:
+                    ylo = y
+            yhi = res
+            for t, b, s in falling:
+                y = (p[t] + s * x - 1) // b
+                if y < yhi:
+                    yhi = y
+            if ylo > yhi:
+                continue
+            start = base + packed[fold] * x
+            h = gcd(g, x)
+            if h == 1:
+                ys = range(ylo, yhi + 1)
+                keys = range(start + ylo * step, start + (yhi + 1) * step, step)
+            else:
+                ys = [y for y in range(ylo, yhi + 1) if gcd(h, y) == 1]
+                if not ys:
+                    continue
+                keys = [start + y * step for y in ys]
+            ample += len(ys)
+            room = collect_cap - len(collected)
+            if room > 0:
+                collected.extend(prefix + (x, y) for y in ys[:room])
+            if not seen.issuperset(keys):
+                if head is None:
+                    head = [sum(map(mul, row, prefix)) for row in rows]
+                row_head = [a + x * b for a, b in zip(head, beside)]
+                for y, key in zip(ys, keys):
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    v = [a + y * b for a, b in zip(row_head, tail)]
+                    d = gcd(*v)
+                    hit = classes.get(key // d)
+                    if hit is None:
+                        sample = prefix + (x, y)
+                        hit = classes[key // d] = _evaluate(skel, sample)[4:]
+                        if maps:  # reduction 6: the rest of the orbit
+                            v = [a // d for a in v]
+                            for m in maps:
+                                classes[sum(map(mul, m, v))] = hit
+                        if best is None or hit[1] > best:
+                            best, argmax = hit[1], sample
+                    if hit[0]:
+                        extremal_keys.add(key)
+            if extremal_keys:
+                extremal += len(extremal_keys.intersection(keys))
 
     return RawSweep(
         candidates=_coprime_count(res, r),

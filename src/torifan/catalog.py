@@ -17,7 +17,7 @@ from itertools import product
 
 from torifan import jsonio
 from torifan.errors import ValidationError
-from torifan.toric import ToricVariety, validate_fan
+from torifan.toric import ToricVariety, require_fano, validate_fan
 
 CATALOG_ENV = "TORIFAN_CATALOG"
 BUNDLED = (
@@ -109,6 +109,5 @@ def _read_fan(root, name):
     """The Fano variety in file ``name`` of directory ``root``."""
     path = os.path.join(root, name)
     variety = jsonio.load_fan(path)
-    if not variety.anticanonical().is_ample():
-        raise ValidationError(f"{path}: catalog entry is not Fano: -K is not ample")
+    require_fano(variety, path)
     return variety

@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 verification failure (an exact theorem check did
-not hold), 2 usage or input errors.  All reports are deterministic: same
-input, byte-identical output.
+not hold), 2 usage or input errors, among them a fan that is not Fano
+given to a command whose report carries eps, beta or a score.  All reports
+are deterministic: same input, byte-identical output.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 from functools import cache
 
-from torifan import harness, invariants, jsonio
+from torifan import harness, invariants, jsonio, toric
 from torifan.catalog import load_catalog
 from torifan.errors import ParseError, TorifanError, VerificationError
 from torifan.okounkov import FlagSpec, default_flag
@@ -42,6 +43,14 @@ def _emit_record(record, csv_header, args):
     else:
         _write(harness.render_records(csv_header, [record]), args.out)
     return 0
+
+
+def _load_fano(path):
+    """The fan in file ``path``, refused (NotFano) unless -K is ample: the
+    commands that report eps, beta or a score need the theorem's case."""
+    variety = jsonio.load_fan(path)
+    toric.require_fano(variety, path)
+    return variety
 
 
 def _divisor_from_args(variety, args):
@@ -82,7 +91,7 @@ def _cmd_validate(args):
 
 
 def _cmd_invariants(args):
-    variety = jsonio.load_fan(args.fan)
+    variety = _load_fano(args.fan)
     record = harness.invariant_record(
         invariants.score(_divisor_from_args(variety, args))
     )
@@ -90,7 +99,7 @@ def _cmd_invariants(args):
 
 
 def _cmd_sweep(args):
-    variety = jsonio.load_fan(args.fan)
+    variety = _load_fano(args.fan)
     harness.require_count("samples cap", args.samples_cap, 0)
     cap = args.samples_cap if args.include_samples else 0
     result = sweep_ample_cone(variety, args.resolution, collect_cap=cap)
@@ -104,7 +113,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_blowup(args):
-    variety = jsonio.load_fan(args.fan)
+    variety = _load_fano(args.fan)
     divisor = _divisor_from_args(variety, args)
     report = harness.blowup_command(
         variety, args.cone, divisor, samples=args.samples

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Error text prints every rational as p/q, never as a Python repr.
+"""
+
+
+def format_rational(x) -> str:
+    """An integer or Fraction as "p/q", the form of every report and error."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def format_rationals(values) -> str:
+    """Integers or Fractions as "(p/q, ...)"."""
+    return "(" + ", ".join(map(format_rational, values)) + ")"
 
 
 class TorifanError(Exception):
@@ -25,6 +38,10 @@ class NotComplete(ValidationError):
     """A wall not shared by exactly two cones, or a disconnected fan."""
 
 
+class NotFano(ValidationError):
+    """A fan whose anticanonical class -K is not ample."""
+
+
 class NotNef(TorifanError):
     """Divisor fails wall-nonnegativity where nef is required."""
 
@@ -44,7 +61,7 @@ class UnboundedPolytope(TorifanError):
     """
 
     def __init__(self, direction, message="polytope is unbounded"):
-        super().__init__(f"{message} (direction {tuple(direction)})")
+        super().__init__(f"{message} (direction {format_rationals(direction)})")
         self.direction = tuple(direction)
 
 

@@ -12,14 +12,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
-from torifan.errors import ParseError, TorifanError
+from torifan.errors import ParseError, TorifanError, format_rational
 from torifan.toric import TDivisor, ToricVariety, validate_fan
 
 DECIMAL_DIGITS = 12
-
-
-def format_rational(x) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def format_ratio(num, den) -> str:

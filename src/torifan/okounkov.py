@@ -68,7 +68,7 @@ from math import factorial, lcm
 from operator import mul
 
 from torifan import ratgeom, ratpoly
-from torifan.errors import ThresholdExceeded, ValidationError
+from torifan.errors import ThresholdExceeded, ValidationError, format_rational
 from torifan.ratgeom import Polytope
 from torifan.toric import TDivisor, ToricVariety, require_big
 
@@ -173,7 +173,9 @@ def translation_identity_check(body: OkounkovBody, t) -> bool:
     t = Fraction(t)
     tau = pseff_threshold(divisor, flag)
     if not 0 <= t < tau:
-        raise ThresholdExceeded(f"need 0 <= t < {tau}, got {t}")
+        raise ThresholdExceeded(
+            f"need 0 <= t < {format_rational(tau)}, got {format_rational(t)}"
+        )
     truncated = ratgeom.truncate(body.polytope, 0, lo=t)
     top = flag.ray_order[0]
     coeffs = list(divisor.coeffs)

@@ -27,9 +27,12 @@ holds: the score and both checks are functions of the divisor class up to
 scale, a fan automorphism maps P_D unimodularly onto the polytope of the
 image class, and the ample samples along each grid line form one
 interval, so it walks lines and evaluates one class per orbit of the
-automorphism group on classes (torifan._sweep_pure proves these
-reductions and tests/sweep_oracle.py keeps the point-by-point walk as the
-reference).
+automorphism group on classes.  Its cost goes per grid row and per class:
+a prefix of all coordinates but the last two walks its rows in place,
+reading each row's line off its own wall sums, and the class memo and the
+orbit images are keyed by one packed integer per class (torifan._sweep_pure
+proves these reductions and tests/sweep_oracle.py keeps the point-by-point
+walk as the reference).
 The orbit reduction needs the skeleton's simplices to triangulate P_D,
 which the incidence argument above guarantees.
 

@@ -55,10 +55,12 @@ from torifan.errors import (
     NotAmple,
     NotBig,
     NotComplete,
+    NotFano,
     NotNef,
     NotSimplicial,
     NotSmooth,
     ValidationError,
+    format_rationals,
 )
 from torifan.ratgeom import Polytope, scale_to_integers
 
@@ -565,22 +567,39 @@ def is_projective_space(variety: ToricVariety) -> bool:
     return variety.n_rays == variety.dim + 1
 
 
+def require_fano(variety: ToricVariety, source):
+    """Refuse a fan whose -K is not ample, naming ``source`` (its file).
+
+    -K has every coefficient 1, so -K.C on a wall curve is the sum of that
+    wall's row, an integer; by the toric Kleiman criterion -K is ample iff
+    every such sum is positive.  The first wall with -K.C <= 0 is named.
+    """
+    for index, k in enumerate(map(sum, variety.wall_rows)):
+        if k <= 0:
+            wall = variety.walls[index]
+            raise NotFano(
+                f"{source}: not Fano: -K.C = {k} <= 0 on wall {index}, "
+                f"between cones {wall.cone_a} and {wall.cone_b}"
+            )
+
+
+def _refusal(divisor: TDivisor, what):
+    return (
+        f"divisor {format_rationals(divisor.coeffs)} on "
+        f"{divisor.variety.name or 'X'} is not {what}"
+    )
+
+
 def require_ample(divisor: TDivisor):
     if not divisor.is_ample():
-        raise NotAmple(
-            f"divisor {divisor.coeffs} on {divisor.variety.name or 'X'} is not ample"
-        )
+        raise NotAmple(_refusal(divisor, "ample"))
 
 
 def require_big(divisor: TDivisor):
     if not divisor.is_big():
-        raise NotBig(
-            f"divisor {divisor.coeffs} on {divisor.variety.name or 'X'} is not big"
-        )
+        raise NotBig(_refusal(divisor, "big"))
 
 
 def require_nef(divisor: TDivisor):
     if not divisor.is_nef():
-        raise NotNef(
-            f"divisor {divisor.coeffs} on {divisor.variety.name or 'X'} is not nef"
-        )
+        raise NotNef(_refusal(divisor, "nef"))

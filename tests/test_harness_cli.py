@@ -2,11 +2,13 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from test_sweep import hirzebruch, p2_bundle
 
 from torifan import catalog, cli, harness, jsonio, okounkov, ratgeom, toric
 from torifan.errors import (
     NotAmple,
     NotComplete,
+    NotFano,
     NotSmooth,
     ParseError,
     ValidationError,
@@ -311,6 +313,66 @@ def test_every_command_names_a_bad_fan_file(tmp_path, capsys, kind):
         assert not out and err.startswith(f"error: {fan}: ")
 
 
+# fans that are not Fano: (fan, -K.C on the first such wall, that wall's text)
+NON_FANO = {
+    "F3": (hirzebruch(3), -1, "wall 1, between cones 0 and 1"),
+    "F4": (hirzebruch(4), -2, "wall 1, between cones 0 and 1"),
+    "F5": (hirzebruch(5), -3, "wall 1, between cones 0 and 1"),
+    "P(O+O(3))": (p2_bundle(3), 0, "wall 2, between cones 0 and 2"),
+    "P(O+O(4))": (p2_bundle(4), -1, "wall 2, between cones 0 and 2"),
+}
+
+
+@pytest.mark.parametrize("kind", NON_FANO)
+def test_commands_with_a_score_refuse_a_fan_that_is_not_fano(tmp_path, capsys, kind):
+    variety, value, wall = NON_FANO[kind]
+    fan = write_fan(tmp_path, variety)
+    with pytest.raises(NotFano) as info:
+        toric.require_fano(variety, fan)
+    message = f"{fan}: not Fano: -K.C = {value} <= 0 on {wall}"
+    assert str(info.value) == message
+    for argv in (
+        ["invariants", fan],
+        ["sweep", fan, "--resolution", "2"],
+        ["blowup", fan, "--cone", "0"],
+    ):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"error: {message}\n"
+    # a big class's body does not need -K ample
+    for argv in (["validate", fan], ["okounkov", fan]):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out
+
+
+def test_no_error_text_holds_a_python_repr(tmp_path, capsys):
+    """Every refusal of the bad-input suites prints rationals as p/q."""
+    runs = []
+    for kind, (data, _) in BAD_FANS.items():
+        fan = tmp_path / kind.replace(" ", "_") / "fan.json"
+        fan.parent.mkdir()
+        fan.write_text(json.dumps(data))
+        runs += [["validate", fan], ["invariants", fan], ["okounkov", fan],
+                 ["sweep", fan, "--resolution", 1],
+                 ["verify-theorem", "--catalog", fan.parent, "--resolution", 1]]
+    for kind, (variety, _, _) in NON_FANO.items():
+        fan = write_fan(tmp_path, variety, f"{kind}.json")
+        runs += [["invariants", fan], ["sweep", fan, "--resolution", 2],
+                 ["blowup", fan, "--cone", 0]]
+    f1 = write_fan(tmp_path, catalog.hirzebruch_one(), "f1.json")
+    nef = write_divisor(tmp_path, ["0", "0", "0", "1/2"], "nef.json")
+    flat = write_divisor(tmp_path, ["1/3", "0", "0", "0"], "flat.json")
+    runs += [["invariants", f1, "--divisor", nef],
+             ["blowup", f1, "--cone", 0, "--divisor", nef],
+             ["okounkov", f1, "--divisor", flat],
+             ["okounkov", f1, "--check-translation", 99]]
+    for argv in runs:
+        assert cli.main([str(arg) for arg in argv]) == 2, argv
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("error: "), argv
+        assert "Fraction(" not in err, argv
+
+
 def test_a_fan_past_the_simplex_cap_is_refused_quickly(tmp_path, capsys):
     """(P^1)^9 has 9! = 362,880 skeleton simplices; the pulling
     triangulation stops at MAX_SIMPLICES = 10^5."""
@@ -440,14 +502,15 @@ def test_cli_sweep_csv_shape(tmp_path, capsys):
 
 
 def test_cli_sweep_empty_grid_is_an_input_error(tmp_path, capsys):
-    from torifan import toric
-
-    rays = [(1, 0), (0, 1), (-1, 2), (0, -1)]
-    cones = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    f2 = toric.validate_fan(2, rays, cones, "F2")
-    fan = write_fan(tmp_path, f2)
+    # -K is the grid sample (1, ..., 1), so a grid with no ample sample
+    # belongs to a fan that is not Fano, and `sweep` refuses that fan
+    # before it sweeps: F2's grid at resolution 1 is empty
+    # (tests/test_sweep.py), and F2 is refused as not Fano
+    fan = write_fan(tmp_path, hirzebruch(2))
     assert cli.main(["sweep", fan, "--resolution", "1"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {fan}: not Fano: -K.C = 0 <= 0 on wall 1, between cones 0 and 1\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -576,7 +639,7 @@ def test_cli_okounkov_translation_out_of_range(tmp_path, capsys):
     fan = write_fan(tmp_path, catalog.hirzebruch_one())
     rc = cli.main(["okounkov", fan, "--check-translation", "99"])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: need 0 <= t < 3/1, got 99/1\n"
 
 
 def test_cli_verify_theorem_deterministic(tmp_path, capsys):

@@ -107,6 +107,8 @@ def test_unbounded_raises_with_direction():
     d = err.value.direction
     assert d is not None
     assert d[1] >= 0
+    p, q = (f"{x.numerator}/{x.denominator}" for x in d)
+    assert str(err.value) == f"polytope is unbounded (direction ({p}, {q}))"
 
 
 def test_unbounded_recession_ray_detected():

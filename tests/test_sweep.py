@@ -19,6 +19,16 @@ def hirzebruch(a):
     return toric.validate_fan(2, rays, cones, f"F{a}")
 
 
+def p2_bundle(a):
+    """P(O + O(a)) over P^2; for a >= 3 smooth but not Fano: -K.C = 3 - a
+    on a line of the negative section."""
+    rays = [(1, 0, 0), (0, 1, 0), (-1, -1, a), (0, 0, 1), (0, 0, -1)]
+    cones = [
+        (i, j, top) for top in (3, 4) for i, j in ((0, 1), (1, 2), (2, 0))
+    ]
+    return toric.validate_fan(3, rays, cones, f"P(O+O({a}))")
+
+
 def test_resolution_one_on_p2():
     res = sweep.sweep_ample_cone(catalog.projective_space(2), 1)
     assert res.candidates == 1

@@ -15,7 +15,7 @@ from functools import partial
 import pytest
 from sweep_oracle import pointwise_sweep
 from test_curve_classes import outcome
-from test_sweep import hirzebruch
+from test_sweep import hirzebruch, p2_bundle
 from test_toric import _relabelled
 
 from torifan import _sweep_pure, catalog, sweep, toric
@@ -48,7 +48,9 @@ def test_oracle_with_cap_zero_matches_truncation():
 
 
 def test_agrees_on_surfaces_up_to_resolution_8():
-    for v in catalog.surface_catalog():
+    # P1 has two rays, so the walk's one prefix is the empty one; P2 is a
+    # surface of the catalog
+    for v in (catalog.projective_space(1), *catalog.surface_catalog()):
         for resolution in range(1, 9):
             raw = assert_agrees(v, resolution)
             assert raw.ample > 0
@@ -91,16 +93,16 @@ def test_agrees_on_hirzebruch_surfaces_with_unreachable_walls():
     # give it a zero coefficient at level 0, where the walk has no separate
     # test that every wall can turn positive (reduction 3).  For a >= 3 the
     # negative curve has K.C < 0, so eps < 0 and the score check fails on
-    # some ample sample: then both walks must stop on the same one.
+    # some ample sample: then both walks must stop on the same one.  The
+    # 3-folds P(O + O(a)) over P^2, not Fano for a >= 3, run the same way.
     rng = random.Random(20261025)
     seen = set()
-    for a in range(2, 6):
-        x = hirzebruch(a)
+    for x in (*map(hirzebruch, range(2, 6)), p2_bundle(3), p2_bundle(4)):
         for y in (x, *(_relabelled(x, rng) for _ in range(3))):
             if any(row[0] == 0 for row in y.wall_rows):
                 seen.add("zero at level 0")
             skel = sweep.build_skeleton(y)
-            for resolution in range(1, 5):
+            for resolution in range(1, 6):
                 failed = outcome(pointwise_sweep, y.wall_rows, skel, resolution, 0)
                 if isinstance(failed, tuple):
                     assert outcome(_sweep_pure.run_sweep, skel, resolution, 0) == failed
@@ -131,24 +133,30 @@ def test_checks_raise_on_the_same_sample():
 
 def test_agrees_on_blowups_that_keep_a_symmetry():
     # seeded blow-ups of P1xP1 and P1xP1xP1 whose automorphism group still
-    # acts on classes, so the orbit memo (reduction 6) is exercised
-    rng = random.Random(20261605)
-    kept = 0
-    for start, depth, resolution in (
-        (catalog.p1_power(2), 2, 5),
-        (catalog.p1_power(3), 1, 3),
-    ):
-        x = start
-        for _ in range(depth):
-            x = toric.blowup_at_fixed_point(
-                x, rng.randrange(len(x.max_cones))
-            ).result
-            for y in (x, _relabelled(x, rng)):
-                skel = sweep.build_skeleton(y)
-                if _sweep_pure._class_maps(skel, _sweep_pure._class_rows(skel)):
-                    kept += 1
-                    assert assert_agrees(y, resolution).ample > 0
-    assert kept >= 4
+    # acts on classes, so the orbit memo (reduction 6), written through the
+    # packed class maps, is exercised; one seed reaches 11 class maps
+    largest = 0
+    for seed in (20261605, 20262601, 20262602, 20262603):
+        rng = random.Random(seed)
+        kept = 0
+        for start, depth, resolution in (
+            (catalog.p1_power(2), 2, 5),
+            (catalog.p1_power(3), 1, 3),
+        ):
+            x = start
+            for _ in range(depth):
+                x = toric.blowup_at_fixed_point(
+                    x, rng.randrange(len(x.max_cones))
+                ).result
+                for y in (x, _relabelled(x, rng)):
+                    skel = sweep.build_skeleton(y)
+                    maps = _sweep_pure._class_maps(skel, _sweep_pure._class_rows(skel))
+                    if maps:
+                        kept += 1
+                        largest = max(largest, len(maps))
+                        assert assert_agrees(y, resolution).ample > 0
+        assert kept >= 4, seed
+    assert largest == 11
 
 
 def test_one_evaluation_per_orbit(monkeypatch):
