@@ -1,10 +1,12 @@
-"""Time the fan layer: validate_fan plus build_skeleton, per fan.
+"""Time the fan layer: validate_fan plus the sweep tables, per fan.
 
 Validates every chosen catalog fan and every level of seeded blow-up
-towers from its rays and cones, then builds its sweep skeleton, on a fresh
-variety per repeat so that no cached table answers.  Prints one row per fan
-with the best-of-``--repeat`` time of each step and of both together, then
-the totals.
+towers from its rays and cones, then builds its sweep tables with
+``sweep.build_skeleton`` (the curve rows, the triangulation, the class rows
+and the class maps with their automorphism search), on a fresh variety per
+repeat so that no cached table answers.  Prints one row per fan with the
+best-of-``--repeat`` time of each step and of both together, then the
+totals.
 
     python3 benchmarks/bench_fans.py --repeat 5
 """
@@ -37,8 +39,8 @@ def towers(rng):
 
 
 def best_of(variety, repeat):
-    """Best validate_fan and build_skeleton times on fresh copies of a fan."""
-    t_valid = t_skel = float("inf")
+    """Best validate_fan and sweep-table times on fresh copies of a fan."""
+    t_valid = t_tables = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
         fresh = toric.validate_fan(
@@ -48,8 +50,8 @@ def best_of(variety, repeat):
         sweep.build_skeleton(fresh)
         t2 = time.perf_counter()
         t_valid = min(t_valid, t1 - t0)
-        t_skel = min(t_skel, t2 - t1)
-    return t_valid, t_skel
+        t_tables = min(t_tables, t2 - t1)
+    return t_valid, t_tables
 
 
 def main(argv=None):
@@ -69,19 +71,19 @@ def main(argv=None):
     chosen += towers(random.Random(args.seed))
 
     header = f"{'fan':<10} {'rays':>4} {'cones':>5}"
-    header += f" {'validate (s)':>13} {'skeleton (s)':>13} {'both (s)':>10}"
+    header += f" {'validate (s)':>13} {'tables (s)':>13} {'both (s)':>10}"
     print(header)
-    total_valid = total_skel = 0.0
+    total_valid = total_tables = 0.0
     for variety in chosen:
-        t_valid, t_skel = best_of(variety, args.repeat)
+        t_valid, t_tables = best_of(variety, args.repeat)
         total_valid += t_valid
-        total_skel += t_skel
+        total_tables += t_tables
         line = f"{variety.name:<10} {variety.n_rays:>4} {len(variety.max_cones):>5}"
-        line += f" {t_valid:>13.6f} {t_skel:>13.6f} {t_valid + t_skel:>10.6f}"
+        line += f" {t_valid:>13.6f} {t_tables:>13.6f} {t_valid + t_tables:>10.6f}"
         print(line)
     line = f"{'total':<10} {'':>4} {'':>5}"
-    line += f" {total_valid:>13.6f} {total_skel:>13.6f}"
-    line += f" {total_valid + total_skel:>10.6f}"
+    line += f" {total_valid:>13.6f} {total_tables:>13.6f}"
+    line += f" {total_valid + total_tables:>10.6f}"
     print(line)
 
 

@@ -34,9 +34,9 @@ def counting(module):
     evaluate = module._evaluate
     calls = []
 
-    def counted(skel, c):
+    def counted(variety, c):
         calls.append(None)
-        return evaluate(skel, c)
+        return evaluate(variety, c)
 
     module._evaluate = counted
     return calls
@@ -89,11 +89,11 @@ def main(argv=None):
         header += f" {'pure evals':>11} {'pointwise evals':>16}"
     print(header)
     for variety in chosen:
-        skel = sweep.build_skeleton(variety)
+        sweep.build_skeleton(variety)
         for resolution in args.resolutions:
             t_pure, raw, n_pure = best_of(
                 _sweep_pure.run_sweep,
-                (skel, resolution, 0),
+                (variety, resolution, 0),
                 args.repeat,
                 pure_calls,
             )
@@ -103,7 +103,7 @@ def main(argv=None):
                 continue
             t_pt, raw_pt, n_pt = best_of(
                 sweep_oracle.pointwise_sweep,
-                (variety.wall_rows, skel, resolution, 0),
+                (variety.wall_rows, variety, resolution, 0),
                 args.repeat,
                 oracle_calls,
             )

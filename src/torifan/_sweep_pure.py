@@ -1,11 +1,10 @@
 """The sweep engine: exact integer arithmetic, any dimension.
 
-``build_skeleton`` gathers a variety's integer tables once per variety
-object; the cache holds the variety weakly, so it keeps none alive.  The
-wall rows are the distinct ``wall_rows`` of the variety, one per curve
-class (reduction 5), and the vertex maps its own ``cone_inverses``, from
-which ``toric.cone_points`` reads the cone vertices m_sigma; the skeleton
-adds the triangulation.
+Both functions take the variety and read its cached integer tables, built
+once per variety: ``curve_rows``, the distinct ``wall_rows`` with their
+K.C, one per curve class (reduction 5); ``cone_inverses``, from which
+``toric.cone_points`` reads the cone vertices m_sigma; ``simplices``, the
+triangulation; and ``class_rows`` and ``class_maps`` (reductions 2 and 6).
 ``_evaluate`` reads every invariant of one ample class off them, and it is
 the one evaluator of ample classes: ``run_sweep`` scores grid samples with
 it, and torifan.invariants.score scores any ample Q-divisor with it by the
@@ -49,12 +48,13 @@ far less work, by seven reductions.
    factor, so the witness (least index of the largest t_rho) is unchanged,
    and so is the extremal flag.
 
-   The class map c -> L c, which adds div(chi^m) with m the vertex of cone
-   0 so that the result vanishes on cone 0's rays, has as kernel exactly
-   the principal divisors.  Two samples whose classes L c1 = a v and
-   L c2 = b v are positive multiples of one primitive vector v therefore
-   satisfy: b c1 and a c2 differ by a principal divisor, and by 1 and 2
-   score(c1) = score(b c1) = score(a c2) = score(c2).  So the score, the
+   The class map c -> L c (``ToricVariety.class_rows``), which adds
+   div(chi^m) with m the vertex of cone 0 so that the result vanishes on
+   cone 0's rays, has as kernel exactly the principal divisors.  Two
+   samples whose classes L c1 = a v and L c2 = b v are positive multiples
+   of one primitive vector v therefore satisfy: b c1 and a c2 differ by a
+   principal divisor, and by 1 and 2 score(c1) = score(b c1) =
+   score(a c2) = score(c2).  So the score, the
    checks and the extremal test are functions of the primitive class
    vector v, which keys a memo (as one packed integer, 4): each class is
    evaluated once.
@@ -97,12 +97,12 @@ far less work, by seven reductions.
    injective range, and two primitive classes of grid samples share a key
    iff they are equal.
 
-5. One wall row per curve class.  The skeleton keeps the distinct rows of
-   ``wall_rows`` in first-occurrence order.  Two walls with equal rows w
-   have equal D.C = <w, c> for every c and equal K.C = sum w (``wall_k``,
-   the row on the all-ones anticanonical vector), so dropping the later
-   copy changes no comparison.  The Kleiman test (every wall value
-   positive) and the walk's bounds, with the ``reach``, ``raising`` and
+5. One wall row per curve class.  ``curve_rows`` keeps the distinct rows
+   of ``wall_rows`` in first-occurrence order.  Two walls with equal rows
+   w have equal D.C = <w, c> for every c and equal K.C = sum w (the row
+   on the all-ones anticanonical vector), so dropping the later copy
+   changes no comparison.  The Kleiman test (every wall value positive)
+   and the walk's bounds, with the ``reach``, ``raising`` and
    ``lowering`` tables behind them, are conditions on the set of rows,
    which the copy does not change.  ``_evaluate``'s eps is the first wall
    whose ratio K.C / D.C is strictly smallest; a later copy of a row has the
@@ -112,13 +112,13 @@ far less work, by seven reductions.
    n(n+1)/2 walls leave one row; P1xP1xP1 keeps 3 of 12.
 
 6. One evaluation per orbit of the automorphism group.  Precondition:
-   the skeleton's simplices triangulate P_D for every ample D, as
-   ``build_skeleton`` guarantees (torifan.sweep) and tests/test_sweep.py
-   checks.  Reductions 1-5 hold for any simplex list; this one does not.
-   Let phi be a fan automorphism, a unimodular map of N with
-   phi(u_rho) = u_pi(rho) for a ray permutation pi that carries maximal
-   cones onto maximal cones, and let c'_pi(rho) = c_rho.  Then
-   <m, u_pi(rho)> = <phi^T m, u_rho>, so P_c' = psi P_c with
+   the variety's ``simplices`` triangulate P_D for every ample D, as the
+   incidence argument of ``ToricVariety.simplices`` guarantees and
+   tests/test_sweep.py checks.  Reductions 1-5 hold for any simplex
+   list; this one does not.  Let phi be a fan automorphism, a unimodular
+   map of N with phi(u_rho) = u_pi(rho) for a ray permutation pi that
+   carries maximal cones onto maximal cones, and let c'_pi(rho) = c_rho.
+   Then <m, u_pi(rho)> = <phi^T m, u_rho>, so P_c' = psi P_c with
    psi = (phi^T)^-1 unimodular, and psi carries the vertex of cone sigma
    to the vertex of cone phi(sigma).
 
@@ -127,11 +127,11 @@ far less work, by seven reductions.
      The centroid maps by psi, so t'_pi(rho) = t_rho and t_max is the
      same; only the witness, which ``run_sweep`` discards, may move.  Both
      facts need the simplices to triangulate: phi permutes the cones, not
-     the skeleton's simplex list.
+     the variety's simplex list.
    - Walls.  phi carries a wall and its relation to a wall, so the row
      of phi(w) at pi(rho) is the row of w at rho.  D'.phi(C) = D.C and
      K.C = K.phi(C) (K has all coefficients 1), and equal rows go to equal
-     rows, so the pairs (K.C, D.C) over the skeleton's rows are the same
+     rows, so the pairs (K.C, D.C) over the curve rows are the same
      multiset for c and c'.  The Kleiman test is the same, and so is the
      least ratio K.C / D.C, although the pair at its first minimiser may
      be another pair of equal ratio.
@@ -145,16 +145,17 @@ far less work, by seven reductions.
    vector of rho for every ray rho off cone 0.  So c has the class of
    sum (L c)_rho e_rho over those rays, and L c' = M (L c) with M the
    integer map whose column for such a ray is L e_pi(rho)
-   (``_class_maps``).  M is invertible over Z (phi^-1 gives its inverse),
+   (``ToricVariety.class_maps``).  M is invertible over Z (phi^-1 gives its inverse),
    so it keeps primitive vectors primitive.  With the identity the maps M
    form a group, so evaluating the class v and storing its (score, meets)
    under every M v covers v's orbit, and each orbit is evaluated once, at
    the first of its classes that the walk meets.
 
-   ``toric.ray_maps`` enumerates the automorphisms, and ``_needs_search``
-   skips the search when none can act on classes.  M sends the class of
-   D_k to that of D_pi(k), so it keeps the number of rays in a ray class,
-   and the column pi(k) of the wall rows is a permutation of column k.
+   ``toric.ray_maps`` enumerates the automorphisms, once per variety, and
+   ``toric._needs_search`` skips the search when none can act on classes.
+   M sends the class of D_k to that of D_pi(k), so it keeps the number of
+   rays in a ray class, and the column pi(k) of the curve rows is a
+   permutation of column k.
    Ray classes span Pic, so a non-identity M moves some ray class onto a
    distinct one with the same signature (that number, the sorted column).
    P^n, F1 and the blow-up of P^n at a point never search.
@@ -206,20 +207,14 @@ classes: each line adds its samples whose integer class is extremal.
 
 from __future__ import annotations
 
-import weakref
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from types import MappingProxyType
 
 from torifan import toric
 from torifan.errors import VerificationError
-from torifan.ratgeom import pulling_triangulation, simplex_sums
-
-# variety -> skeleton; weak keys, so a cached skeleton keeps no variety alive
-_skeletons = weakref.WeakKeyDictionary()
+from torifan.ratgeom import simplex_sums
 
 
 @dataclass
@@ -233,34 +228,7 @@ class RawSweep:
     collect_complete: bool
 
 
-def build_skeleton(variety) -> MappingProxyType:
-    """Integer tables driving the per-sample arithmetic, once per variety.
-
-    The skeleton is cached per variety object and shared by every caller,
-    so it is returned as a read-only mapping.
-    """
-    skel = _skeletons.get(variety)
-    if skel is not None:
-        return skel
-    cones = variety.max_cones
-    facets = [
-        [j for j, cone in enumerate(cones) if rho in cone]
-        for rho in range(variety.n_rays)
-    ]
-    walls = tuple(dict.fromkeys(variety.wall_rows))  # reduction 5
-    skel = _skeletons[variety] = MappingProxyType({
-        "dim": variety.dim,
-        "rays": variety.rays,
-        "walls": walls,
-        "wall_k": tuple(map(sum, walls)),
-        "cone_indices": cones,
-        "cone_inverses": variety.cone_inverses,
-        "simplices": tuple(pulling_triangulation(range(len(cones)), facets)),
-    })
-    return skel
-
-
-def _evaluate(skel, c):
+def _evaluate(variety, c):
     """Exact invariants of the ample integer sample c, as plain integers.
 
     Returns ``(vol, eps, delta, witness, extremal, score)``: vol = D^n,
@@ -271,9 +239,9 @@ def _evaluate(skel, c):
     VerificationError when the volume is not positive, when delta^n * vol
     exceeds the simplex bound, or when the score exceeds (n+1)^n.
     """
-    n = skel["dim"]
-    verts = toric.cone_points(skel["cone_indices"], skel["cone_inverses"], c)
-    vol, bary_num = simplex_sums(verts, skel["simplices"], n)
+    n = variety.dim
+    verts = toric.cone_points(variety.max_cones, variety.cone_inverses, c)
+    vol, bary_num = simplex_sums(verts, variety.simplices, n)
     if vol <= 0:
         raise VerificationError(
             "ample sample with nonpositive volume", sample=c
@@ -281,7 +249,7 @@ def _evaluate(skel, c):
 
     # t_rho = (n+1) * vol * S(D_rho); the delta bound is vol^(n+1) <= t_max^n
     nvol = (n + 1) * vol
-    t = [nvol * x + sum(map(mul, bary_num, u)) for u, x in zip(skel["rays"], c)]
+    t = [nvol * x + sum(map(mul, bary_num, u)) for u, x in zip(variety.rays, c)]
     t_max = max(t)
     if vol ** (n + 1) > t_max**n:
         raise VerificationError(
@@ -289,7 +257,7 @@ def _evaluate(skel, c):
         )
 
     eps = None
-    for k, row in zip(skel["wall_k"], skel["walls"]):
+    for row, k in variety.curve_rows:
         s = sum(map(mul, row, c))
         if eps is None or k * eps[1] < eps[0] * s:
             eps = (k, s)
@@ -302,72 +270,6 @@ def _evaluate(skel, c):
     if lhs > rhs:
         raise VerificationError("score exceeds the (n+1)^n bound", sample=c)
     return vol, eps, delta, t.index(t_max), lhs == rhs, Fraction(lhs, den)
-
-
-def _class_rows(skel):
-    """Rows of L: c -> c + div(chi^m), m the vertex of cone 0, off cone 0.
-
-    Column k is L e_k = e_k + div(chi^(m_k)), m_k the cone-0 point of D_k,
-    which is 0 unless k is on cone 0."""
-    rays = skel["rays"]
-    r = len(rays)
-    cone0 = skel["cone_indices"][0]
-    inv0 = skel["cone_inverses"][:1]
-    points = [
-        toric.cone_points([cone0], inv0, [int(j == k) for j in range(r)])[0]
-        for k in cone0
-    ]
-    rows = []
-    for rho, u in enumerate(rays):
-        if rho not in cone0:
-            row = [0] * r
-            row[rho] = 1
-            for k, m in zip(cone0, points):
-                row[k] = sum(map(mul, m, u))
-            rows.append(row)
-    return rows
-
-
-def _needs_search(skel, cols):
-    """Whether some fan automorphism may act on classes (reduction 6).
-
-    ``cols[k]`` is the class L e_k of the ray divisor D_k.  A ray class's
-    signature is the number of rays in that class and its sorted column
-    of the skeleton's wall rows.  When no two distinct ray classes share a
-    signature, every automorphism fixes every class.
-    """
-    count = Counter(cols)
-    walls = skel["walls"]
-    owners = {}  # signature -> a ray class carrying it
-    for k, col in enumerate(cols):
-        sig = (count[col], tuple(sorted(w[k] for w in walls)))
-        if owners.setdefault(sig, col) != col:
-            return True
-    return False
-
-
-def _class_maps(skel, rows):
-    """The distinct non-identity maps that fan automorphisms induce on
-    class vectors L c, as integer matrices (reduction 6).
-
-    An automorphism sends ray k to ray image[k], so it sends the class of
-    D_k, column k of ``rows``, to column image[k].  For a free ray (one
-    off cone 0) column k is a unit vector, so the map's column for it is
-    L e_image[k].
-    """
-    cols = list(zip(*rows))
-    if not _needs_search(skel, cols):
-        return ()
-    cones = skel["cone_indices"]
-    rays = skel["rays"]
-    inverse = skel["cone_inverses"][0]
-    free = [k for k in range(len(rays)) if k not in cones[0]]
-    maps = {
-        tuple(zip(*(cols[image[k]] for k in free)))
-        for image in toric.ray_maps(rays, cones, inverse, rays, cones)
-    }
-    maps.discard(tuple(zip(*(cols[k] for k in free))))
-    return tuple(maps)
 
 
 def _coprime_count(res, r):
@@ -385,19 +287,19 @@ def _coprime_count(res, r):
     return sum(mu[d] * (res // d) ** r for d in range(1, res + 1))
 
 
-def run_sweep(skel, resolution, collect_cap):
+def run_sweep(variety, resolution, collect_cap):
     """Score every ample grid sample exactly; track max, counts and checks.
 
     Returns the RawSweep of the point-by-point walk over the gcd-1 vectors
     of {1..resolution}^r; the module docstring proves the reductions.
     """
     res = resolution
-    walls = skel["walls"]
-    r = len(skel["rays"])
+    walls = [w for w, _ in variety.curve_rows]
+    r = variety.n_rays
     last = r - 1
     fold = r - 2  # the level whose rows are walked in place (reduction 7)
 
-    rows = _class_rows(skel)
+    rows = variety.class_rows
     radix = 2 * res * max(sum(abs(a) for a in row) for row in rows) + 1
     powers = [radix**i for i in range(len(rows))]
     packed = [sum(map(mul, col, powers)) for col in zip(*rows)]
@@ -407,7 +309,7 @@ def run_sweep(skel, resolution, collect_cap):
     # each class map M as its packed columns: M v packs to sum_j v_j M e_j
     maps = [
         [sum(map(mul, col, powers)) for col in zip(*m)]
-        for m in _class_maps(skel, rows)
+        for m in variety.class_maps
     ]
 
     # reach[k]: the most the coordinates after k can add to each wall value
@@ -498,7 +400,7 @@ def run_sweep(skel, resolution, collect_cap):
                     hit = classes.get(key // d)
                     if hit is None:
                         sample = prefix + (x, y)
-                        hit = classes[key // d] = _evaluate(skel, sample)[4:]
+                        hit = classes[key // d] = _evaluate(variety, sample)[4:]
                         if maps:  # reduction 6: the rest of the orbit
                             v = [a // d for a in v]
                             for m in maps:

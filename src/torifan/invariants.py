@@ -126,9 +126,7 @@ def score(divisor: TDivisor) -> InvariantReport:
     variety = divisor.variety
     n = variety.dim
     lam, c = scale_to_integers(divisor.coeffs)
-    vol, eps, delta, witness, extremal, value = _sweep_pure._evaluate(
-        _sweep_pure.build_skeleton(variety), c
-    )
+    vol, eps, delta, witness, extremal, value = _sweep_pure._evaluate(variety, c)
     eps = Fraction(*eps) * lam
     delta = Fraction(*delta) * lam
     return InvariantReport(

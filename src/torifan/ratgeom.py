@@ -373,9 +373,10 @@ def polytopes_equal(p: Polytope, q: Polytope) -> bool:
 # ---------------------------------------------------------------------------
 # triangulation, volume, barycenter
 #
-# One pulling triangulation serves fan_triangulation, the sweep skeleton
-# (torifan._sweep_pure.build_skeleton) and the slice profiles of
-# torifan.okounkov.slice_profile, and it reads only vertex-facet incidence.
+# One pulling triangulation serves fan_triangulation, the sweep's
+# triangulation (torifan.toric.ToricVariety.simplices) and the slice
+# profiles of torifan.okounkov.slice_profile, and it reads only
+# vertex-facet incidence.
 # A face is its vertex set; the facets of a face F are the inclusion-maximal
 # sets F & G, over the facets G of the polytope, that are neither empty nor
 # F (each face of F is an intersection of facets of the polytope).  Pulling

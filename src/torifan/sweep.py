@@ -2,39 +2,26 @@
 
 The sweep evaluates beta^n * Vol on integer coefficient vectors in
 {1..resolution}^(#rays), deduplicated projectively (gcd 1) since the score
-is scale invariant.  Per variety everything shape-dependent is precomputed
-once into a skeleton of integer tables, built and cached per variety object
-by torifan._sweep_pure.build_skeleton (also reachable as
-torifan.sweep.build_skeleton):
+is scale invariant.  Everything shape-dependent is an integer table
+cached on the variety, built once per variety object: ``curve_rows`` (one
+wall row per curve class, torifan._sweep_pure reduction 5),
+``cone_inverses``, ``simplices`` (one pulling triangulation of every ample
+section polytope, read off the ray/cone incidence), ``class_rows`` and
+``class_maps``.  ``build_skeleton`` builds them and returns the variety,
+so that perfbench times them as the skeleton step.
 
-  - wall rows: D.C_w as an integer functional of the coefficients, the
-    distinct rows of the variety's own ``ToricVariety.wall_rows`` (which
-    also decide nef/ample), one per curve class: walls with equal rows
-    give equal values on every class, so P^n keeps one row for its
-    n(n+1)/2 walls (torifan._sweep_pure, reduction 5),
-  - vertex maps: the variety's own ``ToricVariety.cone_inverses``, from
-    which ``toric.cone_points`` reads each cone vertex m_sigma,
-  - a pulling triangulation of the section polytope, stored as tuples of
-    cone indices.  For every ample D, P_D has a vertex m_sigma per maximal
-    cone and a facet per ray, whose vertices are the cones containing that
-    ray.  ratgeom.pulling_triangulation, the one triangulation routine of
-    torifan, reads only this incidence (pulling each face from its lowest
-    cone index), so the same tuples triangulate P_D for every ample D.
-
-One engine consumes the skeleton: torifan._sweep_pure, exact integer
-arithmetic in any dimension.  It scores far fewer points than the grid
-holds: the score and both checks are functions of the divisor class up to
-scale, a fan automorphism maps P_D unimodularly onto the polytope of the
-image class, and the ample samples along each grid line form one
-interval, so it walks lines and evaluates one class per orbit of the
-automorphism group on classes.  Its cost goes per grid row and per class:
-a prefix of all coordinates but the last two walks its rows in place,
-reading each row's line off its own wall sums, and the class memo and the
-orbit images are keyed by one packed integer per class (torifan._sweep_pure
-proves these reductions and tests/sweep_oracle.py keeps the point-by-point
-walk as the reference).
-The orbit reduction needs the skeleton's simplices to triangulate P_D,
-which the incidence argument above guarantees.
+One engine reads them: torifan._sweep_pure, exact integer arithmetic in
+any dimension.  It scores far fewer points than the grid holds: the score
+and both checks are functions of the divisor class up to scale, a fan
+automorphism maps P_D unimodularly onto the polytope of the image class,
+and the ample samples along each grid line form one interval, so it walks
+lines and evaluates one class per orbit of the automorphism group on
+classes.  Its cost goes per grid row and per class: a prefix of all
+coordinates but the last two walks its rows in place, reading each row's
+line off its own wall sums, and the class memo and the orbit images are
+keyed by one packed integer per class (torifan._sweep_pure proves these
+reductions and tests/sweep_oracle.py keeps the point-by-point walk as the
+reference).
 
 The engine's evaluator also scores the collected sample reports, through
 invariants.score.  The argmax is therefore re-checked by the independent
@@ -53,7 +40,6 @@ from fractions import Fraction
 from math import factorial
 
 from torifan import _sweep_pure, invariants, ratgeom
-from torifan._sweep_pure import build_skeleton
 from torifan.errors import EmptyGrid, ValidationError, VerificationError
 from torifan.ratgeom import Polytope
 from torifan.toric import ToricVariety
@@ -63,8 +49,14 @@ from torifan.toric import ToricVariety
 MAX_GRID_POINTS = 2**28
 
 
-def select_engine(skel, resolution):
-    """Name of the engine that sweeps ``skel`` at ``resolution``.
+def build_skeleton(variety):
+    """Build the variety's cached sweep tables and return the variety."""
+    variety.curve_rows, variety.simplices, variety.class_maps
+    return variety
+
+
+def select_engine(variety, resolution):
+    """Name of the engine that sweeps ``variety`` at ``resolution``.
 
     Only the pure engine exists, so the answer is always ``"pure"``; the
     name is recorded as ``SweepResult.engine`` and in every sweep report.
@@ -101,9 +93,8 @@ def sweep_ample_cone(
         raise ValidationError(f"resolution {resolution}: over 2^28 grid points")
     if collect_cap < 0:
         raise ValidationError("collect_cap must be at least 0")
-    skel = build_skeleton(variety)
-    chosen = select_engine(skel, resolution)
-    raw = _sweep_pure.run_sweep(skel, resolution, collect_cap)
+    chosen = select_engine(build_skeleton(variety), resolution)
+    raw = _sweep_pure.run_sweep(variety, resolution, collect_cap)
     if raw.ample == 0:
         raise EmptyGrid(
             f"no ample sample in {{1..{resolution}}}^{variety.n_rays}"

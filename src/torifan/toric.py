@@ -148,6 +148,40 @@ class ToricVariety:
             rows.append(tuple(row))
         return tuple(rows)
 
+    @cached_property
+    def curve_rows(self):
+        """The distinct ``wall_rows`` in first-occurrence order, one per
+        curve class, each as ``(row, K.C)`` with K.C = sum(row), the row
+        on the all-ones anticanonical class (torifan._sweep_pure,
+        reduction 5)."""
+        return tuple((row, sum(row)) for row in dict.fromkeys(self.wall_rows))
+
+    @cached_property
+    def simplices(self):
+        """One pulling triangulation of every ample section polytope P_D,
+        as tuples of cone indices.
+
+        For ample D, P_D has the vertex m_sigma of each maximal cone and a
+        facet per ray, whose vertices are the cones through that ray.
+        ``ratgeom.pulling_triangulation`` reads only this incidence,
+        pulling each face from its lowest cone index, so the same tuples
+        triangulate P_D for every ample D.
+        """
+        cones = self.max_cones
+        facets = [
+            [j for j, cone in enumerate(cones) if rho in cone]
+            for rho in range(self.n_rays)
+        ]
+        return tuple(ratgeom.pulling_triangulation(range(len(cones)), facets))
+
+    @cached_property
+    def class_rows(self):
+        return _class_rows(self)
+
+    @cached_property
+    def class_maps(self):
+        return _class_maps(self)
+
     def scaled_wall_values(self, coeffs):
         """``(lam, [lam * D.C per wall])``, lam as in scale_to_integers."""
         lam, c = scale_to_integers(coeffs)
@@ -533,6 +567,71 @@ def ray_maps(rays, cones, inverse, target_rays, target_cones):
             else:
                 if {frozenset(image[i] for i in c) for c in cones} == target_set:
                     yield tuple(image)
+
+
+def _class_rows(variety):
+    """Rows of L: c -> c + div(chi^m), m the vertex of cone 0, off cone 0.
+
+    Column k is L e_k = e_k + div(chi^(m_k)), m_k the cone-0 point of D_k,
+    which is 0 unless k is on cone 0."""
+    rays = variety.rays
+    r = len(rays)
+    cone0 = variety.max_cones[0]
+    inv0 = variety.cone_inverses[:1]
+    points = [
+        cone_points([cone0], inv0, [int(j == k) for j in range(r)])[0]
+        for k in cone0
+    ]
+    rows = []
+    for rho, u in enumerate(rays):
+        if rho not in cone0:
+            row = [0] * r
+            row[rho] = 1
+            for k, m in zip(cone0, points):
+                row[k] = sum(map(mul, m, u))
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _needs_search(variety, cols):
+    """Whether some fan automorphism may act on classes
+    (torifan._sweep_pure, reduction 6).
+
+    ``cols[k]`` is the class L e_k of the ray divisor D_k.  A ray class's
+    signature is the number of rays in that class and its sorted column
+    of the curve rows.  When no two distinct ray classes share a
+    signature, every automorphism fixes every class.
+    """
+    count = Counter(cols)
+    owners = {}  # signature -> a ray class carrying it
+    for k, col in enumerate(cols):
+        sig = (count[col], tuple(sorted(w[k] for w, _ in variety.curve_rows)))
+        if owners.setdefault(sig, col) != col:
+            return True
+    return False
+
+
+def _class_maps(variety):
+    """The distinct non-identity maps that fan automorphisms induce on
+    class vectors L c, as integer matrices (torifan._sweep_pure,
+    reduction 6).
+
+    An automorphism sends ray k to ray image[k], so it sends the class of
+    D_k, column k of ``class_rows``, to column image[k].  For a free ray
+    (one off cone 0) column k is a unit vector, so the map's column for it
+    is L e_image[k].
+    """
+    cols = list(zip(*variety.class_rows))
+    if not _needs_search(variety, cols):
+        return ()
+    rays, cones = variety.rays, variety.max_cones
+    free = [k for k in range(len(rays)) if k not in cones[0]]
+    maps = {
+        tuple(zip(*(cols[image[k]] for k in free)))
+        for image in ray_maps(rays, cones, variety.cone_inverses[0], rays, cones)
+    }
+    maps.discard(tuple(zip(*(cols[k] for k in free))))
+    return tuple(maps)
 
 
 def fans_isomorphic(x: ToricVariety, y: ToricVariety) -> bool:

@@ -1,8 +1,8 @@
 """Brute-force sweep: the point-by-point walk torifan._sweep_pure reduces.
 
 Visits every gcd-1 vector of {1..resolution}^r in lexicographic order,
-tests each for ampleness on the variety's own per-wall ``wall_rows`` (not
-the skeleton's one row per curve class) and scores every ample one from
+tests each for ampleness on the given per-wall ``wall_rows`` (not the
+variety's ``curve_rows``, one per curve class) and scores every ample one from
 the (vol, eps, delta) of the engine's own exact evaluator, never from the
 evaluator's score.  It knows nothing of classes, curve classes or
 automorphisms, so agreement with ``_sweep_pure.run_sweep`` checks the
@@ -34,9 +34,9 @@ def grid(r, resolution):
         c[i] += 1
 
 
-def pointwise_sweep(wall_rows, skel, resolution, collect_cap):
+def pointwise_sweep(wall_rows, variety, resolution, collect_cap):
     """The RawSweep of the point-by-point walk: ampleness from
-    ``wall_rows``, scores from ``_evaluate(skel, c)``."""
+    ``wall_rows``, scores from ``_evaluate(variety, c)``."""
     candidates = 0
     ample = 0
     extremal = 0
@@ -44,7 +44,7 @@ def pointwise_sweep(wall_rows, skel, resolution, collect_cap):
     argmax = None
     collected = []
     collect_complete = True
-    for c in grid(len(skel["rays"]), resolution):
+    for c in grid(variety.n_rays, resolution):
         candidates += 1
         if any(sum(w * x for w, x in zip(row, c)) <= 0 for row in wall_rows):
             continue
@@ -53,8 +53,8 @@ def pointwise_sweep(wall_rows, skel, resolution, collect_cap):
             collected.append(c)
         else:
             collect_complete = False
-        vol, eps, delta, _, meets_bound, _ = _evaluate(skel, c)  # not its score
-        score = min(Fraction(*eps), Fraction(*delta)) ** skel["dim"] * vol
+        vol, eps, delta, _, meets_bound, _ = _evaluate(variety, c)  # not its score
+        score = min(Fraction(*eps), Fraction(*delta)) ** variety.dim * vol
         if meets_bound:
             extremal += 1
         if best is None or score > best:

@@ -1,5 +1,6 @@
 """Fan automorphisms: ``toric.ray_maps`` against a brute-force oracle, and
-the class maps and skip rule of ``_sweep_pure`` reduction 6.
+the class maps and skip rule of ``_sweep_pure`` reduction 6, built once
+per variety.
 
 The oracle tries every permutation of the rays.  It keeps those that carry
 the maximal cones onto maximal cones and are induced by the integer map
@@ -14,7 +15,7 @@ import pytest
 from test_cone_table import all_fans
 from test_toric import _relabelled
 
-from torifan import _sweep_pure, catalog, sweep, toric
+from torifan import _sweep_pure, catalog, invariants, toric
 
 ORDERS = {"P1xP1": 8, "F1": 2, "Bl2P2": 2, "Bl3P2": 12, "P1xP1xP1": 48}
 
@@ -55,7 +56,7 @@ def automorphisms(v):
 
 def ray_classes(v):
     """Per ray k, the class vector L e_k (column k of the class rows)."""
-    return list(zip(*_sweep_pure._class_rows(sweep.build_skeleton(v))))
+    return list(zip(*v.class_rows))
 
 
 def fans(rng):
@@ -93,8 +94,6 @@ def test_class_maps_are_the_oracle_group_on_classes():
     for v in all_fans(rng):
         if v.n_rays > 6:
             continue
-        skel = sweep.build_skeleton(v)
-        rows = _sweep_pure._class_rows(skel)
         cols = ray_classes(v)
         free = [k for k in range(v.n_rays) if k not in v.max_cones[0]]
         identity = tuple(zip(*(cols[k] for k in free)))
@@ -102,7 +101,7 @@ def test_class_maps_are_the_oracle_group_on_classes():
             tuple(zip(*(cols[image[k]] for k in free)))
             for image in oracle_automorphisms(v)
         } - {identity}
-        assert set(_sweep_pure._class_maps(skel, rows)) == expected, v.name
+        assert set(v.class_maps) == expected, v.name
         checked += bool(expected)
     assert checked >= 6
 
@@ -114,7 +113,7 @@ def test_the_skip_rule_skips_only_groups_trivial_on_classes():
         if v.n_rays > 6:
             continue
         cols = ray_classes(v)
-        if _sweep_pure._needs_search(sweep.build_skeleton(v), cols):
+        if toric._needs_search(v, cols):
             continue
         skipped += 1
         for image in oracle_automorphisms(v):
@@ -135,9 +134,28 @@ def test_the_sweep_enumerates_no_ordering_where_the_rule_skips(monkeypatch):
             checked.append(toric.blowup_at_fixed_point(p, 0).result)
     checked.append(catalog.hirzebruch_one())
     for v in checked:
-        skel = sweep.build_skeleton(v)
-        assert _sweep_pure._class_maps(skel, _sweep_pure._class_rows(skel)) == ()
-        _sweep_pure.run_sweep(skel, 2, 0)
+        assert v.class_maps == ()
+        _sweep_pure.run_sweep(v, 2, 0)
+
+
+def test_the_tables_are_built_once_per_fan(monkeypatch):
+    searches = []
+    search = toric.ray_maps
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(toric, "ray_maps", counted)
+    p1xp1 = catalog.p1_power(2)
+    first = _sweep_pure.run_sweep(p1xp1, 3, 0)
+    assert _sweep_pure.run_sweep(p1xp1, 3, 0) == first
+    assert len(searches) == 1  # its group acts on classes: one search
+    # invariants.score needs no class maps, so it never searches
+    searches.clear()
+    bl3p2 = catalog.del_pezzo_6()
+    assert invariants.score(bl3p2.anticanonical()).score > 0
+    assert searches == []
 
 
 @pytest.mark.parametrize("name", ["Bl2P2", "P1xP1xP1"])

@@ -374,8 +374,8 @@ def test_no_error_text_holds_a_python_repr(tmp_path, capsys):
 
 
 def test_a_fan_past_the_simplex_cap_is_refused_quickly(tmp_path, capsys):
-    """(P^1)^9 has 9! = 362,880 skeleton simplices; the pulling
-    triangulation stops at MAX_SIMPLICES = 10^5."""
+    """(P^1)^9 has 9! = 362,880 simplices in its ``simplices`` table; the
+    pulling triangulation stops at MAX_SIMPLICES = 10^5."""
     fan = write_fan(tmp_path, catalog.p1_power(9))
     for argv in (["invariants", fan], ["sweep", fan, "--resolution", "1"]):
         assert cli.main(argv) == 2
@@ -384,7 +384,7 @@ def test_a_fan_past_the_simplex_cap_is_refused_quickly(tmp_path, capsys):
 
 
 def test_a_small_simplex_cap_refuses_a_small_fan(tmp_path, capsys, monkeypatch):
-    fan = write_fan(tmp_path, catalog.p1_power(3))  # 3! = 6 skeleton simplices
+    fan = write_fan(tmp_path, catalog.p1_power(3))  # 3! = 6 simplices
     assert cli.main(["invariants", fan]) == 0
     capsys.readouterr()
     monkeypatch.setattr(ratgeom, "MAX_SIMPLICES", 5)

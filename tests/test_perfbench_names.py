@@ -1,7 +1,10 @@
 """The torifan names that the benchmark in ``perfbench/`` reaches must resolve.
 
 ``perfbench/spans.py`` patches every ``(module, attribute)`` pair of its
-``TRACED`` table, and ``perfbench/run.py`` calls ``sweep.select_engine`` on
+``TRACED`` table, among them ``sweep.build_skeleton`` (which builds a
+variety's cached sweep tables and returns the variety),
+``sweep.select_engine`` and ``_sweep_pure.run_sweep``, and
+``perfbench/run.py`` calls ``sweep.select_engine`` on
 ``sweep.build_skeleton``.  A rename in ``src`` would break the benchmark
 without failing any other test, so these tests resolve every name.  They
 read ``perfbench/`` and change nothing there.

@@ -1,11 +1,11 @@
 """``invariants.score`` against the ratgeom composition.
 
-``score`` runs the sweep's integer evaluator on the skeleton and unscales.
-The ratgeom path -- ``seshadri_constant``, then generic vertex enumeration,
-pulling triangulation and Fraction barycenter on a fresh section polytope
--- computes the same report independently, and both must agree field for
-field on seeded ample classes of every catalog fan, with integer, Fraction,
-principal-shifted and scaled coefficients.  The polytope is built fresh
+``score`` runs the sweep's integer evaluator on the variety's tables and
+unscales.  The ratgeom path -- ``seshadri_constant``, then generic vertex
+enumeration, pulling triangulation and Fraction barycenter on a fresh
+section polytope -- computes the same report independently, and both must
+agree field for field on seeded ample classes of every catalog fan, with
+integer, Fraction, principal-shifted and scaled coefficients.  The polytope is built fresh
 because ``TDivisor.section_polytope()`` of a nef class reads its vertices
 off the cone inverses that the evaluator's vertex maps also come from.
 """

@@ -143,15 +143,15 @@ def test_collect_cap_truncates_reports():
     assert full.sample_reports_complete
 
 
-def skeleton_volume(skel, coeffs):
-    """Sum of |det| over the skeleton's simplices at the reflected vertices
+def skeleton_volume(variety, coeffs):
+    """Sum of |det| over the variety's simplices at the reflected vertices
     -m_sigma of D, which the cone inverses give."""
     verts = [
         [sum(a * coeffs[i] for a, i in zip(row, idx)) for row in inv]
-        for idx, inv in zip(skel["cone_indices"], skel["cone_inverses"])
+        for idx, inv in zip(variety.max_cones, variety.cone_inverses)
     ]
     total = 0
-    for simplex in skel["simplices"]:
+    for simplex in variety.simplices:
         base = verts[simplex[0]]
         rows = [[a - b for a, b in zip(verts[s], base)] for s in simplex[1:]]
         total += abs(det(rows))
@@ -161,16 +161,13 @@ def skeleton_volume(skel, coeffs):
 def test_skeleton_triangulation_matches_polytope_volume():
     rng = random.Random(20260814)
     for v in catalog.surface_catalog() + [catalog.p1_power(3)]:
-        skel = sweep.build_skeleton(v)
-        assert skel["dim"] == v.dim
-        assert skel["cone_inverses"] is v.cone_inverses  # one cone table
         checked = 0
         while checked < 8:
             coeffs = tuple(rng.randint(1, 9) for _ in range(v.n_rays))
             d = v.divisor(coeffs)
             if not d.is_ample():
                 continue
-            assert skeleton_volume(skel, coeffs) == d.vol()
+            assert skeleton_volume(v, coeffs) == d.vol()
             checked += 1
 
 
@@ -179,7 +176,8 @@ def test_skeleton_build_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        sweep.build_skeleton(v)
+        assert sweep.build_skeleton(v) is v
+        v.curve_rows, v.simplices, v.class_rows, v.class_maps
         assert ratgeom.volume(v.divisor([1] * 6).section_polytope()) == 3
         assert gc.collect() == 0
     finally:
@@ -198,8 +196,8 @@ def test_argmax_recheck_is_independent_of_the_evaluator(monkeypatch):
     """A wrong evaluator must not pass the re-check by checking itself."""
     real = _sweep_pure._evaluate
 
-    def off_by_one(skel, c):
-        out = real(skel, c)
+    def off_by_one(variety, c):
+        out = real(variety, c)
         return out[:5] + (out[5] + 1,)  # the score
 
     monkeypatch.setattr(_sweep_pure, "_evaluate", off_by_one)

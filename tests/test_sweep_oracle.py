@@ -8,6 +8,7 @@ argmax, collected samples and the complete flag, for a cap of 0, a cap
 that truncates, and a cap above the ample count.
 """
 
+import copy
 import random
 from dataclasses import replace
 from functools import partial
@@ -23,8 +24,7 @@ from torifan.errors import VerificationError
 
 
 def assert_agrees(variety, resolution):
-    skel = sweep.build_skeleton(variety)
-    oracle = pointwise_sweep(variety.wall_rows, skel, resolution, 10**9)
+    oracle = pointwise_sweep(variety.wall_rows, variety, resolution, 10**9)
     assert oracle.collect_complete and len(oracle.collected) == oracle.ample
     for cap in (0, oracle.ample // 2, oracle.ample + 1):
         expected = replace(
@@ -32,7 +32,7 @@ def assert_agrees(variety, resolution):
             collected=oracle.collected[:cap],
             collect_complete=oracle.ample <= cap,
         )
-        got = _sweep_pure.run_sweep(skel, resolution, cap)
+        got = _sweep_pure.run_sweep(variety, resolution, cap)
         assert got == expected, (variety.name, resolution, cap)
         assert isinstance(got.best, type(expected.best))
     return oracle
@@ -40,9 +40,8 @@ def assert_agrees(variety, resolution):
 
 def test_oracle_with_cap_zero_matches_truncation():
     f1 = catalog.hirzebruch_one()
-    skel = sweep.build_skeleton(f1)
-    full = pointwise_sweep(f1.wall_rows, skel, 4, 10**9)
-    assert pointwise_sweep(f1.wall_rows, skel, 4, 0) == replace(
+    full = pointwise_sweep(f1.wall_rows, f1, 4, 10**9)
+    assert pointwise_sweep(f1.wall_rows, f1, 4, 0) == replace(
         full, collected=[], collect_complete=False
     )
 
@@ -101,11 +100,10 @@ def test_agrees_on_hirzebruch_surfaces_with_unreachable_walls():
         for y in (x, *(_relabelled(x, rng) for _ in range(3))):
             if any(row[0] == 0 for row in y.wall_rows):
                 seen.add("zero at level 0")
-            skel = sweep.build_skeleton(y)
             for resolution in range(1, 6):
-                failed = outcome(pointwise_sweep, y.wall_rows, skel, resolution, 0)
+                failed = outcome(pointwise_sweep, y.wall_rows, y, resolution, 0)
                 if isinstance(failed, tuple):
-                    assert outcome(_sweep_pure.run_sweep, skel, resolution, 0) == failed
+                    assert outcome(_sweep_pure.run_sweep, y, resolution, 0) == failed
                     seen.add("failed")
                 else:
                     raw = assert_agrees(y, resolution)
@@ -120,8 +118,8 @@ def test_checks_raise_on_the_same_sample():
     # (Reduction 6 needs a triangulation; here the first failing class is
     # also the first class of its orbit that the walk meets.)
     variety = catalog.del_pezzo_7()
-    skel = sweep.build_skeleton(variety)
-    bad = dict(skel, simplices=skel["simplices"] + ((0, 2, 3), (0, 3, 4)))
+    bad = copy.copy(sweep.build_skeleton(variety))
+    bad.simplices = variety.simplices + ((0, 2, 3), (0, 3, 4))
     failures = []
     for run in (partial(pointwise_sweep, variety.wall_rows), _sweep_pure.run_sweep):
         with pytest.raises(VerificationError) as info:
@@ -149,8 +147,7 @@ def test_agrees_on_blowups_that_keep_a_symmetry():
                     x, rng.randrange(len(x.max_cones))
                 ).result
                 for y in (x, _relabelled(x, rng)):
-                    skel = sweep.build_skeleton(y)
-                    maps = _sweep_pure._class_maps(skel, _sweep_pure._class_rows(skel))
+                    maps = y.class_maps
                     if maps:
                         kept += 1
                         largest = max(largest, len(maps))
@@ -163,13 +160,13 @@ def test_one_evaluation_per_orbit(monkeypatch):
     calls = []
     evaluate = _sweep_pure._evaluate
 
-    def counted(skel, c):
+    def counted(variety, c):
         calls.append(c)
-        return evaluate(skel, c)
+        return evaluate(variety, c)
 
     monkeypatch.setattr(_sweep_pure, "_evaluate", counted)
     entries = {v.name: v for v in catalog.bundled_catalog()}
     for name, resolution, most in (("Bl3P2", 5, 160), ("P1xP1xP1", 3, 30)):
         calls.clear()
-        _sweep_pure.run_sweep(sweep.build_skeleton(entries[name]), resolution, 0)
+        _sweep_pure.run_sweep(entries[name], resolution, 0)
         assert len(calls) <= most, (name, len(calls))
