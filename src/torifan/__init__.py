@@ -1,10 +1,10 @@
 """Exact-arithmetic toolkit for smooth toric Fano varieties.
 
-Computes Seshadri constants, expected vanishing orders, delta invariants
-and the greatest Ricci lower bound on torus-invariant classes, builds
-Newton-Okounkov bodies for invariant flags, and verifies the score bound
-beta^n * Vol <= (n+1)^n across a bundled catalog, all in rational
-arithmetic.
+Computes the volume, Seshadri constant eps, stability threshold delta and
+beta = min(eps, delta) of torus-invariant classes and their vanishing-order
+volume profiles, builds Newton-Okounkov bodies for invariant flags, and
+verifies the score bound beta^n * Vol <= (n+1)^n across a bundled catalog,
+all in rational arithmetic.
 """
 
 from torifan.errors import (

@@ -3,7 +3,7 @@
 The 11 bundled fans exist once, as the JSON files under ``data/catalog``.
 ``load_catalog`` reads a directory of such files -- the bundled one, or one
 named by an argument or the ``TORIFAN_CATALOG`` environment variable -- and
-``bundled_catalog``, ``surface_catalog`` and the named constructors read the
+``bundled_catalog``, ``surface_catalog`` and ``hirzebruch_one`` read the
 bundled files through the same reader.  ``projective_space(n)`` and
 ``p1_power(k)`` build those two families for any n and k; the bundled P^n and
 (P^1)^k files are their output, written by ``jsonio``.
@@ -62,20 +62,6 @@ def surface_catalog():
 def hirzebruch_one() -> ToricVariety:
     """F1, the blow-up of P^2 at one point."""
     return _read_fan(bundled_dir(), "f1.json")
-
-
-def del_pezzo_7() -> ToricVariety:
-    """Blow-up of P^2 at two fixed points (anticanonical degree 7)."""
-    return _read_fan(bundled_dir(), "bl2p2.json")
-
-
-def del_pezzo_6() -> ToricVariety:
-    """Blow-up of P^2 at three fixed points (anticanonical degree 6)."""
-    return _read_fan(bundled_dir(), "bl3p2.json")
-
-
-def catalog_file_name(name: str) -> str:
-    return name.lower() + ".json"
 
 
 def bundled_dir():

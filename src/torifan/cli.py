@@ -79,9 +79,7 @@ def _cmd_validate(args):
     variety = jsonio.load_fan(args.fan)
     payload = {
         "name": variety.name,
-        "dim": variety.dim,
-        "rays": [list(r) for r in variety.rays],
-        "max_cones": [list(c) for c in variety.max_cones],
+        **jsonio.fan_to_dict(variety),
         "n_walls": len(variety.walls),
         "anticanonical_ample": variety.anticanonical().is_ample(),
         "valid": True,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from torifan import invariants, jsonio
-from torifan.errors import ValidationError, VerificationError
+from torifan.errors import ValidationError, VerificationError, format_rational
 from torifan.invariants import chain_report, fujita_profile
 from torifan.okounkov import (
     bm_concavity_check,
@@ -34,7 +34,7 @@ from torifan.okounkov import (
 from torifan.sweep import sweep_ample_cone
 from torifan.toric import TDivisor, ToricVariety, is_projective_space
 
-_fmt = jsonio.format_rational
+_fmt = format_rational
 _ratio = jsonio.format_ratio
 _dec = jsonio.decimal_string
 
@@ -182,14 +182,6 @@ class GapReport:
     def resolution(self) -> int:
         return self.sweep.resolution
 
-    @property
-    def detail(self):
-        """(name, dim, max_score, gap, is_projective_space) per entry."""
-        return tuple(
-            (res.variety_name, res.dim, res.max_score, res.gap, pn)
-            for res, pn in zip(self.sweep.results, self.sweep.projective)
-        )
-
     def cells(self):
         """The rows as (dimension, epsilon, its decimal, achieving variety)."""
         return [(dim, _fmt(eps), _dec(eps), name) for dim, eps, name in self.rows]
@@ -217,6 +209,8 @@ def gap_report(catalog, resolution: int, dimension=None) -> GapReport:
     non-P^n entries of ``verify_theorem``'s sweep, which also holds the
     bound to equality on P^n alone."""
     entries = [v for v in catalog if dimension is None or v.dim == dimension]
+    if not entries:
+        raise ValidationError(f"no catalog entry of dimension {dimension}")
     if all(map(is_projective_space, entries)):
         raise ValidationError(
             "gap report needs at least one entry besides projective space"

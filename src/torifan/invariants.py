@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import pairwise
 from math import factorial
 
-from torifan import _sweep_pure, okounkov, ratgeom, ratpoly
+from torifan import _sweep_pure, okounkov, ratpoly
 from torifan.errors import VerificationError
 from torifan.ratgeom import scale_to_integers
 from torifan.toric import (
@@ -44,57 +44,23 @@ def seshadri_constant(divisor: TDivisor) -> Fraction:
     return lam * min(Fraction(sum(w), x) for w, x in zip(variety.wall_rows, values))
 
 
-def _vanishing_orders(divisor: TDivisor, center):
-    """S(D_rho) = <center, u_rho> + a_rho per ray, for the section
-    polytope's barycenter ``center``."""
-    return [
+def delta_from_barycenter(divisor: TDivisor, center):
+    """Stability threshold and its witness ray, for the section polytope's
+    barycenter ``center``.
+
+    The expected vanishing order along a ray divisor is
+    S(D_rho) = <center, u_rho> + a_rho.  Over the torus-invariant prime
+    divisors the log discrepancy is 1, so the threshold is
+    1 / max S(D_rho); ties go to the smallest ray index.
+    """
+    orders = [
         sum(c * u for c, u in zip(center, ray)) + a
         for ray, a in zip(divisor.variety.rays, divisor.coeffs)
     ]
-
-
-def expected_vanishing_order(divisor: TDivisor, ray_index: int) -> Fraction:
-    """Volume-normalized integral of vol(D - x*D_ray): <barycenter, u> + a."""
-    require_big(divisor)
-    if not 0 <= ray_index < divisor.variety.n_rays:
-        raise ValueError(f"no ray with index {ray_index}")
-    center = ratgeom.barycenter(divisor.section_polytope())
-    return _vanishing_orders(divisor, center)[ray_index]
-
-
-def delta_toric(divisor: TDivisor):
-    """Stability threshold and its witness ray.
-
-    Over the torus-invariant prime divisors the log discrepancy is 1, so the
-    threshold is 1 / max expected vanishing order; ties go to the smallest
-    ray index.
-    """
-    require_big(divisor)
-    center = ratgeom.barycenter(divisor.section_polytope())
-    return delta_from_barycenter(divisor, center)
-
-
-def delta_from_barycenter(divisor: TDivisor, center):
-    """``delta_toric`` read off a given barycenter of the section polytope."""
-    orders = _vanishing_orders(divisor, center)
     best = max(orders)
     if best <= 0:
         raise VerificationError("no positive vanishing order at the barycenter")
     return 1 / best, orders.index(best)
-
-
-def greatest_ricci_lower_bound(divisor: TDivisor) -> Fraction:
-    """min of the Seshadri constant and the stability threshold."""
-    eps = seshadri_constant(divisor)
-    delta, _ = delta_toric(divisor)
-    return min(eps, delta)
-
-
-def delta_volume_bound_check(divisor: TDivisor) -> bool:
-    """Exact check of delta^n * vol <= (n+1)^n."""
-    n = divisor.variety.dim
-    delta, _ = delta_toric(divisor)
-    return delta**n * divisor.vol() <= Fraction(n + 1) ** n
 
 
 @dataclass(frozen=True)
@@ -167,15 +133,6 @@ class VolumeProfile(ratpoly.Piecewise):
     @property
     def domain_end(self):
         return self.breakpoints[-1]
-
-    def value(self, x) -> Fraction:
-        if x < 0:
-            raise ValueError("profiles live on x >= 0")
-        return self.piece_value(x)
-
-    def margin(self, x) -> Fraction:
-        x = Fraction(x)
-        return self.value(x) - (self.total - x**self.dim)
 
     def inequality_certificate(self) -> bool:
         """Symbolic proof that value >= vol - x^n holds on every piece."""

@@ -12,7 +12,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
-from torifan.errors import ParseError, TorifanError, format_rational
+from torifan.errors import ParseError, TorifanError
 from torifan.toric import TDivisor, ToricVariety, validate_fan
 
 DECIMAL_DIGITS = 12

@@ -54,9 +54,10 @@ consecutive values of nu_1 on the vertices of Delta.
   integer coefficients (``ratpoly.factorial_interpolate``).  One division
   by (n-1)!^2 L^(n-1) gives the piece.
 
-A body of affine rank below n (possible through
-:meth:`OkounkovBody.from_polytope`) has zero slice area everywhere; the
-argument above needs full dimension, so that case is answered first.
+A body of affine rank below n has zero slice area everywhere; the
+argument above needs full dimension, so that case is answered first.  The
+body of a big class is full-dimensional, so only an ``OkounkovBody``
+built directly on a flat polytope takes that branch.
 """
 
 from __future__ import annotations
@@ -110,11 +111,6 @@ class OkounkovBody:
         if any(c < 0 for p in ratgeom.vertex_points(polytope)[1] for c in p):
             raise ValidationError("body must lie in the orthant")
 
-    @classmethod
-    def from_polytope(cls, polytope: Polytope) -> "OkounkovBody":
-        """Wrap a bare orthant polytope for slice and cone analysis."""
-        return cls(None, None, polytope)
-
     @property
     def dim(self):
         return self.polytope.ambient_dim
@@ -124,9 +120,6 @@ class OkounkovBody:
 
     def volume(self) -> Fraction:
         return ratgeom.volume(self.polytope)
-
-    def contains_origin(self) -> bool:
-        return ratgeom.contains(self.polytope, (Fraction(0),) * self.dim)
 
 
 def okounkov_body(divisor: TDivisor, flag: FlagSpec) -> OkounkovBody:
@@ -184,17 +177,6 @@ def translation_identity_check(body: OkounkovBody, t) -> bool:
     vector = (t,) + (Fraction(0),) * (body.dim - 1)
     translated = ratgeom.translate(shifted_body.polytope, vector)
     return ratgeom.polytopes_equal(truncated, translated)
-
-
-def nef_by_origin(divisor: TDivisor) -> bool:
-    """Nef test through origin membership at every fixed point's body."""
-    require_big(divisor)
-    variety = divisor.variety
-    for cone_index in variety.fixed_points():
-        body = okounkov_body(divisor, default_flag(variety, cone_index))
-        if not body.contains_origin():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -354,36 +336,4 @@ def bm_concavity_check(profile: SliceProfile) -> bool:
             slope(p, x) >= slope(q, x)
             for x, p, q in zip(points[1:-1], pieces, pieces[1:])
         )
-    )
-
-
-def cone_structure_check(body: OkounkovBody, a) -> bool:
-    """Is the truncation to nu_1 <= a the cone over the nu_1 = a slice.
-
-    The cone {lambda v : lambda in [0,1], v in slice} is cut out by
-    homogenizing every body halfspace against the slice level.
-    """
-    a = Fraction(a)
-    if a <= 0:
-        raise ValueError("cone check needs a positive level")
-    n = body.dim
-    truncated = ratgeom.truncate(body.polytope, 0, lo=0, hi=a)
-    e1 = (1,) + (0,) * (n - 1)
-    cone_rows = [(e1, 0), (tuple(-c for c in e1), a)]
-    for normal, offset in body.polytope.rows:
-        normal = (a * normal[0] + offset,) + tuple(a * c for c in normal[1:])
-        if not any(normal):
-            continue  # constraint degenerates to 0 >= 0
-        cone_rows.append((normal, 0))
-    cone = Polytope(n, cone_rows)
-    return ratgeom.polytopes_equal(truncated, cone)
-
-
-def segment_membership_check(body: OkounkovBody, a) -> bool:
-    """Does the body contain the segment from the origin to a*e_1."""
-    a = Fraction(a)
-    zero = (Fraction(0),) * (body.dim - 1)
-    return all(
-        ratgeom.contains(body.polytope, (x,) + zero)
-        for x in (Fraction(0), a / 2, a)
     )

@@ -339,14 +339,6 @@ def _enumerate(poly):
     return scale, tuple(sorted(points))
 
 
-def contains(poly: Polytope, point) -> bool:
-    """Exact membership test."""
-    if len(point) != poly.ambient_dim:
-        raise ValueError("point dimension mismatch")
-    scale, v = scale_to_integers(point)
-    return all(sum(map(mul, a, v)) + b * scale >= 0 for a, b in poly.rows)
-
-
 def is_full_dimensional(poly: Polytope) -> bool:
     """Whether the vertices have affine rank n; cached on the polytope."""
     if poly._full is None:

@@ -159,10 +159,6 @@ def factorial_interpolate(values):
     return acc
 
 
-def equal(p, q) -> bool:
-    return trim(p) == trim(q)
-
-
 # ---------------------------------------------------------------------------
 # sign certificates via integer Sturm sequences
 

@@ -213,10 +213,6 @@ class ToricVariety:
         lam, c = scale_to_integers(coeffs)
         return lam, set(map(tuple, cone_points(self.max_cones, self.cone_inverses, c)))
 
-    def fixed_points(self):
-        """Indices of maximal cones, one torus-fixed point each."""
-        return range(len(self.max_cones))
-
 
 class TDivisor:
     """Torus-invariant Q-divisor sum a_rho D_rho on a fixed variety."""
@@ -517,12 +513,6 @@ def pullback(divisor: TDivisor, blowup: Blowup) -> TDivisor:
     cone = blowup.source.max_cones[blowup.cone_index]
     a_e = sum(divisor.coeffs[i] for i in cone)
     return TDivisor(blowup.result, divisor.coeffs + (a_e,))
-
-
-def exceptional(blowup: Blowup) -> TDivisor:
-    coeffs = [0] * blowup.result.n_rays
-    coeffs[blowup.e_index] = 1
-    return TDivisor(blowup.result, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,12 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
+from okounkov_lemmas import cone_structure_check, nef_by_origin, segment_membership_check
+from score_oracle import ratgeom_report, vanishing_orders
+from test_okounkov import equality_case_blowup_body, model_cone
+from test_okounkov import off_axis_body, unit_square_body
+
 from torifan import catalog, harness, invariants, okounkov, ratgeom, ratpoly, sweep
-from torifan.ratgeom import Polytope
 
 
 @contextmanager
@@ -49,7 +53,7 @@ def test_02_hirzebruch_anticanonical_pipeline():
         assert rep.delta == F(6, 7)
         assert rep.delta_witness_ray == 1
         assert x.rays[1] == (0, 1)
-        assert invariants.expected_vanishing_order(mk, 1) == F(7, 6)
+        assert vanishing_orders(mk)[1] == F(7, 6)
         assert rep.eps == 1
         assert rep.beta == F(6, 7)
         assert rep.score == F(288, 49)
@@ -78,7 +82,8 @@ def test_03_surface_sweeps_at_resolution_8():
             else:
                 assert res.gap > 0
             # spot check the stability-threshold volume bound directly
-            assert invariants.delta_volume_bound_check(v.anticanonical())
+            r = ratgeom_report(v.anticanonical())
+            assert r.delta**v.dim * r.vol <= (v.dim + 1) ** v.dim
 
 
 def test_04_fujita_profiles():
@@ -87,20 +92,23 @@ def test_04_fujita_profiles():
     ):
         p2 = catalog.projective_space(2)
         h = p2.divisor([0, 0, 1])
-        for cone_index in p2.fixed_points():
+        for cone_index in range(len(p2.max_cones)):
             profile, _ = invariants.fujita_profile(p2, cone_index, h)
             assert profile.breakpoints == (0, 1)
             assert len(profile.pieces) == 1
-            assert ratpoly.equal(profile.pieces[0], (F(1), F(0), F(-1)))
+            assert ratpoly.trim(profile.pieces[0]) == (F(1), F(0), F(-1))
         for v in catalog.surface_catalog():
             mk = v.anticanonical()
-            for cone_index in v.fixed_points():
+            for cone_index in range(len(v.max_cones)):
                 profile, _ = invariants.fujita_profile(v, cone_index, mk)
                 assert profile.inequality_certificate()
                 end = profile.domain_end
                 points = set(profile.breakpoints)
                 points.update(end * F(j, 100) for j in range(101))
-                assert all(profile.margin(x) >= 0 for x in sorted(points))
+                assert all(
+                    profile.piece_value(x) >= profile.total - x**v.dim
+                    for x in sorted(points)
+                )
 
 
 def test_05_vanishing_order_integrals_and_the_p2_chain():
@@ -111,9 +119,7 @@ def test_05_vanishing_order_integrals_and_the_p2_chain():
             mk = v.anticanonical()
             for i in range(v.n_rays):
                 profile = invariants.vanishing_order_profile(mk, i)
-                assert profile.integral() / profile.total == (
-                    invariants.expected_vanishing_order(mk, i)
-                )
+                assert profile.integral() / profile.total == vanishing_orders(mk)[i]
         rng = random.Random(50817)
         surfaces = catalog.surface_catalog()
         checked = 0
@@ -124,14 +130,12 @@ def test_05_vanishing_order_integrals_and_the_p2_chain():
                 continue
             i = rng.randrange(v.n_rays)
             profile = invariants.vanishing_order_profile(d, i)
-            assert profile.integral() / profile.total == (
-                invariants.expected_vanishing_order(d, i)
-            )
+            assert profile.integral() / profile.total == vanishing_orders(d)[i]
             checked += 1
         p2 = catalog.projective_space(2)
         mk = p2.anticanonical()
-        beta = invariants.greatest_ricci_lower_bound(mk)
-        for cone_index in p2.fixed_points():
+        beta = invariants.score(mk).beta
+        for cone_index in range(len(p2.max_cones)):
             profile, _ = invariants.fujita_profile(p2, cone_index, mk)
             chain = invariants.chain_report(profile, beta)
             assert chain.log_discrepancy >= chain.beta * chain.s_exceptional
@@ -151,7 +155,7 @@ def test_06_okounkov_identities():
         # volume identity on every constructed body
         for v in catalog.bundled_catalog():
             mk = v.anticanonical()
-            cones = v.fixed_points() if v.dim <= 3 else range(1)
+            cones = range(len(v.max_cones) if v.dim <= 3 else 1)
             for cone_index in cones:
                 body = okounkov.okounkov_body(
                     mk, okounkov.default_flag(v, cone_index)
@@ -187,7 +191,7 @@ def test_06_okounkov_identities():
                 )
                 if not d.is_big():
                     continue
-                assert okounkov.nef_by_origin(d) == d.is_nef()
+                assert nef_by_origin(d) == d.is_nef()
                 checked += 1
 
 
@@ -199,26 +203,13 @@ def test_07_cone_structure_mechanics():
 
         # model cone: slice area r^{n-1}/(n-1)! exactly
         for n in (2, 3):
-            hs = [
-                (
-                    tuple(F(1 if j == i else 0) for j in range(n)), F(0)
-                )
-                for i in range(1, n)
-            ]
-            e1 = (F(1),) + (F(0),) * (n - 1)
-            hs.append((e1, F(0)))
-            hs.append((tuple(-c for c in e1), F(1)))
-            hs.append(
-                ((F(1),) + tuple(F(-1) for _ in range(n - 1)), F(0))
-            )
-            body = okounkov.OkounkovBody.from_polytope(Polytope(n, hs))
-            profile = okounkov.slice_profile(body)
+            profile = okounkov.slice_profile(model_cone(n))
             monomial = tuple(
                 F(1, factorial(n - 1)) if k == n - 1 else F(0)
                 for k in range(n)
             )
             assert profile.breakpoints == (0, 1)
-            assert all(ratpoly.equal(p, monomial) for p in profile.pieces)
+            assert all(ratpoly.trim(p) == monomial for p in profile.pieces)
             assert okounkov.bm_concavity_check(profile)
         # concavity across the whole catalog
         for v in catalog.bundled_catalog():
@@ -227,43 +218,14 @@ def test_07_cone_structure_mechanics():
             )
             assert okounkov.bm_concavity_check(okounkov.slice_profile(body))
         # equality-case blow-up body of (P2, O(1)): a cone on [0, 1]
-        from torifan import toric
-
         p2 = catalog.projective_space(2)
-        bl = toric.blowup_at_fixed_point(p2, 0)
-        pulled = toric.pullback(p2.divisor([0, 0, 1]), bl)
-        target = next(
-            ci
-            for ci, cone in enumerate(bl.result.max_cones)
-            if bl.e_index in cone
-        )
-        order = (bl.e_index,) + tuple(
-            i for i in bl.result.max_cones[target] if i != bl.e_index
-        )
-        body = okounkov.okounkov_body(
-            pulled, okounkov.FlagSpec(bl.result, target, order)
-        )
-        assert okounkov.cone_structure_check(body, 1)
-        assert okounkov.segment_membership_check(body, 1)
+        body = equality_case_blowup_body(p2, 0, p2.divisor([0, 0, 1]))
+        assert cone_structure_check(body, 1)
+        assert segment_membership_check(body, 1)
         # negative controls: the unit square is no cone, and a body pushed
         # off the first axis misses the segment
-        quadric = catalog.p1_power(2)
-        square = okounkov.okounkov_body(
-            quadric.divisor([0, 1, 0, 1]), okounkov.default_flag(quadric, 0)
-        )
-        assert not okounkov.cone_structure_check(square, 1)
-        off_axis = okounkov.OkounkovBody.from_polytope(
-            Polytope(
-                2,
-                (
-                    ((F(1), F(0)), F(0)),
-                    ((F(-1), F(0)), F(1)),
-                    ((F(0), F(1)), F(-1)),
-                    ((F(0), F(-1)), F(2)),
-                ),
-            )
-        )
-        assert not okounkov.segment_membership_check(off_axis, 1)
+        assert not cone_structure_check(unit_square_body(), 1)
+        assert not segment_membership_check(off_axis_body(), 1)
 
 
 def test_08_gap_report_refinement():
@@ -279,9 +241,9 @@ def test_08_gap_report_refinement():
         assert eps <= 1
         assert name == "P1xP1"
         quadric = next(
-            d for d in fine.detail if d[0] == "P1xP1"
+            r for r in fine.sweep.results if r.variety_name == "P1xP1"
         )
-        assert quadric[2] == 8  # max score witnessing the epsilon bound
+        assert quadric.max_score == 8  # max score witnessing the epsilon bound
         coarse = harness.gap_report(entries, 8, dimension=2)
         (coarse_row,) = coarse.rows
         assert fine.rows[0][1] <= coarse_row[1]

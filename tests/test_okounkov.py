@@ -2,6 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from okounkov_lemmas import cone_structure_check, nef_by_origin
+from okounkov_lemmas import contains_origin, segment_membership_check
+from test_catalog import bundled_fan
+from test_ratgeom import box
 
 from torifan import catalog, invariants, okounkov, ratgeom, ratpoly, toric
 from torifan.errors import NotBig, ThresholdExceeded, ValidationError
@@ -25,7 +29,12 @@ def model_cone(n):
     hs.append((tail, F(1)))  # x1 <= 1
     total = (F(1),) + tuple(F(-1) for _ in range(n - 1))
     hs.append((total, F(0)))  # x1 >= x2 + ... + xn
-    return okounkov.OkounkovBody.from_polytope(Polytope(n, hs))
+    return okounkov.OkounkovBody(None, None, Polytope(n, hs))
+
+
+def off_axis_body():
+    """The rectangle [0, 1] x [1, 2], off the first axis."""
+    return okounkov.OkounkovBody(None, None, box((0, 1), (1, 2)))
 
 
 def unit_square_body():
@@ -62,12 +71,12 @@ def test_hyperplane_body_is_unit_simplex():
     assert set(body.vertices()) == {(0, 0), (1, 0), (0, 1)}
     assert body.volume() == F(1, 2)
     assert 2 * body.volume() == 1  # n! vol(body) = vol(class)
-    assert body.contains_origin()
+    assert contains_origin(body)
 
 
 def test_f1_anticanonical_body_is_a_quadrilateral_of_area_4():
     x = catalog.hirzebruch_one()
-    for cone_index in x.fixed_points():
+    for cone_index in range(len(x.max_cones)):
         body = okounkov.okounkov_body(
             x.anticanonical(), okounkov.default_flag(x, cone_index)
         )
@@ -87,10 +96,10 @@ def test_volume_identity_across_catalog():
 
 def test_flag_independence_of_volume():
     rng = random.Random(11)
-    x = catalog.del_pezzo_6()
+    x = bundled_fan("Bl3P2")
     mk = x.anticanonical()
     volumes = set()
-    for cone_index in x.fixed_points():
+    for cone_index in range(len(x.max_cones)):
         order = list(x.max_cones[cone_index])
         rng.shuffle(order)
         body = okounkov.okounkov_body(
@@ -169,14 +178,14 @@ def test_translation_identity_on_random_classes_and_flags():
 
 def test_nef_by_origin_worked_examples():
     f1 = catalog.hirzebruch_one()
-    assert okounkov.nef_by_origin(f1.anticanonical())
+    assert nef_by_origin(f1.anticanonical())
     p2 = catalog.projective_space(2)
     mixed = p2.divisor([F(-1, 2), 1, 1])
-    assert okounkov.nef_by_origin(mixed) == mixed.is_nef() is True
+    assert nef_by_origin(mixed) == mixed.is_nef() is True
     # big but strictly negative on the (-1)-curve
     skewed = f1.divisor([1, 1, -1, 1])
     assert skewed.is_big() and not skewed.is_nef()
-    assert not okounkov.nef_by_origin(skewed)
+    assert not nef_by_origin(skewed)
 
 
 def test_nef_by_origin_agrees_with_wall_test_on_random_big_classes():
@@ -189,7 +198,7 @@ def test_nef_by_origin_agrees_with_wall_test_on_random_big_classes():
             )
             if not d.is_big():
                 continue
-            assert okounkov.nef_by_origin(d) == d.is_nef()
+            assert nef_by_origin(d) == d.is_nef()
             checked += 1
 
 
@@ -199,7 +208,7 @@ def test_slice_profile_of_unit_simplex():
     profile = okounkov.slice_profile(body)
     assert profile.breakpoints == (0, 1)
     assert len(profile.pieces) == 1
-    assert ratpoly.equal(profile.pieces[0], (F(1), F(-1)))  # A(r) = 1 - r
+    assert ratpoly.trim(profile.pieces[0]) == (F(1), F(-1))  # A(r) = 1 - r
     assert profile.integral() == body.volume()
 
 
@@ -212,12 +221,12 @@ def test_slice_profile_of_model_cone_is_monomial():
         expected = tuple(
             F(1, factorial(n - 1)) if k == n - 1 else F(0) for k in range(n)
         )
-        assert ratpoly.equal(profile.pieces[0], expected)
+        assert ratpoly.trim(profile.pieces[0]) == expected
 
 
 def test_slice_profile_of_square_is_constant():
     profile = okounkov.slice_profile(unit_square_body())
-    assert ratpoly.equal(profile.pieces[0], (F(1),))
+    assert ratpoly.trim(profile.pieces[0]) == (F(1),)
     assert profile.piece_value(F(1, 3)) == 1
     assert profile.piece_value(2) == 0
 
@@ -231,7 +240,7 @@ def test_slice_profile_of_flat_body_is_zero():
         ((F(0), F(0), F(1)), F(0)),
         ((F(0), F(0), F(-1)), F(0)),
     ]
-    body = okounkov.OkounkovBody.from_polytope(Polytope(3, hs))
+    body = okounkov.OkounkovBody(None, None, Polytope(3, hs))
     profile = okounkov.slice_profile(body)
     assert profile.breakpoints == (0, 2)
     assert profile.pieces == (ratpoly.ZERO,)
@@ -274,7 +283,7 @@ def test_every_slice_profile_has_one_more_breakpoint_than_pieces():
         ((F(0), F(0), F(1)), F(0)),
         ((F(0), F(-1), F(-1)), F(1)),
     ]
-    flat = okounkov.OkounkovBody.from_polytope(Polytope(3, hs))
+    flat = okounkov.OkounkovBody(None, None, Polytope(3, hs))
     for body in bodies + [flat]:
         profile = okounkov.slice_profile(body)
         assert len(profile.breakpoints) == len(profile.pieces) + 1
@@ -359,7 +368,7 @@ def test_bm_concavity_rejects_a_bump_between_sample_points():
     a, b = F(401, 804), F(403, 804)
     piece = (F(1), F(0), -a * b / 2, (a + b) / 6, F(-1, 12))
     second = ratpoly.derivative(ratpoly.derivative(piece))
-    assert ratpoly.equal(second, (-a * b, a + b, F(-1)))
+    assert ratpoly.trim(second) == (-a * b, a + b, F(-1))
     assert all(ratpoly.evaluate(second, F(j, 201)) <= 0 for j in range(202))
     assert ratpoly.evaluate(second, (a + b) / 2) > 0
     profile = okounkov.SliceProfile(2, (F(0), F(1)), (piece,))
@@ -368,15 +377,15 @@ def test_bm_concavity_rejects_a_bump_between_sample_points():
 
 def test_cone_structure_of_model_cone():
     body = model_cone(2)
-    assert okounkov.cone_structure_check(body, 1)
-    assert okounkov.cone_structure_check(body, F(1, 2))
-    assert okounkov.cone_structure_check(model_cone(3), 1)
+    assert cone_structure_check(body, 1)
+    assert cone_structure_check(body, F(1, 2))
+    assert cone_structure_check(model_cone(3), 1)
     with pytest.raises(ValueError):
-        okounkov.cone_structure_check(body, 0)
+        cone_structure_check(body, 0)
 
 
 def test_unit_square_is_not_a_cone():
-    assert not okounkov.cone_structure_check(unit_square_body(), 1)
+    assert not cone_structure_check(unit_square_body(), 1)
 
 
 def equality_case_blowup_body(variety, cone_index, divisor):
@@ -399,8 +408,8 @@ def test_equality_case_blowup_body_on_p2():
     x = catalog.projective_space(2)
     body = equality_case_blowup_body(x, 0, x.divisor([0, 0, 1]))
     assert set(body.vertices()) == {(0, 0), (1, 0), (1, 1)}
-    assert okounkov.cone_structure_check(body, 1)
-    assert okounkov.segment_membership_check(body, 1)
+    assert cone_structure_check(body, 1)
+    assert segment_membership_check(body, 1)
 
 
 def test_equality_case_blowup_body_on_quadric():
@@ -408,9 +417,10 @@ def test_equality_case_blowup_body_on_quadric():
     body = equality_case_blowup_body(x, 0, x.anticanonical())
     # the Fujita profile equals 8 - x^2 up to the Seshadri constant 2
     profile, _ = invariants.fujita_profile(x, 0, x.anticanonical())
-    assert profile.margin(1) == 0 and profile.margin(2) == 0
-    assert okounkov.cone_structure_check(body, 2)
-    assert okounkov.segment_membership_check(body, 2)
+    for x in (F(1), F(2)):
+        assert profile.piece_value(x) == profile.total - x**2
+    assert cone_structure_check(body, 2)
+    assert segment_membership_check(body, 2)
 
 
 def test_segment_membership_negative_control_off_axis():
@@ -420,21 +430,10 @@ def test_segment_membership_negative_control_off_axis():
     skewed = x.divisor([1, 1, -1, 1])
     body = okounkov.okounkov_body(skewed, okounkov.default_flag(x, 0))
     assert set(body.vertices()) == {(0, 1), (0, 2), (1, 2)}
-    assert not body.contains_origin()
-    assert not okounkov.segment_membership_check(body, 1)
+    assert not contains_origin(body)
+    assert not segment_membership_check(body, 1)
     # a synthetic off-axis rectangle fails the same way
-    box = Polytope(
-        2,
-        (
-            ((F(1), F(0)), F(0)),
-            ((F(-1), F(0)), F(1)),
-            ((F(0), F(1)), F(-1)),
-            ((F(0), F(-1)), F(2)),
-        ),
-    )
-    assert not okounkov.segment_membership_check(
-        okounkov.OkounkovBody.from_polytope(box), 1
-    )
+    assert not segment_membership_check(off_axis_body(), 1)
 
 
 def test_bodies_must_sit_in_the_orthant():
@@ -448,4 +447,4 @@ def test_bodies_must_sit_in_the_orthant():
         ),
     )
     with pytest.raises(ValidationError, match="body must lie in the orthant"):
-        okounkov.OkounkovBody.from_polytope(square)
+        okounkov.OkounkovBody(None, None, square)

@@ -14,7 +14,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from torifan import catalog, sweep
+from test_catalog import bundled_fan
+
+from torifan import sweep
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -35,5 +37,5 @@ def test_every_traced_name_resolves_to_a_function():
 
 
 def test_run_selects_the_pure_engine_on_a_catalog_skeleton():
-    v = catalog.del_pezzo_6()
+    v = bundled_fan("Bl3P2")
     assert sweep.select_engine(sweep.build_skeleton(v), 3) == "pure"

@@ -50,7 +50,7 @@ def test_interpolate_recovers_polynomial():
     p = poly(2, -1, 0, 5)
     nodes = [F(k, 3) for k in range(4)]
     q = ratpoly.interpolate([(x, ratpoly.evaluate(p, x)) for x in nodes])
-    assert ratpoly.equal(p, q)
+    assert ratpoly.trim(p) == ratpoly.trim(q)
 
 
 def test_factorial_interpolate_is_lagrange_times_m_factorial():

@@ -32,10 +32,14 @@ def quick_start_examples():
     return [(argv, output) for argv, output in examples if output]
 
 
-def test_python_api_block_runs():
+def python_api_block():
+    """The code of the README's "Python API" block."""
     section = README.split("## Python API", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    exec(compile(code, "README.md (Python API)", "exec"), {})
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_python_api_block_runs():
+    exec(compile(python_api_block(), "README.md (Python API)", "exec"), {})
 
 
 def test_quick_start_outputs_match(capsys, monkeypatch):

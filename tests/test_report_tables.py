@@ -23,7 +23,7 @@ from sturm_oracle import horner
 from test_ratpoly import catalog_classes, set_sample_points
 
 from torifan import harness, invariants, jsonio, okounkov, ratpoly
-from torifan.jsonio import format_rational
+from torifan.errors import format_rational
 from torifan.invariants import VolumeProfile
 from torifan.okounkov import SliceProfile
 

@@ -1,9 +1,10 @@
 """``invariants.score`` against the ratgeom composition.
 
 ``score`` runs the sweep's integer evaluator on the variety's tables and
-unscales.  The ratgeom path -- ``seshadri_constant``, then generic vertex
-enumeration, pulling triangulation and Fraction barycenter on a fresh
-section polytope -- computes the same report independently, and both must
+unscales.  The ratgeom path of ``score_oracle.ratgeom_report`` --
+``seshadri_constant``, then generic vertex enumeration, pulling
+triangulation and Fraction barycenter on a fresh section polytope --
+computes the same report independently, and both must
 agree field for field on seeded ample classes of every catalog fan, with
 integer, Fraction, principal-shifted and scaled coefficients.  The polytope is built fresh
 because ``TDivisor.section_polytope()`` of a nef class reads its vertices
@@ -12,40 +13,12 @@ off the cone inverses that the evaluator's vertex maps also come from.
 
 import random
 from fractions import Fraction as F
-from math import factorial
 
 import pytest
+from score_oracle import ratgeom_report
 
 from torifan import catalog, invariants, ratgeom
 from torifan.errors import NotAmple
-from torifan.ratgeom import Polytope
-
-
-def ratgeom_report(divisor):
-    variety = divisor.variety
-    n = variety.dim
-    poly = Polytope(n, zip(variety.rays, divisor.coeffs))
-    eps = invariants.seshadri_constant(divisor)
-    delta, witness = invariants.delta_from_barycenter(
-        divisor, ratgeom.barycenter(poly)
-    )
-    vol = factorial(n) * ratgeom.volume(poly)
-    beta = min(eps, delta)
-    value = beta**n * vol
-    bound = F(n + 1) ** n
-    return invariants.InvariantReport(
-        variety=variety.name,
-        dim=n,
-        coeffs=divisor.coeffs,
-        vol=vol,
-        eps=eps,
-        delta=delta,
-        delta_witness_ray=witness,
-        beta=beta,
-        score=value,
-        bound=bound,
-        is_extremal=value == bound,
-    )
 
 
 def ample_class(rng, v, coefficient):

@@ -59,7 +59,7 @@ def test_slice_profile_matches_the_oracle_on_synthetic_bodies():
             verts = ratgeom.enumerate_vertices(p)
             # move the box into the orthant, where bodies live
             low = [-min(v[i] for v in verts) for i in range(n)]
-            body = okounkov.OkounkovBody.from_polytope(ratgeom.translate(p, low))
+            body = okounkov.OkounkovBody(None, None, ratgeom.translate(p, low))
             assert_matches_oracle(body)
 
 

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from test_catalog import bundled_fan
 from vertex_oracle import det
 
 from torifan import _sweep_pure, catalog, ratgeom, sweep, toric
@@ -131,7 +132,7 @@ def test_resolution_past_the_grid_limit_is_refused():
     with pytest.raises(ValidationError):
         sweep.sweep_ample_cone(catalog.projective_space(1), 2**14 + 1)
     with pytest.raises(ValidationError):
-        sweep.sweep_ample_cone(catalog.del_pezzo_6(), 26)  # 26^6 > 2^28
+        sweep.sweep_ample_cone(bundled_fan("Bl3P2"), 26)  # 26^6 > 2^28
 
 
 def test_collect_cap_truncates_reports():
@@ -172,7 +173,7 @@ def test_skeleton_triangulation_matches_polytope_volume():
 
 
 def test_skeleton_build_leaves_no_cyclic_garbage():
-    v = catalog.del_pezzo_6()
+    v = bundled_fan("Bl3P2")
     gc.collect()
     gc.disable()
     try:
@@ -225,7 +226,7 @@ def test_argmax_recheck_never_reads_the_cone_table(monkeypatch):
     for v in (
         catalog.projective_space(2),
         catalog.hirzebruch_one(),
-        catalog.del_pezzo_6(),
+        bundled_fan("Bl3P2"),
     ):
         runs.clear()
         res = sweep.sweep_ample_cone(v, 3)
@@ -234,7 +235,7 @@ def test_argmax_recheck_never_reads_the_cone_table(monkeypatch):
 
 
 def test_refinement_is_monotone_on_bl3p2():
-    v = catalog.del_pezzo_6()
+    v = bundled_fan("Bl3P2")
     coarse = sweep.sweep_ample_cone(v, 8, collect_cap=0)
     fine = sweep.sweep_ample_cone(v, 16, collect_cap=0)
     assert fine.max_score >= coarse.max_score

@@ -15,6 +15,7 @@ from functools import partial
 
 import pytest
 from sweep_oracle import pointwise_sweep
+from test_catalog import bundled_fan
 from test_curve_classes import outcome
 from test_sweep import hirzebruch, p2_bundle
 from test_toric import _relabelled
@@ -69,7 +70,7 @@ def test_agrees_on_random_blowup_towers():
     for start, depth, resolution in (
         (catalog.projective_space(2), 3, 5),
         (catalog.hirzebruch_one(), 2, 5),
-        (catalog.del_pezzo_6(), 1, 4),
+        (bundled_fan("Bl3P2"), 1, 4),
         (catalog.projective_space(3), 2, 3),
         (catalog.p1_power(3), 1, 2),
     ):
@@ -117,7 +118,7 @@ def test_checks_raise_on_the_same_sample():
     # simplex list, so both walks must stop on the same first failure.
     # (Reduction 6 needs a triangulation; here the first failing class is
     # also the first class of its orbit that the walk meets.)
-    variety = catalog.del_pezzo_7()
+    variety = bundled_fan("Bl2P2")
     bad = copy.copy(sweep.build_skeleton(variety))
     bad.simplices = variety.simplices + ((0, 2, 3), (0, 3, 4))
     failures = []
