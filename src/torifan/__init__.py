@@ -20,7 +20,6 @@ from torifan.errors import (
     ParseError,
     ThresholdExceeded,
     TorifanError,
-    UnboundedPolytope,
     ValidationError,
     VerificationError,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "ParseError",
     "ThresholdExceeded",
     "TorifanError",
-    "UnboundedPolytope",
     "ValidationError",
     "VerificationError",
     "__version__",

@@ -54,17 +54,6 @@ class NotBig(TorifanError):
     """Divisor whose section polytope is not full-dimensional."""
 
 
-class UnboundedPolytope(TorifanError):
-    """Feasible set has a recession direction.
-
-    The offending direction is stored in ``direction``.
-    """
-
-    def __init__(self, direction, message="polytope is unbounded"):
-        super().__init__(f"{message} (direction {format_rationals(direction)})")
-        self.direction = tuple(direction)
-
-
 class DegeneratePolytope(TorifanError):
     """Zero-volume polytope where positive volume is required."""
 

@@ -207,7 +207,10 @@ class GapReport:
 def gap_report(catalog, resolution: int, dimension=None) -> GapReport:
     """Empirical volume-gap margin: per dimension, the smallest gap among the
     non-P^n entries of ``verify_theorem``'s sweep, which also holds the
-    bound to equality on P^n alone."""
+    bound to equality on P^n alone.  An empty catalog is refused, as by
+    ``verify_theorem``."""
+    if not catalog:
+        raise ValidationError("gap-report needs at least one fan")
     entries = [v for v in catalog if dimension is None or v.dim == dimension]
     if not entries:
         raise ValidationError(f"no catalog entry of dimension {dimension}")

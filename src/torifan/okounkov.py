@@ -54,10 +54,9 @@ consecutive values of nu_1 on the vertices of Delta.
   integer coefficients (``ratpoly.factorial_interpolate``).  One division
   by (n-1)!^2 L^(n-1) gives the piece.
 
-A body of affine rank below n has zero slice area everywhere; the
-argument above needs full dimension, so that case is answered first.  The
-body of a big class is full-dimensional, so only an ``OkounkovBody``
-built directly on a flat polytope takes that branch.
+The argument above needs full dimension, and ``OkounkovBody`` refuses a
+polytope of affine rank below n; the body of a big class is the image of
+a full-dimensional section polytope under a bijection.
 """
 
 from __future__ import annotations
@@ -110,6 +109,8 @@ class OkounkovBody:
         self.polytope = polytope
         if any(c < 0 for p in ratgeom.vertex_points(polytope)[1] for c in p):
             raise ValidationError("body must lie in the orthant")
+        if not ratgeom.is_full_dimensional(polytope):
+            raise ValidationError("body must be full-dimensional")
 
     @property
     def dim(self):
@@ -214,11 +215,6 @@ def slice_profile(body: OkounkovBody) -> SliceProfile:
     # vertex levels: nu_1 times scale, and as Fractions
     heights = sorted({p[0] for p in points})
     levels = [Fraction(h, scale) for h in heights]
-    if not ratgeom.is_full_dimensional(body.polytope):
-        # a flat body has no (n-1)-dimensional slice: a zero piece between
-        # consecutive levels, and none when it lies in one level
-        pieces = (ratpoly.ZERO,) * (len(levels) - 1)
-        return SliceProfile(dim=n, breakpoints=tuple(levels), pieces=pieces)
     rows = body.polytope.rows
     masks = [
         sum(
@@ -296,18 +292,16 @@ def bm_concavity_check(profile: SliceProfile) -> bool:
     one interior point decides it, and A >= 0 at the ends by continuity.
     An n = 1 body has the constant profile 1, whose -h = (n-2) A'^2 is 0,
     so it passes the same decisions.
+
+    No piece of a body's profile is zero, so its breakpoints span the
+    support.  A body is full-dimensional (``OkounkovBody``), so for n >= 2
+    its interior is open and convex, and its projection to nu_1 is the open
+    interval between the least and the greatest vertex level.  So for every
+    r strictly between two vertex levels the level {nu_1 = r} meets the
+    interior, where the slice holds an (n-1)-ball: the piece is positive
+    there.  For n = 1 the piece is 1.
     """
     n = profile.dim
-    # zero pieces at both ends only shrink the support
-    nonzero = [i for i, p in enumerate(profile.pieces) if not ratpoly.is_zero(p)]
-    if not nonzero:
-        return True
-    first, last = nonzero[0], nonzero[-1]
-    if len(nonzero) != last - first + 1:
-        return False  # interior zero pieces would split the support
-    profile = SliceProfile(
-        n, profile.breakpoints[first : last + 2], profile.pieces[first : last + 1]
-    )
     pieces, points = profile.pieces, profile.breakpoints
 
     def minus_h(p):

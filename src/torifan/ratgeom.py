@@ -20,27 +20,32 @@ and multistep integer-preserving Gaussian elimination*, 1968):
   ``d > 0``.  Then ``<a, x> + b = (<a, num> + b*d) / d``, so x is feasible
   iff ``<a, num> + b*d >= 0`` for every row.  Two subsets give the same
   point iff their ``(num, d)`` agree after division by ``gcd(d, *num)``,
-  which is the reduced form of the point with a common denominator.
-- Recession rays.  n-1 rows of rank n-1 have a one-dimensional kernel,
-  spanned by their generalized cross product ``c_j = (-1)^j det(rows
-  without column j)`` (expand the determinant of the rows plus any row r
-  along r: it is ``<r, c>``, zero when r is one of the rows, and nonzero
-  for some r, so c != 0).  The null line meets the cone ``{A x >= 0}`` in
-  a ray iff ``A c >= 0`` or ``A c <= 0``, tested with integer dot products.
-- Lineality.  A has rank n iff some n of its rows are independent, that is
-  iff some n-subset has ``d != 0``; the vertex scan sees this for free.
-  When the rank k is below n, let P be the pivot columns of ``echelon(A)``
-  and j the first column outside P.  Its k nonzero rows span the row space
-  of A, so their cross product on the columns P + [j], read as a vector
-  that is zero off those columns, lies in the kernel of A; its j entry is
-  +-det of the rows on P, triangular with the pivots on its diagonal, so
-  nonzero, which fixes the line's direction.  Divided by its gcd, the
-  vector is the primitive one of that direction, whatever rows the
-  elimination left.
+  which is the reduced form of the point with a common denominator.  A
+  has rank n iff some n of its rows are independent, that is iff some
+  n-subset has ``d != 0``, so the scan sees the rank for free; rows of
+  lower rank, whose feasible set is empty or holds a line, are refused.
 - Rank, incidence and membership.  Ranks are read off ``echelon``.
   Scaling points by the lcm ``scale > 0`` of their denominators makes them
   integral and changes neither the rank of their differences nor the sign
   of ``<a, v> + b``, which becomes ``(<a, scale*v> + b*scale) / scale``.
+
+Polytopes are bounded by construction, and nothing here tests it: the
+caller of ``Polytope`` proves its rows cut out a bounded set, as the
+callers of ``fill_vertices`` and ``affine_image`` prove theirs.  Then a
+nonempty set has a vertex, so the scan above finds them all, and an empty
+one has none.  A set ``{A m + b >= 0}`` is bounded iff its recession cone
+``{A m >= 0}`` is {0}, and the package builds a ``Polytope`` at four sites:
+
+- ``TDivisor.section_polytope`` (torifan.toric), one row ``<m, u_rho> +
+  a_rho`` per ray.  Its ``is_nef()`` reads ``wall_rows``, so
+  ``ToricVariety.walls`` has certified the fan complete (Cox-Little-Schenck,
+  *Toric Varieties*, 2011, 4.3).  Every u in N_R then lies in a maximal
+  cone, u = sum l_i u_i with l_i >= 0, so an m with ``<m, u_rho> >= 0``
+  for every ray has ``<m, u> >= 0`` for every u; u = -m gives m = 0.
+- The sweep's fresh argmax polytope (torifan.sweep): the same rows, on a
+  fan whose walls ``build_skeleton`` has read (``curve_rows``).
+- ``truncate``: added rows only shrink the recession cone.
+- ``affine_image``: an affine bijection maps bounded sets to bounded sets.
 
 A polytope caches its vertices once, in that integer form: ``vertex_points``
 returns ``(scale, points)`` with ``scale`` the lcm of the vertices'
@@ -50,7 +55,7 @@ Fraction vertices of ``enumerate_vertices``.  A vertex found as ``(num,
 d)`` with ``gcd(d, *num) = 1`` has d as the lcm of its coordinates'
 denominators (``lcm_j(d / gcd(d, num_j)) = d / gcd(d, *num)``), so the lcm
 of the d's is ``scale``.  The form depends on the vertex set alone, so two
-bounded polytopes are equal iff their forms are (``polytopes_equal``).
+polytopes are equal iff their forms are (``polytopes_equal``).
 
 Newton-Okounkov bodies (torifan.okounkov) are ``affine_image``s of section
 polytopes, and ``translate`` is the image under the identity matrix.
@@ -63,9 +68,7 @@ from itertools import combinations
 from math import factorial, gcd, lcm
 from operator import mul, sub
 
-from torifan.errors import DegeneratePolytope, UnboundedPolytope, ValidationError
-
-Point = tuple  # tuple[Fraction, ...]
+from torifan.errors import DegeneratePolytope, ValidationError
 
 
 def scale_to_integers(coeffs):
@@ -75,7 +78,8 @@ def scale_to_integers(coeffs):
 
 
 class Polytope:
-    """Immutable H-representation with write-once caches.
+    """Immutable H-representation of a bounded set, with write-once caches;
+    the caller proves the set bounded (module docstring).
 
     ``rows`` holds one primitive integer row ``(a, b)``, meaning
     ``<a, m> + b >= 0``, per ``(normal, offset)`` pair given.  Vertices
@@ -227,75 +231,11 @@ def _candidate_vertices(rows, n):
     return found if nonsingular else None
 
 
-def _cross(rows, n):
-    """Generalized cross product of n-1 integer rows: c_j = (-1)^j det(minor j)."""
-    c = []
-    for j in range(n):
-        minor = int_det([r[:j] + r[j + 1 :] for r in rows])
-        c.append(-minor if j % 2 else minor)
-    return c
-
-
-def _recession_ray(rows, n):
-    """A ray of the recession cone {Ax >= 0}, or None when the cone is {0}.
-
-    Assumes the cone is pointed (A has full column rank): any nonzero ray
-    cone contains an extreme ray, and extreme rays are tight on n-1
-    independent rows.
-    """
-    a_rows = [r[0] for r in rows]
-    for subset in combinations(a_rows, n - 1):
-        c = _cross(subset, n)
-        if not any(c):
-            continue
-        dots = [sum(map(mul, row, c)) for row in a_rows]
-        if all(x >= 0 for x in dots):
-            return tuple(map(Fraction, c))
-        if all(x <= 0 for x in dots):
-            return tuple(Fraction(-x) for x in c)
-    return None
-
-
-def _line(rows, n):
-    """A direction of the kernel of A, for rows of rank k < n.
-
-    The cross product of the k nonzero ``echelon`` rows of A, taken on the
-    pivot columns P + [j] with j the first other column, divided by the gcd
-    of its entries and with coordinate j positive, so that the direction
-    depends on the set alone.
-    """
-    pivot_cols, m, _ = echelon([r[0] for r in rows])
-    j = next(c for c in range(n) if c not in pivot_cols)
-    cols = pivot_cols + [j]
-    c = _cross([tuple(row[k] for k in cols) for row in m[: len(pivot_cols)]], len(cols))
-    g = gcd(*c) if c[-1] > 0 else -gcd(*c)
-    c = [x // g for x in c]
-    direction = [0] * n
-    for col, x in zip(cols, c):
-        direction[col] = x
-    return tuple(map(Fraction, direction))
-
-
-def _feasible(rows, n) -> bool:
-    """Exact feasibility of {<a_i, x> + b_i >= 0}.
-
-    Columns outside a maximal independent set contribute nothing new to the
-    range of A, so feasibility can be decided on the pivot columns alone,
-    where the recession cone is pointed and candidate scanning is complete.
-    """
-    pivot_cols = echelon([r[0] for r in rows])[0]
-    if not pivot_cols:
-        return all(r[1] >= 0 for r in rows)
-    reduced = [(tuple(row[0][c] for c in pivot_cols), row[1]) for row in rows]
-    return bool(_candidate_vertices(reduced, len(pivot_cols)))
-
-
 def vertex_points(poly: Polytope):
     """``(scale, points)``: the vertices times the lcm ``scale`` of their
-    denominators, as sorted integer tuples (module docstring).
-
-    Raises :class:`UnboundedPolytope` when the feasible set is unbounded;
-    ``points`` is empty when it is empty.
+    denominators, as sorted integer tuples (module docstring); ``points``
+    is empty when the polytope is.  Raises ValueError when the rows have
+    rank below n.
     """
     if poly._points is None:
         poly._points = _enumerate(poly)
@@ -303,7 +243,7 @@ def vertex_points(poly: Polytope):
 
 
 def enumerate_vertices(poly: Polytope):
-    """All vertices of a bounded polytope as Fraction tuples, sorted
+    """All vertices of the polytope as Fraction tuples, sorted
     lexicographically: ``vertex_points`` over its scale."""
     if poly._vertices is None:
         scale, points = vertex_points(poly)
@@ -320,20 +260,12 @@ def fill_vertices(poly: Polytope, scale, points) -> Polytope:
 
 
 def _enumerate(poly):
-    n = poly.ambient_dim
-    rows = poly.rows
-    candidates = _candidate_vertices(rows, n)
+    candidates = _candidate_vertices(poly.rows, poly.ambient_dim)
     if candidates is None:
-        # rank below n: the feasible set, if any, holds a line
-        if _feasible(rows, n):
-            raise UnboundedPolytope(_line(rows, n))
-        return 1, ()
+        raise ValueError("halfspace normals must have rank n")
     if not candidates:
-        # pointed recession cone: a nonempty set would have a vertex
+        # a bounded nonempty set would have a vertex
         return 1, ()
-    ray = _recession_ray(rows, n)
-    if ray is not None:
-        raise UnboundedPolytope(ray)
     scale = lcm(*(d for _, d in candidates))
     points = (tuple(x * (scale // d) for x in num) for num, d in candidates)
     return scale, tuple(sorted(points))
@@ -347,15 +279,15 @@ def is_full_dimensional(poly: Polytope) -> bool:
 
 
 def polytopes_equal(p: Polytope, q: Polytope) -> bool:
-    """Set equality of bounded polytopes: equal ``vertex_points``.
+    """Set equality of polytopes: equal ``vertex_points``.
 
-    A bounded polytope is the hull of its vertices, and ``vertex_points``
-    depends on the vertex set alone: its points are sorted and distinct, and
-    its scale is the least s > 0 that makes them integral.  That is the lcm
-    of the vertex denominators in ``_enumerate``; ``fill_vertices`` (hence
-    ``affine_image``) leaves it by dividing by gcd(scale, coordinates), as a
-    valid scale is t times the least one, and t divides it and every
-    coordinate.  Raises UnboundedPolytope when either side is unbounded.
+    A polytope is bounded, so it is the hull of its vertices, and
+    ``vertex_points`` depends on the vertex set alone: its points are sorted
+    and distinct, and its scale is the least s > 0 that makes them integral.
+    That is the lcm of the vertex denominators in ``_enumerate``;
+    ``fill_vertices`` (hence ``affine_image``) leaves it by dividing by
+    gcd(scale, coordinates), as a valid scale is t times the least one, and
+    t divides it and every coordinate.
     """
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -532,13 +464,14 @@ def truncate(poly: Polytope, axis: int, lo=None, hi=None) -> Polytope:
 
 
 def affine_image(poly: Polytope, matrix, inverse, shift) -> Polytope:
-    """``{matrix m + shift : m in poly}``, with its vertex cache if filled;
-    the caller proves the integer ``matrix`` unimodular with ``inverse``.
+    """``{matrix m + shift : m in poly}``, with its vertex and dimension
+    caches if filled; the caller proves the integer ``matrix`` unimodular
+    with ``inverse``.
 
     With m = inverse (nu - shift), ``<a, m> + b >= 0`` reads ``<inverse^T a,
     nu> + b - <inverse^T a, shift> >= 0``.  The bijection maps the vertices
-    p / s onto the vertices; lcm(s, lam) times each image is integral when
-    lam * shift is."""
+    p / s onto the vertices and keeps the dimension; lcm(s, lam) times each
+    image is integral when lam * shift is."""
     n = poly.ambient_dim
     if len(shift) != n:
         raise ValueError("vector dimension mismatch")
@@ -548,6 +481,7 @@ def affine_image(poly: Polytope, matrix, inverse, shift) -> Polytope:
         normal = [sum(map(mul, col, a)) for col in cols]
         rows.append((normal, b - sum(map(mul, normal, shift))))
     image = Polytope(n, rows)
+    image._full = poly._full
     if poly._points is not None:
         s, points = poly._points
         lam, c = scale_to_integers(shift)
@@ -562,7 +496,7 @@ def affine_image(poly: Polytope, matrix, inverse, shift) -> Polytope:
 
 
 def translate(poly: Polytope, vector) -> Polytope:
-    """Shift the polytope by a rational vector, with its vertex cache if filled."""
+    """Shift the polytope by a rational vector, with its caches if filled."""
     n = poly.ambient_dim
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     return affine_image(poly, identity, identity, vector)

@@ -53,10 +53,6 @@ def trim(p):
     return p if p else ZERO
 
 
-def is_zero(p) -> bool:
-    return all(c == 0 for c in p)
-
-
 def primitive(p):
     """(c, P) with p = c * P, c > 0 a Fraction and P trimmed coprime ints."""
     den = lcm(*(c.denominator for c in p))

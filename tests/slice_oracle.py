@@ -35,10 +35,10 @@ def slice_polytope(poly: Polytope, axis: int, value) -> Polytope:
             continue
         hs.append((new_normal, new_offset))
     if infeasible or not hs:
-        # constant constraint violated (or no constraints left): empty slice
-        e1 = (Fraction(1),) + (Fraction(0),) * (n - 2)
-        neg = tuple(-c for c in e1)
-        hs = [(e1, Fraction(-1)), (neg, Fraction(0))]
+        # constant constraint violated (or no constraints left): the empty
+        # slice {x >= 0, sum x <= -1}, whose normals have rank n - 1
+        hs = [(tuple(int(i == j) for j in range(n - 1)), 0) for i in range(n - 1)]
+        hs.append(((-1,) * (n - 1), -1))
     return Polytope(n - 1, hs)
 
 
@@ -58,9 +58,6 @@ def nodewise_slice_profile(body) -> SliceProfile:
     def area_at(r):
         return ratgeom.volume(slice_polytope(body.polytope, 0, r))
 
-    if len(levels) == 1:
-        # degenerate body inside one hyperplane; zero slice area
-        return SliceProfile(dim=n, breakpoints=(levels[0], levels[0]), pieces=())
     pieces = []
     for i in range(len(levels) - 1):
         lo, hi = levels[i], levels[i + 1]

@@ -5,14 +5,18 @@ by Fraction Horner, the squarefree part as p over a monic gcd.
 ``nonnegative_on`` isolates the roots of the squarefree part by bisection
 and reads one-sided signs from derivatives at each midpoint root, where
 ``ratpoly`` counts roots of odd multiplicity without isolating any.  It
-shares with ``ratpoly`` only ``trim``, ``is_zero`` and ``derivative``, so
+shares with ``ratpoly`` only ``trim`` and ``derivative``, so
 agreement checks the primitive remainder sequence, the homogeneous integer
 Horner, the integer exact division and the odd-multiplicity rule.
 """
 
 from fractions import Fraction
 
-from torifan.ratpoly import derivative, is_zero, trim
+from torifan.ratpoly import derivative, trim
+
+
+def is_zero(p) -> bool:
+    return all(c == 0 for c in p)
 
 
 def horner(p, x) -> Fraction:

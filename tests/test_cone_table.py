@@ -304,6 +304,42 @@ def test_wall_rows_match_the_fraction_formula():
     assert all(ample_kinds.values()), ample_kinds
 
 
+def nef_by_cone_points(variety, coeffs):
+    """Whether every cone point m_sigma of the class, scaled to integers,
+    satisfies every ray inequality <m, u_rho> >= -a_rho: the nef criterion
+    of Cox-Little-Schenck, Theorems 6.1.7 and 6.3.12, read off the rays and
+    the cone inverses alone."""
+    _, c = scale_to_integers(coeffs)
+    points = toric.cone_points(variety.max_cones, variety.cone_inverses, c)
+    return all(
+        sum(x * u for x, u in zip(m, ray)) + a >= 0
+        for m in points
+        for ray, a in zip(variety.rays, c)
+    )
+
+
+def test_seshadri_constant_is_the_cone_point_nef_threshold():
+    """eps = sup{t : -K - t D nef} is read off the wall curves; on a fresh
+    copy of the fan, whose wall rows are never read, the cone-point
+    criterion must call -K - eps D nef and -K - (eps + 1/k) D not.  This
+    checks independently that the wall curves span the Mori cone."""
+    rng = random.Random(20261106)
+    checked = 0
+    for d in classes(rng):
+        if not d.is_ample():
+            continue
+        v = d.variety
+        eps = invariants.seshadri_constant(d)
+        fresh = toric.validate_fan(v.dim, v.rays, v.max_cones, v.name)
+        assert nef_by_cone_points(fresh, [1 - eps * a for a in d.coeffs])
+        for k in (1, 10, 1000):
+            t = eps + F(1, k)
+            assert not nef_by_cone_points(fresh, [1 - t * a for a in d.coeffs])
+        assert "wall_rows" not in vars(fresh)
+        checked += 1
+    assert checked >= 60, checked
+
+
 def section_classes(rng):
     """Per catalog fan and tower level: ample classes (-K or the tower's
     class, and a seeded one), nef pullbacks along a blow-up, every D_rho
@@ -313,21 +349,26 @@ def section_classes(rng):
     entries = [(v.anticanonical(), None) for v in catalog.bundled_catalog()]
     entries += towers(rng)
     for ample, nef in entries:
-        v = ample.variety
-        yield ample
-        yield ample_class(rng, v, lambda: rng.randint(1, 5))
-        if nef is not None:
-            yield nef
-        if v.dim >= 2:
-            bl = toric.blowup_at_fixed_point(v, rng.randrange(len(v.max_cones)))
-            yield toric.pullback(ample, bl)
-        yield v.divisor([0] * v.n_rays)
-        for k in range(v.n_rays):
-            unit = v.divisor([int(i == k) for i in range(v.n_rays)])
-            yield unit
-            yield ample + 2 * unit
-        for _ in range(4):
-            yield v.divisor([rng.randint(-2, 2) for _ in v.rays])
+        yield from classes_on(rng, ample, nef)
+
+
+def classes_on(rng, ample, nef=None):
+    """``section_classes`` on the variety of one ample class."""
+    v = ample.variety
+    yield ample
+    yield ample_class(rng, v, lambda: rng.randint(1, 5))
+    if nef is not None:
+        yield nef
+    if v.dim >= 2:
+        bl = toric.blowup_at_fixed_point(v, rng.randrange(len(v.max_cones)))
+        yield toric.pullback(ample, bl)
+    yield v.divisor([0] * v.n_rays)
+    for k in range(v.n_rays):
+        unit = v.divisor([int(i == k) for i in range(v.n_rays)])
+        yield unit
+        yield ample + 2 * unit
+    for _ in range(4):
+        yield v.divisor([rng.randint(-2, 2) for _ in v.rays])
 
 
 def test_nef_section_vertices_from_the_cone_table_match_the_oracle(monkeypatch):

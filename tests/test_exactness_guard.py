@@ -7,7 +7,8 @@ asserts), and no source file holds a float literal or calls ``float``,
 that show a decimal are rendered from integers.  Every function, class
 and non-dunder method is named by the package, by a script in
 ``perfbench/`` or ``benchmarks/`` or by the README's Python API block,
-and every module reads each name it imports.
+and every module reads each name it imports.  ``Polytope`` is built only
+at the sites whose boundedness the ``ratgeom`` module docstring proves.
 """
 
 import ast
@@ -178,3 +179,35 @@ def test_every_import_is_read():
         for line, name in unused_imports(_parse(path))
     ]
     assert found == []
+
+
+# The sites that build a ``Polytope``, each proven bounded in the ratgeom
+# module docstring; a new site fails here until its proof is written there.
+PROVEN_POLYTOPE_SITES = [
+    "ratgeom.affine_image",
+    "ratgeom.truncate",
+    "sweep.sweep_ample_cone",
+    "toric.TDivisor.section_polytope",
+]
+
+
+def polytope_sites(sources):
+    """``module.owner`` per call of ``Polytope`` or ``x.Polytope``, sorted."""
+    return sorted(
+        f"{module}.{owner}"
+        for module, tree in sources
+        for owner, top in pieces(tree)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "Polytope" in (getattr(node.func, a, None) for a in ("id", "attr"))
+    )
+
+
+def test_polytopes_are_built_only_at_the_proven_sites():
+    code = ast.parse(
+        "def f(): return ratgeom.Polytope(1, [])\n"
+        "class C:\n    def g(self): return [Polytope(1, []), Polytope(2, [])]\n"
+    )
+    assert polytope_sites([("m", code)]) == ["m.C.g", "m.C.g", "m.f"]
+    sources = [(path.stem, _parse(path)) for path in SOURCES]
+    assert polytope_sites(sources) == PROVEN_POLYTOPE_SITES

@@ -706,6 +706,19 @@ def test_cli_gap_report_needs_non_projective_entry(tmp_path, capsys):
         assert captured.err == f"error: {message}\n"
 
 
+def test_cli_gap_report_refuses_an_empty_catalog(tmp_path, capsys):
+    cat = tmp_path / "empty"
+    cat.mkdir()
+    (cat / "notes.txt").write_text("no fan files here")
+    argv = ["gap-report", "--catalog", str(cat), "--resolution", "2"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: gap-report needs at least one fan\n"
+    with pytest.raises(ValidationError, match="at least one fan"):
+        harness.gap_report([], 2)
+
+
 def test_cli_out_writes_file(tmp_path, capsys):
     fan = write_fan(tmp_path, catalog.projective_space(2))
     target = tmp_path / "report.json"

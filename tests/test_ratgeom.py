@@ -11,7 +11,7 @@ from test_ratpoly import fraction_integral
 from vertex_oracle import det, solve_square
 
 from torifan import ratgeom
-from torifan.errors import DegeneratePolytope, UnboundedPolytope, ValidationError
+from torifan.errors import DegeneratePolytope, ValidationError
 from torifan.ratgeom import Polytope
 
 
@@ -89,36 +89,19 @@ def test_redundant_halfspace_ignored():
 
 
 def test_empty_intersection_has_no_vertices():
-    empty = Polytope(
-        2,
-        (
-            ((F(1), F(0)), F(0)),
-            ((F(-1), F(0)), F(-1)),
-        ),
+    # 0 <= x <= -1 in the plane: empty, but its normals have rank 1
+    lined = (
+        ((F(1), F(0)), F(0)),
+        ((F(-1), F(0)), F(-1)),
     )
+    with pytest.raises(ValueError, match="halfspace normals must have rank n"):
+        ratgeom.enumerate_vertices(Polytope(2, lined))
+    with pytest.raises(ValueError, match="halfspace normals must have rank n"):
+        ratgeom.volume(Polytope(2, lined))
+    # the same with 0 <= y <= 1, of rank 2
+    empty = Polytope(2, lined + (((F(0), F(1)), F(0)), ((F(0), F(-1)), F(1))))
     assert ratgeom.enumerate_vertices(empty) == ()
     assert ratgeom.volume(empty) == 0
-
-
-def test_unbounded_raises_with_direction():
-    # upper half plane
-    p = Polytope(2, (((F(0), F(1)), F(0)),))
-    with pytest.raises(UnboundedPolytope) as err:
-        ratgeom.enumerate_vertices(p)
-    d = err.value.direction
-    assert d is not None
-    assert d[1] >= 0
-    p, q = (f"{x.numerator}/{x.denominator}" for x in d)
-    assert str(err.value) == f"polytope is unbounded (direction ({p}, {q}))"
-
-
-def test_unbounded_recession_ray_detected():
-    # quadrant x >= 0, y >= 0 has vertex candidates but is unbounded
-    p = Polytope(
-        2, (((F(1), F(0)), F(0)), ((F(0), F(1)), F(0)))
-    )
-    with pytest.raises(UnboundedPolytope):
-        ratgeom.enumerate_vertices(p)
 
 
 def test_contains_boundary_and_interior():

@@ -1,23 +1,25 @@
 """ratgeom's integer vertex enumeration against the Fraction one it reduces.
 
 ``tests/vertex_oracle.py`` solves every row subset with Fraction Gaussian
-elimination and proves boundedness with Fraction nullspaces; ratgeom uses
-Cramer's rule, integer sign tests and generalized cross products.  Vertex
-tuples must be equal, and both must call the same sets unbounded, along
-positively proportional directions.
+elimination; ratgeom uses Cramer's rule and integer sign tests.  Vertex
+tuples must be equal.  ratgeom takes boundedness as the caller's proof
+(the ``ratgeom`` module docstring), so the oracle's recession and
+nullspace scans check it here, on every polytope that the package builds
+from the classes and bodies of every fan.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction as F
-from math import gcd
 from operator import mul
 
 import pytest
+from test_cone_table import all_fans, classes_on
 from test_invariants import seeded_class
 from test_ratgeom import box, random_polytope, simplex
-from test_score_oracle import seeded_classes
+from test_score_oracle import ample_class, seeded_classes
 from vertex_oracle import (
+    Unbounded,
     det,
     fraction_vertices,
     matrix_rank,
@@ -25,8 +27,8 @@ from vertex_oracle import (
     solve_square,
 )
 
-from torifan import catalog, ratgeom, toric
-from torifan.errors import NotSimplicial, NotSmooth, UnboundedPolytope
+from torifan import catalog, okounkov, ratgeom, toric
+from torifan.errors import NotSimplicial, NotSmooth
 from torifan.ratgeom import Polytope
 
 
@@ -35,28 +37,9 @@ def fresh(poly):
     return Polytope(poly.ambient_dim, poly.rows)
 
 
-def outcome(enumerate_, poly):
-    try:
-        return enumerate_(fresh(poly))
-    except UnboundedPolytope as exc:
-        return exc
-
-
-def positive_multiple(u, v):
-    """Whether u = k * v for some k > 0."""
-    i = next(i for i, x in enumerate(v) if x)
-    k = F(u[i]) / v[i]
-    return k > 0 and all(F(x) == k * y for x, y in zip(u, v))
-
-
 def assert_matches_oracle(poly):
-    got = outcome(ratgeom.enumerate_vertices, poly)
-    want = outcome(fraction_vertices, poly)
-    if isinstance(want, UnboundedPolytope):
-        assert isinstance(got, UnboundedPolytope)
-        assert positive_multiple(got.direction, want.direction)
-    else:
-        assert got == want
+    want = fraction_vertices(fresh(poly))
+    assert ratgeom.enumerate_vertices(fresh(poly)) == want
     return want
 
 
@@ -96,9 +79,6 @@ def test_random_polytopes_truncations_and_translates_match_the_oracle():
             assert_matches_oracle(ratgeom.truncate(p, axis, hi=cut))
             shift = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
             assert_matches_oracle(ratgeom.translate(p, shift))
-            # dropping halfspaces leaves bounded, unbounded or lined sets
-            kept = [h for h in p.rows if rng.random() < 0.6]
-            assert_matches_oracle(Polytope(n, kept))
 
 
 def unimodular_pair(rng, n):
@@ -149,10 +129,60 @@ def test_empty_sets_match_the_oracle():
         cube = box(*[(0, 1)] * n)
         assert assert_matches_oracle(ratgeom.truncate(cube, n - 1, lo=2)) == ()
         assert assert_matches_oracle(ratgeom.truncate(simplex(n), 0, hi=-1)) == ()
-    # empty with a line: 0 <= x <= -1 in the plane
+    # empty with a line: 0 <= x <= -1 in the plane, of rank 1
     e1 = (F(1), F(0))
     slab = Polytope(2, ((e1, F(0)), ((F(-1), F(0)), F(-1))))
-    assert assert_matches_oracle(slab) == ()
+    assert fraction_vertices(slab) == ()
+    with pytest.raises(ValueError, match="halfspace normals must have rank n"):
+        ratgeom.enumerate_vertices(slab)
+
+
+def check_bounded(poly, seen, kind):
+    """The oracle finds no ray and no line, and its vertices are ratgeom's."""
+    try:
+        want = fraction_vertices(fresh(poly))
+    except Unbounded as exc:
+        raise AssertionError(f"{kind}: unbounded along {exc.direction}") from None
+    assert ratgeom.enumerate_vertices(poly) == want, kind
+    seen[kind] += 1
+    return want
+
+
+def test_every_polytope_the_package_builds_is_bounded():
+    """Section polytopes of ample, nef-only, big non-nef, not big and not
+    effective classes on every fan, and for each big class its body under a
+    seeded flag and that body truncated at nu_1 >= t for t = 0, tau/2 and
+    99 tau/100, tau the pseudo-effective threshold: the constructions the
+    ``ratgeom`` module docstring proves bounded."""
+    rng = random.Random(20261029)
+    seen = Counter()
+    for v in all_fans(rng):
+        ample = ample_class(rng, v, lambda: rng.randint(1, 5))
+        for d in (*classes_on(rng, ample), -1 * ample):
+            verts = check_bounded(d.section_polytope(), seen, "section")
+            big = d.is_big()
+            if d.is_ample():
+                seen["ample"] += 1
+            elif d.is_nef():
+                seen["nef only"] += 1
+            elif big:
+                seen["big non-nef"] += 1
+            seen["big" if big else "not big"] += 1
+            seen["not effective"] += not verts
+            if not big:
+                continue
+            x = d.variety  # a pullback lives on a blow-up of v
+            c = rng.randrange(len(x.max_cones))
+            cone = x.max_cones[c]
+            flag = okounkov.FlagSpec(x, c, rng.sample(cone, len(cone)))
+            body = okounkov.okounkov_body(d, flag)
+            check_bounded(body.polytope, seen, "body")
+            tau = okounkov.pseff_threshold(d, flag)
+            for t in (0, tau / 2, 99 * tau / 100):
+                check_bounded(ratgeom.truncate(body.polytope, 0, lo=t), seen, "cut")
+    assert seen["cut"] == 3 * seen["body"] == 3 * seen["big"], seen
+    kinds = ("ample", "nef only", "big non-nef", "not big", "not effective")
+    assert all(seen[k] >= 20 for k in kinds), seen
 
 
 @pytest.mark.parametrize(
@@ -168,9 +198,41 @@ def test_empty_sets_match_the_oracle():
         (3, [((2, -1, 0), 1), ((-1, 2, 0), 1), ((0, 0, 1), 3), ((1, 1, -1), 0)]),
     ],
 )
-def test_unbounded_sets_raise_like_the_oracle(n, halfspaces):
+def test_the_oracle_finds_a_ray_or_a_line(n, halfspaces):
+    """The boundedness check of ``check_bounded`` fires on unbounded sets;
+    ratgeom, which is never given one, refuses those of rank below n."""
     poly = Polytope(n, [(tuple(map(F, a)), F(b)) for a, b in halfspaces])
-    assert isinstance(assert_matches_oracle(poly), UnboundedPolytope)
+    with pytest.raises(Unbounded):
+        fraction_vertices(poly)
+    if matrix_rank([a for a, _ in poly.rows]) < n:
+        with pytest.raises(ValueError, match="halfspace normals must have rank n"):
+            ratgeom.vertex_points(poly)
+
+
+def test_rows_of_rank_below_n_are_refused():
+    """Normals spanning a seeded subspace of dimension k < n, with offsets
+    that keep the origin feasible: ratgeom refuses them by their rank, where
+    the oracle finds a line."""
+    rng = random.Random(20261025)
+    ranks = Counter()
+    while len(ranks) < 6 or min(ranks.values()) < 5:
+        n = rng.randint(2, 4)
+        k = rng.randint(1, n - 1)
+        basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        normals = []
+        for _ in range(rng.randint(k, k + 3)):
+            coeffs = [rng.randint(-2, 2) for _ in basis]
+            a = [sum(map(mul, coeffs, col)) for col in zip(*basis)]
+            if any(a):
+                normals.append(a)
+        if not normals or matrix_rank(normals) != k:
+            continue
+        poly = Polytope(n, [(a, rng.randint(0, 4)) for a in normals])
+        with pytest.raises(Unbounded):
+            fraction_vertices(poly)
+        with pytest.raises(ValueError, match="halfspace normals must have rank n"):
+            ratgeom.vertex_points(poly)
+        ranks[n, k] += 1
 
 
 def seeded_matrix(rng, rows, cols):
@@ -253,34 +315,6 @@ def test_unimodular_inverse_matches_the_fraction_inverse():
                 toric._unimodular_inverse(repeated, 3)
 
 
-def test_lines_of_rank_two_and_more_match_the_oracle():
-    """Normals spanning a seeded subspace of dimension k, 2 <= k < n, with
-    offsets that keep the origin feasible: the line must be a positive
-    multiple of the oracle's and in the kernel of every row.  Dense rows
-    leave nonzero entries below the pivots, which ``echelon`` zeroes."""
-    rng = random.Random(20261025)
-    ranks = Counter()
-    for n in (3, 4):
-        for _ in range(60):
-            k = rng.randint(2, n - 1)
-            basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-            normals = []
-            for _ in range(rng.randint(k, k + 3)):
-                coeffs = [rng.randint(-2, 2) for _ in basis]
-                a = [sum(map(mul, coeffs, col)) for col in zip(*basis)]
-                if any(a):
-                    normals.append(a)
-            if matrix_rank(normals) != k:
-                continue
-            poly = Polytope(n, [(a, rng.randint(0, 4)) for a in normals])
-            assert isinstance(assert_matches_oracle(poly), UnboundedPolytope)
-            line = outcome(ratgeom.enumerate_vertices, poly).direction
-            assert all(sum(map(mul, a, line)) == 0 for a, _ in poly.rows)
-            assert all(x.denominator == 1 for x in line) and gcd(*map(int, line)) == 1
-            ranks[n, k] += 1
-    assert min(ranks.values()) >= 15 and len(ranks) == 3, ranks
-
-
 def contained(p, q, memo):
     """Whether every Fraction vertex of p satisfies every row of q; ``memo``
     keeps the oracle's vertices by rows."""
@@ -292,8 +326,7 @@ def contained(p, q, memo):
 def test_polytopes_equal_matches_mutual_containment():
     """``polytopes_equal`` compares canonical vertex forms; mutual containment
     of the oracle's vertices must agree, on reordered rows, truncations,
-    translate round trips through the vertex cache and unrelated pairs.
-    Unbounded inputs raise on either side."""
+    translate round trips through the vertex cache and unrelated pairs."""
     rng = random.Random(20261026)
     verdicts = Counter()
     for n, count in ((2, 50), (3, 24), (4, 2)):
@@ -318,12 +351,6 @@ def test_polytopes_equal_matches_mutual_containment():
                 assert ratgeom.polytopes_equal(p, q) == want
                 assert ratgeom.polytopes_equal(fresh(q), fresh(p)) == want
                 verdicts[want] += 1
-            kept = Polytope(n, [h for h in rows if rng.random() < 0.5])
-            if isinstance(outcome(fraction_vertices, kept), UnboundedPolytope):
-                for pair in ((p, kept), (kept, p)):
-                    with pytest.raises(UnboundedPolytope):
-                        ratgeom.polytopes_equal(*pair)
-                verdicts["unbounded"] += 1
     assert min(verdicts.values()) >= 20, verdicts
 
 

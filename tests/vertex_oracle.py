@@ -1,20 +1,27 @@
 """Fraction vertex enumeration: the computation ratgeom's integer one reduces.
 
-Solves every n-subset of rows by Fraction Gaussian elimination, decides
-feasibility on the rational point, proves boundedness with a Fraction
-nullspace per (n-1)-subset and detects lineality with a nullspace up front.
-It shares with ``ratgeom.enumerate_vertices`` only the primitive integer
-rows ``Polytope.rows``, so agreement checks Cramer's rule, the integer sign
-tests, the generalized cross products and the rank-n test.  ``det``,
-``pivot_columns`` and ``solve_square`` are the Fraction eliminations that
-``ratgeom.echelon``, ``ratgeom.int_det`` and ``toric._unimodular_inverse``
-are checked against.
+Solves every n-subset of rows by Fraction Gaussian elimination and decides
+feasibility on the rational point.  ``ratgeom`` takes boundedness as the
+caller's proof; this oracle checks it, with a Fraction nullspace per
+(n-1)-subset for recession rays and a nullspace up front for lines, and
+raises ``Unbounded`` on a set with either.  It shares with
+``ratgeom.enumerate_vertices`` only the primitive integer rows
+``Polytope.rows``, so agreement checks Cramer's rule, the integer sign
+tests and the rank-n test.  ``det``, ``pivot_columns`` and
+``solve_square`` are the Fraction eliminations that ``ratgeom.echelon``,
+``ratgeom.int_det`` and ``toric._unimodular_inverse`` are checked against.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from torifan.errors import UnboundedPolytope
+
+class Unbounded(Exception):
+    """A feasible set with a recession direction, kept in ``direction``."""
+
+    def __init__(self, direction):
+        super().__init__(f"unbounded along {tuple(direction)}")
+        self.direction = tuple(direction)
 
 
 def det(rows) -> Fraction:
@@ -140,7 +147,7 @@ def _feasible(rows, n) -> bool:
 def fraction_vertices(poly):
     """Sorted vertices of a bounded polytope, from a Fraction enumeration.
 
-    Raises ``UnboundedPolytope`` when the feasible set is unbounded and
+    Raises ``Unbounded`` when the feasible set has a ray or a line and
     returns an empty tuple when it is empty.  Reads no vertex cache.
     """
     n = poly.ambient_dim
@@ -148,12 +155,12 @@ def fraction_vertices(poly):
     lines = nullspace([r[0] for r in rows], n)
     if lines:
         if _feasible(rows, n):
-            raise UnboundedPolytope(lines[0])
+            raise Unbounded(lines[0])
         return ()
     candidates = _candidate_vertices(rows, n)
     if not candidates:
         return ()
     ray = _recession_ray(rows, n)
     if ray is not None:
-        raise UnboundedPolytope(ray)
+        raise Unbounded(ray)
     return tuple(sorted(candidates))
