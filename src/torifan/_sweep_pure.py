@@ -244,7 +244,9 @@ def _evaluate(variety, c):
     vol, bary_num = simplex_sums(verts, variety.simplices, n)
     if vol <= 0:
         raise VerificationError(
-            "ample sample with nonpositive volume", sample=c
+            "ample sample with nonpositive volume",
+            variety=variety.name,
+            sample=tuple(c),
         )
 
     # t_rho = (n+1) * vol * S(D_rho); the delta bound is vol^(n+1) <= t_max^n
@@ -253,7 +255,9 @@ def _evaluate(variety, c):
     t_max = max(t)
     if vol ** (n + 1) > t_max**n:
         raise VerificationError(
-            "delta^n * vol exceeds the simplex bound", sample=c
+            "delta^n * vol exceeds the simplex bound",
+            variety=variety.name,
+            sample=tuple(c),
         )
 
     eps = None
@@ -268,7 +272,11 @@ def _evaluate(variety, c):
     den = beta_d**n
     rhs = (n + 1) ** n * den
     if lhs > rhs:
-        raise VerificationError("score exceeds the (n+1)^n bound", sample=c)
+        raise VerificationError(
+            "score exceeds the (n+1)^n bound",
+            variety=variety.name,
+            sample=tuple(c),
+        )
     return vol, eps, delta, t.index(t_max), lhs == rhs, Fraction(lhs, den)
 
 

@@ -14,7 +14,7 @@ from functools import cache
 
 from torifan import harness, invariants, jsonio, toric
 from torifan.catalog import load_catalog
-from torifan.errors import ParseError, TorifanError, VerificationError
+from torifan.errors import ParseError, TorifanError, VerificationError, format_rationals
 from torifan.okounkov import FlagSpec, default_flag
 from torifan.sweep import sweep_ample_cone
 
@@ -244,7 +244,11 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
+        parts = [f"variety {exc.variety}"] if exc.variety else []
+        if exc.sample is not None:
+            parts.append(f"sample {format_rationals(exc.sample)}")
+        where = f" ({', '.join(parts)})" if parts else ""
+        print(f"verification failure: {exc}{where}", file=sys.stderr)
         return 1
     except (TorifanError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

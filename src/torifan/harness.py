@@ -335,7 +335,7 @@ def blowup_command(
         raise VerificationError(
             "volume profile dips below vol - x^n",
             variety=variety.name,
-            sample=cone_index,
+            sample=(cone_index,),
         )
     chain = chain_report(profile, beta)
     den, nums = profile.grid(samples)
@@ -431,7 +431,7 @@ def okounkov_command(
             raise VerificationError(
                 "translation identity failed",
                 variety=variety.name,
-                sample=str(t),
+                sample=(t,),
             )
         checks.append((Fraction(t), ok))
     den, nums = profile.grid(samples)

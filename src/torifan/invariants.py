@@ -35,6 +35,13 @@ from torifan.toric import (
 def seshadri_constant(divisor: TDivisor) -> Fraction:
     """sup{mu : -K - mu*D nef}: least wall ratio (-K.C)/(D.C).
 
+    Proof.  The wall curves span the Mori cone (Cox-Little-Schenck,
+    *Toric Varieties*, 2011, 6.3; the toric Kleiman criterion, Theorem
+    6.3.12, as ``ToricVariety.nef_vertex_points`` cites), so -K - mu*D is
+    nef iff (-K - mu*D).C = -K.C - mu D.C >= 0 on every wall curve C.  An
+    ample D has D.C > 0 on every curve, so each wall allows exactly
+    mu <= (-K.C)/(D.C), and the supremum is the least of these ratios.
+
     -K has every coefficient 1, so -K.C is the sum of the wall row, and
     D.C = x / lam for the scaled wall values x of D, all positive as D is
     ample."""
@@ -259,7 +266,7 @@ def chain_report(profile: VolumeProfile, beta: Fraction) -> ChainReport:
     second = power >= vol
     if not (first and second):
         raise VerificationError(
-            "vanishing-order chain failed", sample=(str(beta), str(s_exc))
+            "vanishing-order chain failed", sample=(beta, s_exc)
         )
     root = _nth_root_exact(vol, n)
     tight = log_disc == beta_s and power == vol

@@ -98,8 +98,8 @@ class ToricVariety:
 
     def __init__(self, dim, rays, max_cones, name=""):
         self.dim = dim
-        self.rays = tuple(tuple(int(c) for c in r) for r in rays)
-        self.max_cones = tuple(tuple(int(i) for i in c) for c in max_cones)
+        self.rays = tuple(map(tuple, rays))
+        self.max_cones = tuple(map(tuple, max_cones))
         self.name = name
 
     def __repr__(self):
@@ -220,9 +220,11 @@ class TDivisor:
     __slots__ = ("variety", "coeffs", "_polytope")
 
     def __init__(self, variety, coeffs):
-        coeffs = tuple(
-            c if isinstance(c, Fraction) else Fraction(c) for c in coeffs
-        )
+        coeffs = tuple(coeffs)
+        for i, c in enumerate(coeffs):
+            if type(c) is not int and not isinstance(c, Fraction):
+                raise ValidationError(f"coefficient {i} is not an int or a Fraction")
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
         if len(coeffs) != variety.n_rays:
             raise ValidationError(
                 f"divisor needs {variety.n_rays} coefficients, got {len(coeffs)}"
@@ -233,38 +235,6 @@ class TDivisor:
 
     def __repr__(self):
         return f"TDivisor({self.variety.name or 'X'}, {self.coeffs})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TDivisor)
-            and self.variety is other.variety
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.variety), self.coeffs))
-
-    def _same_variety(self, other):
-        if self.variety is not other.variety:
-            raise ValidationError("divisors live on different varieties")
-
-    def __add__(self, other):
-        self._same_variety(other)
-        return TDivisor(
-            self.variety, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other):
-        self._same_variety(other)
-        return TDivisor(
-            self.variety, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __mul__(self, scalar):
-        s = Fraction(scalar)
-        return TDivisor(self.variety, [s * a for a in self.coeffs])
-
-    __rmul__ = __mul__
 
     def section_polytope(self) -> Polytope:
         """{m : <m, u_rho> >= -a_rho for all rays}.
@@ -304,6 +274,8 @@ class TDivisor:
 def _check_rays(dim, rays):
     seen = set()
     for i, ray in enumerate(rays):
+        if not all(type(c) is int for c in ray):
+            raise ValidationError(f"ray {i} has an entry that is not an int")
         if len(ray) != dim:
             raise ValidationError(f"ray {i} has wrong dimension")
         if not any(ray):
@@ -320,6 +292,8 @@ def _check_cones(variety):
     seen = set()
     used = set()
     for ci, cone in enumerate(variety.max_cones):
+        if not all(type(i) is int for i in cone):
+            raise ValidationError(f"cone {ci} has an index that is not an int")
         if len(cone) != n:
             raise NotSimplicial(f"cone {ci} does not have {n} rays")
         if len(set(cone)) != n:
@@ -461,6 +435,8 @@ def _build_walls(variety):
 
 def validate_fan(dim, rays, max_cones, name="") -> ToricVariety:
     """Build a variety after checking smoothness and completeness."""
+    if type(dim) is not int:
+        raise ValidationError("dimension is not an int")
     if dim < 1:
         raise ValidationError("dimension must be at least 1")
     variety = ToricVariety(dim, rays, max_cones, name)

@@ -16,7 +16,10 @@ from torifan.ratgeom import Polytope
 
 
 def slice_polytope(poly: Polytope, axis: int, value) -> Polytope:
-    """Intersect with {x_axis = value} and drop that coordinate."""
+    """Intersect with {x_axis = value} and drop that coordinate.
+
+    An empty slice is the empty polytope; a slice with no constraint left
+    is all of Q^(n-1) and raises ValueError."""
     n = poly.ambient_dim
     if n < 2:
         raise ValueError("slicing needs ambient dimension at least 2")
@@ -34,11 +37,14 @@ def slice_polytope(poly: Polytope, axis: int, value) -> Polytope:
                 infeasible = True
             continue
         hs.append((new_normal, new_offset))
-    if infeasible or not hs:
-        # constant constraint violated (or no constraints left): the empty
-        # slice {x >= 0, sum x <= -1}, whose normals have rank n - 1
+    if infeasible:
+        # constant constraint violated: the empty slice
+        # {x >= 0, sum x <= -1}, whose normals have rank n - 1
         hs = [(tuple(int(i == j) for j in range(n - 1)), 0) for i in range(n - 1)]
         hs.append(((-1,) * (n - 1), -1))
+    elif not hs:
+        # every constraint is constant and holds: the slice is all of Q^(n-1)
+        raise ValueError("the slice has no constraint left and is unbounded")
     return Polytope(n - 1, hs)
 
 

@@ -41,7 +41,7 @@ def towers(rng):
             pulled = toric.pullback(d, bl)
             x = bl.result
             e = x.divisor([int(i == bl.e_index) for i in range(x.n_rays)])
-            d = 3 * pulled - e
+            d = x.divisor([3 * a - b for a, b in zip(pulled.coeffs, e.coeffs)])
             out.append((d, pulled))
     return out
 
@@ -269,7 +269,9 @@ def classes(rng):
         point = toric.cone_points(v.max_cones, v.cone_inverses, c)[0]
         vertex = [F(x, lam) for x in point]
         zeroed = principal_shift(ample, vertex)
-        out += [ample, principal_shift(ample, m), F(rng.randint(1, 7), 3) * zeroed]
+        scale = F(rng.randint(1, 7), 3)
+        scaled = v.divisor([scale * a for a in zeroed.coeffs])
+        out += [ample, principal_shift(ample, m), scaled]
         out += [nef] if nef is not None else []
         out += [v.divisor([rng.choice(coeffs) for _ in v.rays]) for _ in range(4)]
     return out
@@ -366,7 +368,7 @@ def classes_on(rng, ample, nef=None):
     for k in range(v.n_rays):
         unit = v.divisor([int(i == k) for i in range(v.n_rays)])
         yield unit
-        yield ample + 2 * unit
+        yield v.divisor([a + 2 * b for a, b in zip(ample.coeffs, unit.coeffs)])
     for _ in range(4):
         yield v.divisor([rng.randint(-2, 2) for _ in v.rays])
 

@@ -7,8 +7,10 @@ asserts), and no source file holds a float literal or calls ``float``,
 that show a decimal are rendered from integers.  Every function, class
 and non-dunder method is named by the package, by a script in
 ``perfbench/`` or ``benchmarks/`` or by the README's Python API block,
-and every module reads each name it imports.  ``Polytope`` is built only
-at the sites whose boundedness the ``ratgeom`` module docstring proves.
+and every module reads each name it imports.  The AST cannot see where
+an operator is applied, so the package defines no dunder but the four
+that construction and ``repr`` use.  ``Polytope`` is built only at the
+sites whose boundedness the ``ratgeom`` module docstring proves.
 """
 
 import ast
@@ -169,6 +171,51 @@ def test_every_definition_has_a_caller_outside_the_tests():
     outside = (names | api_names, attributes | api_attributes)
     sources = [(path.stem, _parse(path)) for path in SOURCES]
     assert unnamed(sources, outside) == []
+
+
+# The dunders the package may define, all used by construction or repr.  An
+# operator is applied where the AST cannot see it, so the usage guard above
+# could not tell whether only tests apply one.
+ALLOWED_DUNDERS = {"__init__", "__post_init__", "__repr__", "__slots__"}
+
+
+def dunders(tree):
+    """``(line, name)`` per ``def``, or assignment in a class body, named by
+    a dunder outside ``ALLOWED_DUNDERS``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            named = [(node.lineno, node.name)]
+        elif isinstance(node, ast.ClassDef):
+            named = [
+                (item.lineno, target.id)
+                for item in node.body
+                if isinstance(item, (ast.Assign, ast.AnnAssign))
+                for target in getattr(item, "targets", [getattr(item, "target", None)])
+                if isinstance(target, ast.Name)
+            ]
+        else:
+            continue
+        for line, name in named:
+            if name[:2] == name[-2:] == "__" and name not in ALLOWED_DUNDERS:
+                yield line, name
+
+
+def test_the_dunder_guard_sees_each_form():
+    code = ast.parse(
+        "__all__ = []\nclass C:\n    __slots__ = ()\n    def __init__(self): pass\n"
+        "    def __add__(self, o): pass\n    __rmul__ = __mul__\n    x: int = 1\n"
+        "    def __repr__(self): pass\n    def _f(self): pass\n"
+    )
+    assert sorted(dunders(code)) == [(5, "__add__"), (6, "__rmul__")]
+
+
+def test_the_package_defines_no_operator():
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in SOURCES
+        for line, name in dunders(_parse(path))
+    ]
+    assert found == []
 
 
 def test_every_import_is_read():

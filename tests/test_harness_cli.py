@@ -5,7 +5,7 @@ import pytest
 from test_catalog import bundled_fan
 from test_sweep import hirzebruch, p2_bundle
 
-from torifan import catalog, cli, harness, jsonio, okounkov, ratgeom, toric
+from torifan import _sweep_pure, catalog, cli, harness, jsonio, okounkov, ratgeom, toric
 from torifan.errors import (
     NotAmple,
     NotComplete,
@@ -737,8 +737,31 @@ def test_cli_exit_code_one_on_verification_failure(monkeypatch, capsys):
     rc = cli.main(["verify-theorem", "--resolution", "2"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("verification failure:")
-    assert "forced failure" in err
+    assert err == "verification failure: forced failure (sample (1/1, 2/1))\n"
+
+
+def test_cli_verify_theorem_names_the_failing_fan(tmp_path, capsys, monkeypatch):
+    """The evaluator's own raise names its fan: the catalog's second fan, P2,
+    the only one with three maximal cones, gets volume 0 on every sample."""
+    cat = tmp_path / "cat"
+    cat.mkdir()
+    write_fan(cat, catalog.hirzebruch_one(), "f1.json")
+    write_fan(cat, catalog.projective_space(2), "p2.json")
+    real = _sweep_pure.simplex_sums
+
+    def flat_on_p2(verts, simplices, n):
+        vol, bary = real(verts, simplices, n)
+        return (0 if len(verts) == 3 else vol), bary
+
+    monkeypatch.setattr(_sweep_pure, "simplex_sums", flat_on_p2)
+    rc = cli.main(["verify-theorem", "--catalog", str(cat), "--resolution", "2"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "verification failure: ample sample with nonpositive volume"
+        " (variety P2, sample (1/1, 1/1, 1/1))\n"
+    )
 
 
 def test_cli_reports_end_with_single_newline(tmp_path, capsys):

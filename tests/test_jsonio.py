@@ -105,7 +105,8 @@ def test_divisor_dict_round_trip():
     d = v.divisor([F(-1, 2), 1, 1])
     data = {"coeffs": [format_rational(c) for c in d.coeffs]}
     assert data == {"coeffs": ["-1/2", "1/1", "1/1"]}
-    assert jsonio.divisor_from_dict(data, v) == d
+    got = jsonio.divisor_from_dict(data, v)
+    assert got.variety is v and got.coeffs == d.coeffs
 
 
 def test_divisor_from_dict_errors():

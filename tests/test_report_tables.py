@@ -65,7 +65,7 @@ def table(profile, count):
 
 def counts_for(d, step):
     """All counts for -K; two per cone for the seeded classes, in rotation."""
-    if d == d.variety.anticanonical():
+    if d.coeffs == d.variety.anticanonical().coeffs:
         return COUNTS
     return (COUNTS[step % len(COUNTS)], COUNTS[(step + 3) % len(COUNTS)])
 

@@ -51,7 +51,7 @@ def seeded_classes(rng, v):
     for d in bases:
         m = [rng.randint(-4, 4) for _ in range(v.dim)]
         scale = F(rng.randint(1, 9), rng.randint(1, 9))
-        out += [d, principal_shift(d, m), scale * d]
+        out += [d, principal_shift(d, m), v.divisor([scale * c for c in d.coeffs])]
     return out
 
 

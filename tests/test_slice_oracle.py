@@ -9,6 +9,7 @@ import random
 from fractions import Fraction as F
 from itertools import pairwise
 
+import pytest
 from slice_oracle import nodewise_slice_profile, slice_polytope
 from test_invariants import seeded_class
 from test_okounkov import model_cone, unit_square_body
@@ -96,3 +97,18 @@ def test_slice_profile_matches_the_oracle_on_blowup_bodies():
                     assert piece == ratpoly.interpolate(areas)
                 checked += 1
     assert checked == 117
+
+
+def test_slice_polytope_refuses_an_unbounded_slice_and_keeps_an_empty_one():
+    # the strip {0 <= x_0 <= 1} in Q^2 at x_0 = 1/2 leaves no constraint
+    strip = Polytope(2, [((1, 0), 0), ((-1, 0), 1)])
+    with pytest.raises(ValueError, match="unbounded"):
+        slice_polytope(strip, 0, F(1, 2))
+    # the unit square at x_0 = 2 violates -x_0 + 1 >= 0
+    square = Polytope(2, [((1, 0), 0), ((-1, 0), 1), ((0, 1), 0), ((0, -1), 1)])
+    empty = slice_polytope(square, 0, 2)
+    assert empty.ambient_dim == 1
+    assert ratgeom.enumerate_vertices(empty) == ()
+    assert ratgeom.volume(empty) == 0
+    middle = slice_polytope(square, 0, F(1, 2))
+    assert ratgeom.enumerate_vertices(middle) == ((0,), (1,))
