@@ -207,18 +207,17 @@ classes: each line adds its samples whose integer class is extremal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from torifan import toric
 from torifan.errors import VerificationError
 from torifan.ratgeom import simplex_sums
 
 
-@dataclass
-class RawSweep:
+class RawSweep(NamedTuple):
     candidates: int  # gcd-reduced grid vectors seen
     ample: int
     extremal: int  # samples attaining the (n+1)^n bound exactly

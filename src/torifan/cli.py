@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure (an exact theorem check did
 not hold), 2 usage or input errors, among them a fan that is not Fano
 given to a command whose report carries eps, beta or a score.  All reports
-are deterministic: same input, byte-identical output.
+are deterministic: same input, byte-identical output.  Each command
+imports its own modules: ``validate`` loads ``jsonio`` and ``toric`` alone.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ import argparse
 import sys
 from functools import cache
 
-from torifan import harness, invariants, jsonio, toric
+from torifan import jsonio, toric
 from torifan.catalog import load_catalog
 from torifan.errors import ParseError, TorifanError, VerificationError, format_rationals
-from torifan.okounkov import FlagSpec, default_flag
-from torifan.sweep import sweep_ample_cone
 
 
 def _write(text: str, out):
@@ -38,6 +37,7 @@ def _emit(report, args):
 
 def _emit_record(record, csv_header, args):
     """Write one report record as ``args.format`` asks; exit code 0."""
+    from torifan import harness
     if args.format == "json":
         _write(jsonio.dumps(record), args.out)
     else:
@@ -61,6 +61,7 @@ def _divisor_from_args(variety, args):
 
 def _parse_flag(variety, text):
     """--flag CONE or --flag CONE:r0,r1,... (a permutation of the cone)."""
+    from torifan.okounkov import FlagSpec, default_flag
     head, sep, tail = text.partition(":")
     try:
         cone_index = int(head)
@@ -89,6 +90,7 @@ def _cmd_validate(args):
 
 
 def _cmd_invariants(args):
+    from torifan import harness, invariants
     variety = _load_fano(args.fan)
     record = harness.invariant_record(
         invariants.score(_divisor_from_args(variety, args))
@@ -97,6 +99,8 @@ def _cmd_invariants(args):
 
 
 def _cmd_sweep(args):
+    from torifan import harness
+    from torifan.sweep import sweep_ample_cone
     variety = _load_fano(args.fan)
     harness.require_count("samples cap", args.samples_cap, 0)
     cap = args.samples_cap if args.include_samples else 0
@@ -111,6 +115,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_blowup(args):
+    from torifan import harness
     variety = _load_fano(args.fan)
     divisor = _divisor_from_args(variety, args)
     report = harness.blowup_command(
@@ -120,6 +125,7 @@ def _cmd_blowup(args):
 
 
 def _cmd_okounkov(args):
+    from torifan import harness
     variety = jsonio.load_fan(args.fan)
     divisor = _divisor_from_args(variety, args)
     flag = _parse_flag(variety, args.flag) if args.flag else None
@@ -132,12 +138,14 @@ def _cmd_okounkov(args):
 
 
 def _cmd_verify(args):
+    from torifan import harness
     catalog = load_catalog(args.catalog)
     report = harness.verify_theorem(catalog, args.resolution)
     return _emit(report, args)
 
 
 def _cmd_gap(args):
+    from torifan import harness
     catalog = load_catalog(args.catalog)
     report = harness.gap_report(
         catalog, args.resolution, dimension=args.dimension

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from torifan import invariants, jsonio
 from torifan.errors import ValidationError, VerificationError, format_rational
@@ -31,7 +31,6 @@ from torifan.okounkov import (
     slice_profile,
     translation_identity_check,
 )
-from torifan.sweep import sweep_ample_cone
 from torifan.toric import TDivisor, ToricVariety, is_projective_space
 
 _fmt = format_rational
@@ -110,8 +109,7 @@ def invariant_record(rep) -> dict:
 # theorem verification and gap reports
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     resolution: int
     results: tuple  # SweepResult per entry, catalog order
     projective: tuple  # matching is-P^n flags
@@ -142,6 +140,7 @@ def verify_theorem(catalog, resolution: int) -> VerifyReport:
     violation surfaces as VerificationError with the offending coefficient
     vector.  An empty catalog is refused: it would pass vacuously.
     """
+    from torifan.sweep import sweep_ample_cone
     if not catalog:
         raise ValidationError("verify-theorem needs at least one fan")
     results = []
@@ -172,8 +171,7 @@ GAP_ENTRY = ("variety", "n", "max_score", "gap", "is_projective_space")
 GAP_ROW = ("dimension", "epsilon", "epsilon_decimal", "achieved_by")
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     sweep: VerifyReport  # verify_theorem of the dimension-filtered catalog
     note: str
     rows: tuple  # (dim, epsilon, achieving variety), sorted by dim
@@ -236,8 +234,7 @@ def gap_report(catalog, resolution: int, dimension=None) -> GapReport:
 # blow-up profile report
 
 
-@dataclass(frozen=True)
-class BlowupReport:
+class BlowupReport(NamedTuple):
     variety_name: str
     cone_index: int
     exceptional_ray: tuple
@@ -326,18 +323,23 @@ def blowup_command(
     divisor: TDivisor,
     samples: int = 100,
 ) -> BlowupReport:
-    """Fujita profile at a fixed point plus the vanishing-order chain."""
+    """Fujita profile at a fixed point plus the vanishing-order chain.
+
+    A verification failure raised below without a fan names this one."""
     require_count("samples", samples, 1)
-    beta = invariants.score(divisor).beta  # refuses a class that is not ample
-    profile, bl = fujita_profile(variety, cone_index, divisor)
-    margin_ok = profile.inequality_certificate()
-    if not margin_ok:
-        raise VerificationError(
-            "volume profile dips below vol - x^n",
-            variety=variety.name,
-            sample=(cone_index,),
-        )
-    chain = chain_report(profile, beta)
+    try:
+        beta = invariants.score(divisor).beta  # refuses a class that is not ample
+        profile, bl = fujita_profile(variety, cone_index, divisor)
+        margin_ok = profile.inequality_certificate()
+        if not margin_ok:
+            raise VerificationError(
+                "volume profile dips below vol - x^n", sample=(cone_index,)
+            )
+        chain = chain_report(profile, beta)
+        monotone_ok = profile.monotone_certificate()
+    except VerificationError as exc:
+        exc.variety = exc.variety or variety.name
+        raise
     den, nums = profile.grid(samples)
     return BlowupReport(
         variety_name=variety.name,
@@ -350,7 +352,7 @@ def blowup_command(
         grid=(den, tuple(nums)),
         values=tuple(profile.values_at(nums, den)),
         margin_certified=margin_ok,
-        monotone_certified=profile.monotone_certificate(),
+        monotone_certified=monotone_ok,
         chain=chain,
     )
 
@@ -359,8 +361,7 @@ def blowup_command(
 # Okounkov body report
 
 
-@dataclass(frozen=True)
-class OkounkovReport:
+class OkounkovReport(NamedTuple):
     variety_name: str
     cone_index: int
     ray_order: tuple

@@ -13,10 +13,10 @@ Everything reduces to rational convex geometry on the section polytope:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 from math import factorial
+from typing import NamedTuple
 
 from torifan import _sweep_pure, okounkov, ratpoly
 from torifan.errors import VerificationError
@@ -70,8 +70,7 @@ def delta_from_barycenter(divisor: TDivisor, center):
     return 1 / best, orders.index(best)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Exact invariants of one polarized variety."""
 
     variety: str
@@ -121,21 +120,21 @@ def score(divisor: TDivisor) -> InvariantReport:
 # volume profiles
 
 
-@dataclass(frozen=True)
-class VolumeProfile(ratpoly.Piecewise):
+class VolumeProfile(
+    NamedTuple(
+        "VolumeProfile",
+        [("dim", int), ("total", Fraction), ("breakpoints", tuple), ("pieces", tuple)],
+    ),
+    ratpoly.Piecewise,
+):
     """x -> vol(pullback - x*E) as an exact piecewise polynomial on [0, end].
 
     ``breakpoints`` has one more entry than ``pieces``; piece i is valid on
     [breakpoints[i], breakpoints[i+1]].  Coefficients are Fractions, lowest
     degree first.  The last piece vanishes at the end, since
     ``vanishing_order_profile`` checks that n! int A = vol, and
-    ``piece_value`` reads 0 past it.
+    ``piece_value`` reads 0 past it.  ``total`` is the volume at x = 0.
     """
-
-    dim: int
-    total: Fraction
-    breakpoints: tuple
-    pieces: tuple
 
     @property
     def domain_end(self):
@@ -228,8 +227,7 @@ def _nth_root_exact(x: Fraction, n: int):
     return None
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """The comparison n >= beta*S(E) >= n*beta*vol^(1/n)/(n+1), exactly.
 
     ``root`` is the exact vol^(1/n) when rational, else None; the final

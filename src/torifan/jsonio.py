@@ -89,7 +89,7 @@ def _read(path, build):
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except ValueError as exc:  # bad JSON or bad UTF-8
+            except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
                 raise ParseError(f"not valid JSON: {exc}") from exc
         return build(data)
     except TorifanError as exc:
@@ -120,7 +120,7 @@ def dumps(payload) -> str:
     pure-Python encoder.  Strings are escaped by the escaper json.dumps
     uses; dict, list, tuple, str, int, bool and None are the only types
     accepted, dict keys must be strings, and anything else raises
-    TypeError.
+    TypeError, a NamedTuple too: json.dumps would write it as a list.
     """
     out = []
     _write(payload, out, "\n")
@@ -132,7 +132,7 @@ def _write(value, out, newline):
     """Append the indent-2 JSON of ``value``, nested at ``newline``."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
-    elif isinstance(value, (list, tuple)):
+    elif type(value) in (list, tuple):
         if not value:
             out.append("[]")
             return

@@ -61,11 +61,11 @@ a full-dimensional section polytope under a bijection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
 from operator import mul
+from typing import NamedTuple
 
 from torifan import ratgeom, ratpoly
 from torifan.errors import ThresholdExceeded, ValidationError, format_rational
@@ -73,7 +73,6 @@ from torifan.ratgeom import Polytope
 from torifan.toric import TDivisor, ToricVariety, require_big
 
 
-@dataclass(frozen=True)
 class FlagSpec:
     """Complete flag of invariant subvarieties at one fixed point.
 
@@ -82,18 +81,16 @@ class FlagSpec:
     whole cone.
     """
 
-    variety: ToricVariety
-    cone_index: int
-    ray_order: tuple
+    __slots__ = ("variety", "cone_index", "ray_order")
 
-    def __post_init__(self):
-        cone = self.variety.max_cone(self.cone_index)
-        order = tuple(int(i) for i in self.ray_order)
+    def __init__(self, variety: ToricVariety, cone_index: int, ray_order):
+        cone = variety.max_cone(cone_index)
+        order = tuple(int(i) for i in ray_order)
         if sorted(order) != sorted(cone):
             raise ValidationError(
                 f"flag order {order} is not a permutation of cone {cone}"
             )
-        object.__setattr__(self, "ray_order", order)
+        self.variety, self.cone_index, self.ray_order = variety, cone_index, order
 
 
 def default_flag(variety: ToricVariety, cone_index: int) -> FlagSpec:
@@ -184,16 +181,15 @@ def translation_identity_check(body: OkounkovBody, t) -> bool:
 # slice profiles and concavity
 
 
-@dataclass(frozen=True)
-class SliceProfile(ratpoly.Piecewise):
-    """r -> (n-1)-volume of the nu_1 = r slice, piecewise polynomial.
+class SliceProfile(
+    NamedTuple("SliceProfile", [("dim", int), ("breakpoints", tuple), ("pieces", tuple)]),
+    ratpoly.Piecewise,
+):
+    """r -> (n-1)-volume of the nu_1 = r slice, piecewise polynomial, in
+    ambient dimension ``dim``, the body's n.
 
     Piece i is the polynomial on [breakpoints[i], breakpoints[i+1]].
     """
-
-    dim: int  # ambient dimension n of the body
-    breakpoints: tuple
-    pieces: tuple
 
     @property
     def support(self):

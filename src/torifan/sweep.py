@@ -35,9 +35,9 @@ the same cone inverses as the evaluator's vertex maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from torifan import _sweep_pure, invariants, ratgeom
 from torifan.errors import EmptyGrid, ValidationError, VerificationError
@@ -64,8 +64,7 @@ def select_engine(variety, resolution):
     return "pure"
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     variety_name: str
     dim: int
     resolution: int

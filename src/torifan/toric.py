@@ -43,12 +43,12 @@ in sorted order (owner count, then opposite sides), then connectivity.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, permutations
 from math import factorial, gcd
 from operator import mul
+from typing import NamedTuple
 
 from torifan import ratgeom
 from torifan.errors import (
@@ -65,8 +65,7 @@ from torifan.errors import (
 from torifan.ratgeom import Polytope, scale_to_integers
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """Codimension-1 cone shared by two maximal cones.
 
     ``relation`` holds the integers b_i in
@@ -452,8 +451,7 @@ def validate_fan(dim, rays, max_cones, name="") -> ToricVariety:
 # blow-ups
 
 
-@dataclass(frozen=True)
-class Blowup:
+class Blowup(NamedTuple):
     """Star subdivision at the fixed point of one maximal cone."""
 
     source: ToricVariety

@@ -7,10 +7,11 @@ asserts), and no source file holds a float literal or calls ``float``,
 that show a decimal are rendered from integers.  Every function, class
 and non-dunder method is named by the package, by a script in
 ``perfbench/`` or ``benchmarks/`` or by the README's Python API block,
-and every module reads each name it imports.  The AST cannot see where
-an operator is applied, so the package defines no dunder but the four
-that construction and ``repr`` use.  ``Polytope`` is built only at the
-sites whose boundedness the ``ratgeom`` module docstring proves.
+and every module reads each name it imports, none of them ``dataclasses``.
+The AST cannot see where an operator is applied, so the package defines
+no dunder but the three that construction and ``repr`` use.  ``Polytope``
+is built only at the sites whose boundedness the ``ratgeom`` module
+docstring proves.
 """
 
 import ast
@@ -176,7 +177,7 @@ def test_every_definition_has_a_caller_outside_the_tests():
 # The dunders the package may define, all used by construction or repr.  An
 # operator is applied where the AST cannot see it, so the usage guard above
 # could not tell whether only tests apply one.
-ALLOWED_DUNDERS = {"__init__", "__post_init__", "__repr__", "__slots__"}
+ALLOWED_DUNDERS = {"__init__", "__repr__", "__slots__"}
 
 
 def dunders(tree):
@@ -224,6 +225,28 @@ def test_every_import_is_read():
         for path in SOURCES
         if path.name != "__init__.py"  # it imports what it exports
         for line, name in unused_imports(_parse(path))
+    ]
+    assert found == []
+
+
+def imported_modules(tree):
+    """The top-level package of each absolute ``import`` and ``from``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_the_package_never_imports_dataclasses():
+    # it imports inspect, ast, dis and tokenize: several milliseconds of
+    # every fresh process, more than the work of most commands
+    code = ast.parse(
+        "import os, dataclasses\ndef f():\n    from dataclasses import field\n"
+    )
+    assert list(imported_modules(code)) == ["os", "dataclasses", "dataclasses"]
+    found = [
+        path.name for path in SOURCES if "dataclasses" in imported_modules(_parse(path))
     ]
     assert found == []
 

@@ -776,3 +776,38 @@ def test_cli_reports_end_with_single_newline(tmp_path, capsys):
         out = capsys.readouterr().out
         assert out.endswith("\n")
         assert not out.endswith("\n\n")
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    """200,000 nested arrays exceed the JSON decoder's recursion limit.  As
+    a fan, a divisor or a catalog entry that is bad input (exit 2) naming
+    the file, not a verification failure (exit 1) or a traceback."""
+    fan = write_fan(tmp_path, catalog.projective_space(2))
+    deep = tmp_path / "cat" / "deep.json"
+    deep.parent.mkdir()
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for argv in (
+        ["validate", deep],
+        ["invariants", fan, "--divisor", deep],
+        ["verify-theorem", "--catalog", deep.parent, "--resolution", 1],
+    ):
+        assert cli.main([str(arg) for arg in argv]) == 2, argv
+        out, err = capsys.readouterr()
+        assert not out and err.startswith(f"error: {deep}: not valid JSON: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_blowup_names_the_fan_of_a_failing_chain(tmp_path, capsys, monkeypatch):
+    """chain_report raises without a fan; blowup_command names its own."""
+    fan = write_fan(tmp_path, catalog.projective_space(2), "p2.json")
+    real = harness.chain_report
+    monkeypatch.setattr(
+        harness, "chain_report", lambda profile, beta: real(profile, 100 * beta)
+    )
+    assert cli.main(["blowup", fan, "--cone", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "verification failure: vanishing-order chain failed"
+        " (variety P2, sample (100/1, 2/1))\n"
+    )

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from torifan import catalog, cli, jsonio
+from torifan import catalog, cli, invariants, jsonio
 from torifan.errors import ParseError, ValidationError, format_rational
 
 
@@ -141,6 +141,13 @@ def test_dumps_writes_nested_strings_as_json_dumps():
     ]
     for payload in payloads:
         assert jsonio.dumps(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_dumps_refuses_a_named_tuple():
+    # json.dumps would write a report as a bare list of its fields
+    report = invariants.score(catalog.projective_space(2).anticanonical())
+    with pytest.raises(TypeError, match="InvariantReport"):
+        jsonio.dumps({"report": report})
 
 
 def _write_json(path, payload):
