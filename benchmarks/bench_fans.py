@@ -9,13 +9,42 @@ best-of-``--repeat`` time of each step and of both together, then the
 totals.
 
     python3 benchmarks/bench_fans.py --repeat 5
+
+``--strips K ...`` instead runs ``torifan validate`` in a fresh process
+per repeat on each smooth complete surface of 2K + 4 rays
+(tests/big_fans.py, far from Fano), and prints the best time of the
+command inside the process, the best time of the whole process and the
+largest peak RSS the process reports for itself.  The processes inherit
+the environment, so ``PYTHONPATH`` picks the package they time:
+
+    python3 benchmarks/bench_fans.py --strips 500 1000 2000 --repeat 3
 """
 
 import argparse
+import json
+import os
 import random
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 from torifan import catalog, sweep, toric
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from big_fans import strip_surface  # noqa: E402
+
+# run in the fresh process: validate the fan in argv[1], then report the
+# exit code, the command's seconds and the process's own peak RSS in KB
+STRIP_SCRIPT = (
+    "import os, resource, sys, time\n"
+    "from torifan import cli\n"
+    "t0 = time.perf_counter()\n"
+    "rc = cli.main(['validate', sys.argv[1], '--out', os.devnull])\n"
+    "t = time.perf_counter() - t0\n"
+    "print(rc, t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+)
 
 TOWER_STARTS = (
     (catalog.projective_space(2), 3),
@@ -54,6 +83,34 @@ def best_of(variety, repeat):
     return t_valid, t_tables
 
 
+def validate_strip(fan):
+    """``(command s, process s, peak RSS MB)`` of one fresh process that
+    validates the fan file ``fan``; exits on failure."""
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", STRIP_SCRIPT, fan], capture_output=True, text=True
+    )
+    elapsed = time.perf_counter() - t0
+    fields = done.stdout.split()
+    if done.returncode != 0 or fields[:1] != ["0"]:
+        sys.exit(f"validate {fan} failed ({done.returncode}): {done.stderr}")
+    return float(fields[1]), elapsed, int(fields[2]) / 1024
+
+
+def strips(ks, repeat):
+    """Print one row per strip surface: rays, best times, largest peak."""
+    print(f"{'rays':>6} {'validate (s)':>13} {'process (s)':>12} {'peak RSS (MB)':>14}")
+    with tempfile.TemporaryDirectory() as scratch:
+        for k in ks:
+            data = strip_surface(k)
+            fan = os.path.join(scratch, f"strip{k}.json")
+            with open(fan, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+            inner, outer, peak = zip(*(validate_strip(fan) for _ in range(repeat)))
+            inner, outer, peak = min(inner), min(outer), max(peak)
+            print(f"{len(data['rays']):>6} {inner:>13.3f} {outer:>12.3f} {peak:>14.1f}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5)
@@ -64,7 +121,17 @@ def main(argv=None):
         default=None,
         help="catalog names; defaults to every bundled fan",
     )
+    parser.add_argument(
+        "--strips",
+        type=int,
+        nargs="+",
+        default=None,
+        help="validate the surfaces of 2K + 4 rays in fresh processes instead",
+    )
     args = parser.parse_args(argv)
+    if args.strips:
+        strips(args.strips, args.repeat)
+        return
 
     entries = {v.name: v for v in catalog.bundled_catalog()}
     chosen = [entries[name] for name in args.varieties or entries]

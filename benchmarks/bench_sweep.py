@@ -103,7 +103,7 @@ def main(argv=None):
                 continue
             t_pt, raw_pt, n_pt = best_of(
                 sweep_oracle.pointwise_sweep,
-                (variety.wall_rows, variety, resolution, 0),
+                (sweep_oracle.rows_per_wall(variety), variety, resolution, 0),
                 args.repeat,
                 oracle_calls,
             )

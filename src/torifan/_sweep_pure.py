@@ -1,7 +1,7 @@
 """The sweep engine: exact integer arithmetic, any dimension.
 
 Both functions take the variety and read its cached integer tables, built
-once per variety: ``curve_rows``, the distinct ``wall_rows`` with their
+once per variety: ``curve_rows``, the distinct dense wall rows with their
 K.C, one per curve class (reduction 5); ``cone_inverses``, from which
 ``toric.cone_points`` reads the cone vertices m_sigma; ``simplices``, the
 triangulation; and ``class_rows`` and ``class_maps`` (reductions 2 and 6).
@@ -97,8 +97,8 @@ far less work, by seven reductions.
    injective range, and two primitive classes of grid samples share a key
    iff they are equal.
 
-5. One wall row per curve class.  ``curve_rows`` keeps the distinct rows
-   of ``wall_rows`` in first-occurrence order.  Two walls with equal rows
+5. One wall row per curve class.  ``curve_rows`` keeps the distinct dense
+   rows of the walls in first-occurrence order.  Two walls with equal rows
    w have equal D.C = <w, c> for every c and equal K.C = sum w (the row
    on the all-ones anticanonical vector), so dropping the later copy
    changes no comparison.  The Kleiman test (every wall value positive)

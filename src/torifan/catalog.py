@@ -12,7 +12,6 @@ bundled files through the same reader.  ``projective_space(n)`` and
 from __future__ import annotations
 
 import os
-from importlib import resources
 from itertools import product
 
 from torifan import jsonio
@@ -66,7 +65,7 @@ def hirzebruch_one() -> ToricVariety:
 
 def bundled_dir():
     """The bundled catalog directory, a path on the file system."""
-    return resources.files("torifan").joinpath("data/catalog")
+    return os.path.join(os.path.dirname(__file__), "data", "catalog")
 
 
 def load_catalog(path=None):

@@ -9,6 +9,19 @@ def format_rational(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def format_integer(x) -> str:
+    """An integer as its digits, or past 20 digits as its digit count, so
+    that error text stays short; str() itself refuses past 4,300 digits.
+    (bit_length - 1) * 3 // 10 digits is a lower bound, as 10**0.3 < 2."""
+    if -10**20 < x < 10**20:
+        return str(x)
+    x = abs(x)
+    k = (x.bit_length() - 1) * 3 // 10
+    while 10 ** (k + 1) <= x:
+        k += 1
+    return f"an integer of {k + 1} digits"
+
+
 def format_rationals(values) -> str:
     """Integers or Fractions as "(p/q, ...)"."""
     return "(" + ", ".join(map(format_rational, values)) + ")"

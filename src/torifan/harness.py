@@ -410,43 +410,44 @@ def okounkov_command(
     translations=(),
     samples: int = 32,
 ) -> OkounkovReport:
-    """Drive the body end to end: vertices, identities, slices, concavity."""
+    """Drive the body end to end: vertices, identities, slices, concavity.
+
+    A verification failure raised below without a fan names this one."""
     require_count("samples", samples, 1)
     if flag is None:
         flag = default_flag(variety, 0)
-    body = okounkov_body(divisor, flag)
-    # the slice areas integrate to the body's volume, here checked against
-    # the class volume from the triangulated section polytope
-    profile = slice_profile(body)
-    body_volume = profile.integral()
-    if factorial(variety.dim) * body_volume != divisor.vol():
-        raise VerificationError(
-            "body volume does not match the divisor volume",
-            variety=variety.name,
-            sample=flag.ray_order,
-        )
-    checks = []
-    for t in translations:
-        ok = translation_identity_check(body, t)
-        if not ok:
+    try:
+        body = okounkov_body(divisor, flag)
+        # the slice areas integrate to the body's volume, here checked
+        # against the class volume from the triangulated section polytope
+        profile = slice_profile(body)
+        body_volume = profile.integral()
+        if factorial(variety.dim) * body_volume != divisor.vol():
             raise VerificationError(
-                "translation identity failed",
-                variety=variety.name,
-                sample=(t,),
+                "body volume does not match the divisor volume",
+                sample=flag.ray_order,
             )
-        checks.append((Fraction(t), ok))
-    den, nums = profile.grid(samples)
-    return OkounkovReport(
-        variety_name=variety.name,
-        cone_index=flag.cone_index,
-        ray_order=flag.ray_order,
-        vertices=body.vertices(),
-        body_volume=body_volume,
-        divisor_volume=divisor.vol(),
-        pseff=pseff_threshold(divisor, flag),
-        translation_results=tuple(checks),
-        support=profile.support,
-        concave=bm_concavity_check(profile),
-        grid=(den, tuple(nums)),
-        values=tuple(profile.values_at(nums, den)),
-    )
+        checks = []
+        for t in translations:
+            ok = translation_identity_check(body, t)
+            if not ok:
+                raise VerificationError("translation identity failed", sample=(t,))
+            checks.append((Fraction(t), ok))
+        den, nums = profile.grid(samples)
+        return OkounkovReport(
+            variety_name=variety.name,
+            cone_index=flag.cone_index,
+            ray_order=flag.ray_order,
+            vertices=body.vertices(),
+            body_volume=body_volume,
+            divisor_volume=divisor.vol(),
+            pseff=pseff_threshold(divisor, flag),
+            translation_results=tuple(checks),
+            support=profile.support,
+            concave=bm_concavity_check(profile),
+            grid=(den, tuple(nums)),
+            values=tuple(profile.values_at(nums, den)),
+        )
+    except VerificationError as exc:
+        exc.variety = exc.variety or variety.name
+        raise

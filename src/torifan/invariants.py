@@ -42,13 +42,12 @@ def seshadri_constant(divisor: TDivisor) -> Fraction:
     ample D has D.C > 0 on every curve, so each wall allows exactly
     mu <= (-K.C)/(D.C), and the supremum is the least of these ratios.
 
-    -K has every coefficient 1, so -K.C is the sum of the wall row, and
-    D.C = x / lam for the scaled wall values x of D, all positive as D is
-    ample."""
+    -K.C = 2 + sum(relation) (torifan.toric), and D.C = x / lam for the
+    scaled wall values x of D, all positive as D is ample."""
     require_ample(divisor)
-    variety = divisor.variety
-    lam, values = variety.scaled_wall_values(divisor.coeffs)
-    return lam * min(Fraction(sum(w), x) for w, x in zip(variety.wall_rows, values))
+    walls = divisor.variety.walls
+    lam, values = divisor.variety.scaled_wall_values(divisor.coeffs)
+    return lam * min(Fraction(2 + sum(w.relation), x) for w, x in zip(walls, values))
 
 
 def delta_from_barycenter(divisor: TDivisor, center):

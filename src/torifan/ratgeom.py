@@ -37,7 +37,7 @@ one has none.  A set ``{A m + b >= 0}`` is bounded iff its recession cone
 ``{A m >= 0}`` is {0}, and the package builds a ``Polytope`` at four sites:
 
 - ``TDivisor.section_polytope`` (torifan.toric), one row ``<m, u_rho> +
-  a_rho`` per ray.  Its ``is_nef()`` reads ``wall_rows``, so
+  a_rho`` per ray.  Its ``is_nef()`` reads the walls, so
   ``ToricVariety.walls`` has certified the fan complete (Cox-Little-Schenck,
   *Toric Varieties*, 2011, 4.3).  Every u in N_R then lies in a maximal
   cone, u = sum l_i u_i with l_i >= 0, so an m with ``<m, u_rho> >= 0``

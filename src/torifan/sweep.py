@@ -4,7 +4,7 @@ The sweep evaluates beta^n * Vol on integer coefficient vectors in
 {1..resolution}^(#rays), deduplicated projectively (gcd 1) since the score
 is scale invariant.  Everything shape-dependent is an integer table
 cached on the variety, built once per variety object: ``curve_rows`` (one
-wall row per curve class, torifan._sweep_pure reduction 5),
+dense wall row per curve class, torifan._sweep_pure reduction 5),
 ``cone_inverses``, ``simplices`` (one pulling triangulation of every ample
 section polytope, read off the ray/cone incidence), ``class_rows`` and
 ``class_maps``.  ``build_skeleton`` builds them and returns the variety,

@@ -34,6 +34,12 @@ coordinates x_i = <u_q, m_i> of u_q = sum_i x_i u_i; write c = x_p.
   disconnected or otherwise defective fan) are inverted by elimination and
   start a walk of their own, so every two-cone wall is still crossed, and
   the fan is connected iff one walk reached every cone.
+- Wall values.  D = sum a_rho D_rho meets the wall curve in
+  D.C = sum_rho w_rho a_rho, w the wall's dense row: 1 at opp_a and opp_b,
+  b_i at wall ray i, else 0 (Cox-Little-Schenck, 6.4).  These n + 1 indices
+  are distinct (opp_a and opp_b lie off the wall, and opp_a = opp_b would
+  list one cone twice), so the zeros drop out: D.C = a_opp_a + a_opp_b +
+  sum b_i a_i off the ``Wall`` alone, and -K.C = 2 + sum b_i.
 
 Errors keep one precedence: ray checks, structural cone checks, the
 lowest-index cone that is not unimodular, rays in no cone, then the walls
@@ -60,18 +66,16 @@ from torifan.errors import (
     NotSimplicial,
     NotSmooth,
     ValidationError,
+    format_integer,
     format_rationals,
 )
 from torifan.ratgeom import Polytope, scale_to_integers
 
 
 class Wall(NamedTuple):
-    """Codimension-1 cone shared by two maximal cones.
-
-    ``relation`` holds the integers b_i in
-    u_opp_a + u_opp_b + sum_i b_i u_i = 0 over the wall rays, so a divisor
-    sum a_rho D_rho meets the wall curve in a_opp_a + a_opp_b + sum b_i a_i.
-    """
+    """Codimension-1 cone shared by two maximal cones; ``relation`` holds
+    the integers b_i in u_opp_a + u_opp_b + sum_i b_i u_i = 0 over the wall
+    rays, so D.C = a_opp_a + a_opp_b + sum b_i a_i (module docstring)."""
 
     rays: tuple
     cone_a: int
@@ -137,23 +141,17 @@ class ToricVariety:
         return self._cone_walk[0]
 
     @cached_property
-    def wall_rows(self):
-        """Per wall, the integer row w with D.C = sum_rho w_rho a_rho."""
-        rows = []
+    def curve_rows(self):
+        """The distinct dense wall rows (module docstring) in first-occurrence
+        order, one per curve class, each as ``(row, K.C)`` with K.C = sum(row)
+        (torifan._sweep_pure, reduction 5).  Only the sweep reads them."""
+        rows = {}
         for w in self.walls:
             row = [0] * self.n_rays
             for i, b in zip((w.opp_a, w.opp_b) + w.rays, (1, 1) + w.relation):
                 row[i] = b
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    @cached_property
-    def curve_rows(self):
-        """The distinct ``wall_rows`` in first-occurrence order, one per
-        curve class, each as ``(row, K.C)`` with K.C = sum(row), the row
-        on the all-ones anticanonical class (torifan._sweep_pure,
-        reduction 5)."""
-        return tuple((row, sum(row)) for row in dict.fromkeys(self.wall_rows))
+            rows[tuple(row)] = None
+        return tuple((row, sum(row)) for row in rows)
 
     @cached_property
     def simplices(self):
@@ -184,7 +182,10 @@ class ToricVariety:
     def scaled_wall_values(self, coeffs):
         """``(lam, [lam * D.C per wall])``, lam as in scale_to_integers."""
         lam, c = scale_to_integers(coeffs)
-        return lam, [sum(map(mul, row, c)) for row in self.wall_rows]
+        return lam, [
+            c[a] + c[b] + sum(map(mul, relation, map(c.__getitem__, rays)))
+            for rays, _, _, a, b, relation in self.walls
+        ]
 
     def nef_vertex_points(self, coeffs):
         """``(lam, points)``: the set of cone points m_sigma of a nef class
@@ -194,7 +195,7 @@ class ToricVariety:
 
         Proof.  Each m_sigma lies in P_D: that is the nef condition
         (Cox-Little-Schenck, *Toric Varieties*, 2011, Theorems 6.1.7 and
-        6.3.12), decided here on ``wall_rows``; across a wall with opposite
+        6.3.12), decided here on the walls; across a wall with opposite
         rays u_a in sigma and u_b in sigma', the relation gives
         ``<m_sigma', u_a> + a_a = D.C``, so each wall value is the slack of
         a neighbouring cone point.  Let Q = conv{m_sigma}, inside P_D.  A
@@ -271,7 +272,7 @@ class TDivisor:
 
 
 def _check_rays(dim, rays):
-    seen = set()
+    seen = {}
     for i, ray in enumerate(rays):
         if not all(type(c) is int for c in ray):
             raise ValidationError(f"ray {i} has an entry that is not an int")
@@ -280,10 +281,10 @@ def _check_rays(dim, rays):
         if not any(ray):
             raise ValidationError(f"ray {i} is zero")
         if gcd(*ray) != 1:
-            raise ValidationError(f"ray {i} = {ray} is not primitive")
+            raise ValidationError(f"ray {i} is not primitive")
         if ray in seen:
-            raise ValidationError(f"ray {i} = {ray} is repeated")
-        seen.add(ray)
+            raise ValidationError(f"ray {i} is repeated: it equals ray {seen[ray]}")
+        seen[ray] = i
 
 
 def _check_cones(variety):
@@ -309,8 +310,9 @@ def _check_cones(variety):
         raise ValidationError("some rays belong to no maximal cone")
 
 
-def _unimodular_inverse(rows, ci):
-    """Integer inverse of cone ``ci``'s ray matrix R, certified unimodular.
+def _unimodular_inverse(rays, cone, ci):
+    """Integer inverse of the ray matrix R of cone ``ci``, the rays indexed
+    by ``cone``, certified unimodular.
 
     ``ratgeom.echelon`` of [R | I] is [U | L] = M [R | I] with M invertible,
     so U = L R.  If R is nonsingular, its n columns are the n pivots and the
@@ -321,14 +323,14 @@ def _unimodular_inverse(rows, ci):
     substitution solves U X = L for X = R^-1, integral, so every division
     by a pivot is exact.
     """
-    n = len(rows)
-    wide = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    n = len(cone)
+    wide = [list(rays[r]) + [int(i == j) for j in range(n)] for i, r in enumerate(cone)]
     m = ratgeom.echelon(wide)[1]
     det = m[-1][n - 1]
     if not det:
         raise NotSimplicial(f"cone {ci} has linearly dependent rays")
     if abs(det) != 1:
-        raise NotSmooth(f"cone {ci} with rays {list(rows)} has |det| = {abs(det)}")
+        raise _not_smooth(cone, ci, det)
     inverse = [None] * n
     for i in range(n - 1, -1, -1):
         x = m[i][n:]
@@ -336,6 +338,13 @@ def _unimodular_inverse(rows, ci):
             x = [a - m[i][j] * b for a, b in zip(x, inverse[j])]
         inverse[i] = tuple(a // m[i][i] for a in x)
     return tuple(inverse)
+
+
+def _not_smooth(cone, ci, det):
+    """NotSmooth naming cone ``ci`` and its rays by index, and printing
+    |det| through ``format_integer``, so the text stays short."""
+    det = format_integer(abs(det))
+    return NotSmooth(f"cone {ci} with rays {list(cone)} has |det| = {det}")
 
 
 def _walk(variety):
@@ -368,9 +377,7 @@ def _walk(variety):
             continue
         roots += 1
         try:
-            inverses[root] = _unimodular_inverse(
-                [rays[i] for i in cones[root]], root
-            )
+            inverses[root] = _unimodular_inverse(rays, cones[root], root)
         except (NotSimplicial, NotSmooth) as exc:
             errors[root] = exc
             continue
@@ -391,10 +398,7 @@ def _walk(variety):
                 if c == 0:
                     errors[b] = NotSimplicial(f"cone {b} has linearly dependent rays")
                 elif abs(c) != 1:
-                    errors[b] = NotSmooth(
-                        f"cone {b} with rays {[rays[i] for i in cones[b]]} "
-                        f"has |det| = {abs(c)}"
-                    )
+                    errors[b] = _not_smooth(cones[b], b, c)
                 else:
                     m_p = dual[p]
                     new = {q: tuple(c * y for y in m_p)}
@@ -633,13 +637,12 @@ def is_projective_space(variety: ToricVariety) -> bool:
 def require_fano(variety: ToricVariety, source):
     """Refuse a fan whose -K is not ample, naming ``source`` (its file).
 
-    -K has every coefficient 1, so -K.C on a wall curve is the sum of that
-    wall's row, an integer; by the toric Kleiman criterion -K is ample iff
-    every such sum is positive.  The first wall with -K.C <= 0 is named.
+    -K.C = 2 + sum(relation) on a wall curve (module docstring), an
+    integer; by the toric Kleiman criterion -K is ample iff every such
+    value is positive.  The first wall with -K.C <= 0 is named.
     """
-    for index, k in enumerate(map(sum, variety.wall_rows)):
-        if k <= 0:
-            wall = variety.walls[index]
+    for index, wall in enumerate(variety.walls):
+        if (k := 2 + sum(wall.relation)) <= 0:
             raise NotFano(
                 f"{source}: not Fano: -K.C = {k} <= 0 on wall {index}, "
                 f"between cones {wall.cone_a} and {wall.cone_b}"

@@ -118,21 +118,19 @@ def test_bundled_files_match_builders():
 
 def test_bundled_files_match_the_builders():
     names = catalog.BUNDLED
-    files = sorted(
-        p.name for p in catalog.bundled_dir().iterdir() if p.name.endswith(".json")
-    )
+    files = sorted(p.name for p in Path(catalog.bundled_dir()).glob("*.json"))
     assert files == sorted(name.lower() + ".json" for name in names)
     # each P^n and (P^1)^k file is byte identical to its family's canonical JSON
     families = [catalog.projective_space(n) for n in range(1, 7)]
     families += [catalog.p1_power(2), catalog.p1_power(3)]
     for variety in families:
         fname = variety.name.lower() + ".json"
-        shipped = catalog.bundled_dir().joinpath(fname).read_text(encoding="utf-8")
+        shipped = (Path(catalog.bundled_dir()) / fname).read_text(encoding="utf-8")
         assert jsonio.dumps(jsonio.fan_to_dict(variety)) == shipped
 
 
 def test_bundled_json_shape():
-    text = catalog.bundled_dir().joinpath("f1.json").read_text(encoding="utf-8")
+    text = (Path(catalog.bundled_dir()) / "f1.json").read_text(encoding="utf-8")
     data = json.loads(text)
     assert data["name"] == "F1"
     assert data["dim"] == 2

@@ -154,8 +154,7 @@ def test_the_walk_inverts_every_cone_as_elimination_does():
     cones = 0
     for v in all_fans(rng):
         for ci, cone in enumerate(v.max_cones):
-            rows = [v.rays[i] for i in cone]
-            want = toric._unimodular_inverse(rows, ci)
+            want = toric._unimodular_inverse(v.rays, cone, ci)
             assert v.cone_inverses[ci] == want, (v.name, ci)
             cones += 1
     assert cones > 200
@@ -170,7 +169,7 @@ TWO_DEFECTS = [
     (
         (2, [(1, 0), (1, 2), (-1, 0), (0, -1)], [(2, 3), (0, 1), (3, 0), (1, 2)]),
         NotSmooth,
-        r"^cone 1 with rays \[\(1, 0\), \(1, 2\)\] has \|det\| = 2$",
+        r"^cone 1 with rays \[0, 1\] has \|det\| = 2$",
     ),
     # P(1,1,2) without cone (1, 2): cone 1 is singular and walls (1,) and
     # (2,) lie in one cone each
@@ -184,7 +183,7 @@ TWO_DEFECTS = [
     (
         (2, P2_RAYS + [(1, 2)], P2_CONES + [(0, 3)]),
         NotSmooth,
-        r"^cone 3 with rays \[\(1, 0\), \(1, 2\)\] has \|det\| = 2$",
+        r"^cone 3 with rays \[0, 3\] has \|det\| = 2$",
     ),
     # both cones of wall (0,) lie above it, and walls (1,) and (2,) lie in
     # one cone each
@@ -220,9 +219,9 @@ def test_validate_fan_runs_elimination_once_per_component(monkeypatch):
     real = toric._unimodular_inverse
     calls = []
 
-    def counting(rows, ci):
+    def counting(rays, cone, ci):
         calls.append(ci)
-        return real(rows, ci)
+        return real(rays, cone, ci)
 
     monkeypatch.setattr(toric, "_unimodular_inverse", counting)
     for v in catalog.bundled_catalog():
@@ -322,9 +321,13 @@ def nef_by_cone_points(variety, coeffs):
 
 def test_seshadri_constant_is_the_cone_point_nef_threshold():
     """eps = sup{t : -K - t D nef} is read off the wall curves; on a fresh
-    copy of the fan, whose wall rows are never read, the cone-point
+    copy of the fan, whose wall values raise if read, the cone-point
     criterion must call -K - eps D nef and -K - (eps + 1/k) D not.  This
     checks independently that the wall curves span the Mori cone."""
+
+    def no_wall_values(coeffs):
+        raise AssertionError("the cone-point criterion read a wall value")
+
     rng = random.Random(20261106)
     checked = 0
     for d in classes(rng):
@@ -333,11 +336,14 @@ def test_seshadri_constant_is_the_cone_point_nef_threshold():
         v = d.variety
         eps = invariants.seshadri_constant(d)
         fresh = toric.validate_fan(v.dim, v.rays, v.max_cones, v.name)
+        fresh.scaled_wall_values = no_wall_values
+        with pytest.raises(AssertionError, match="read a wall value"):
+            fresh.divisor(d.coeffs).is_nef()
         assert nef_by_cone_points(fresh, [1 - eps * a for a in d.coeffs])
         for k in (1, 10, 1000):
             t = eps + F(1, k)
             assert not nef_by_cone_points(fresh, [1 - t * a for a in d.coeffs])
-        assert "wall_rows" not in vars(fresh)
+        assert "curve_rows" not in vars(fresh)
         checked += 1
     assert checked >= 60, checked
 

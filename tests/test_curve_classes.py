@@ -1,9 +1,9 @@
 """One sweep wall row per curve class (``_sweep_pure`` reduction 5).
 
-``ToricVariety.curve_rows`` keeps the distinct ``wall_rows`` in
-first-occurrence order.  The sweep and the evaluator must give the same
-answers on it as on a copy of the variety that keeps one row per wall, the
-layout the reduction replaced.
+``ToricVariety.curve_rows`` keeps the distinct dense wall rows
+(``sweep_oracle.rows_per_wall``) in first-occurrence order.  The sweep and
+the evaluator must give the same answers on it as on a copy of the variety
+that keeps one row per wall, the layout the reduction replaced.
 """
 
 import copy
@@ -12,6 +12,7 @@ from itertools import product
 from math import gcd
 
 import pytest
+from sweep_oracle import rows_per_wall
 from test_cone_table import all_fans
 
 from torifan import _sweep_pure, catalog, sweep
@@ -21,7 +22,7 @@ from torifan.errors import VerificationError
 def per_wall_variety(variety):
     """A copy of the variety with one curve row per wall, repeats kept."""
     full = copy.copy(sweep.build_skeleton(variety))
-    full.curve_rows = tuple((row, sum(row)) for row in variety.wall_rows)
+    full.curve_rows = tuple((row, sum(row)) for row in rows_per_wall(variety))
     return full
 
 
@@ -40,20 +41,20 @@ def fans():
 
 def test_skeleton_keeps_each_distinct_wall_row_once_in_first_order(fans):
     for v in fans:
-        rows = v.wall_rows
+        rows = rows_per_wall(v)
         walls = [w for w, _ in v.curve_rows]
         assert set(walls) == set(rows), v.name
         assert len(walls) == len(set(walls)), v.name
         assert walls == sorted(walls, key=rows.index), v.name
         assert [k for _, k in v.curve_rows] == list(map(sum, walls))
-        # the variety itself keeps one row per wall
+        # the oracle's table keeps one row per wall
         assert len(rows) == len(v.walls)
 
 
 def test_curve_class_counts_on_the_catalog():
     for n in range(1, 7):
         p = catalog.projective_space(n)
-        assert len(p.wall_rows) == n * (n + 1) // 2
+        assert len(rows_per_wall(p)) == n * (n + 1) // 2
         assert len(p.curve_rows) == 1
     counts = {v.name: len(v.curve_rows) for v in catalog.bundled_catalog()}
     assert counts["P1xP1xP1"] == 3

@@ -5,7 +5,17 @@ import pytest
 from test_catalog import bundled_fan
 from test_sweep import hirzebruch, p2_bundle
 
-from torifan import _sweep_pure, catalog, cli, harness, jsonio, okounkov, ratgeom, toric
+from torifan import (
+    _sweep_pure,
+    catalog,
+    cli,
+    harness,
+    jsonio,
+    okounkov,
+    ratgeom,
+    ratpoly,
+    toric,
+)
 from torifan.errors import (
     NotAmple,
     NotComplete,
@@ -776,6 +786,25 @@ def test_cli_reports_end_with_single_newline(tmp_path, capsys):
         out = capsys.readouterr().out
         assert out.endswith("\n")
         assert not out.endswith("\n\n")
+
+
+def test_cli_okounkov_names_the_fan_of_a_failing_certificate(
+    tmp_path, capsys, monkeypatch
+):
+    """ratpoly raises without a fan; okounkov_command names its own."""
+    fan = write_fan(tmp_path, catalog.projective_space(2), "p2.json")
+
+    def no_certificate(p, a, b):
+        raise VerificationError("polynomial division left a remainder")
+
+    monkeypatch.setattr(ratpoly, "nonnegative_on", no_certificate)
+    assert cli.main(["okounkov", fan]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "verification failure: polynomial division left a remainder"
+        " (variety P2)\n"
+    )
 
 
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):

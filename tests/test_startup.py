@@ -4,7 +4,8 @@ Loading a fan, a divisor or a catalog needs ``toric``, ``ratgeom``,
 ``jsonio``, ``catalog`` and ``errors``; ``cli`` imports every other module
 inside the command that uses it, so ``validate`` starts without the
 evaluators.  No module of the package imports ``dataclasses``, which
-would add ``inspect``, ``ast``, ``dis`` and ``tokenize`` to every start.
+would add ``inspect``, ``ast``, ``dis`` and ``tokenize`` to every start,
+nor ``importlib.resources``, which the bundled catalog does not need.
 """
 
 import json
@@ -61,6 +62,27 @@ def test_loading_the_inputs_imports_no_evaluator():
         f"jsonio.load_divisor({DIVISOR!r}, jsonio.load_fan({P2!r}))\n"
     )
     assert imported_after(script) == []
+
+
+def test_loading_the_catalog_imports_no_importlib_resources():
+    """The bundled catalog is a directory beside ``catalog.py``: reading it
+    needs ``os.path`` alone.  Under ``python -S`` no site hook has imported
+    ``importlib.resources`` before the package does."""
+    code = (
+        "import sys\n"
+        "import torifan.cli\n"
+        "from torifan.catalog import load_catalog\n"
+        "assert len(load_catalog()) == 11\n"
+        "print('importlib.resources' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop(catalog.CATALOG_ENV, None)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_validate_imports_no_evaluator(tmp_path):

@@ -13,7 +13,7 @@ import random
 from functools import partial
 
 import pytest
-from sweep_oracle import pointwise_sweep
+from sweep_oracle import pointwise_sweep, rows_per_wall
 from test_catalog import bundled_fan
 from test_curve_classes import outcome
 from test_sweep import hirzebruch, p2_bundle
@@ -24,7 +24,7 @@ from torifan.errors import VerificationError
 
 
 def assert_agrees(variety, resolution):
-    oracle = pointwise_sweep(variety.wall_rows, variety, resolution, 10**9)
+    oracle = pointwise_sweep(rows_per_wall(variety), variety, resolution, 10**9)
     assert oracle.collect_complete and len(oracle.collected) == oracle.ample
     for cap in (0, oracle.ample // 2, oracle.ample + 1):
         expected = oracle._replace(
@@ -39,8 +39,8 @@ def assert_agrees(variety, resolution):
 
 def test_oracle_with_cap_zero_matches_truncation():
     f1 = catalog.hirzebruch_one()
-    full = pointwise_sweep(f1.wall_rows, f1, 4, 10**9)
-    assert pointwise_sweep(f1.wall_rows, f1, 4, 0) == full._replace(
+    full = pointwise_sweep(rows_per_wall(f1), f1, 4, 10**9)
+    assert pointwise_sweep(rows_per_wall(f1), f1, 4, 0) == full._replace(
         collected=[], collect_complete=False
     )
 
@@ -97,10 +97,11 @@ def test_agrees_on_hirzebruch_surfaces_with_unreachable_walls():
     seen = set()
     for x in (*map(hirzebruch, range(2, 6)), p2_bundle(3), p2_bundle(4)):
         for y in (x, *(_relabelled(x, rng) for _ in range(3))):
-            if any(row[0] == 0 for row in y.wall_rows):
+            rows = rows_per_wall(y)
+            if any(row[0] == 0 for row in rows):
                 seen.add("zero at level 0")
             for resolution in range(1, 6):
-                failed = outcome(pointwise_sweep, y.wall_rows, y, resolution, 0)
+                failed = outcome(pointwise_sweep, rows, y, resolution, 0)
                 if not isinstance(failed, _sweep_pure.RawSweep):
                     assert outcome(_sweep_pure.run_sweep, y, resolution, 0) == failed
                     seen.add("failed")
@@ -120,7 +121,8 @@ def test_checks_raise_on_the_same_sample():
     bad = copy.copy(sweep.build_skeleton(variety))
     bad.simplices = variety.simplices + ((0, 2, 3), (0, 3, 4))
     failures = []
-    for run in (partial(pointwise_sweep, variety.wall_rows), _sweep_pure.run_sweep):
+    oracle = partial(pointwise_sweep, rows_per_wall(variety))
+    for run in (oracle, _sweep_pure.run_sweep):
         with pytest.raises(VerificationError) as info:
             run(bad, 4, 0)
         failures.append((str(info.value), info.value.sample))

@@ -304,15 +304,15 @@ def test_unimodular_inverse_matches_the_fraction_inverse():
     for n in range(2, 8):
         for _ in range(10):
             m, inv = unimodular_pair(rng, n)
-            got = toric._unimodular_inverse(m, 3)
+            got = toric._unimodular_inverse(m, range(n), 3)
             assert got == fraction_inverse(m)
             assert [list(row) for row in got] == inv
             doubled = [[2 * x for x in m[0]]] + m[1:]
             with pytest.raises(NotSmooth, match=r"^cone 3 with rays .* \|det\| = 2$"):
-                toric._unimodular_inverse(doubled, 3)
+                toric._unimodular_inverse(doubled, range(n), 3)
             repeated = m[:-1] + [m[0]]
             with pytest.raises(NotSimplicial, match="^cone 3 has linearly dependent"):
-                toric._unimodular_inverse(repeated, 3)
+                toric._unimodular_inverse(repeated, range(n), 3)
 
 
 def contained(p, q, memo):
