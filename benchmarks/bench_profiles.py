@@ -8,13 +8,16 @@ both times and the oracle's time as a multiple of slice_profile's.
 With ``--reports`` it times the report layer instead: one
 ``harness.blowup_command`` (100 samples) and one ``harness.okounkov_command``
 (32 samples) on -K at cone 0 of each chosen fan, one row per variety.  The
-next column times the Sturm certificates of the same two profiles:
-``inequality_certificate`` and ``monotone_certificate`` of the volume
-profile and ``okounkov.bm_concavity_check`` of the slice profile.  The last
-times rendering both reports (``json_dict`` and ``jsonio.dumps``); the run
-exits non-zero if that JSON, or the CSV, differs from the rendering by
-``format_rational`` and ``json.dumps`` of the Fraction rows that
-tests/test_report_tables.py rebuilds on its own.
+next columns time ``okounkov.okounkov_body`` of the same class and flag
+(the integer affine image of its section polytope), then the Sturm
+certificates of the two profiles: ``inequality_certificate`` and
+``monotone_certificate`` of the volume profile and
+``okounkov.bm_concavity_check`` of the slice profile.  The last times
+rendering both reports (``json_dict`` and ``jsonio.dumps``, which writes
+each table as one ``jsonio.Table``); the run exits non-zero if that JSON,
+or the CSV, differs from the rendering by ``format_rational`` and
+``json.dumps`` of the Fraction rows that tests/test_report_tables.py
+rebuilds on its own.
 
     python3 benchmarks/bench_profiles.py --repeat 3
     python3 benchmarks/bench_profiles.py --repeat 5 --reports
@@ -107,10 +110,10 @@ def check_rendering(report, rows, name):
 
 def bench_reports(chosen, repeat):
     header = f"{'variety':<10} {'blowup (s)':>11} {'rows':>5}"
-    header += f" {'okounkov (s)':>13} {'rows':>5} {'certificates (s)':>17}"
-    header += f" {'render (s)':>11}"
+    header += f" {'okounkov (s)':>13} {'rows':>5} {'body (s)':>9}"
+    header += f" {'certificates (s)':>17} {'render (s)':>11}"
     print(header)
-    total = certificates = rendering = 0.0
+    total = bodies = certificates = rendering = 0.0
     for variety in chosen:
         divisor = variety.anticanonical()
         t_blowup, blowup = best_of(
@@ -127,7 +130,8 @@ def bench_reports(chosen, repeat):
         )
         volume, _ = invariants.fujita_profile(variety, 0, divisor)
         flag = okounkov.default_flag(variety, 0)
-        slices = okounkov.slice_profile(okounkov.okounkov_body(divisor, flag))
+        t_okb, okb = best_of(lambda: okounkov.okounkov_body(divisor, flag), repeat)
+        slices = okounkov.slice_profile(okb)
         t_cert, verdicts = best_of(lambda: certify(volume, slices), repeat)
         if not all(verdicts):
             raise SystemExit(f"a certificate failed on {variety.name}")
@@ -137,14 +141,15 @@ def bench_reports(chosen, repeat):
         check_rendering(blowup, blowup_rows, variety.name)
         check_rendering(body, slice_rows, variety.name)
         total += t_blowup + t_body
+        bodies += t_okb
         certificates += t_cert
         rendering += t_render
         line = f"{variety.name:<10} {t_blowup:>11.4f} {len(blowup.values):>5}"
-        line += f" {t_body:>13.4f} {len(body.values):>5} {t_cert:>17.4f}"
-        line += f" {t_render:>11.4f}"
+        line += f" {t_body:>13.4f} {len(body.values):>5} {t_okb:>9.4f}"
+        line += f" {t_cert:>17.4f} {t_render:>11.4f}"
         print(line)
-    line = f"{'total':<10} {total:>11.4f}{'':>26} {certificates:>17.4f}"
-    print(line + f" {rendering:>11.4f}")
+    line = f"{'total':<10} {total:>11.4f}{'':>26} {bodies:>9.4f}"
+    print(line + f" {certificates:>17.4f} {rendering:>11.4f}")
 
 
 def main(argv=None):

@@ -1,6 +1,8 @@
 """Exception types shared across the package.
 
-Error text prints every rational as p/q, never as a Python repr.
+Error text prints every rational as p/q, never as a Python repr;
+``format_integer`` and ``format_rationals`` print an integer of more than
+20 digits as its digit count.
 """
 
 
@@ -23,8 +25,14 @@ def format_integer(x) -> str:
 
 
 def format_rationals(values) -> str:
-    """Integers or Fractions as "(p/q, ...)"."""
-    return "(" + ", ".join(map(format_rational, values)) + ")"
+    """Integers or Fractions as "(p/q, ...)" for error text: a numerator or
+    denominator of more than 20 digits is printed by ``format_integer``,
+    the numerator's sign before it."""
+    return "(" + ", ".join(
+        f"{'-' * (x < 0)}{format_integer(abs(x.numerator))}/"
+        f"{format_integer(x.denominator)}"
+        for x in values
+    ) + ")"
 
 
 class TorifanError(Exception):

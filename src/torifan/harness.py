@@ -9,7 +9,7 @@ it sweeps nothing itself, so it checks the theorem both ways too, and its
 entries are sweep records cut to a few keys.  Each table is formatted
 once, by its report's ``cells``: the gap rows from their exact epsilons, and
 the blow-up and Okounkov rows from integers alone (``Piecewise.grid`` and
-``values_at``).
+``values_at``), which JSON writes as one ``jsonio.Table`` each.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import NamedTuple
 
 from torifan import invariants, jsonio
@@ -234,6 +234,9 @@ def gap_report(catalog, resolution: int, dimension=None) -> GapReport:
 # blow-up profile report
 
 
+BLOWUP_ROW = ("x", "volume", "lower_bound", "margin")
+
+
 class BlowupReport(NamedTuple):
     variety_name: str
     cone_index: int
@@ -248,28 +251,30 @@ class BlowupReport(NamedTuple):
     monotone_certified: bool
     chain: object
 
-    def _integer_rows(self):
-        """(x, profile value, vol - x^n, margin), each as (num, den) with
-        den > 0.  At x = N/D and vol = T/U, vol - x^n = (T D^n - U N^n) /
-        (U D^n)."""
-        den, nums = self.grid
-        n, total = self.dim, self.vol
-        den_n = den**n
-        low_den = total.denominator * den_n
-        for x, (v_num, v_den) in zip(nums, self.values):
-            low = total.numerator * den_n - total.denominator * x**n
-            margin = (v_num * low_den - low * v_den, v_den * low_den)
-            yield (x, den), (v_num, v_den), (low, low_den), margin
-
     def cells(self):
-        """The rows as "p/q" strings, one gcd per cell and no Fraction."""
-        return [
-            (_ratio(*x), _ratio(*v), _ratio(*lb), _ratio(*m))
-            for x, v, lb, m in self._integer_rows()
-        ]
+        """The rows (x, profile value, vol - x^n, margin) as "p/q" strings,
+        each cell ``format_ratio`` of its (num, den), den > 0, worked out
+        inline: one gcd per cell and no Fraction.  At x = N/D, value V/W
+        and vol = T/U, vol - x^n = L / (U D^n) with L = T D^n - U N^n, and
+        the margin is (V U D^n - L W) / (W U D^n)."""
+        den, nums = self.grid
+        n, t, u = self.dim, self.vol.numerator, self.vol.denominator
+        low_den, top = u * den**n, t * den**n
+        out = []
+        for x, (v, w) in zip(nums, self.values):
+            low = top - u * x**n
+            m, m_den = v * low_den - low * w, w * low_den
+            g, h, k, q = gcd(x, den), gcd(v, w), gcd(low, low_den), gcd(m, m_den)
+            out.append((
+                f"{x // g}/{den // g}",
+                f"{v // h}/{w // h}",
+                f"{low // k}/{low_den // k}",
+                f"{m // q}/{m_den // q}",
+            ))
+        return out
 
     def csv_text(self) -> str:
-        return render_csv(("x", "volume", "lower_bound", "margin"), self.cells())
+        return render_csv(BLOWUP_ROW, self.cells())
 
     def json_dict(self) -> dict:
         chain = self.chain
@@ -298,10 +303,7 @@ class BlowupReport(NamedTuple):
                     _fmt(final_rhs),
                 ],
             },
-            "rows": [
-                {"x": x, "volume": v, "lower_bound": lb, "margin": m}
-                for x, v, lb, m in self.cells()
-            ],
+            "rows": jsonio.Table(BLOWUP_ROW, self.cells()),
         }
 
 
@@ -399,7 +401,7 @@ class OkounkovReport(NamedTuple):
             ],
             "support": [_fmt(self.support[0]), _fmt(self.support[1])],
             "bm_concave": self.concave,
-            "slice_samples": [{"r": r, "area": a} for r, a in self.cells()],
+            "slice_samples": jsonio.Table(("r", "area"), self.cells()),
         }
 
 

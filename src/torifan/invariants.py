@@ -140,13 +140,26 @@ class VolumeProfile(
         return self.breakpoints[-1]
 
     def inequality_certificate(self) -> bool:
-        """Symbolic proof that value >= vol - x^n holds on every piece."""
-        bound = (self.total, *(Fraction(0),) * (self.dim - 1), Fraction(-1))
-        return self.all_nonnegative(lambda p: ratpoly.subtract(p, bound))
+        """Symbolic proof that value >= vol - x^n holds on every piece.
+
+        With vol = T/U and a piece c * P, c = c_num / c_den > 0, the
+        integer polynomial U c_den (c P - (T/U - x^n)) = U c_num P -
+        c_den T + U c_den x^n is a positive multiple of the piece minus the
+        bound (``Piecewise.all_nonnegative``)."""
+        n, t, u = self.dim, self.total.numerator, self.total.denominator
+
+        def margin(c, P):
+            out = [u * c.numerator * v for v in P] + [0] * (n + 1 - len(P))
+            out[0] -= c.denominator * t
+            out[n] += u * c.denominator
+            return out
+
+        return self.all_nonnegative(margin)
 
     def monotone_certificate(self) -> bool:
-        """Symbolic proof that the profile never increases."""
-        return self.all_nonnegative(lambda p: ratpoly.scale(ratpoly.derivative(p), -1))
+        """Symbolic proof that the profile never increases: -P' >= 0 for
+        each piece c * P, c > 0, a positive multiple of -(c P)'."""
+        return self.all_nonnegative(lambda c, P: [-v for v in ratpoly.derivative(P)])
 
 
 def fujita_profile(variety: ToricVariety, cone_index: int, divisor: TDivisor):
@@ -155,9 +168,15 @@ def fujita_profile(variety: ToricVariety, cone_index: int, divisor: TDivisor):
     vol(pi^*D - xE) = n! vol(Delta intersect {nu_1 >= x}) for the Okounkov
     body Delta of pi^*D flagged from E: the vanishing-order profile of the
     pullback along E.  Returns ``(profile, blowup)``.  D must be nef and big.
+
+    Bigness is checked once, on pi^*D by ``vanishing_order_profile``, which
+    decides it for D too: the two have the same section polytope, so
+    vol(pi^*D) = vol(D).  E's ray is u_E = sum of the rays u_i of the
+    blown-up cone, and ``pullback`` gives it a_E = sum a_i, so every m in
+    P_D has <m, u_E> + a_E = sum (<m, u_i> + a_i) >= 0: the one added row
+    cuts nothing off P_D.
     """
     require_nef(divisor)
-    require_big(divisor)
     bl = blowup_at_fixed_point(variety, cone_index)
     return vanishing_order_profile(pullback(divisor, bl), bl.e_index), bl
 

@@ -58,9 +58,13 @@ def fan_to_dict(variety: ToricVariety) -> dict:
 
 
 def _integer(value) -> int:
-    """A JSON integer; bools, floats and strings raise TypeError."""
+    """A JSON integer; bools, floats and strings raise TypeError, naming
+    the type and a repr cut to at most 40 characters."""
     if type(value) is not int:
-        raise TypeError(f"{value!r} is not an integer")
+        text = repr(value)
+        if len(text) > 40:
+            text = text[:37] + "..."
+        raise TypeError(f"{type(value).__name__} {text} is not an integer")
     return value
 
 
@@ -112,13 +116,33 @@ def load_divisor(path, variety: ToricVariety) -> TDivisor:
     return _read(path, lambda data: divisor_from_dict(data, variety))
 
 
+class Table:
+    """A list of dicts that all have the keys ``keys``, in that order, one
+    per row of ``rows``, a tuple of cell strings each.  ``dumps`` writes
+    it as ``json.dumps`` writes ``[dict(zip(keys, row)) for row in rows]``,
+    from one row template and without escaping any cell, so every cell must
+    be JSON-safe: a string that ``encode_basestring_ascii`` only quotes.
+
+    ``format_ratio`` cells are: ``str`` of an integer is an optional "-"
+    and decimal digits, so a cell holds only "-", digits and "/", and the
+    escaper changes none of those (it escapes '"', backslash, control
+    characters and every non-ASCII character).
+    """
+
+    __slots__ = ("keys", "rows")
+
+    def __init__(self, keys, rows):
+        self.keys, self.rows = keys, rows
+
+
 def dumps(payload) -> str:
     """Canonical JSON text: stable key order as built, trailing newline.
 
     The text is ``json.dumps(payload, indent=2) + "\\n"`` byte for byte,
     written here because an indent makes CPython fall back to its
-    pure-Python encoder.  Strings are escaped by the escaper json.dumps
-    uses; dict, list, tuple, str, int, bool and None are the only types
+    pure-Python encoder; a ``Table`` is written as the list of dicts it
+    stands for.  Strings are escaped by the escaper json.dumps uses; dict,
+    list, tuple, str, int, bool, None and ``Table`` are the only types
     accepted, dict keys must be strings, and anything else raises
     TypeError, a NamedTuple too: json.dumps would write it as a list.
     """
@@ -170,7 +194,28 @@ def _write(value, out, newline):
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
+    elif type(value) is Table:
+        _write_table(value, out, newline)
     else:
         raise TypeError(
             f"Object of type {type(value).__name__} is not JSON serializable"
         )
+
+
+def _write_table(table, out, newline):
+    """Append the indent-2 JSON of ``table``'s list of dicts: each row is
+    the row template with its cells put in quoted, which is the escaped
+    cell for a JSON-safe one (``Table``).  A row whose length differs from
+    the keys' raises TypeError from ``%``."""
+    if not table.rows:
+        out.append("[]")
+        return
+    inner = newline + "  "
+    fields = ",".join(
+        inner + "  " + encode_basestring_ascii(key).replace("%", "%%") + ': "%s"'
+        for key in table.keys
+    )
+    row = "{" + fields + inner + "}" if table.keys else "{}"
+    out.append("[" + inner)
+    out.append(("," + inner).join([row % cells for cells in table.rows]))
+    out.append(newline + "]")

@@ -127,7 +127,7 @@ def okounkov_body(divisor: TDivisor, flag: FlagSpec) -> OkounkovBody:
     require_big(divisor)  # fills the section polytope's vertex cache
     variety = divisor.variety
     matrix = tuple(variety.rays[i] for i in flag.ray_order)
-    shift = [Fraction(divisor.coeffs[i]) for i in flag.ray_order]
+    shift = [divisor.coeffs[i] for i in flag.ray_order]
     # the matrix is the cone's ray matrix with its rows permuted, so its
     # inverse is the cone's inverse with its columns permuted
     cone = variety.max_cones[flag.cone_index]
@@ -300,12 +300,16 @@ def bm_concavity_check(profile: SliceProfile) -> bool:
     n = profile.dim
     pieces, points = profile.pieces, profile.breakpoints
 
-    def minus_h(p):
-        dp = ratpoly.derivative(p)
-        return ratpoly.add(
-            ratpoly.scale(ratpoly.multiply(dp, dp), n - 2),
-            ratpoly.scale(ratpoly.multiply(p, ratpoly.derivative(dp)), 1 - n),
-        )
+    def minus_h(c, P):
+        """-h / c^2 = (n-2) P'^2 + (1-n) P P'' over Z for the piece A = c P,
+        c > 0: a positive multiple of -h (``Piecewise.all_nonnegative``)."""
+        d1 = ratpoly.derivative(P)
+        out = [0] * (2 * len(P))
+        for k, f, g in ((n - 2, d1, d1), (1 - n, P, ratpoly.derivative(d1))):
+            for i, a in enumerate(f):
+                for j, b in enumerate(g):
+                    out[i + j] += k * a * b
+        return out
 
     def slope(p, x):
         return ratpoly.evaluate(ratpoly.derivative(p), x)
@@ -315,8 +319,8 @@ def bm_concavity_check(profile: SliceProfile) -> bool:
         # a zero at a junction or inside a piece dents the support
         and all(profile.piece_value(x) for x in points[1:-1])
         and not any(
-            ratpoly.has_root_inside(p, a, b)
-            for a, b, p in zip(points, points[1:], pieces)
+            ratpoly.has_root_inside(P, a, b)
+            for a, b, (_, P) in zip(points, points[1:], profile.integer_pieces)
         )
         # so A has one sign on the open support; a signed area is no profile
         and profile.piece_value((points[0] + points[1]) / 2) > 0

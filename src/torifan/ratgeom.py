@@ -469,22 +469,26 @@ def affine_image(poly: Polytope, matrix, inverse, shift) -> Polytope:
     with ``inverse``.
 
     With m = inverse (nu - shift), ``<a, m> + b >= 0`` reads ``<inverse^T a,
-    nu> + b - <inverse^T a, shift> >= 0``.  The bijection maps the vertices
-    p / s onto the vertices and keeps the dimension; lcm(s, lam) times each
-    image is integral when lam * shift is."""
+    nu> + b - <inverse^T a, shift> >= 0``.  With (lam, c) =
+    ``scale_to_integers(shift)``, lam > 0 and c = lam * shift integral, lam
+    times that row is the integer row ``(lam * inverse^T a, lam * b -
+    <inverse^T a, c>)``: a positive multiple, so it cuts out the same set
+    and ``Polytope`` reduces it to the same primitive row.  The bijection
+    maps the vertices p / s onto the vertices and keeps the dimension;
+    lcm(s, lam) times each image is integral."""
     n = poly.ambient_dim
     if len(shift) != n:
         raise ValueError("vector dimension mismatch")
+    lam, c = scale_to_integers(shift)
     cols = tuple(zip(*inverse))
     rows = []
     for a, b in poly.rows:
         normal = [sum(map(mul, col, a)) for col in cols]
-        rows.append((normal, b - sum(map(mul, normal, shift))))
+        rows.append(([lam * x for x in normal], lam * b - sum(map(mul, normal, c))))
     image = Polytope(n, rows)
     image._full = poly._full
     if poly._points is not None:
         s, points = poly._points
-        lam, c = scale_to_integers(shift)
         common = lcm(s, lam)
         k, j = common // s, common // lam
         images = [

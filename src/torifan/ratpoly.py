@@ -92,10 +92,6 @@ def add(p, q):
     return trim(tuple(a + b for a, b in zip_longest(p, q, fillvalue=0)))
 
 
-def subtract(p, q):
-    return add(p, tuple(-_frac(c) for c in q))
-
-
 def multiply(p, q):
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -104,12 +100,9 @@ def multiply(p, q):
     return trim(tuple(out))
 
 
-def scale(p, c):
-    return trim(tuple(_frac(a) * c for a in p))
-
-
 def derivative(p):
-    return tuple(c * i for i, c in enumerate(p) if i) or ZERO
+    """p'; integer coefficients stay integers."""
+    return tuple(c * i for i, c in enumerate(p) if i) or (0,)
 
 
 def interpolate(points):
@@ -300,12 +293,18 @@ class Piecewise:
         """(numerator, denominator) of the covering piece at each n/den, or
         (0, 1) off the support; den clears every breakpoint's denominator."""
         bounds = [b.numerator * (den // b.denominator) for b in self.breakpoints]
+        # (c_num, P, c_den * den^deg P) per piece c * P: the value at n/den
+        # is c_num * _horner(P, n, den) over the last entry
+        pieces = [
+            (c.numerator, P, c.denominator * den ** (len(P) - 1))
+            for c, P in self.integer_pieces
+        ]
         for n in nums:
-            if not self.pieces or not bounds[0] <= n <= bounds[-1]:
+            if not pieces or not bounds[0] <= n <= bounds[-1]:
                 yield 0, 1
                 continue
-            c, P = self.integer_pieces[max(bisect_left(bounds, n) - 1, 0)]
-            yield c.numerator * _horner(P, n, den), c.denominator * den ** (len(P) - 1)
+            c_num, P, value_den = pieces[max(bisect_left(bounds, n) - 1, 0)]
+            yield c_num * _horner(P, n, den), value_den
 
     def piece_value(self, x) -> Fraction:
         """The covering piece at x; 0 off the support or without pieces."""
@@ -325,10 +324,18 @@ class Piecewise:
         return sum(parts, Fraction(0))
 
     def all_nonnegative(self, transform=None) -> bool:
-        """Exact decision that every piece, transformed, is >= 0 on its span."""
+        """Exact decision that every piece, transformed, is >= 0 on its span.
+
+        ``transform(c, P)`` gets a piece of ``integer_pieces``, the piece
+        c * P with c > 0, and returns integer coefficients of a positive
+        multiple of the transformed piece; without one, P itself stands for
+        the piece.  ``nonnegative_on`` decides on the primitive part alone,
+        which every positive multiple shares, so the multiple decides
+        exactly as the transformed piece would.
+        """
         return all(
-            nonnegative_on(p if transform is None else transform(p), a, b)
-            for (a, b), p in zip(pairwise(self.breakpoints), self.pieces)
+            nonnegative_on(P if transform is None else transform(c, P), a, b)
+            for (a, b), (c, P) in zip(pairwise(self.breakpoints), self.integer_pieces)
         )
 
     def is_continuous(self) -> bool:

@@ -2,9 +2,10 @@
 
 ``validate`` reads every wall value off the ``Wall`` records, so its work
 and memory grow linearly with the fan; no table of walls x rays is built.
-A refusal names rays and cones by index and prints an integer of more
-than 20 digits as its digit count, so its one line stays short however
-large the entries.
+A refusal names rays and cones by index, prints an integer of more than
+20 digits as its digit count and cuts the repr of an entry that is not an
+integer to 40 characters, so its one line stays short however large the
+entries.
 """
 
 import json
@@ -66,6 +67,10 @@ def test_format_integer_prints_long_integers_as_their_digit_count():
 HUGE = 7 * 10**2499 + 1  # 2,500 digits, odd
 P2_CONES = [[1, 2], [0, 2], [0, 1]]
 HOSTILE = {
+    # the repr of a 3,000-character string, cut to 37 characters and "..."
+    "malformed fan JSON: str '" + "x" * 36 + "... is not an integer": {
+        "rays": [["x" * 3000, 0], [0, 1], [-1, -1]],
+    },
     "ray 0 is not primitive": {"rays": [[2 * HUGE, 2], [0, 1], [-1, -1]]},
     "ray 1 is repeated: it equals ray 0": {"rays": [[HUGE, 1], [HUGE, 1], [-1, -1]]},
     # |det| of cone 0 = 10**3999 + 1, 4,000 digits
@@ -85,3 +90,22 @@ def test_huge_entries_give_one_short_error_line(tmp_path, message):
     assert "Traceback" not in done.stderr
     (line,) = done.stderr.splitlines()
     assert line == f"error: {fan}: {message}" and len(line) <= 300, line
+
+
+def test_a_huge_divisor_gives_one_short_error_line(tmp_path):
+    """A refused class prints each coefficient's numerator and denominator
+    past 20 digits as its digit count, its sign kept."""
+    p2 = tmp_path / "p2.json"
+    p2.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                              "max_cones": P2_CONES, "name": "P2"}))
+    divisor = tmp_path / "divisor.json"
+    # degree -1: not ample
+    coeffs = [f"{10**2000}/{3**50}", f"-{10**2000}/{3**50}", "-1"]
+    divisor.write_text(json.dumps({"coeffs": coeffs}))
+    done = run(["-m", "torifan.cli", "invariants", str(p2), "--divisor", str(divisor)])
+    assert done.returncode == 2 and not done.stdout
+    assert "Traceback" not in done.stderr
+    (line,) = done.stderr.splitlines()
+    big, den = "an integer of 2001 digits", "an integer of 24 digits"
+    expected = f"error: divisor ({big}/{den}, -{big}/{den}, -1/1) on P2 is not ample"
+    assert line == expected and len(line) <= 300, line

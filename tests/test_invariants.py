@@ -6,8 +6,8 @@ import pytest
 from score_oracle import ratgeom_report, vanishing_orders
 
 from torifan import catalog, invariants, ratgeom, ratpoly
-from torifan.errors import NotAmple, ValidationError, VerificationError
-from torifan.toric import TDivisor
+from torifan.errors import NotAmple, NotBig, ValidationError, VerificationError
+from torifan.toric import TDivisor, blowup_at_fixed_point, pullback
 
 
 def test_projective_space_hyperplane_is_extremal():
@@ -196,6 +196,37 @@ def test_fujita_profile_rejects_a_divisor_of_another_variety():
     f1_antik = catalog.hirzebruch_one().anticanonical()
     with pytest.raises(ValidationError):
         invariants.fujita_profile(catalog.projective_space(2), 0, f1_antik)
+
+
+def test_fujita_profile_refuses_a_nef_class_that_is_not_big():
+    """``fujita_profile`` checks bigness once, on the pullback: a nef class
+    that is not big still raises NotBig, at every fixed point."""
+    x = catalog.p1_power(2)
+    fibre = x.divisor([1, 0, 0, 0])  # pulled back from one factor
+    assert fibre.is_nef() and not fibre.is_big()
+    for cone_index in range(len(x.max_cones)):
+        with pytest.raises(NotBig):
+            invariants.fujita_profile(x, cone_index, fibre)
+
+
+def test_a_pullback_has_the_section_polytope_of_its_class():
+    """The proof in ``fujita_profile``: pi^*D has D's section polytope, so
+    one decides bigness and volume for the other, nef or not."""
+    rng = random.Random(33)
+    big = small = 0
+    for v in catalog.surface_catalog():
+        for cone_index in range(len(v.max_cones)):
+            bl = blowup_at_fixed_point(v, cone_index)
+            for _ in range(6):
+                d = v.divisor([rng.randint(-1, 2) for _ in range(v.n_rays)])
+                up = pullback(d, bl)
+                assert ratgeom.polytopes_equal(
+                    up.section_polytope(), d.section_polytope()
+                )
+                assert up.is_big() == d.is_big()
+                big += d.is_big()
+                small += not d.is_big()
+    assert big and small
 
 
 def test_chain_on_p2_anticanonical_is_tight():

@@ -25,8 +25,7 @@ def test_arithmetic():
     q = poly(-1, 1)
     assert ratpoly.multiply(p, q) == poly(-1, 0, 1)
     assert ratpoly.add(p, q) == poly(0, 2)
-    assert ratpoly.subtract(p, q) == poly(2)
-    assert ratpoly.scale(p, F(3)) == poly(3, 3)
+    assert ratpoly.multiply(p, poly(3)) == poly(3, 3)
 
 
 def fraction_integral(p, a, b):
@@ -127,7 +126,7 @@ def test_nonnegative_on_random_sum_of_squares():
         s = ratpoly.add(ratpoly.multiply(a, a), ratpoly.multiply(b, b))
         assert ratpoly.nonnegative_on(s, F(-3), F(3))
         if not sturm_oracle.is_zero(s):
-            flipped = ratpoly.scale(s, F(-1))
+            flipped = ratpoly.multiply(s, poly(-1))
             # a nonzero sum of squares cannot be nonnegative after flipping
             # unless it vanishes identically on the interval
             if ratpoly.evaluate(s, F(-3)) > 0 and ratpoly.count_roots(
@@ -265,16 +264,28 @@ def test_integral_and_primitives_match_the_power_rule_on_seeded_pieces():
     assert degrees == set(range(6))
 
 
+def negated_derivative(c, P):
+    """-P', a positive multiple of -(c P)' for c > 0."""
+    return [-v for v in ratpoly.derivative(P)]
+
+
 def test_all_nonnegative_with_a_transform_and_continuity():
+    """A transform gets each integer piece (c, P) and returns a positive
+    multiple of the transformed piece c * P, over Z."""
     tent = pieces((0, 1, 2), poly(0, 1), poly(2, -1))
     assert tent.all_nonnegative()
     assert tent.is_continuous()
     # the derivative is 1 then -1: the tent rises, then falls
-    assert not tent.all_nonnegative(ratpoly.derivative)
-    assert not tent.all_nonnegative(lambda p: ratpoly.scale(ratpoly.derivative(p), -1))
+    assert not tent.all_nonnegative(lambda c, P: ratpoly.derivative(P))
+    assert not tent.all_nonnegative(negated_derivative)
     falling = pieces((1, 2), poly(2, -1))
-    assert falling.all_nonnegative(lambda p: ratpoly.scale(ratpoly.derivative(p), -1))
-    assert pieces((0, 1), poly(-1)).all_nonnegative(lambda p: ratpoly.scale(p, -1))
+    assert falling.all_nonnegative(negated_derivative)
+    assert pieces((0, 1), poly(-1)).all_nonnegative(lambda c, P: [-v for v in P])
+    # each transform sees (c, P) with c > 0 and integer P
+    seen = []
+    halves = pieces((0, 1), poly(F(-1, 2), F(3, 4)))
+    assert halves.all_nonnegative(lambda c, P: seen.append((c, P)) or P) is False
+    assert seen == [(F(1, 4), (-2, 3))]
     assert not pieces((0, 1, 2), poly(1), poly(2)).is_continuous()
     assert pieces((0, 1), poly(3)).is_continuous()
 
@@ -415,7 +426,7 @@ def test_sturm_verdicts_match_the_fraction_oracle_on_multiple_roots():
             )
             p = ratpoly.multiply(power(poly(-r, 1), m), tail)
             p = ratpoly.multiply(p, power(poly(-s, 1), rng.randint(0, 4)))
-            p = ratpoly.scale(p, rng.choice((-2, -1, 1, 3)))
+            p = ratpoly.multiply(p, poly(rng.choice((-2, -1, 1, 3))))
             w = F(rng.randint(1, 6), rng.randint(1, 3))
             for a, b in (
                 (r, r + w),

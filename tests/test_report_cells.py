@@ -1,16 +1,19 @@
 """Report cells in JSON and CSV against the Fraction reference.
 
 ``BlowupReport.cells`` and ``OkounkovReport.cells`` format every table cell
-from the integer grid, one gcd per cell (``jsonio.format_ratio``), and feed
-``json_dict`` and ``csv_text``.  The reports and their references are the
-seeded cases of ``tests/test_report_tables.py``, built once for both files:
-every JSON and every CSV cell must equal ``format_rational`` of the
-reference, and the cases must reach a negative lower bound, a zero read at
-the domain end over a denominator above 1 and pairs not in lowest terms.
+from the integer grid, one gcd per cell (as ``jsonio.format_ratio``), and
+feed ``json_dict`` (as a ``jsonio.Table``) and ``csv_text``; the JSON cells
+are read back from the text ``jsonio.dumps`` writes.  The reports and their
+references are the seeded cases of ``tests/test_report_tables.py``, built
+once for both files: every JSON and every CSV cell must equal
+``format_rational`` of the reference, and the cases must reach a negative
+lower bound, a zero read at the domain end over a denominator above 1 and
+pairs not in lowest terms.
 """
 
 import csv
 import io
+import json
 from math import gcd
 
 from test_report_tables import BLOWUP_COLUMNS, blowup_cases, okounkov_cases
@@ -24,6 +27,11 @@ def csv_cells(text, header):
     return [tuple(row) for row in rows]
 
 
+def json_table(report, key):
+    """The table ``key`` of the report's JSON text, as parsed back."""
+    return json.loads(jsonio.dumps(report.json_dict()))[key]
+
+
 def reducible(pairs):
     """How many (num, den) pairs are not in lowest terms."""
     return sum(gcd(num, den) > 1 for num, den in pairs)
@@ -32,7 +40,7 @@ def reducible(pairs):
 def test_blowup_cells_match_the_fraction_reference():
     negative = zero_end = unreduced = 0
     for _, _, _, report, expected in blowup_cases():
-        rows = report.json_dict()["rows"]
+        rows = json_table(report, "rows")
         assert all(tuple(row) == BLOWUP_COLUMNS for row in rows)
         got = [tuple(row[key] for key in BLOWUP_COLUMNS) for row in rows]
         assert got == expected
@@ -48,7 +56,7 @@ def test_blowup_cells_match_the_fraction_reference():
 def test_okounkov_cells_match_the_fraction_reference():
     unreduced = 0
     for profile, report, expected in okounkov_cases():
-        samples = report.json_dict()["slice_samples"]
+        samples = json_table(report, "slice_samples")
         assert all(tuple(row) == ("r", "area") for row in samples)
         assert [(row["r"], row["area"]) for row in samples] == expected
         assert csv_cells(report.csv_text(), ("r", "slice_area")) == expected

@@ -19,12 +19,13 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from torifan import cli
+from torifan import cli, jsonio
 
 CATALOG = Path(__file__).resolve().parents[1] / "src/torifan/data/catalog"
 DIGESTS = Path(__file__).with_name("report_digests.json")
@@ -113,6 +114,27 @@ def test_every_case_has_a_digest():
     expected = json.loads(text)
     assert list(expected) == list(cases())
     assert text == json.dumps(expected, indent=2) + "\n"
+
+
+def test_every_table_cell_is_json_safe(monkeypatch):
+    """``jsonio.dumps`` writes a ``jsonio.Table``'s cells unescaped, so each
+    must be JSON-safe: on every case, each is -?digits/digits."""
+    real = jsonio._write_table
+    tables = []
+
+    def recording(table, out, newline):
+        tables.append(table)
+        real(table, out, newline)
+
+    monkeypatch.setattr(jsonio, "_write_table", recording)
+    json_tables = 0
+    for name, argv in cases().items():
+        digest(argv)
+        json_tables += name.startswith(("blowup ", "okounkov ")) and "json" in argv
+    assert len(tables) == json_tables > 0
+    ratio = re.compile(r"-?\d+/\d+", re.ASCII)
+    cells = [cell for table in tables for row in table.rows for cell in row]
+    assert cells and all(ratio.fullmatch(cell) for cell in cells)
 
 
 if __name__ == "__main__":
